@@ -23,24 +23,25 @@ from .experiments import (
 )
 from .lindblad import (
     ModelParams,
+    PumpModel,
     devectorize,
     hamiltonian,
     liouvillian,
     liouvillian_parts,
+    projection_dissipator,
     projection_jumps,
     stabilizer_jumps,
     vectorize,
 )
 from .meanfield import FixedPoint, MeanFieldState, fixed_points, mean_field_evolve, mean_field_rhs
 from .observables import SpinTriple, fidelity, spin_expectations, witness_expectation
-from .operators import PauliString, dagger, kron, pauli_to_dense
+from .operators import PauliString, dagger, pauli_to_dense
 from .solver import (
     SpectrumResult,
     Trajectory,
     evolve_expm,
     evolve_rk4,
     full_spectrum,
-    liouvillian_gap,
     pure_state_density,
     steady_state_direct,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "NumericalError",
     "OrthogonalBasis",
     "PauliString",
+    "PumpModel",
     "ScalingStudy",
     "SpectrumResult",
     "SpinTriple",
@@ -74,15 +76,14 @@ __all__ = [
     "full_spectrum",
     "gamma_sweep",
     "hamiltonian",
-    "kron",
     "liouvillian",
-    "liouvillian_gap",
     "liouvillian_parts",
     "mean_field_evolve",
     "mean_field_rhs",
     "orthogonal_basis",
     "pauli_to_dense",
     "plus_state",
+    "projection_dissipator",
     "projection_jumps",
     "pure_state_density",
     "size_scaling_study",

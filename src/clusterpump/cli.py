@@ -24,13 +24,12 @@ from .cluster import GraphSpec, cluster_state, plus_state, state_from_bits, stab
 from .errors import ConfigError, NumericalError
 from .experiments import (
     DEFAULT_GAMMA_POLICY,
-    MAX_DENSE_QUBITS,
     detect_gamma_sat,
     gamma_sweep,
     parse_gamma_policy,
     size_scaling_study,
 )
-from .lindblad import ModelParams, hamiltonian, liouvillian, projection_jumps
+from .lindblad import ModelParams, PumpModel, vectorize
 from .meanfield import MeanFieldState, fixed_points, mean_field_evolve
 from .meanfield import default_dt as mf_default_dt
 from .observables import fidelity, spin_expectations, witness_expectation
@@ -124,13 +123,6 @@ def _model(cfg: dict) -> ModelParams:
     return ModelParams(g=float(sign), h=float(cfg["h_g"]), gamma=float(cfg["gamma_g"]))
 
 
-def _guard_graph(graph: GraphSpec) -> None:
-    if graph.n_qubits > MAX_DENSE_QUBITS:
-        raise ConfigError(
-            f"graph has {graph.n_qubits} qubits; dense commands are limited to {MAX_DENSE_QUBITS}"
-        )
-
-
 def _bitstring(index: int, n: int) -> str:
     return format(index, f"0{n}b")
 
@@ -167,21 +159,20 @@ def _cmd_cluster(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
+def _generator(cfg: dict):
+    """Graph, parameters, target and Liouvillian; the model's gamma-independent
+    parts are released before any solve."""
+    model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
+    return model.graph, model.params, model.target, model.liouvillian(model.params.gamma)
+
+
 def _steady_solution(cfg: dict):
-    graph = parse_graph(cfg["graph"])
-    _guard_graph(graph)
-    params = _model(cfg)
-    ham = hamiltonian(graph, params)
-    jumps = projection_jumps(graph)
-    L = liouvillian(ham, jumps, params.gamma)
-    return graph, params, L, full_spectrum(L)
+    graph, _, target, L = _generator(cfg)
+    return graph, target, L, full_spectrum(L)
 
 
 def _cmd_steady(cfg: dict, out_dir: Path) -> int:
-    from .lindblad import vectorize
-
-    graph, params, L, spec = _steady_solution(cfg)
-    target = cluster_state(graph)
+    graph, target, L, spec = _steady_solution(cfg)
     residual = float(np.linalg.norm(L @ vectorize(spec.steady_state), np.inf))
     summary = {
         "config": cfg,
@@ -200,7 +191,7 @@ def _cmd_steady(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_spectrum(cfg: dict, out_dir: Path) -> int:
-    graph, params, L, spec = _steady_solution(cfg)
+    graph, _, _, spec = _steady_solution(cfg)
     _write_csv(
         out_dir / "spectrum.csv",
         ["re", "im"],
@@ -236,17 +227,11 @@ def _initial_density(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
-    graph = parse_graph(cfg["graph"])
-    _guard_graph(graph)
-    params = _model(cfg)
+    graph, params, target, L = _generator(cfg)
     rng = np.random.default_rng(cfg["seed"])
     rho0 = _initial_density(cfg["rho0"], graph.n_qubits, rng)
-    ham = hamiltonian(graph, params)
-    jumps = projection_jumps(graph)
-    L = liouvillian(ham, jumps, params.gamma)
     dt = cfg["dt"] if cfg.get("dt") else 0.01 / max(1.0, abs(params.gamma_g))
     traj = evolve_rk4(rho0, L, cfg["t_final"], dt, sample_every=cfg["sample_every"])
-    target = cluster_state(graph)
     rows = []
     for t, rho in zip(traj.times, traj.states):
         spins = spin_expectations(rho)
@@ -330,7 +315,6 @@ def _cmd_meanfield(cfg: dict, out_dir: Path) -> int:
 
 def _cmd_sweep(cfg: dict, out_dir: Path) -> int:
     graph = parse_graph(cfg["graph"])
-    _guard_graph(graph)
     try:
         grid = parse_gamma_policy(cfg["gamma_grid"])
     except ValueError as exc:
@@ -380,12 +364,6 @@ def _cmd_scaling(cfg: dict, out_dir: Path) -> int:
         n_values = [int(v) for v in str(cfg["n_values"]).split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad n_values {cfg['n_values']!r}") from exc
-    for n in n_values:
-        if n > MAX_DENSE_QUBITS:
-            raise ConfigError(
-                f"N = {n} exceeds the dense-solver guard ({MAX_DENSE_QUBITS}); "
-                f"the superoperator alone would need {16.0 * 16.0 ** n / 2.0 ** 30:.1f} GiB"
-            )
     study = size_scaling_study(
         n_values,
         h_g=cfg["h_g"],

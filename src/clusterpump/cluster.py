@@ -135,9 +135,10 @@ def orthogonal_basis(g: GraphSpec) -> OrthogonalBasis:
     """Z-string basis of the subspace orthogonal to the cluster state.
 
     For every nonzero pattern ``s`` the vector is ``prod_m Z_m^{s_m} |C>``.
-    These are exactly orthonormal (no nontrivial all-Z operator stabilizes a
-    graph state); a Gram-Schmidt pass against the target and the previously
-    emitted vectors is applied as a numerical safeguard.
+    These are exactly orthonormal: every amplitude of ``|C>`` has modulus
+    ``2^{-N/2}``, so the overlap of patterns ``s`` and ``t`` is the mean of
+    the sign ``(-1)^{popcount(x & (s ^ t))}`` over all ``x``, which vanishes
+    unless ``s == t``.
     """
     target = cluster_state(g)
     dim = target.shape[0]
@@ -146,15 +147,6 @@ def orthogonal_basis(g: GraphSpec) -> OrthogonalBasis:
     for s in range(1, dim):
         signs = 1.0 - 2.0 * (np.bitwise_count(idx & s) & 1)
         states[s - 1] = signs * target
-    # Re-orthonormalize against the target and earlier rows.
-    accepted = [target]
-    for m in range(dim - 1):
-        v = states[m]
-        for b in accepted:
-            v = v - np.vdot(b, v) * b
-        v = v / np.linalg.norm(v)
-        states[m] = v
-        accepted.append(v)
     return OrthogonalBasis(states=states, target=target)
 
 

@@ -16,15 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import GraphSpec, cluster_state
+from .cluster import GraphSpec
 from .errors import NumericalError
-from .lindblad import ModelParams, hamiltonian, liouvillian_parts, projection_jumps
+from .lindblad import ModelParams, PumpModel
 from .observables import fidelity, witness_expectation
 from .solver import full_spectrum, steady_state_direct
-
-# Dense solves above this register size are refused (the superoperator for
-# N qubits holds 16^N complex entries).
-MAX_DENSE_QUBITS = 7
 
 
 @dataclass
@@ -73,29 +69,6 @@ class ScalingStudy:
     strong_gamma: float
 
 
-def _check_size_guard(n: int) -> None:
-    if n > MAX_DENSE_QUBITS:
-        need = 16.0 * 16.0**n / 2.0**30
-        raise ValueError(
-            f"N = {n} exceeds the dense-solver guard ({MAX_DENSE_QUBITS}); "
-            f"the superoperator alone would need {need:.1f} GiB"
-        )
-
-
-def _system(g_spec: GraphSpec, h_g: float, g: float = 1.0):
-    """Gamma-independent pieces of the model: base params, unitary part,
-    rate-one dissipator, and the target state."""
-    if g == 0:
-        raise ValueError("sweeps are parameterized by h/g and gamma/g; g must be nonzero")
-    # h and gamma scale with |g| so that a sign flip of g only flips the coupling.
-    params = ModelParams(g=g, h=h_g * abs(g), gamma=0.0)
-    ham = hamiltonian(g_spec, params)
-    jumps = projection_jumps(g_spec)
-    unitary, dissipator = liouvillian_parts(ham, jumps)
-    target = cluster_state(g_spec)
-    return params, unitary, dissipator, target
-
-
 def gamma_sweep(
     g_spec: GraphSpec,
     h_g: float,
@@ -104,22 +77,29 @@ def gamma_sweep(
     eta: float = 0.5,
     g: float = 1.0,
     jobs: int = 1,
-    _system_cache=None,
 ) -> SweepResult:
     """Steady-state metrics over an ascending grid of dissipation strengths.
 
-    The Hamiltonian and jump operators are assembled once; each grid point
-    recombines the cached unitary part and dissipator.  With
-    ``compute_gap=False`` the steady state comes from a direct linear solve
-    (much faster for large N) and the gap column is NaN.  Solver failures at
-    individual points are recorded and the sweep continues.
+    The model is assembled once; each grid point recombines its unitary
+    part and dissipator.  With ``compute_gap=False`` the steady state comes
+    from a direct linear solve (much faster for large N) and the gap column
+    is NaN.  Solver failures at individual points are recorded and the
+    sweep continues.
     """
-    _check_size_guard(g_spec.n_qubits)
     gammas = np.asarray(gammas, dtype=float)
     if gammas.size and (np.any(np.diff(gammas) < 0) or np.any(gammas < 0)):
         raise ValueError("gammas must be sorted ascending and nonnegative")
-    params, unitary, dissipator, target = _system_cache or _system(g_spec, h_g, g)
+    if g == 0:
+        raise ValueError("sweeps are parameterized by h/g and gamma/g; g must be nonzero")
+    # h and gamma scale with |g| so that a sign flip of g only flips the coupling.
+    model = PumpModel(g_spec, ModelParams(g=g, h=h_g * abs(g), gamma=0.0))
+    return _sweep(model, gammas, compute_gap, eta, jobs)
 
+
+def _sweep(
+    model: PumpModel, gammas: np.ndarray, compute_gap: bool, eta: float, jobs: int = 1
+) -> SweepResult:
+    """``gamma_sweep`` on an already built model; gammas are in units of |g|."""
     n_pts = gammas.size
     fid = np.full(n_pts, np.nan)
     wit = np.full(n_pts, np.nan)
@@ -127,8 +107,7 @@ def gamma_sweep(
     status = ["pending"] * n_pts
 
     def run_point(i: int) -> None:
-        gamma = gammas[i] * abs(g)
-        L = unitary + gamma * dissipator
+        L = model.liouvillian(gammas[i] * abs(model.params.g))
         try:
             if compute_gap:
                 spec = full_spectrum(L)
@@ -136,8 +115,8 @@ def gamma_sweep(
                 gap[i] = spec.gap
             else:
                 rho = steady_state_direct(L)
-            fid[i] = fidelity(rho, target)
-            wit[i] = witness_expectation(rho, target, eta=eta)
+            fid[i] = fidelity(rho, model.target)
+            wit[i] = witness_expectation(rho, model.target, eta=eta)
             status[i] = "ok"
         except NumericalError as exc:
             status[i] = str(exc)
@@ -155,8 +134,8 @@ def gamma_sweep(
         fidelity=fid,
         witness=wit,
         gap=gap,
-        n_qubits=g_spec.n_qubits,
-        params=params,
+        n_qubits=model.graph.n_qubits,
+        params=model.params,
         status=status,
     )
 
@@ -291,39 +270,31 @@ def size_scaling_study(
     sizes: ``weak_gamma``, and ``strong_gamma`` which defaults to the
     largest detected gamma_sat (the saturated regime).
     """
-    for n in n_values:
-        _check_size_guard(n)
     gammas = parse_gamma_policy(gamma_policy)
+    params = ModelParams(g=1.0, h=h_g, gamma=0.0)
+    models = [PumpModel(GraphSpec.chain(n), params) for n in n_values]
 
     partial = []
-    for n in n_values:
-        graph = GraphSpec.chain(n)
-        system = _system(graph, h_g)
-        _, unitary, dissipator, target = system
-        sweep = gamma_sweep(graph, h_g, gammas, compute_gap=False, eta=eta, _system_cache=system)
+    for model in models:
+        sweep = _sweep(model, gammas, compute_gap=False, eta=eta)
         gamma_sat = detect_gamma_sat(sweep, epsilon=epsilon)
-        rho_sat = steady_state_direct(unitary + gamma_sat * dissipator)
-        f_sat = fidelity(rho_sat, target)
-        gap_weak = full_spectrum(unitary + weak_gamma * dissipator).gap
-        partial.append((n, gamma_sat, f_sat, gap_weak))
+        f_sat = fidelity(steady_state_direct(model.liouvillian(gamma_sat)), model.target)
+        gap_weak = full_spectrum(model.liouvillian(weak_gamma)).gap
+        partial.append((gamma_sat, f_sat, gap_weak))
 
     if strong_gamma is None:
-        strong_gamma = max(p[1] for p in partial)
+        strong_gamma = max(p[0] for p in partial)
 
-    rows: list[ScalingRow] = []
-    for n, gamma_sat, f_sat, gap_weak in partial:
-        graph = GraphSpec.chain(n)
-        _, unitary, dissipator, _ = _system(graph, h_g)
-        gap_strong = full_spectrum(unitary + strong_gamma * dissipator).gap
-        rows.append(
-            ScalingRow(
-                n=n,
-                gamma_sat=gamma_sat,
-                f_sat=f_sat,
-                gap_weak=gap_weak,
-                gap_strong=gap_strong,
-            )
+    rows = [
+        ScalingRow(
+            n=model.graph.n_qubits,
+            gamma_sat=gamma_sat,
+            f_sat=f_sat,
+            gap_weak=gap_weak,
+            gap_strong=full_spectrum(model.liouvillian(strong_gamma)).gap,
         )
+        for model, (gamma_sat, f_sat, gap_weak) in zip(models, partial)
+    ]
 
     ns = [float(r.n) for r in rows]
     fits = {

@@ -11,20 +11,28 @@ is therefore assembled as
     + gamma * sum_m [ conj(L_m) kron L_m
                       - (I kron L_m^+ L_m) / 2 - ((L_m^+ L_m).T kron I) / 2 ].
 
-A single decay rate ``gamma`` multiplies every jump term.
+A single decay rate ``gamma`` multiplies every jump term.  For the projection
+jumps ``|C><phi_m|`` the sum collapses to ``P Tr(Q rho) - {Q, rho} / 2`` with
+``P = |C><C|`` and ``Q = I - P``, that is to
+``vec(P) vec(Q.T)^T - (I kron Q) / 2 - (Q.T kron I) / 2``; ``PumpModel``
+uses this closed form instead of the 2^N - 1 explicit jumps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .cluster import GraphSpec, orthogonal_basis, stabilizers
-from .operators import DenseOperator, PauliString, pauli_to_dense
+from .cluster import GraphSpec, cluster_state, orthogonal_basis, stabilizers
+from .operators import DenseOperator, PauliString, StateVector, pauli_to_dense
 
 Superoperator = np.ndarray
+
+# Dense models above this register size are refused (the superoperator for
+# N qubits holds 16^N complex entries).
+MAX_DENSE_QUBITS = 7
 
 
 @dataclass(frozen=True)
@@ -127,3 +135,53 @@ def liouvillian(
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     unitary, dissipator = liouvillian_parts(H, jumps)
     return unitary + gamma * dissipator
+
+
+def projection_dissipator(target: StateVector) -> Superoperator:
+    """Rate-one dissipator pumping the complement of ``target`` into it; equal
+    to ``liouvillian_parts`` of the jumps |target><phi_m| over any orthonormal
+    basis phi_m of the complement."""
+    eye = np.eye(target.shape[0], dtype=complex)
+    P = np.outer(target, target.conj())
+    Q = eye - P
+    dissipator = np.outer(vectorize(P), vectorize(Q.T))
+    dissipator -= np.kron(eye, 0.5 * Q)
+    dissipator -= np.kron(0.5 * Q.T, eye)
+    return dissipator
+
+
+@dataclass(frozen=True, eq=False)
+class PumpModel:
+    """The cluster-state pump on one graph: Hamiltonian, target, and the
+    gamma-independent unitary part and rate-one projection dissipator.
+
+    Refuses registers above ``MAX_DENSE_QUBITS`` before building anything.
+    """
+
+    graph: GraphSpec
+    params: ModelParams
+    target: StateVector = field(init=False, repr=False)
+    H: DenseOperator = field(init=False, repr=False)
+    unitary: Superoperator = field(init=False, repr=False)
+    dissipator: Superoperator = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n = self.graph.n_qubits
+        if n > MAX_DENSE_QUBITS:
+            raise ValueError(
+                f"N = {n} exceeds the dense-solver guard ({MAX_DENSE_QUBITS}); "
+                f"the superoperator alone would need {16.0 ** (n + 1) / 2.0**30:.1f} GiB"
+            )
+        target = cluster_state(self.graph)
+        H = hamiltonian(self.graph, self.params)
+        eye = np.eye(H.shape[0], dtype=complex)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "unitary", -1j * (np.kron(eye, H) - np.kron(H.T, eye)))
+        object.__setattr__(self, "dissipator", projection_dissipator(target))
+
+    def liouvillian(self, gamma: float) -> Superoperator:
+        """Dense generator ``unitary + gamma * dissipator``."""
+        if gamma < 0:
+            raise ValueError(f"gamma must be nonnegative, got {gamma}")
+        return self.unitary + gamma * self.dissipator

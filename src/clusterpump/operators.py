@@ -67,11 +67,6 @@ def pauli_to_dense(p: PauliString) -> DenseOperator:
     return op
 
 
-def kron(a: DenseOperator, b: DenseOperator) -> DenseOperator:
-    """Kronecker product with ``a`` as the leftmost (most significant) factor."""
-    return np.kron(a, b)
-
-
 def dagger(a: DenseOperator) -> DenseOperator:
     """Conjugate transpose."""
     return a.conj().T

@@ -120,11 +120,6 @@ def full_spectrum(L: Superoperator) -> SpectrumResult:
     )
 
 
-def liouvillian_gap(spec: SpectrumResult) -> float:
-    """Asymptotic relaxation rate |Re lambda_1| - |Re lambda_0|."""
-    return spec.gap
-
-
 def steady_state_direct(L: Superoperator, residual_tol: float | None = None) -> np.ndarray:
     """Steady state from a direct linear solve instead of a full eigendecomposition.
 

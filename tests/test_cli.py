@@ -160,8 +160,16 @@ def test_bad_flag_exits_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_oversize_graph_exits_one(tmp_path):
-    assert run(["steady", "--graph", "chain:9", "--out", str(tmp_path)]) == 1
+def test_oversize_graph_exits_one(tmp_path, capsys):
+    # every dense command reaches the one size guard of the model
+    for args in (
+        ["steady", "--graph", "chain:9"],
+        ["evolve", "--graph", "chain:8"],
+        ["sweep", "--graph", "square:2x4", "--skip-gap"],
+        ["scaling", "--n-values", "2,8"],
+    ):
+        assert run([*args, "--out", str(tmp_path)]) == 1
+        assert "GiB" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_two(tmp_path):

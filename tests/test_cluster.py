@@ -184,7 +184,7 @@ def test_completeness(rng):
 
 def test_orthogonal_basis_is_z_string_ordered():
     # state s (as an integer, site 0 most significant) is the Z-pattern-s
-    # image of the target, up to the numerical safeguard
+    # image of the target
     g = GraphSpec.chain(3)
     basis = orthogonal_basis(g)
     target = cluster_state(g)

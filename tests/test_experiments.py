@@ -15,7 +15,7 @@ from clusterpump.experiments import (
     parse_gamma_policy,
     size_scaling_study,
 )
-from clusterpump.lindblad import ModelParams
+from clusterpump.lindblad import MAX_DENSE_QUBITS, ModelParams, PumpModel
 
 
 def synthetic_sweep(gammas, fid):
@@ -197,6 +197,9 @@ def test_gamma_sweep_rejects_unsorted():
 
 
 def test_size_guard():
+    # the model refuses the register before anything is built or solved
+    with pytest.raises(ValueError, match="GiB"):
+        PumpModel(GraphSpec.chain(MAX_DENSE_QUBITS + 1), ModelParams(g=1.0, h=1.0, gamma=0.0))
     with pytest.raises(ValueError, match="GiB"):
         gamma_sweep(GraphSpec.chain(8), 1.0, [1.0])
     with pytest.raises(ValueError, match="GiB"):

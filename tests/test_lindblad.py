@@ -4,10 +4,12 @@ import pytest
 from clusterpump.cluster import GraphSpec, cluster_state
 from clusterpump.lindblad import (
     ModelParams,
+    PumpModel,
     devectorize,
     hamiltonian,
     liouvillian,
     liouvillian_parts,
+    projection_dissipator,
     projection_jumps,
     stabilizer_jumps,
     vectorize,
@@ -18,6 +20,9 @@ from conftest import random_density_matrix, random_hermitian
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
+
+SQUARE = GraphSpec(4, ((0, 1), (0, 2), (1, 3), (2, 3)))
+MODEL_GRAPHS = [GraphSpec.chain(n) for n in range(2, 6)] + [SQUARE]
 
 
 # ----------------------------------------------------------------- params
@@ -170,6 +175,26 @@ def test_liouvillian_parts_recombine():
     jumps = projection_jumps(g)
     unitary, dissipator = liouvillian_parts(ham, jumps)
     assert np.abs(unitary + 2.5 * dissipator - liouvillian(ham, jumps, 2.5)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("graph", MODEL_GRAPHS)
+def test_projection_dissipator_matches_jump_sum(graph):
+    ham = hamiltonian(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
+    _, jump_sum = liouvillian_parts(ham, projection_jumps(graph))
+    closed_form = projection_dissipator(cluster_state(graph))
+    assert np.abs(closed_form - jump_sum).max() <= 1e-12
+
+
+@pytest.mark.parametrize("graph", MODEL_GRAPHS)
+def test_pump_model_liouvillian_matches_explicit_jumps(graph):
+    params = ModelParams(g=-1.0, h=0.7, gamma=0.0)
+    model = PumpModel(graph, params)
+    assert np.array_equal(model.target, cluster_state(graph))
+    assert np.array_equal(model.H, hamiltonian(graph, params))
+    oracle = liouvillian(model.H, projection_jumps(graph), 3.5)
+    assert np.abs(model.liouvillian(3.5) - oracle).max() <= 1e-12
+    with pytest.raises(ValueError, match="gamma"):
+        model.liouvillian(-1.0)
 
 
 def test_liouvillian_rejects_mismatched_dims():

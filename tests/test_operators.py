@@ -7,7 +7,6 @@ from clusterpump.operators import (
     PAULI_Z,
     PauliString,
     dagger,
-    kron,
     pauli_to_dense,
 )
 
@@ -73,22 +72,6 @@ def test_disjoint_support_multiplicativity(rng):
     assert np.allclose(
         pauli_to_dense(merged), pauli_to_dense(p) @ pauli_to_dense(q), atol=1e-14
     )
-
-
-def test_kron_basics():
-    eye2 = np.eye(2, dtype=complex)
-    assert np.array_equal(kron(eye2, eye2), np.eye(4, dtype=complex))
-    assert np.array_equal(np.diag(kron(PAULI_Z, eye2)), np.array([1, 1, -1, -1], dtype=complex))
-    # X x X flips both qubits: |00> -> |11>
-    v00 = np.array([1, 0, 0, 0], dtype=complex)
-    assert np.allclose(kron(PAULI_X, PAULI_X) @ v00, np.array([0, 0, 0, 1]), atol=0)
-
-
-def test_kron_associative(rng):
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-14)
 
 
 def test_dagger():

@@ -17,7 +17,6 @@ from clusterpump.solver import (
     evolve_expm,
     evolve_rk4,
     full_spectrum,
-    liouvillian_gap,
     pure_state_density,
     steady_state_direct,
 )
@@ -98,7 +97,6 @@ def test_gap_pure_dissipation_analytic():
     for gamma in (1.0, 4.0):
         spec = full_spectrum(dissipation_only_liouvillian(2, gamma=gamma))
         assert spec.gap == pytest.approx(gamma / 2.0, abs=1e-10)
-        assert liouvillian_gap(spec) == spec.gap
 
 
 def test_gap_nonnegative_and_monotone_in_gamma():
