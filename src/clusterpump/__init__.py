@@ -28,7 +28,6 @@ from .lindblad import (
     hamiltonian,
     liouvillian,
     liouvillian_parts,
-    projection_dissipator,
     projection_jumps,
     stabilizer_jumps,
     vectorize,
@@ -83,7 +82,6 @@ __all__ = [
     "orthogonal_basis",
     "pauli_to_dense",
     "plus_state",
-    "projection_dissipator",
     "projection_jumps",
     "pure_state_density",
     "size_scaling_study",

@@ -159,27 +159,17 @@ def _cmd_cluster(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def _generator(cfg: dict):
-    """Graph, parameters, target and Liouvillian; the model's gamma-independent
-    parts are released before any solve."""
-    model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
-    return model.graph, model.params, model.target, model.liouvillian(model.params.gamma)
-
-
-def _steady_solution(cfg: dict):
-    graph, _, target, L = _generator(cfg)
-    return graph, target, L, full_spectrum(L)
-
-
 def _cmd_steady(cfg: dict, out_dir: Path) -> int:
-    graph, target, L, spec = _steady_solution(cfg)
+    model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
+    L = model.liouvillian(model.params.gamma)
+    spec = full_spectrum(L)
     residual = float(np.linalg.norm(L @ vectorize(spec.steady_state), np.inf))
     summary = {
         "config": cfg,
         "version": __version__,
-        "n_qubits": graph.n_qubits,
-        "fidelity": fidelity(spec.steady_state, target),
-        "witness": witness_expectation(spec.steady_state, target, eta=cfg["eta"]),
+        "n_qubits": model.graph.n_qubits,
+        "fidelity": fidelity(spec.steady_state, model.target),
+        "witness": witness_expectation(spec.steady_state, model.target, eta=cfg["eta"]),
         "gap": spec.gap,
         "kernel_dim": spec.kernel_dim,
         "steady_state_residual": residual,
@@ -191,7 +181,8 @@ def _cmd_steady(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_spectrum(cfg: dict, out_dir: Path) -> int:
-    graph, _, _, spec = _steady_solution(cfg)
+    model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
+    spec = full_spectrum(model.liouvillian(model.params.gamma))
     _write_csv(
         out_dir / "spectrum.csv",
         ["re", "im"],
@@ -200,7 +191,7 @@ def _cmd_spectrum(cfg: dict, out_dir: Path) -> int:
     summary = {
         "config": cfg,
         "version": __version__,
-        "n_qubits": graph.n_qubits,
+        "n_qubits": model.graph.n_qubits,
         "n_eigenvalues": int(spec.eigenvalues.size),
         "gap": spec.gap,
         "kernel_dim": spec.kernel_dim,
@@ -227,23 +218,24 @@ def _initial_density(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
-    graph, params, target, L = _generator(cfg)
+    model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
     rng = np.random.default_rng(cfg["seed"])
-    rho0 = _initial_density(cfg["rho0"], graph.n_qubits, rng)
-    dt = cfg["dt"] if cfg.get("dt") else 0.01 / max(1.0, abs(params.gamma_g))
+    rho0 = _initial_density(cfg["rho0"], model.graph.n_qubits, rng)
+    dt = cfg["dt"] if cfg.get("dt") else 0.01 / max(1.0, abs(model.params.gamma_g))
+    L = model.liouvillian(model.params.gamma)
     traj = evolve_rk4(rho0, L, cfg["t_final"], dt, sample_every=cfg["sample_every"])
     rows = []
     for t, rho in zip(traj.times, traj.states):
         spins = spin_expectations(rho)
         rows.append(
             [t, spins.jx, spins.jy, spins.jz,
-             fidelity(rho, target), witness_expectation(rho, target, eta=cfg["eta"])]
+             fidelity(rho, model.target), witness_expectation(rho, model.target, eta=cfg["eta"])]
         )
     _write_csv(out_dir / "evolve.csv", ["t", "jx", "jy", "jz", "fidelity", "witness"], rows)
     summary = {
         "config": cfg,
         "version": __version__,
-        "n_qubits": graph.n_qubits,
+        "n_qubits": model.graph.n_qubits,
         "dt": dt,
         "n_samples": len(rows),
         "final": {

@@ -80,11 +80,10 @@ def gamma_sweep(
 ) -> SweepResult:
     """Steady-state metrics over an ascending grid of dissipation strengths.
 
-    The model is assembled once; each grid point recombines its unitary
-    part and dissipator.  With ``compute_gap=False`` the steady state comes
-    from a direct linear solve (much faster for large N) and the gap column
-    is NaN.  Solver failures at individual points are recorded and the
-    sweep continues.
+    The model is assembled once; each grid point builds its own Liouvillian.
+    With ``compute_gap=False`` the steady state comes from a direct linear
+    solve (much faster for large N) and the gap column is NaN.  Solver
+    failures at individual points are recorded and the sweep continues.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.size and (np.any(np.diff(gammas) < 0) or np.any(gammas < 0)):
@@ -93,13 +92,6 @@ def gamma_sweep(
         raise ValueError("sweeps are parameterized by h/g and gamma/g; g must be nonzero")
     # h and gamma scale with |g| so that a sign flip of g only flips the coupling.
     model = PumpModel(g_spec, ModelParams(g=g, h=h_g * abs(g), gamma=0.0))
-    return _sweep(model, gammas, compute_gap, eta, jobs)
-
-
-def _sweep(
-    model: PumpModel, gammas: np.ndarray, compute_gap: bool, eta: float, jobs: int = 1
-) -> SweepResult:
-    """``gamma_sweep`` on an already built model; gammas are in units of |g|."""
     n_pts = gammas.size
     fid = np.full(n_pts, np.nan)
     wit = np.full(n_pts, np.nan)
@@ -107,7 +99,7 @@ def _sweep(
     status = ["pending"] * n_pts
 
     def run_point(i: int) -> None:
-        L = model.liouvillian(gammas[i] * abs(model.params.g))
+        L = model.liouvillian(gammas[i] * abs(g))
         try:
             if compute_gap:
                 spec = full_spectrum(L)
@@ -134,7 +126,7 @@ def _sweep(
         fidelity=fid,
         witness=wit,
         gap=gap,
-        n_qubits=model.graph.n_qubits,
+        n_qubits=g_spec.n_qubits,
         params=model.params,
         status=status,
     )
@@ -276,7 +268,7 @@ def size_scaling_study(
 
     partial = []
     for model in models:
-        sweep = _sweep(model, gammas, compute_gap=False, eta=eta)
+        sweep = gamma_sweep(model.graph, h_g, gammas, compute_gap=False, eta=eta)
         gamma_sat = detect_gamma_sat(sweep, epsilon=epsilon)
         f_sat = fidelity(steady_state_direct(model.liouvillian(gamma_sat)), model.target)
         gap_weak = full_spectrum(model.liouvillian(weak_gamma)).gap

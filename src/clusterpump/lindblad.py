@@ -13,9 +13,13 @@ is therefore assembled as
 
 A single decay rate ``gamma`` multiplies every jump term.  For the projection
 jumps ``|C><phi_m|`` the sum collapses to ``P Tr(Q rho) - {Q, rho} / 2`` with
-``P = |C><C|`` and ``Q = I - P``, that is to
-``vec(P) vec(Q.T)^T - (I kron Q) / 2 - (Q.T kron I) / 2``; ``PumpModel``
-uses this closed form instead of the 2^N - 1 explicit jumps.
+``P = |C><C|`` and ``Q = I - P``.  ``PumpModel`` therefore writes the whole
+generator into one buffer as a recycling term plus an effective
+non-Hermitian Hamiltonian ``K = -i H - (gamma / 2) Q``:
+
+    gamma * vec(P) vec(Q.T)^T + I kron K + conj(K) kron I,
+
+instead of summing the 2^N - 1 explicit jumps.
 """
 
 from __future__ import annotations
@@ -137,23 +141,9 @@ def liouvillian(
     return unitary + gamma * dissipator
 
 
-def projection_dissipator(target: StateVector) -> Superoperator:
-    """Rate-one dissipator pumping the complement of ``target`` into it; equal
-    to ``liouvillian_parts`` of the jumps |target><phi_m| over any orthonormal
-    basis phi_m of the complement."""
-    eye = np.eye(target.shape[0], dtype=complex)
-    P = np.outer(target, target.conj())
-    Q = eye - P
-    dissipator = np.outer(vectorize(P), vectorize(Q.T))
-    dissipator -= np.kron(eye, 0.5 * Q)
-    dissipator -= np.kron(0.5 * Q.T, eye)
-    return dissipator
-
-
 @dataclass(frozen=True, eq=False)
 class PumpModel:
-    """The cluster-state pump on one graph: Hamiltonian, target, and the
-    gamma-independent unitary part and rate-one projection dissipator.
+    """The cluster-state pump on one graph: Hamiltonian and target state.
 
     Refuses registers above ``MAX_DENSE_QUBITS`` before building anything.
     """
@@ -162,8 +152,6 @@ class PumpModel:
     params: ModelParams
     target: StateVector = field(init=False, repr=False)
     H: DenseOperator = field(init=False, repr=False)
-    unitary: Superoperator = field(init=False, repr=False)
-    dissipator: Superoperator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.graph.n_qubits
@@ -172,16 +160,23 @@ class PumpModel:
                 f"N = {n} exceeds the dense-solver guard ({MAX_DENSE_QUBITS}); "
                 f"the superoperator alone would need {16.0 ** (n + 1) / 2.0**30:.1f} GiB"
             )
-        target = cluster_state(self.graph)
-        H = hamiltonian(self.graph, self.params)
-        eye = np.eye(H.shape[0], dtype=complex)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "unitary", -1j * (np.kron(eye, H) - np.kron(H.T, eye)))
-        object.__setattr__(self, "dissipator", projection_dissipator(target))
+        object.__setattr__(self, "target", cluster_state(self.graph))
+        object.__setattr__(self, "H", hamiltonian(self.graph, self.params))
 
     def liouvillian(self, gamma: float) -> Superoperator:
-        """Dense generator ``unitary + gamma * dissipator``."""
+        """Dense generator ``gamma vec(P) vec(Q.T)^T + I kron K + conj(K) kron I``
+        with ``K = -i H - (gamma / 2) Q``, built in a single d^2 x d^2 array."""
         if gamma < 0:
             raise ValueError(f"gamma must be nonnegative, got {gamma}")
-        return self.unitary + gamma * self.dissipator
+        d = self.H.shape[0]
+        P = np.outer(self.target, self.target.conj())
+        Q = np.eye(d, dtype=complex) - P
+        L = np.multiply.outer(gamma * vectorize(P), vectorize(Q.T))
+        K = -1j * self.H - (0.5 * gamma) * Q
+        # Row (i, k) and column (j, l) of L are entries i*d + k and j*d + l,
+        # so I kron K fills blocks[a, :, a, :] and conj(K) kron I blocks[:, a, :, a].
+        blocks = L.reshape(d, d, d, d)
+        diag = np.arange(d)
+        blocks[diag, :, diag, :] += K
+        blocks[:, diag, :, diag] += K.conj()
+        return L

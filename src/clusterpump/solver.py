@@ -28,11 +28,14 @@ KERNEL_TOL_FACTOR = 1e-8
 class SpectrumResult:
     """Full eigendata of a Liouvillian.
 
-    ``eigenvalues`` are sorted by descending real part, ties by descending
-    absolute imaginary part.  ``gap`` is |Re lambda_1| - |Re lambda_0| where
-    lambda_1 is the first eigenvalue lying outside ``kernel_tol`` of
-    lambda_0.  ``antihermitian_residual`` is the norm of the discarded
-    anti-Hermitian part of the recovered steady state (diagnostic).
+    ``eigenvalues`` with ``|lambda| <= kernel_tol`` come first; within and
+    after that group they are sorted by descending real part, ties by
+    descending absolute imaginary part, so round-off on the imaginary axis
+    cannot rank an oscillating mode above the kernel.  ``gap`` is
+    |Re lambda_1| - |Re lambda_0| where lambda_1 is the first eigenvalue
+    lying outside ``kernel_tol`` of lambda_0.  ``antihermitian_residual``
+    is the norm of the discarded anti-Hermitian part of the recovered
+    steady state (diagnostic).
     """
 
     eigenvalues: np.ndarray
@@ -74,18 +77,19 @@ def pure_state_density(psi: np.ndarray) -> np.ndarray:
 def full_spectrum(L: Superoperator) -> SpectrumResult:
     """Dense eigendecomposition of the Liouvillian.
 
-    The steady state is recovered from the eigenvector of the eigenvalue
-    with the largest real part, normalized to unit trace and projected onto
-    its Hermitian part.  ``kernel_dim`` counts eigenvalues with
-    ``|lambda| <= kernel_tol``.
+    The steady state is recovered from the eigenvector of the kernel
+    eigenvalue, normalized to unit trace and projected onto its Hermitian
+    part.  ``kernel_dim`` counts eigenvalues with ``|lambda| <= kernel_tol``;
+    a kernel of dimension above one (e.g. gamma = 0) has no unique steady
+    state and raises ``NumericalError`` carrying ``kernel_dim``.
     """
     vals, vecs = np.linalg.eig(L)
-    order = np.lexsort((-np.abs(vals.imag), -vals.real))
+    kernel_tol = KERNEL_TOL_FACTOR * max(1.0, float(np.abs(vals).max(initial=0.0)))
+    outside = np.abs(vals) > kernel_tol
+    kernel_dim = int(np.count_nonzero(~outside))
+    order = np.lexsort((-np.abs(vals.imag), -vals.real, outside))
     vals = vals[order]
     vecs = vecs[:, order]
-
-    kernel_tol = KERNEL_TOL_FACTOR * max(1.0, float(np.abs(vals).max(initial=0.0)))
-    kernel_dim = int(np.count_nonzero(np.abs(vals) <= kernel_tol))
 
     lam0 = vals[0]
     if abs(lam0) > kernel_tol:
@@ -94,9 +98,11 @@ def full_spectrum(L: Superoperator) -> SpectrumResult:
         )
     rho = devectorize(vecs[:, 0])
     trace = np.trace(rho)
-    if abs(trace) <= 1e-12:
+    if kernel_dim > 1 or abs(trace) <= 1e-12:
         err = NumericalError(
-            f"traceless kernel vector (kernel_dim = {kernel_dim}); the kernel is degenerate"
+            f"degenerate kernel (kernel_dim = {kernel_dim}): the steady state is not unique"
+            if kernel_dim > 1
+            else "traceless kernel vector (kernel_dim = 1)"
         )
         err.kernel_dim = kernel_dim
         raise err
@@ -133,12 +139,13 @@ def steady_state_direct(L: Superoperator, residual_tol: float | None = None) -> 
     scale = float(np.linalg.norm(L, np.inf))
     if residual_tol is None:
         residual_tol = 1e-8 * max(1.0, scale)
-    A = L.copy()
+    # Fortran order lets LAPACK factorize the private copy in place.
+    A = L.copy(order="F")
     A[0, :] = vectorize(np.eye(d, dtype=complex))
     b = np.zeros(d2, dtype=complex)
     b[0] = 1.0
     try:
-        v = scipy.linalg.solve(A, b)
+        v = scipy.linalg.solve(A, b, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"direct steady-state solve failed: {exc}") from exc
     rho = devectorize(v)

@@ -181,6 +181,17 @@ def test_numerical_failure_exits_two(tmp_path):
     assert code == 2
 
 
+def test_steady_without_dissipation_reports_degenerate_kernel(tmp_path, capsys):
+    # at gamma = 0 the kernel holds every diagonal of H's eigenbasis; it is a
+    # degenerate kernel, not a missing steady state, and no state is written
+    for n in (2, 3, 4):
+        code = run(["steady", "--graph", f"chain:{n}", "--gamma-g", "0", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert "no steady state found" not in captured.out + captured.err
+        assert code == 2 and "degenerate kernel (kernel_dim = " in captured.err
+        assert not (tmp_path / "steady.json").exists()
+
+
 def test_outputs_are_bit_identical_across_runs(tmp_path):
     # the identical config run twice produces identical bytes
     args_steady = ["steady", "--graph", "chain:3", "--h-g", "1", "--gamma-g", "25",

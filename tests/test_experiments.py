@@ -191,6 +191,13 @@ def test_gamma_sweep_parallel_matches_serial():
     assert np.array_equal(serial.fidelity, parallel.fidelity)
 
 
+def test_gamma_sweep_marks_degenerate_kernel_failed():
+    # gamma = 0 has no unique steady state; the point fails, the rest stand
+    sweep = gamma_sweep(GraphSpec.chain(2), 1.0, [0.0, 1.0], compute_gap=True)
+    assert "kernel_dim" in sweep.status[0] and sweep.status[1] == "ok"
+    assert np.isnan(sweep.fidelity[0]) and np.isfinite(sweep.fidelity[1])
+
+
 def test_gamma_sweep_rejects_unsorted():
     with pytest.raises(ValueError):
         gamma_sweep(GraphSpec.chain(2), 1.0, [1.0, 0.5])
@@ -222,6 +229,11 @@ def test_parse_gamma_policy():
 def test_size_scaling_study_small():
     study = size_scaling_study([2, 3], h_g=0.5, gamma_policy="log:0.5:600:24")
     assert [r.n for r in study.rows] == [2, 3]
+    # gamma_sat comes from the public sweep of each chain
+    grid = parse_gamma_policy("log:0.5:600:24")
+    for row in study.rows:
+        sweep = gamma_sweep(GraphSpec.chain(row.n), 0.5, grid, compute_gap=False)
+        assert row.gamma_sat == detect_gamma_sat(sweep)
     assert study.rows[1].gamma_sat > study.rows[0].gamma_sat
     assert study.fits["gamma_sat_linear"].coefficients[0] > 0
     for row in study.rows:

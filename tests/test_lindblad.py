@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterpump.cluster import GraphSpec, cluster_state
 from clusterpump.lindblad import (
@@ -9,7 +11,6 @@ from clusterpump.lindblad import (
     hamiltonian,
     liouvillian,
     liouvillian_parts,
-    projection_dissipator,
     projection_jumps,
     stabilizer_jumps,
     vectorize,
@@ -178,23 +179,38 @@ def test_liouvillian_parts_recombine():
 
 
 @pytest.mark.parametrize("graph", MODEL_GRAPHS)
-def test_projection_dissipator_matches_jump_sum(graph):
-    ham = hamiltonian(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
-    _, jump_sum = liouvillian_parts(ham, projection_jumps(graph))
-    closed_form = projection_dissipator(cluster_state(graph))
-    assert np.abs(closed_form - jump_sum).max() <= 1e-12
-
-
-@pytest.mark.parametrize("graph", MODEL_GRAPHS)
 def test_pump_model_liouvillian_matches_explicit_jumps(graph):
     params = ModelParams(g=-1.0, h=0.7, gamma=0.0)
     model = PumpModel(graph, params)
     assert np.array_equal(model.target, cluster_state(graph))
     assert np.array_equal(model.H, hamiltonian(graph, params))
-    oracle = liouvillian(model.H, projection_jumps(graph), 3.5)
-    assert np.abs(model.liouvillian(3.5) - oracle).max() <= 1e-12
+    jumps = projection_jumps(graph)
+    # gamma = 0 checks the unitary part alone
+    for gamma in (0.0, 3.5, 500.0):
+        oracle = liouvillian(model.H, jumps, gamma)
+        assert np.abs(model.liouvillian(gamma) - oracle).max() <= 1e-12
     with pytest.raises(ValueError, match="gamma"):
         model.liouvillian(-1.0)
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return GraphSpec(n, tuple(p for p, keep in zip(pairs, mask) if keep))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    graph=random_graphs(),
+    h=st.floats(min_value=-2.0, max_value=2.0),
+    gamma=st.floats(min_value=0.0, max_value=1e3),
+)
+def test_pump_model_liouvillian_matches_explicit_jumps_on_random_graphs(graph, h, gamma):
+    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
+    oracle = liouvillian(model.H, projection_jumps(graph), gamma)
+    assert np.abs(model.liouvillian(gamma) - oracle).max() <= 1e-12 * max(1.0, gamma)
 
 
 def test_liouvillian_rejects_mismatched_dims():
