@@ -33,7 +33,7 @@ from .lindblad import (
     vectorize,
 )
 from .meanfield import FixedPoint, MeanFieldState, fixed_points, mean_field_evolve, mean_field_rhs
-from .observables import SpinTriple, fidelity, spin_expectations, witness_expectation
+from .observables import fidelity, spin_expectations, witness_expectation
 from .operators import PauliString, dagger, pauli_to_dense
 from .solver import (
     SpectrumResult,
@@ -58,7 +58,6 @@ __all__ = [
     "PumpModel",
     "ScalingStudy",
     "SpectrumResult",
-    "SpinTriple",
     "SweepResult",
     "Trajectory",
     "cluster_state",

@@ -221,7 +221,7 @@ def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
     model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
     rng = np.random.default_rng(cfg["seed"])
     rho0 = _initial_density(cfg["rho0"], model.graph.n_qubits, rng)
-    dt = cfg["dt"] if cfg.get("dt") else 0.01 / max(1.0, abs(model.params.gamma_g))
+    dt = cfg["dt"] if cfg["dt"] is not None else 0.01 / max(1.0, abs(model.params.gamma_g))
     L = model.liouvillian(model.params.gamma)
     traj = evolve_rk4(rho0, L, cfg["t_final"], dt, sample_every=cfg["sample_every"])
     rows = []
@@ -268,7 +268,7 @@ def _cmd_meanfield(cfg: dict, out_dir: Path) -> int:
         base = next((fp for fp in points if fp.stable), points[0] if points else None)
         center = base.state.as_array() if base else np.zeros(3)
         s0 = MeanFieldState.from_array(center + rng.normal(0.0, 0.05, 3))
-    dt = cfg["dt"] if cfg.get("dt") else mf_default_dt(params)
+    dt = cfg["dt"] if cfg["dt"] is not None else mf_default_dt(params)
     traj = mean_field_evolve(s0, params, cfg["t_final"], dt, sample_every=cfg["sample_every"])
     _write_csv(
         out_dir / "meanfield.csv",

@@ -11,7 +11,7 @@ offset-inverse fidelity law, and power laws for the gap).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -176,7 +176,7 @@ def fit_linear(x: Sequence[float], y: Sequence[float]) -> FitResult:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 2:
-        raise ValueError("linear fit needs at least 2 points")
+        raise ValueError("fit needs at least 2 points")
     if np.ptp(x) == 0:
         raise ValueError("degenerate x: all abscissae equal")
     slope, intercept = np.polyfit(x, y, 1)
@@ -196,17 +196,7 @@ def fit_power_law(x: Sequence[float], y: Sequence[float]) -> FitResult:
     y = np.asarray(y, dtype=float)
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("power-law fit requires strictly positive data")
-    lx, ly = np.log10(x), np.log10(y)
-    if lx.size < 2:
-        raise ValueError("power-law fit needs at least 2 points")
-    if np.ptp(lx) == 0:
-        raise ValueError("degenerate x: all abscissae equal")
-    beta, intercept = np.polyfit(lx, ly, 1)
-    return FitResult(
-        model="power_law",
-        coefficients=(float(beta), float(intercept)),
-        r_squared=_r_squared(ly, beta * lx + intercept),
-    )
+    return replace(fit_linear(np.log10(x), np.log10(y)), model="power_law")
 
 
 def fit_offset_inverse(n: Sequence[float], f: Sequence[float]) -> FitResult:

@@ -15,6 +15,10 @@ whose equilibria fall into four closed-form families:
 * s3 = (0, 0, 0)                           for gamma_g >= 2 h_g,
 * s4 = q/(8 h_g) * (q, +-gamma_g, -+2 h_g) for gamma_g < 2 h_g,
        with q = sqrt(4 h_g^2 - gamma_g^2).
+
+``mean_field_evolve`` integrates the ODEs with the same RK4 driver
+(``solver.rk4``) that integrates the exact master equation, and returns the
+same ``solver.Trajectory`` type, with states of shape (n_samples, 3).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .lindblad import ModelParams
+from .solver import Trajectory, rk4
 
 # Divergence guard for trajectories; the physical ball has |s| <= 1.
 BLOWUP_NORM = 10.0
@@ -35,6 +40,12 @@ STABILITY_EPS = 1e-9
 
 @dataclass(frozen=True)
 class MeanFieldState:
+    """Site-averaged Pauli vector (Jx, Jy, Jz) = (1/N) sum_k <sigma_k>.
+
+    The mean-field ODEs evolve it; ``observables.spin_expectations`` reads
+    it off a density matrix.
+    """
+
     jx: float
     jy: float
     jz: float
@@ -60,12 +71,6 @@ class FixedPoint:
     state: MeanFieldState
     stable: bool
     classification: str
-
-
-@dataclass
-class MeanFieldTrajectory:
-    times: np.ndarray
-    states: np.ndarray  # shape (n_samples, 3)
 
 
 def _rhs(s: np.ndarray, g: float, h: float, gamma: float) -> np.ndarray:
@@ -157,36 +162,19 @@ def mean_field_evolve(
     t_final: float,
     dt: float | None = None,
     sample_every: int = 1,
-) -> MeanFieldTrajectory:
-    """RK4 integration of the mean-field equations.
+) -> Trajectory:
+    """RK4 integration (``solver.rk4``) of the mean-field equations.
 
-    Raises NumericalError("mean-field blow-up") if the state norm exceeds 10.
+    Raises NumericalError("mean-field blow-up") if the state norm exceeds 10,
+    the initial state included.
     """
     if dt is None:
         dt = default_dt(p)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_final < 0:
-        raise ValueError(f"t_final must be nonnegative, got {t_final}")
     g, h, gamma = p.g, p.h, p.gamma
-    s = s0.as_array().astype(float)
-    if np.linalg.norm(s) > BLOWUP_NORM:
-        raise NumericalError("mean-field blow-up")
-    times = [0.0]
-    states = [s.copy()]
-    if t_final == 0:
-        return MeanFieldTrajectory(np.array(times), np.array(states))
-    n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
-    step = t_final / n_steps
-    for k in range(1, n_steps + 1):
-        k1 = _rhs(s, g, h, gamma)
-        k2 = _rhs(s + 0.5 * step * k1, g, h, gamma)
-        k3 = _rhs(s + 0.5 * step * k2, g, h, gamma)
-        k4 = _rhs(s + step * k3, g, h, gamma)
-        s = s + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def check_norm(s: np.ndarray) -> None:
         if np.linalg.norm(s) > BLOWUP_NORM:
             raise NumericalError("mean-field blow-up")
-        if k % sample_every == 0 or k == n_steps:
-            times.append(k * step)
-            states.append(s.copy())
-    return MeanFieldTrajectory(np.array(times), np.array(states))
+
+    return rk4(lambda s: _rhs(s, g, h, gamma), s0.as_array().astype(float), t_final, dt,
+               sample_every, check_norm)

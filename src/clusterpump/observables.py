@@ -2,23 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .meanfield import MeanFieldState
 from .operators import PauliString, StateVector, pauli_to_dense
-
-
-@dataclass(frozen=True)
-class SpinTriple:
-    """Averaged spin expectations (1/N) sum_k <sigma^alpha_k>."""
-
-    jx: float
-    jy: float
-    jz: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.jx, self.jy, self.jz])
 
 
 def fidelity(rho: np.ndarray, target: StateVector) -> float:
@@ -51,8 +38,9 @@ def witness_expectation(rho: np.ndarray, target: StateVector, eta: float = 0.5) 
     return float(value.real)
 
 
-def spin_expectations(rho: np.ndarray) -> SpinTriple:
-    """Site-averaged Pauli expectations of a density matrix."""
+def spin_expectations(rho: np.ndarray) -> MeanFieldState:
+    """Site-averaged Pauli expectations of a density matrix, the exact
+    counterpart of the mean-field state."""
     dim = rho.shape[0]
     n = dim.bit_length() - 1
     if 2**n != dim:
@@ -64,4 +52,4 @@ def spin_expectations(rho: np.ndarray) -> SpinTriple:
             op = pauli_to_dense(PauliString(n, {k: alpha}))
             acc += np.trace(rho @ op).real
         totals[alpha] = acc / n
-    return SpinTriple(jx=totals["X"], jy=totals["Y"], jz=totals["Z"])
+    return MeanFieldState(jx=totals["X"], jy=totals["Y"], jz=totals["Z"])

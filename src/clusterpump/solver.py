@@ -1,16 +1,19 @@
 """Spectral analysis of the Liouvillian and time evolution of density matrices.
 
-Two independent evolution routes are provided: classical RK4 on the
-vectorized master equation, and the exact propagator ``exp(L t)`` evaluated
-through the eigendecomposition of the generator (with a scaling-and-squaring
-fallback when the eigenbasis is badly conditioned).
+Steady states come from a full eigendecomposition (``full_spectrum``, which
+also gives the gap) or from one bordered linear solve
+(``steady_state_direct``).  Two independent evolution routes are provided:
+``evolve_rk4`` runs the package's one fixed-step RK4 driver, ``rk4``, on the
+vectorized master equation (the mean-field ODEs use the same driver), and
+``evolve_expm`` applies the exact propagator ``exp(L t)`` computed by
+scaling and squaring; it is the oracle the RK4 route is tested against.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -48,10 +51,14 @@ class SpectrumResult:
 
 @dataclass
 class Trajectory:
-    """Sampled density-matrix evolution: times[i] goes with states[i]."""
+    """Sampled evolution: times[i] goes with states[i].
+
+    ``states`` has shape (n_samples, d, d) for density matrices and
+    (n_samples, 3) for mean-field spin vectors.
+    """
 
     times: np.ndarray
-    states: np.ndarray  # shape (n_samples, d, d)
+    states: np.ndarray
 
 
 def check_density_matrix(
@@ -132,7 +139,10 @@ def steady_state_direct(L: Superoperator, residual_tol: float | None = None) -> 
     One row of ``L v = 0`` is replaced by the trace constraint ``Tr rho = 1``;
     this is much cheaper than ``full_spectrum`` and is the workhorse for
     parameter sweeps where the spectrum itself is not needed.  Raises
-    NumericalError if the result does not satisfy ``L vec(rho) ~ 0``.
+    NumericalError if that bordered matrix is singular to working precision
+    (a degenerate kernel, e.g. gamma = 0, whose solution would be an
+    arbitrary kernel vector) or if the result does not satisfy
+    ``L vec(rho) ~ 0``.
     """
     d2 = L.shape[0]
     d = int(round(math.sqrt(d2)))
@@ -144,10 +154,20 @@ def steady_state_direct(L: Superoperator, residual_tol: float | None = None) -> 
     A[0, :] = vectorize(np.eye(d, dtype=complex))
     b = np.zeros(d2, dtype=complex)
     b[0] = 1.0
-    try:
-        v = scipy.linalg.solve(A, b, overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"direct steady-state solve failed: {exc}") from exc
+    # Raw LAPACK rather than scipy.linalg.solve: the condition estimate is
+    # returned, not issued as a warning, so threaded sweeps can act on it.
+    lange, getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(
+        ("lange", "getrf", "gecon", "getrs"), (A,)
+    )
+    a_norm = lange("1", A)
+    lu, piv, info = getrf(A, overwrite_a=True)
+    rcond, _ = gecon(lu, a_norm, norm="1")
+    if info > 0 or rcond < np.finfo(float).eps:
+        raise NumericalError(
+            f"degenerate kernel: the bordered steady-state matrix is singular "
+            f"(reciprocal condition number {rcond:.3g})"
+        )
+    v, _ = getrs(lu, piv, b)
     rho = devectorize(v)
     rho = rho / np.trace(rho)
     rho = 0.5 * (rho + rho.conj().T)
@@ -160,6 +180,48 @@ def steady_state_direct(L: Superoperator, residual_tol: float | None = None) -> 
     return rho
 
 
+def rk4(
+    rhs: Callable[[np.ndarray], np.ndarray],
+    y0: np.ndarray,
+    t_final: float,
+    dt: float,
+    sample_every: int,
+    check: Callable[[np.ndarray], None],
+) -> Trajectory:
+    """Classical 4th-order Runge-Kutta for ``dy/dt = rhs(y)`` from ``y0``.
+
+    Takes ``max(1, ceil(t_final / dt))`` equal steps, so no step exceeds
+    ``dt``, and samples every ``sample_every`` steps; t = 0 and t = t_final
+    are always included.  ``check`` is called on ``y0`` and on every new
+    state; it aborts the run by raising.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if t_final < 0:
+        raise ValueError(f"t_final must be nonnegative, got {t_final}")
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    check(y0)
+    times = [0.0]
+    states = [y0]
+    if t_final == 0:
+        return Trajectory(np.array(times), np.array(states))
+    n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
+    step = t_final / n_steps
+    y = y0
+    for k in range(1, n_steps + 1):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * step * k1)
+        k3 = rhs(y + 0.5 * step * k2)
+        k4 = rhs(y + step * k3)
+        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        check(y)
+        if k % sample_every == 0 or k == n_steps:
+            times.append(k * step)
+            states.append(y)
+    return Trajectory(np.array(times), np.array(states))
+
+
 def evolve_rk4(
     rho0: np.ndarray,
     L: Superoperator,
@@ -167,65 +229,32 @@ def evolve_rk4(
     dt: float,
     sample_every: int = 1,
 ) -> Trajectory:
-    """Classical 4th-order Runge-Kutta on ``d vec(rho)/dt = L vec(rho)``.
+    """RK4 (``rk4``) on ``d vec(rho)/dt = L vec(rho)``; states are (n, d, d) matrices.
 
-    Samples every ``sample_every`` steps; t = 0 and t = t_final are always
-    included.  Aborts if the trace drifts by more than 1e-6.
+    Aborts with NumericalError if the trace drifts by more than 1e-6.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_final < 0:
-        raise ValueError(f"t_final must be nonnegative, got {t_final}")
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
     d = rho0.shape[0]
-    v = vectorize(rho0.astype(complex))
-    trace0 = v[:: d + 1].sum()
-    times = [0.0]
-    states = [devectorize(v.copy())]
-    if t_final == 0:
-        return Trajectory(np.array(times), np.array(states))
-    n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
-    step = t_final / n_steps
-    for k in range(1, n_steps + 1):
-        k1 = L @ v
-        k2 = L @ (v + 0.5 * step * k1)
-        k3 = L @ (v + 0.5 * step * k2)
-        k4 = L @ (v + step * k3)
-        v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    v0 = vectorize(rho0.astype(complex))
+    trace0 = v0[:: d + 1].sum()
+
+    def check_trace(v: np.ndarray) -> None:
         if abs(v[:: d + 1].sum() - trace0) > 1e-6:
             raise NumericalError("integration unstable, reduce dt")
-        if k % sample_every == 0 or k == n_steps:
-            times.append(k * step)
-            states.append(devectorize(v.copy()))
-    return Trajectory(np.array(times), np.array(states))
+
+    traj = rk4(lambda v: L @ v, v0, t_final, dt, sample_every, check_trace)
+    # each row is a column-stacked vec(rho); back to C-contiguous matrices
+    traj.states = np.ascontiguousarray(traj.states.reshape(-1, d, d).transpose(0, 2, 1))
+    return traj
 
 
 def evolve_expm(rho0: np.ndarray, L: Superoperator, t: float) -> np.ndarray:
     """Propagate by the exact exponential: ``vec(rho(t)) = exp(L t) vec(rho0)``.
 
-    Uses the eigendecomposition of L; if the eigenvector matrix is
-    ill-conditioned (estimate > 1e12) falls back to scaling-and-squaring
-    with a warning.
+    ``exp(L t)`` comes from scaling and squaring (``scipy.linalg.expm``), which
+    needs no eigenbasis and so also holds for defective generators.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     if t == 0:
         return rho0.astype(complex, copy=True)
-    v0 = vectorize(rho0.astype(complex))
-    vals, vecs = np.linalg.eig(L)
-    try:
-        inv = np.linalg.inv(vecs)
-        cond = np.linalg.norm(vecs, 1) * np.linalg.norm(inv, 1)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if cond > 1e12:
-        warnings.warn(
-            f"Liouvillian eigenbasis condition estimate {cond:.2e} too large; "
-            "falling back to scaling-and-squaring",
-            RuntimeWarning,
-        )
-        vt = scipy.linalg.expm(L * t) @ v0
-    else:
-        vt = vecs @ (np.exp(vals * t) * (inv @ v0))
-    return devectorize(vt)
+    return devectorize(scipy.linalg.expm(L * t) @ vectorize(rho0.astype(complex)))

@@ -181,6 +181,18 @@ def test_numerical_failure_exits_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["evolve", "meanfield"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--dt", "dt must be positive, got 0.0"), ("--sample-every", "sample_every must be >= 1, got 0")],
+    ids=["dt", "sample_every"],
+)
+def test_dynamics_rejects_zero_step_arguments(tmp_path, capsys, command, flag, message):
+    # zero is a given value, not "unset": it is validated, never replaced by a default
+    assert run([command, flag, "0", "--t-final", "0.1", "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_steady_without_dissipation_reports_degenerate_kernel(tmp_path, capsys):
     # at gamma = 0 the kernel holds every diagonal of H's eigenbasis; it is a
     # degenerate kernel, not a missing steady state, and no state is written

@@ -191,11 +191,14 @@ def test_gamma_sweep_parallel_matches_serial():
     assert np.array_equal(serial.fidelity, parallel.fidelity)
 
 
-def test_gamma_sweep_marks_degenerate_kernel_failed():
-    # gamma = 0 has no unique steady state; the point fails, the rest stand
-    sweep = gamma_sweep(GraphSpec.chain(2), 1.0, [0.0, 1.0], compute_gap=True)
-    assert "kernel_dim" in sweep.status[0] and sweep.status[1] == "ok"
-    assert np.isnan(sweep.fidelity[0]) and np.isfinite(sweep.fidelity[1])
+@pytest.mark.parametrize("compute_gap", [True, False])
+def test_gamma_sweep_marks_degenerate_kernel_failed(compute_gap):
+    # gamma = 0 has no unique steady state; the point fails on the spectral
+    # and on the direct path alike, the rest stand
+    for n in (2, 3):
+        sweep = gamma_sweep(GraphSpec.chain(n), 1.0, [0.0, 1.0], compute_gap=compute_gap)
+        assert "degenerate kernel" in sweep.status[0] and sweep.status[1] == "ok"
+        assert np.isnan(sweep.fidelity[0]) and np.isfinite(sweep.fidelity[1])
 
 
 def test_gamma_sweep_rejects_unsorted():

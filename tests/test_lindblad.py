@@ -16,7 +16,7 @@ from clusterpump.lindblad import (
     vectorize,
 )
 from clusterpump.solver import pure_state_density
-from conftest import random_density_matrix, random_hermitian
+from conftest import random_density_matrix, random_graphs, random_hermitian
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -191,14 +191,6 @@ def test_pump_model_liouvillian_matches_explicit_jumps(graph):
         assert np.abs(model.liouvillian(gamma) - oracle).max() <= 1e-12
     with pytest.raises(ValueError, match="gamma"):
         model.liouvillian(-1.0)
-
-
-@st.composite
-def random_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
-    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return GraphSpec(n, tuple(p for p, keep in zip(pairs, mask) if keep))
 
 
 @settings(max_examples=50, deadline=None)

@@ -12,6 +12,7 @@ from clusterpump.meanfield import (
     mean_field_evolve,
     mean_field_rhs,
 )
+from clusterpump.solver import Trajectory
 
 
 def residual(state, params):
@@ -170,4 +171,5 @@ def test_trajectory_shape_and_sampling():
     traj = mean_field_evolve(MeanFieldState(0.1, 0.0, 0.0), p, t_final=1.0, dt=0.01, sample_every=10)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(1.0)
+    assert isinstance(traj, Trajectory)
     assert traj.states.shape == (len(traj.times), 3)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterpump.cluster import GraphSpec, cluster_state, orthogonal_basis, plus_state
 from clusterpump.errors import NumericalError
 from clusterpump.lindblad import (
     ModelParams,
     PumpModel,
+    devectorize,
     hamiltonian,
     liouvillian,
     projection_jumps,
@@ -21,7 +24,7 @@ from clusterpump.solver import (
     pure_state_density,
     steady_state_direct,
 )
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_graphs
 
 
 def chain_liouvillian(n, h_g, gamma_g):
@@ -69,6 +72,9 @@ def test_stabilizer_jumps_have_degenerate_kernel():
         with pytest.raises(NumericalError, match="kernel_dim") as exc:
             full_spectrum(L)
         assert exc.value.kernel_dim >= min_dim
+        # the direct solve must not pass off an arbitrary kernel vector either
+        with pytest.raises(NumericalError, match="degenerate kernel"):
+            steady_state_direct(L)
 
 
 def test_eigenvalue_ordering():
@@ -126,6 +132,21 @@ def test_direct_steady_state_matches_spectrum(gamma):
     assert np.abs(rho_direct - rho_eig).max() <= 1e-8
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    graph=random_graphs(),
+    h=st.floats(min_value=-2.0, max_value=2.0),
+    gamma=st.floats(min_value=0.1, max_value=1e3),
+)
+def test_direct_steady_state_on_random_graphs(graph, h, gamma):
+    # any gamma > 0 has a unique steady state: no false degeneracy alarm, a
+    # valid density matrix, and agreement with the eigendecomposition
+    L = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0)).liouvillian(gamma)
+    rho = steady_state_direct(L)
+    check_density_matrix(rho)
+    assert np.abs(rho - full_spectrum(L).steady_state).max() <= 1e-8
+
+
 # ----------------------------------------------------------------- evolution
 
 
@@ -168,6 +189,20 @@ def test_expm_identity_at_zero_time(rng):
     rho0 = random_density_matrix(rng, 4)
     L = chain_liouvillian(2, h_g=1.0, gamma_g=1.0)
     assert np.array_equal(evolve_expm(rho0, L, 0.0), rho0)
+
+
+def test_expm_exact_on_nilpotent_generator(rng):
+    # L = u v^T with v^T u = 0 has L^2 = 0, so exp(L t) = I + L t, while its
+    # only eigenvalue 0 is defective: L has no eigenbasis
+    d = 3
+    u, v = rng.standard_normal((2, d * d)) + 1j * rng.standard_normal((2, d * d))
+    v -= (v @ u) / (u @ u) * u
+    L = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+    assert np.abs(L @ L).max() <= 1e-15
+    rho0 = random_density_matrix(rng, d)
+    for t in (0.5, 3.0):
+        expected = devectorize((np.eye(d * d) + L * t) @ vectorize(rho0))
+        assert np.abs(evolve_expm(rho0, L, t) - expected).max() <= 1e-12
 
 
 def test_expm_semigroup_property(rng):
