@@ -19,24 +19,35 @@ non-Hermitian Hamiltonian ``K = -i H - (gamma / 2) Q``:
 
     gamma * vec(P) vec(Q.T)^T + I kron K + conj(K) kron I,
 
-instead of summing the 2^N - 1 explicit jumps.
+instead of summing the 2^N - 1 explicit jumps.  That d^2 x d^2 array
+(d = 2^N) serves spectra and dynamics only: ``PumpModel.steady_state``
+solves for the steady state in the eigenbasis of H with O(d^3) work and
+O(d^2) memory, and ``PumpModel.apply`` is the generator's action on one
+d x d matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .cluster import GraphSpec, cluster_state, orthogonal_basis, stabilizers
-from .operators import DenseOperator, PauliString, StateVector, pauli_to_dense
+from .errors import NumericalError
+from .operators import DenseOperator, StateVector, pauli_to_dense
 
 Superoperator = np.ndarray
 
-# Dense models above this register size are refused (the superoperator for
-# N qubits holds 16^N complex entries).
+# Dense generators above this register size are refused (the superoperator
+# for N qubits holds 16^N complex entries).
 MAX_DENSE_QUBITS = 7
+# Models above this register size are refused.  The structured steady-state
+# solve peaks at about STEADY_STATE_ARRAYS complex d x d arrays (d = 2^N;
+# 11.3 measured at N = 11, 13.4 at N = 10).
+MAX_MODEL_QUBITS = 11
+STEADY_STATE_ARRAYS = 12
 
 
 @dataclass(frozen=True)
@@ -72,14 +83,24 @@ class ModelParams:
 
 
 def hamiltonian(g_spec: GraphSpec, p: ModelParams) -> DenseOperator:
-    """g * sum_edges Z_j Z_k + h * sum_k X_k on the graph's register."""
+    """g * sum_edges Z_j Z_k + h * sum_k X_k on the graph's register.
+
+    Built from basis indices rather than Kronecker products: Z_j Z_k is the
+    diagonal (-1)^(x_j xor x_k) and X_k maps x to x xor 2^(N-1-k) (site 0 is
+    the most significant bit).  The edge terms are accumulated in edge order,
+    so the result equals the sum of the dense Pauli strings exactly.
+    """
     n = g_spec.n_qubits
     dim = 2**n
-    ham = np.zeros((dim, dim), dtype=complex)
+    index = np.arange(dim)
+    bits = [(index >> (n - 1 - k)) & 1 for k in range(n)]
+    diagonal = np.zeros(dim)
     for j, k in g_spec.edges:
-        ham += p.g * pauli_to_dense(PauliString(n, {j: "Z", k: "Z"}))
+        diagonal += p.g * (1.0 - 2.0 * (bits[j] ^ bits[k]))
+    ham = np.zeros((dim, dim), dtype=complex)
+    ham[index, index] = diagonal
     for k in range(n):
-        ham += p.h * pauli_to_dense(PauliString(n, {k: "X"}))
+        ham[index, index ^ (1 << (n - 1 - k))] += p.h
     return ham
 
 
@@ -145,7 +166,9 @@ def liouvillian(
 class PumpModel:
     """The cluster-state pump on one graph: Hamiltonian and target state.
 
-    Refuses registers above ``MAX_DENSE_QUBITS`` before building anything.
+    Refuses registers above ``MAX_MODEL_QUBITS`` before building anything;
+    the dense ``liouvillian`` refuses registers above ``MAX_DENSE_QUBITS``.
+    The eigenbasis of H is computed on first use by ``steady_state`` and kept.
     """
 
     graph: GraphSpec
@@ -155,10 +178,10 @@ class PumpModel:
 
     def __post_init__(self) -> None:
         n = self.graph.n_qubits
-        if n > MAX_DENSE_QUBITS:
+        if n > MAX_MODEL_QUBITS:
             raise ValueError(
-                f"N = {n} exceeds the dense-solver guard ({MAX_DENSE_QUBITS}); "
-                f"the superoperator alone would need {16.0 ** (n + 1) / 2.0**30:.1f} GiB"
+                f"N = {n} exceeds the model guard ({MAX_MODEL_QUBITS}); its steady-state "
+                f"solve would need about {STEADY_STATE_ARRAYS * 16.0 * 4.0**n / 2.0**30:.1f} GiB"
             )
         object.__setattr__(self, "target", cluster_state(self.graph))
         object.__setattr__(self, "H", hamiltonian(self.graph, self.params))
@@ -168,6 +191,12 @@ class PumpModel:
         with ``K = -i H - (gamma / 2) Q``, built in a single d^2 x d^2 array."""
         if gamma < 0:
             raise ValueError(f"gamma must be nonnegative, got {gamma}")
+        n = self.graph.n_qubits
+        if n > MAX_DENSE_QUBITS:
+            raise ValueError(
+                f"N = {n} exceeds the dense-solver guard ({MAX_DENSE_QUBITS}); "
+                f"the superoperator alone would need {16.0 ** (n + 1) / 2.0**30:.1f} GiB"
+            )
         d = self.H.shape[0]
         P = np.outer(self.target, self.target.conj())
         Q = np.eye(d, dtype=complex) - P
@@ -180,3 +209,89 @@ class PumpModel:
         blocks[diag, :, diag, :] += K
         blocks[:, diag, :, diag] += K.conj()
         return L
+
+    def apply(self, rho: np.ndarray, gamma: float) -> np.ndarray:
+        """Matrix-free generator action ``-i[H, rho] + gamma (P Tr(Q rho) - {Q, rho} / 2)``."""
+        C = self.target
+        rho_c = rho @ C
+        c_rho = C.conj() @ rho
+        recycled = np.trace(rho) - np.vdot(C, rho_c)
+        out = -1j * (self.H @ rho - rho @ self.H)
+        out += gamma * (
+            recycled * np.outer(C, C.conj())
+            - rho
+            + 0.5 * (np.outer(C, c_rho) + np.outer(rho_c, C.conj()))
+        )
+        return out
+
+    @cached_property
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray, StateVector]:
+        """``(E, V, c)`` with ``H = V diag(E) V^T`` and ``c = V^T |C>``.
+
+        H is real symmetric (Z Z and X are real), so V is real and the real
+        eigensolver applies, several times faster than the complex one.
+        """
+        energies, V = np.linalg.eigh(self.H.real)
+        return energies, V, V.T @ self.target
+
+    def steady_state(self, gamma: float) -> DenseOperator:
+        """Steady state at dissipation rate ``gamma`` without the superoperator.
+
+        In the eigenbasis of H, with ``M_ab = gamma / (gamma + i (E_a - E_b))``,
+        the stationarity condition reads
+
+            rho~ = M o [(1 - kappa) c c^+ + (c u^+ + u c^+) / 2],  kappa = c^+ u,
+
+        for ``u = rho~ c``.  Substituting gives a system linear in u and its
+        conjugate, solved as 2d real equations at O(d^3) cost.  The result is
+        normalized as in ``steady_state_direct``.  Raises NumericalError
+        "degenerate kernel: ..." at gamma = 0 or on a singular system, and
+        when ``|apply(rho, gamma)|_max`` exceeds ``1e-8 max(1, s)``, where s is
+        the largest diagonal entry of the dense generator in modulus.
+        """
+        if gamma < 0:
+            raise ValueError(f"gamma must be nonnegative, got {gamma}")
+        if gamma == 0:
+            raise NumericalError(
+                "degenerate kernel: without dissipation (gamma = 0) the steady state is not unique"
+            )
+        # solver imports this module, so its helpers are imported on use
+        from .solver import _solve_nonsingular, _unit_trace_hermitian
+
+        energies, V, c = self.eigenbasis
+        d = c.size
+        M = gamma / (gamma + 1j * np.subtract.outer(energies, energies))
+        w = M @ np.abs(c) ** 2
+        # A u + B conj(u) = c o w
+        cw = c * w
+        A = np.outer(cw, c.conj())
+        A[np.diag_indices(d)] += 1.0 - 0.5 * w
+        B = -0.5 * (c[:, None] * M * c[None, :])
+        # with u = x + i y: [[Re(A + B), Im(B - A)], [Im(A + B), Re(A - B)]] [x; y]
+        system = np.empty((2 * d, 2 * d), order="F")
+        system[:d, :d] = A.real + B.real
+        system[:d, d:] = B.imag - A.imag
+        system[d:, :d] = A.imag + B.imag
+        system[d:, d:] = A.real - B.real
+        del A, B
+        xy = _solve_nonsingular(system, np.concatenate([cw.real, cw.imag]))
+        u = xy[:d] + 1j * xy[d:]
+        kappa = np.vdot(c, u)
+        rho = M * (
+            (1.0 - kappa) * np.outer(c, c.conj())
+            + 0.5 * (np.outer(c, u.conj()) + np.outer(u, c.conj()))
+        )
+        rho = _unit_trace_hermitian(V @ rho @ V.T)
+
+        # Diagonal of the dense generator, gamma P_ab Q_ba + K_aa + conj(K_bb),
+        # whose largest modulus bounds its infinity norm from below.
+        p = np.abs(self.target) ** 2
+        k = -1j * self.H.diagonal() - 0.5 * gamma * (1.0 - p)
+        diagonal = gamma * (np.diag(p) - np.outer(p, p)) + k[:, None] + k.conj()[None, :]
+        tol = 1e-8 * max(1.0, float(np.abs(diagonal).max()))
+        residual = float(np.abs(self.apply(rho, gamma)).max())
+        if residual > tol:
+            raise NumericalError(
+                f"structured steady-state residual {residual:g} exceeds tolerance {tol:g}"
+            )
+        return rho

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .meanfield import MeanFieldState
-from .operators import PauliString, StateVector, pauli_to_dense
+from .operators import StateVector
 
 
 def fidelity(rho: np.ndarray, target: StateVector) -> float:
@@ -40,16 +40,23 @@ def witness_expectation(rho: np.ndarray, target: StateVector, eta: float = 0.5) 
 
 def spin_expectations(rho: np.ndarray) -> MeanFieldState:
     """Site-averaged Pauli expectations of a density matrix, the exact
-    counterpart of the mean-field state."""
+    counterpart of the mean-field state.
+
+    Read off basis indices, with m = 2^(N-1-k) the bit of site k and
+    s_x = 1 - 2 x_k: <X_k> = sum_x rho[x, x^m], <Y_k> = -sum_x s_x Im rho[x, x^m]
+    and <Z_k> = sum_x s_x rho[x, x].
+    """
     dim = rho.shape[0]
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
-    totals = {}
-    for alpha in ("X", "Y", "Z"):
-        acc = 0.0
-        for k in range(n):
-            op = pauli_to_dense(PauliString(n, {k: alpha}))
-            acc += np.trace(rho @ op).real
-        totals[alpha] = acc / n
-    return MeanFieldState(jx=totals["X"], jy=totals["Y"], jz=totals["Z"])
+    index = np.arange(dim)
+    populations = rho.diagonal().real
+    jx = jy = jz = 0.0
+    for k in range(n):
+        sign = 1.0 - 2.0 * ((index >> (n - 1 - k)) & 1)
+        flipped = rho[index, index ^ (1 << (n - 1 - k))]
+        jx += flipped.real.sum()
+        jy -= sign @ flipped.imag
+        jz += sign @ populations
+    return MeanFieldState(jx=jx / n, jy=jy / n, jz=jz / n)

@@ -133,16 +133,48 @@ def full_spectrum(L: Superoperator) -> SpectrumResult:
     )
 
 
+def _solve_nonsingular(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` by LU, factorizing ``A`` in place; pass a private,
+    Fortran-ordered array.
+
+    Every steady-state solve goes through here.  Raises NumericalError
+    "degenerate kernel: ..." when LAPACK's reciprocal condition estimate of
+    ``A`` is below machine epsilon or a pivot is exactly zero, since the
+    solution would then be arbitrary.
+    """
+    # Raw LAPACK rather than scipy.linalg.solve: the condition estimate is
+    # returned, not issued as a warning, so threaded sweeps can act on it.
+    lange, getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(
+        ("lange", "getrf", "gecon", "getrs"), (A,)
+    )
+    a_norm = lange("1", A)
+    lu, piv, info = getrf(A, overwrite_a=True)
+    rcond, _ = gecon(lu, a_norm, norm="1")
+    if info > 0 or rcond < np.finfo(float).eps:
+        raise NumericalError(
+            f"degenerate kernel: the steady-state system is singular "
+            f"(reciprocal condition number {rcond:.3g})"
+        )
+    x, _ = getrs(lu, piv, b)
+    return x
+
+
+def _unit_trace_hermitian(rho: np.ndarray) -> np.ndarray:
+    """Scale to unit trace, keep the Hermitian part, and rescale its trace to 1."""
+    rho = rho / np.trace(rho)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
 def steady_state_direct(L: Superoperator, residual_tol: float | None = None) -> np.ndarray:
     """Steady state from a direct linear solve instead of a full eigendecomposition.
 
-    One row of ``L v = 0`` is replaced by the trace constraint ``Tr rho = 1``;
-    this is much cheaper than ``full_spectrum`` and is the workhorse for
-    parameter sweeps where the spectrum itself is not needed.  Raises
-    NumericalError if that bordered matrix is singular to working precision
-    (a degenerate kernel, e.g. gamma = 0, whose solution would be an
-    arbitrary kernel vector) or if the result does not satisfy
-    ``L vec(rho) ~ 0``.
+    One row of ``L v = 0`` is replaced by the trace constraint ``Tr rho = 1``.
+    This is the dense reference for ``PumpModel.steady_state``, which solves
+    the same problem in the eigenbasis of H.  Raises NumericalError if that
+    bordered matrix is singular to working precision (a degenerate kernel,
+    e.g. gamma = 0, whose solution would be an arbitrary kernel vector) or if
+    the result does not satisfy ``L vec(rho) ~ 0``.
     """
     d2 = L.shape[0]
     d = int(round(math.sqrt(d2)))
@@ -154,24 +186,7 @@ def steady_state_direct(L: Superoperator, residual_tol: float | None = None) -> 
     A[0, :] = vectorize(np.eye(d, dtype=complex))
     b = np.zeros(d2, dtype=complex)
     b[0] = 1.0
-    # Raw LAPACK rather than scipy.linalg.solve: the condition estimate is
-    # returned, not issued as a warning, so threaded sweeps can act on it.
-    lange, getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(
-        ("lange", "getrf", "gecon", "getrs"), (A,)
-    )
-    a_norm = lange("1", A)
-    lu, piv, info = getrf(A, overwrite_a=True)
-    rcond, _ = gecon(lu, a_norm, norm="1")
-    if info > 0 or rcond < np.finfo(float).eps:
-        raise NumericalError(
-            f"degenerate kernel: the bordered steady-state matrix is singular "
-            f"(reciprocal condition number {rcond:.3g})"
-        )
-    v, _ = getrs(lu, piv, b)
-    rho = devectorize(v)
-    rho = rho / np.trace(rho)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
+    rho = _unit_trace_hermitian(devectorize(_solve_nonsingular(A, b)))
     residual = float(np.linalg.norm(L @ vectorize(rho), np.inf))
     if residual > residual_tol:
         raise NumericalError(

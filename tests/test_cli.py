@@ -160,16 +160,33 @@ def test_bad_flag_exits_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_oversize_graph_exits_one(tmp_path, capsys):
-    # every dense command reaches the one size guard of the model
+def test_oversize_graph_exits_one(tmp_path, capsys, monkeypatch):
+    # every command that needs the dense generator stops at its guard (N = 8
+    # and above); a sweep without gaps stops at the model's guard before H
     for args in (
         ["steady", "--graph", "chain:9"],
         ["evolve", "--graph", "chain:8"],
-        ["sweep", "--graph", "square:2x4", "--skip-gap"],
+        ["sweep", "--graph", "square:2x4"],
         ["scaling", "--n-values", "2,8"],
     ):
         assert run([*args, "--out", str(tmp_path)]) == 1
         assert "GiB" in capsys.readouterr().err
+
+    def unbuilt(*args):
+        raise AssertionError("the Hamiltonian was built")
+
+    monkeypatch.setattr("clusterpump.lindblad.hamiltonian", unbuilt)
+    assert run(["sweep", "--graph", "chain:12", "--skip-gap", "--out", str(tmp_path)]) == 1
+    assert "model guard" in capsys.readouterr().err
+
+
+def test_sweep_without_gap_beyond_dense_guard(tmp_path):
+    # N = 8 needs no 4^N x 4^N generator when the gap is skipped
+    assert run(["sweep", "--graph", "chain:8", "--skip-gap", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "sweep.json").read_text())
+    assert doc["n_qubits"] == 8 and doc["n_failed"] == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == doc["n_points"] and all(row.endswith(",ok") for row in rows)
 
 
 def test_numerical_failure_exits_two(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterpump.cluster import GraphSpec
 from clusterpump.errors import NumericalError
@@ -15,7 +17,7 @@ from clusterpump.experiments import (
     parse_gamma_policy,
     size_scaling_study,
 )
-from clusterpump.lindblad import MAX_DENSE_QUBITS, ModelParams, PumpModel
+from clusterpump.lindblad import MAX_DENSE_QUBITS, MAX_MODEL_QUBITS, ModelParams, PumpModel
 
 
 def synthetic_sweep(gammas, fid):
@@ -201,17 +203,37 @@ def test_gamma_sweep_marks_degenerate_kernel_failed(compute_gap):
         assert np.isnan(sweep.fidelity[0]) and np.isfinite(sweep.fidelity[1])
 
 
+ACCEPTANCE_GRAPHS = [GraphSpec.chain(n) for n in range(2, 7)] + [GraphSpec.grid(2, 2), GraphSpec.grid(2, 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=st.sampled_from(ACCEPTANCE_GRAPHS), h=st.floats(min_value=-2.0, max_value=2.0))
+def test_steady_state_fidelity_is_monotone_in_gamma(graph, h):
+    # stronger pumping never lowers the steady-state fidelity
+    sweep = gamma_sweep(graph, h, np.geomspace(0.05, 1e4, 40), compute_gap=False)
+    assert sweep.status == ["ok"] * 40
+    assert np.all(np.diff(sweep.fidelity) >= 0)
+
+
 def test_gamma_sweep_rejects_unsorted():
     with pytest.raises(ValueError):
         gamma_sweep(GraphSpec.chain(2), 1.0, [1.0, 0.5])
 
 
 def test_size_guard():
-    # the model refuses the register before anything is built or solved
-    with pytest.raises(ValueError, match="GiB"):
-        PumpModel(GraphSpec.chain(MAX_DENSE_QUBITS + 1), ModelParams(g=1.0, h=1.0, gamma=0.0))
+    # the dense generator refuses N > MAX_DENSE_QUBITS; the model, whose
+    # steady states need no generator, refuses N > MAX_MODEL_QUBITS before
+    # building anything
+    params = ModelParams(g=1.0, h=1.0, gamma=0.0)
+    model = PumpModel(GraphSpec.chain(MAX_DENSE_QUBITS + 1), params)
+    with pytest.raises(ValueError, match="dense-solver guard .*GiB"):
+        model.liouvillian(1.0)
+    with pytest.raises(ValueError, match="model guard .*GiB"):
+        PumpModel(GraphSpec.chain(MAX_MODEL_QUBITS + 1), params)
     with pytest.raises(ValueError, match="GiB"):
         gamma_sweep(GraphSpec.chain(8), 1.0, [1.0])
+    with pytest.raises(ValueError, match="GiB"):
+        gamma_sweep(GraphSpec.chain(MAX_MODEL_QUBITS + 1), 1.0, [1.0], compute_gap=False)
     with pytest.raises(ValueError, match="GiB"):
         size_scaling_study([2, 8], h_g=1.0)
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterpump.cluster import GraphSpec, cluster_state
+from clusterpump.errors import NumericalError
 from clusterpump.lindblad import (
     ModelParams,
     PumpModel,
@@ -15,7 +16,8 @@ from clusterpump.lindblad import (
     stabilizer_jumps,
     vectorize,
 )
-from clusterpump.solver import pure_state_density
+from clusterpump.operators import PauliString, pauli_to_dense
+from clusterpump.solver import check_density_matrix, pure_state_density, steady_state_direct
 from conftest import random_density_matrix, random_graphs, random_hermitian
 
 I2 = np.eye(2, dtype=complex)
@@ -24,6 +26,7 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 SQUARE = GraphSpec(4, ((0, 1), (0, 2), (1, 3), (2, 3)))
 MODEL_GRAPHS = [GraphSpec.chain(n) for n in range(2, 6)] + [SQUARE]
+SQUARE_2X3 = GraphSpec.grid(2, 3)
 
 
 # ----------------------------------------------------------------- params
@@ -75,6 +78,21 @@ def test_hamiltonian_n3_against_explicit_kron():
     # spectrum is symmetric about zero for the open chain at g = h
     evals = np.linalg.eigvalsh(ham)
     assert np.allclose(evals, -evals[::-1], atol=1e-12)
+
+
+@pytest.mark.parametrize("graph", [GraphSpec.chain(n) for n in range(1, 7)] + [SQUARE_2X3])
+def test_hamiltonian_equals_dense_pauli_sum_exactly(graph):
+    # the index-built H reproduces the sum of dense Pauli strings bit for bit
+    n = graph.n_qubits
+    for p in (ModelParams(g=1.0, h=0.5, gamma=0.0), ModelParams(g=-1.0 / 3.0, h=-0.0, gamma=0.0)):
+        expected = np.zeros((2**n, 2**n), dtype=complex)
+        for j, k in graph.edges:
+            expected += p.g * pauli_to_dense(PauliString(n, {j: "Z", k: "Z"}))
+        for k in range(n):
+            expected += p.h * pauli_to_dense(PauliString(n, {k: "X"}))
+        ham = hamiltonian(graph, p)
+        assert np.array_equal(ham, expected)
+        assert ham.dtype == expected.dtype and ham.tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------- jumps
@@ -203,6 +221,45 @@ def test_pump_model_liouvillian_matches_explicit_jumps_on_random_graphs(graph, h
     model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
     oracle = liouvillian(model.H, projection_jumps(graph), gamma)
     assert np.abs(model.liouvillian(gamma) - oracle).max() <= 1e-12 * max(1.0, gamma)
+
+
+@pytest.mark.parametrize("graph", MODEL_GRAPHS)
+def test_pump_model_apply_matches_liouvillian(graph, rng):
+    model = PumpModel(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
+    d = 2**graph.n_qubits
+    rho = random_density_matrix(rng, d)
+    for gamma in (0.0, 3.5, 500.0):
+        dense = devectorize(model.liouvillian(gamma) @ vectorize(rho))
+        assert np.abs(model.apply(rho, gamma) - dense).max() <= 1e-12
+
+
+@pytest.mark.parametrize("graph", MODEL_GRAPHS + [SQUARE_2X3])
+def test_pump_model_steady_state_matches_direct_solve(graph):
+    model = PumpModel(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
+    for gamma in (0.5, 5.0, 200.0, 5000.0):
+        oracle = steady_state_direct(model.liouvillian(gamma))
+        assert np.abs(model.steady_state(gamma) - oracle).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    graph=random_graphs(),
+    h=st.floats(min_value=-2.0, max_value=2.0),
+    gamma=st.floats(min_value=0.1, max_value=1e3),
+)
+def test_pump_model_steady_state_on_random_graphs(graph, h, gamma):
+    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
+    rho = model.steady_state(gamma)
+    check_density_matrix(rho)
+    assert np.abs(rho - steady_state_direct(model.liouvillian(gamma))).max() <= 1e-10
+
+
+def test_pump_model_steady_state_rejects_gamma_zero():
+    model = PumpModel(GraphSpec.chain(3), ModelParams(g=1.0, h=1.0, gamma=0.0))
+    with pytest.raises(NumericalError, match="degenerate kernel"):
+        model.steady_state(0.0)
+    with pytest.raises(ValueError, match="gamma"):
+        model.steady_state(-1.0)
 
 
 def test_liouvillian_rejects_mismatched_dims():

@@ -3,6 +3,7 @@ import pytest
 
 from clusterpump.cluster import GraphSpec, cluster_state, orthogonal_basis, plus_state, state_from_bits
 from clusterpump.observables import fidelity, spin_expectations, witness_expectation
+from clusterpump.operators import PauliString, pauli_to_dense
 from clusterpump.solver import pure_state_density
 from conftest import random_density_matrix
 
@@ -100,3 +101,13 @@ def test_spin_expectations_real_for_hermitian(rng):
     spins = spin_expectations(rho).as_array()
     assert np.all(np.isfinite(spins))
     assert np.abs(spins).max() <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_spin_expectations_match_dense_pauli_traces(rng, n):
+    rho = random_density_matrix(rng, 2**n)
+    expected = [
+        sum(np.trace(rho @ pauli_to_dense(PauliString(n, {k: alpha}))).real for k in range(n)) / n
+        for alpha in "XYZ"
+    ]
+    assert np.abs(spin_expectations(rho).as_array() - expected).max() <= 1e-14
