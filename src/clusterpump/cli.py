@@ -38,7 +38,11 @@ from .solver import evolve_rk4, full_spectrum, pure_state_density
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems as config errors."""
+    """argparse variant that reports usage problems as config errors and
+    takes only whole flag names (``sweep --gamma-g`` is not ``--gamma-grid``)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):  # noqa: D102 - argparse hook
         raise ConfigError(message)
@@ -94,7 +98,7 @@ def parse_graph(text: str) -> GraphSpec:
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge defaults, config file, and explicit flags (flags win)."""
     out = dict(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         cfg_path = Path(args.config)
         if not cfg_path.is_file():
             raise ConfigError(f"config file not found: {args.config}")
@@ -116,11 +120,15 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return out
 
 
-def _model(cfg: dict) -> ModelParams:
-    sign = cfg.get("sign_g", 1)
+def _sign_g(cfg: dict) -> float:
+    sign = cfg["sign_g"]
     if sign not in (1, -1):
         raise ConfigError(f"sign_g must be 1 or -1, got {sign}")
-    return ModelParams(g=float(sign), h=float(cfg["h_g"]), gamma=float(cfg["gamma_g"]))
+    return float(sign)
+
+
+def _model(cfg: dict) -> ModelParams:
+    return ModelParams(g=_sign_g(cfg), h=float(cfg["h_g"]), gamma=float(cfg["gamma_g"]))
 
 
 def _bitstring(index: int, n: int) -> str:
@@ -131,6 +139,7 @@ def _bitstring(index: int, n: int) -> str:
 
 
 def _cmd_cluster(cfg: dict, out_dir: Path) -> int:
+    """Build a cluster state and print its amplitudes."""
     graph = parse_graph(cfg["graph"])
     state = cluster_state(graph)
     n = graph.n_qubits
@@ -160,6 +169,7 @@ def _cmd_cluster(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_steady(cfg: dict, out_dir: Path) -> int:
+    """Solve for the steady state."""
     model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
     L = model.liouvillian(model.params.gamma)
     spec = full_spectrum(L)
@@ -181,6 +191,7 @@ def _cmd_steady(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_spectrum(cfg: dict, out_dir: Path) -> int:
+    """Write the full Liouvillian spectrum."""
     model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
     spec = full_spectrum(model.liouvillian(model.params.gamma))
     _write_csv(
@@ -218,6 +229,7 @@ def _initial_density(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
+    """Integrate the master equation and record observables."""
     model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
     rng = np.random.default_rng(cfg["seed"])
     rho0 = _initial_density(cfg["rho0"], model.graph.n_qubits, rng)
@@ -253,6 +265,7 @@ def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_meanfield(cfg: dict, out_dir: Path) -> int:
+    """Mean-field trajectory and fixed-point table."""
     params = _model(cfg)
     points = fixed_points(params)
     rng = np.random.default_rng(cfg["seed"])
@@ -306,20 +319,14 @@ def _cmd_meanfield(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_sweep(cfg: dict, out_dir: Path) -> int:
+    """Gamma sweep of steady-state metrics."""
     graph = parse_graph(cfg["graph"])
     try:
         grid = parse_gamma_policy(cfg["gamma_grid"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    sign = cfg.get("sign_g", 1)
     sweep = gamma_sweep(
-        graph,
-        cfg["h_g"],
-        grid,
-        compute_gap=not cfg["skip_gap"],
-        eta=cfg["eta"],
-        g=float(sign),
-        jobs=cfg["jobs"],
+        graph, cfg["h_g"], grid, compute_gap=not cfg["skip_gap"], eta=cfg["eta"], g=_sign_g(cfg)
     )
     rows = [
         [g_, f, w, gp, st]
@@ -352,6 +359,7 @@ def _cmd_sweep(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_scaling(cfg: dict, out_dir: Path) -> int:
+    """Size-scaling study with fits."""
     try:
         n_values = [int(v) for v in str(cfg["n_values"]).split(",")]
     except ValueError as exc:
@@ -363,7 +371,6 @@ def _cmd_scaling(cfg: dict, out_dir: Path) -> int:
         epsilon=cfg["epsilon"],
         weak_gamma=cfg["weak_gamma"],
         strong_gamma=cfg["strong_gamma"],
-        eta=cfg["eta"],
     )
     _write_csv(
         out_dir / "scaling.csv",
@@ -405,16 +412,18 @@ def _cmd_scaling(cfg: dict, out_dir: Path) -> int:
 
 # ---------------------------------------------------------------- wiring
 
-_COMMON = {"out": ".", "seed": 0}
-_MODEL_DEFAULTS = {"h_g": 1.0, "gamma_g": 1.0, "sign_g": 1, "eta": 0.5}
+_MODEL_DEFAULTS = {"h_g": 1.0, "gamma_g": 1.0, "sign_g": 1}
 
+# Each command's settable values; every key is both a config-file key and a flag.
 _DEFAULTS = {
-    "cluster": {**_COMMON, "graph": "chain:4"},
-    "steady": {**_COMMON, **_MODEL_DEFAULTS, "graph": "chain:4"},
-    "spectrum": {**_COMMON, **_MODEL_DEFAULTS, "graph": "chain:4"},
+    "cluster": {"out": ".", "graph": "chain:4"},
+    "steady": {"out": ".", **_MODEL_DEFAULTS, "eta": 0.5, "graph": "chain:4"},
+    "spectrum": {"out": ".", **_MODEL_DEFAULTS, "graph": "chain:4"},
     "evolve": {
-        **_COMMON,
+        "out": ".",
+        "seed": 0,
         **_MODEL_DEFAULTS,
+        "eta": 0.5,
         "graph": "chain:4",
         "t_final": 10.0,
         "dt": None,
@@ -422,7 +431,8 @@ _DEFAULTS = {
         "sample_every": 10,
     },
     "meanfield": {
-        **_COMMON,
+        "out": ".",
+        "seed": 0,
         **_MODEL_DEFAULTS,
         "s0": None,
         "t_final": 20.0,
@@ -430,24 +440,49 @@ _DEFAULTS = {
         "sample_every": 10,
     },
     "sweep": {
-        **_COMMON,
-        **_MODEL_DEFAULTS,
+        "out": ".",
+        "h_g": 1.0,
+        "sign_g": 1,
+        "eta": 0.5,
         "graph": "chain:3",
         "gamma_grid": "log:0.1:500:31",
         "skip_gap": False,
         "epsilon": 1e-3,
-        "jobs": 1,
     },
     "scaling": {
-        **_COMMON,
+        "out": ".",
         "h_g": 1.0,
-        "eta": 0.5,
         "n_values": "2,3,4",
         "gamma_policy": DEFAULT_GAMMA_POLICY,
         "epsilon": 1e-3,
         "weak_gamma": 1.0,
         "strong_gamma": None,
     },
+}
+
+# add_argument keywords of the flag for each key
+_OPTIONS = {
+    "out": {"help": "output directory (default: current directory)"},
+    "seed": {"type": int, "help": "seed for randomized initial states"},
+    "h_g": {"type": float, "help": "transverse field h/g"},
+    "gamma_g": {"type": float, "help": "dissipation rate gamma/g"},
+    "sign_g": {"type": int, "choices": (1, -1), "help": "sign of the Ising coupling"},
+    "eta": {"type": float, "help": "witness offset (default 1/2)"},
+    "graph": {"help": 'graph preset ("chain:N", "square:RxC"), JSON file, or inline JSON'},
+    "t_final": {"type": float},
+    "dt": {"type": float, "help": "RK4 step (default: scaled to the fastest rate)"},
+    "rho0": {"choices": ("plus", "zero", "mixed", "random"), "help": "initial state"},
+    "sample_every": {"type": int},
+    "s0": {"help": "initial (jx,jy,jz) as x,y,z; default perturbs a stable branch"},
+    "gamma_grid": {"help": 'grid, e.g. "log:0.1:500:31"'},
+    "skip_gap": {"action": "store_const", "const": True,
+                 "help": "skip spectra (fast steady-state solves only)"},
+    "epsilon": {"type": float, "help": "saturation criterion"},
+    "n_values": {"help": "comma-separated chain lengths"},
+    "gamma_policy": {},
+    "weak_gamma": {"type": float},
+    "strong_gamma": {"type": float,
+                     "help": "fixed strong dissipation for the gap fit (default: largest gamma_sat)"},
 }
 
 _HANDLERS = {
@@ -465,69 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="clusterpump", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, handler in _HANDLERS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
-        p.add_argument("--out", help="output directory (default: current directory)")
-        p.add_argument("--seed", type=int, help="seed for randomized initial states")
-
-    def model(p):
-        p.add_argument("--h-g", dest="h_g", type=float, help="transverse field h/g")
-        p.add_argument("--gamma-g", dest="gamma_g", type=float, help="dissipation rate gamma/g")
-        p.add_argument("--sign-g", dest="sign_g", type=int, choices=(1, -1), help="sign of the Ising coupling")
-        p.add_argument("--eta", type=float, help="witness offset (default 1/2)")
-
-    p = sub.add_parser("cluster", help="build a cluster state and print its amplitudes")
-    common(p)
-    p.add_argument("--graph", help='graph preset ("chain:N", "square:RxC"), JSON file, or inline JSON')
-
-    for name in ("steady", "spectrum"):
-        p = sub.add_parser(
-            name,
-            help="solve for the steady state" if name == "steady" else "write the full Liouvillian spectrum",
-        )
-        common(p)
-        model(p)
-        p.add_argument("--graph")
-
-    p = sub.add_parser("evolve", help="integrate the master equation and record observables")
-    common(p)
-    model(p)
-    p.add_argument("--graph")
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--dt", type=float, help="RK4 step (default 0.01 / max(1, gamma_g))")
-    p.add_argument("--rho0", choices=("plus", "zero", "mixed", "random"), help="initial state")
-    p.add_argument("--sample-every", dest="sample_every", type=int)
-
-    p = sub.add_parser("meanfield", help="mean-field trajectory and fixed-point table")
-    common(p)
-    model(p)
-    p.add_argument("--s0", help="initial (jx,jy,jz) as x,y,z; default perturbs a stable branch")
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--sample-every", dest="sample_every", type=int)
-
-    p = sub.add_parser("sweep", help="gamma sweep of steady-state metrics")
-    common(p)
-    model(p)
-    p.add_argument("--graph")
-    p.add_argument("--gamma-grid", dest="gamma_grid", help='grid, e.g. "log:0.1:500:31"')
-    p.add_argument("--skip-gap", dest="skip_gap", action="store_const", const=True,
-                   help="skip spectra (fast steady-state solves only)")
-    p.add_argument("--epsilon", type=float, help="saturation criterion")
-    p.add_argument("--jobs", type=int, help="worker threads for sweep points")
-
-    p = sub.add_parser("scaling", help="size-scaling study with fits")
-    common(p)
-    p.add_argument("--h-g", dest="h_g", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--n-values", dest="n_values", help="comma-separated chain lengths")
-    p.add_argument("--gamma-policy", dest="gamma_policy")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--weak-gamma", dest="weak_gamma", type=float)
-    p.add_argument("--strong-gamma", dest="strong_gamma", type=float,
-                   help="fixed strong dissipation for the gap fit (default: largest gamma_sat)")
-
+        for key in _DEFAULTS[name]:
+            p.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key])
     return parser
 
 

@@ -12,8 +12,7 @@ offset-inverse fidelity law, and power laws for the gap).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,14 +33,11 @@ class SweepResult:
     the sweep was run without spectra.
     """
 
-    axis_name: str
     axis_values: np.ndarray
     fidelity: np.ndarray
     witness: np.ndarray
     gap: np.ndarray
-    n_qubits: int
-    params: ModelParams
-    status: list[str] = field(default_factory=list)
+    status: list[str]
 
 
 @dataclass(frozen=True)
@@ -64,9 +60,6 @@ class ScalingRow:
 class ScalingStudy:
     rows: list[ScalingRow]
     fits: dict[str, FitResult]
-    h_g: float
-    gamma_policy: str
-    epsilon: float
     weak_gamma: float
     strong_gamma: float
 
@@ -78,15 +71,17 @@ def gamma_sweep(
     compute_gap: bool = True,
     eta: float = 0.5,
     g: float = 1.0,
-    jobs: int = 1,
 ) -> SweepResult:
     """Steady-state metrics over an ascending grid of dissipation strengths.
 
-    The model is assembled once.  With ``compute_gap=False`` each point is
-    the structured ``PumpModel.steady_state`` solve in the eigenbasis of H,
-    which is computed once per sweep, and the gap column is NaN; with the gap
-    each point diagonalizes its own dense Liouvillian.  Solver failures at
-    individual points are recorded and the sweep continues.
+    The model is assembled once and the points run in grid order.  With
+    ``compute_gap=False`` each point is the structured
+    ``PumpModel.steady_state`` solve in the eigenbasis of H, which is computed
+    once per sweep, and the gap column is NaN; with the gap each point
+    diagonalizes its own dense Liouvillian.  ``eta`` is the witness offset.
+    A NumericalError at a point (a failed solve, or a fidelity with a
+    non-negligible imaginary part) is recorded in its status and the sweep
+    continues.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.size and (np.any(np.diff(gammas) < 0) or np.any(gammas < 0)):
@@ -99,10 +94,9 @@ def gamma_sweep(
     fid = np.full(n_pts, np.nan)
     wit = np.full(n_pts, np.nan)
     gap = np.full(n_pts, np.nan)
-    status = ["pending"] * n_pts
-
-    def run_point(i: int) -> None:
-        gamma = gammas[i] * abs(g)
+    status = ["ok"] * n_pts
+    for i, gamma_g in enumerate(gammas):
+        gamma = gamma_g * abs(g)
         try:
             if compute_gap:
                 spec = full_spectrum(model.liouvillian(gamma))
@@ -112,29 +106,9 @@ def gamma_sweep(
                 rho = model.steady_state(gamma)
             fid[i] = fidelity(rho, model.target)
             wit[i] = witness_expectation(rho, model.target, eta=eta)
-            status[i] = "ok"
         except NumericalError as exc:
             status[i] = str(exc)
-
-    if not compute_gap:
-        model.eigenbasis  # eigh(H) once, before any worker thread needs it
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run_point, range(n_pts)))
-    else:
-        for i in range(n_pts):
-            run_point(i)
-
-    return SweepResult(
-        axis_name="gamma_g",
-        axis_values=gammas.copy(),
-        fidelity=fid,
-        witness=wit,
-        gap=gap,
-        n_qubits=g_spec.n_qubits,
-        params=model.params,
-        status=status,
-    )
+    return SweepResult(axis_values=gammas.copy(), fidelity=fid, witness=wit, gap=gap, status=status)
 
 
 def detect_gamma_sat(sweep: SweepResult, epsilon: float = 1e-3) -> float:
@@ -247,15 +221,15 @@ def size_scaling_study(
     epsilon: float = 1e-3,
     weak_gamma: float = 1.0,
     strong_gamma: float | None = None,
-    eta: float = 0.5,
 ) -> ScalingStudy:
     """Saturation and gap scaling over chain lengths.
 
-    Per N: a fast (no-spectrum) gamma sweep locates gamma_sat, and the
-    structured steady state is re-solved exactly at gamma_sat for F_sat.  The gap is
-    fitted against N at two fixed dissipation strengths common to all
-    sizes: ``weak_gamma``, and ``strong_gamma`` which defaults to the
-    largest detected gamma_sat (the saturated regime).
+    Per N: a fast (no-spectrum) gamma sweep locates gamma_sat from its
+    fidelity column, and the structured steady state is re-solved exactly at
+    gamma_sat for F_sat; the witness plays no part.  The gap is fitted
+    against N at two fixed dissipation strengths common to all sizes:
+    ``weak_gamma``, and ``strong_gamma`` which defaults to the largest
+    detected gamma_sat (the saturated regime).
     """
     gammas = parse_gamma_policy(gamma_policy)
     params = ModelParams(g=1.0, h=h_g, gamma=0.0)
@@ -265,7 +239,7 @@ def size_scaling_study(
     for model in models:
         # the dense gap first, so a register above the dense guard fails before its sweep
         gap_weak = full_spectrum(model.liouvillian(weak_gamma)).gap
-        sweep = gamma_sweep(model.graph, h_g, gammas, compute_gap=False, eta=eta)
+        sweep = gamma_sweep(model.graph, h_g, gammas, compute_gap=False)
         gamma_sat = detect_gamma_sat(sweep, epsilon=epsilon)
         f_sat = fidelity(model.steady_state(gamma_sat), model.target)
         partial.append((gamma_sat, f_sat, gap_weak))
@@ -291,12 +265,4 @@ def size_scaling_study(
         "gap_weak_power_law": fit_power_law(ns, [r.gap_weak for r in rows]),
         "gap_strong_power_law": fit_power_law(ns, [r.gap_strong for r in rows]),
     }
-    return ScalingStudy(
-        rows=rows,
-        fits=fits,
-        h_g=h_g,
-        gamma_policy=gamma_policy,
-        epsilon=epsilon,
-        weak_gamma=weak_gamma,
-        strong_gamma=float(strong_gamma),
-    )
+    return ScalingStudy(rows=rows, fits=fits, weak_gamma=weak_gamma, strong_gamma=float(strong_gamma))

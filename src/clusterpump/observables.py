@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
 from .meanfield import MeanFieldState
 from .operators import StateVector
 
@@ -12,7 +13,8 @@ def fidelity(rho: np.ndarray, target: StateVector) -> float:
     """Overlap <target|rho|target> / Tr(rho).
 
     The trace denominator is kept explicitly so that unnormalized kernel
-    vectors can be scored; the imaginary residual must be negligible.
+    vectors can be scored.  A non-negligible imaginary part (rho not
+    Hermitian) raises NumericalError; bad input shapes raise ValueError.
     """
     if rho.shape[0] != target.shape[0]:
         raise ValueError(f"dimension mismatch: rho {rho.shape}, target {target.shape}")
@@ -21,7 +23,7 @@ def fidelity(rho: np.ndarray, target: StateVector) -> float:
         raise ValueError("cannot compute fidelity of a (near-)traceless matrix")
     value = np.vdot(target, rho @ target) / trace
     if abs(value.imag) > 1e-10:
-        raise ValueError(f"fidelity has non-negligible imaginary part {value.imag:g}")
+        raise NumericalError(f"fidelity has non-negligible imaginary part {value.imag:g}")
     return float(min(max(value.real, 0.0), 1.0))
 
 

@@ -166,7 +166,7 @@ def _unit_trace_hermitian(rho: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def steady_state_direct(L: Superoperator, residual_tol: float | None = None) -> np.ndarray:
+def steady_state_direct(L: Superoperator) -> np.ndarray:
     """Steady state from a direct linear solve instead of a full eigendecomposition.
 
     One row of ``L v = 0`` is replaced by the trace constraint ``Tr rho = 1``.
@@ -174,13 +174,11 @@ def steady_state_direct(L: Superoperator, residual_tol: float | None = None) -> 
     the same problem in the eigenbasis of H.  Raises NumericalError if that
     bordered matrix is singular to working precision (a degenerate kernel,
     e.g. gamma = 0, whose solution would be an arbitrary kernel vector) or if
-    the result does not satisfy ``L vec(rho) ~ 0``.
+    the result misses ``L vec(rho) = 0`` by more than ``1e-8 * max(1, ||L||_inf)``.
     """
     d2 = L.shape[0]
     d = int(round(math.sqrt(d2)))
-    scale = float(np.linalg.norm(L, np.inf))
-    if residual_tol is None:
-        residual_tol = 1e-8 * max(1.0, scale)
+    residual_tol = 1e-8 * max(1.0, float(np.linalg.norm(L, np.inf)))
     # Fortran order lets LAPACK factorize the private copy in place.
     A = L.copy(order="F")
     A[0, :] = vectorize(np.eye(d, dtype=complex))

@@ -11,6 +11,22 @@ def run(args):
     return main(args)
 
 
+# the resolved configuration each command records: exactly the values it reads
+CONFIG_KEYS = {
+    "cluster": {"command", "out", "graph"},
+    "steady": {"command", "out", "graph", "h_g", "gamma_g", "sign_g", "eta"},
+    "spectrum": {"command", "out", "graph", "h_g", "gamma_g", "sign_g"},
+    "evolve": {"command", "out", "seed", "graph", "h_g", "gamma_g", "sign_g", "eta",
+               "t_final", "dt", "rho0", "sample_every"},
+    "meanfield": {"command", "out", "seed", "h_g", "gamma_g", "sign_g", "s0", "t_final", "dt",
+                  "sample_every"},
+    "sweep": {"command", "out", "graph", "h_g", "sign_g", "eta", "gamma_grid", "skip_gap",
+              "epsilon"},
+    "scaling": {"command", "out", "h_g", "n_values", "gamma_policy", "epsilon", "weak_gamma",
+                "strong_gamma"},
+}
+
+
 # ----------------------------------------------------------------- graph parsing
 
 
@@ -47,7 +63,7 @@ def test_cluster_command(tmp_path, capsys):
     assert len(amps) == 16
     assert amps["0000"] == pytest.approx(0.25)
     assert amps["1111"] == pytest.approx(-0.25)
-    assert "config" in doc
+    assert set(doc["config"]) == CONFIG_KEYS["cluster"]
     out = capsys.readouterr().out
     assert "stabilizer" in out
 
@@ -61,6 +77,7 @@ def test_steady_command_strong_dissipation(tmp_path):
         == 0
     )
     doc = json.loads((tmp_path / "steady.json").read_text())
+    assert set(doc["config"]) == CONFIG_KEYS["steady"]
     assert doc["fidelity"] >= 0.98
     assert doc["witness"] <= -0.48
     assert doc["kernel_dim"] == 1
@@ -76,6 +93,7 @@ def test_spectrum_command(tmp_path):
     assert max(res) <= 1e-9
     doc = json.loads((tmp_path / "spectrum.json").read_text())
     assert doc["n_eigenvalues"] == 16
+    assert set(doc["config"]) == CONFIG_KEYS["spectrum"]
 
 
 def test_evolve_command(tmp_path):
@@ -89,6 +107,7 @@ def test_evolve_command(tmp_path):
     lines = (tmp_path / "evolve.csv").read_text().splitlines()
     assert lines[0] == "t,jx,jy,jz,fidelity,witness"
     doc = json.loads((tmp_path / "evolve.json").read_text())
+    assert set(doc["config"]) == CONFIG_KEYS["evolve"]
     assert doc["final"]["fidelity"] > 0.95
     assert doc["final"]["t"] == pytest.approx(4.0)
 
@@ -102,6 +121,7 @@ def test_meanfield_command(tmp_path):
         == 0
     )
     doc = json.loads((tmp_path / "meanfield.json").read_text())
+    assert set(doc["config"]) == CONFIG_KEYS["meanfield"]
     assert np.abs(doc["final_state"]).max() <= 1e-6
     labels = [fp["label"] for fp in doc["fixed_points"]]
     assert labels == ["s3"]
@@ -118,6 +138,7 @@ def test_sweep_command(tmp_path):
         == 0
     )
     doc = json.loads((tmp_path / "sweep.json").read_text())
+    assert set(doc["config"]) == CONFIG_KEYS["sweep"]
     assert doc["n_failed"] == 0
     assert doc["gamma_sat"] is not None
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -134,6 +155,7 @@ def test_scaling_command(tmp_path):
         == 0
     )
     doc = json.loads((tmp_path / "scaling.json").read_text())
+    assert set(doc["config"]) == CONFIG_KEYS["scaling"]
     assert len(doc["rows"]) == 2
     assert doc["fits"]["gamma_sat_linear"]["coefficients"][0] > 0
 
@@ -152,6 +174,38 @@ def test_unknown_config_key_is_config_error(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"grpah": "chain:2"}))
     assert run(["steady", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("steady", "--seed", "1"),
+        ("spectrum", "--eta", "0.3"),
+        ("sweep", "--jobs", "2"),
+        ("sweep", "--gamma-g", "5"),
+        ("scaling", "--eta", "0.3"),
+        ("cluster", "--seed", "1"),
+        ("meanfield", "--eta", "0.3"),
+    ],
+)
+def test_options_a_command_does_not_read_are_rejected(tmp_path, capsys, command, flag, value):
+    # an option that would change no output is unknown input, as a flag and as a config key
+    assert run([command, flag, value, "--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: float(value)}))
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["steady", "sweep"])
+def test_sign_g_is_checked(tmp_path, capsys, command):
+    # the flag's choices do not guard a config file; every model command checks the sign
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"graph": "chain:2", "sign_g": 2}))
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "sign_g must be 1 or -1, got 2" in capsys.readouterr().err
 
 
 def test_bad_flag_exits_one(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from clusterpump.cluster import GraphSpec, cluster_state, orthogonal_basis, plus_state, state_from_bits
+from clusterpump.errors import NumericalError
 from clusterpump.observables import fidelity, spin_expectations, witness_expectation
 from clusterpump.operators import PauliString, pauli_to_dense
 from clusterpump.solver import pure_state_density
@@ -35,6 +36,14 @@ def test_fidelity_rejects_traceless():
     c = cluster_state(GraphSpec.chain(2))
     with pytest.raises(ValueError):
         fidelity(np.zeros((4, 4), dtype=complex), c)
+
+
+def test_fidelity_of_non_hermitian_matrix_is_numerical_error():
+    # unit trace, but <C|rho|C> = 1/4 + 0.075i: a numerical failure, not a bad input
+    c = cluster_state(GraphSpec.chain(2))
+    rho = np.eye(4) / 4 + 0.1j * (pure_state_density(c) - np.eye(4) / 4)
+    with pytest.raises(NumericalError, match="imaginary part"):
+        fidelity(rho, c)
 
 
 def test_fidelity_rejects_dim_mismatch():
