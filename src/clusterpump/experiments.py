@@ -65,7 +65,7 @@ class ScalingStudy:
 
 
 def gamma_sweep(
-    g_spec: GraphSpec,
+    system: GraphSpec | PumpModel,
     h_g: float,
     gammas: Sequence[float],
     compute_gap: bool = True,
@@ -74,6 +74,8 @@ def gamma_sweep(
 ) -> SweepResult:
     """Steady-state metrics over an ascending grid of dissipation strengths.
 
+    ``system`` is a graph, or a model of one already built with coupling
+    ``g`` and field ``h_g |g|``, whose cached eigenbasis of H is then reused.
     The model is assembled once and the points run in grid order.  With
     ``compute_gap=False`` each point is the structured
     ``PumpModel.steady_state`` solve in the eigenbasis of H, which is computed
@@ -89,7 +91,16 @@ def gamma_sweep(
     if g == 0:
         raise ValueError("sweeps are parameterized by h/g and gamma/g; g must be nonzero")
     # h and gamma scale with |g| so that a sign flip of g only flips the coupling.
-    model = PumpModel(g_spec, ModelParams(g=g, h=h_g * abs(g), gamma=0.0))
+    params = ModelParams(g=g, h=h_g * abs(g), gamma=0.0)
+    if isinstance(system, PumpModel):
+        if (system.params.g, system.params.h) != (params.g, params.h):
+            raise ValueError(
+                f"model has g = {system.params.g}, h = {system.params.h}; "
+                f"the sweep asks for g = {params.g}, h = {params.h}"
+            )
+        model = system
+    else:
+        model = PumpModel(system, params)
     n_pts = gammas.size
     fid = np.full(n_pts, np.nan)
     wit = np.full(n_pts, np.nan)
@@ -226,7 +237,8 @@ def size_scaling_study(
 
     Per N: a fast (no-spectrum) gamma sweep locates gamma_sat from its
     fidelity column, and the structured steady state is re-solved exactly at
-    gamma_sat for F_sat; the witness plays no part.  The gap is fitted
+    gamma_sat for F_sat; the witness plays no part.  Sweep and re-solve share
+    one model, so each H is diagonalized once.  The gap is fitted
     against N at two fixed dissipation strengths common to all sizes:
     ``weak_gamma``, and ``strong_gamma`` which defaults to the largest
     detected gamma_sat (the saturated regime).
@@ -239,7 +251,7 @@ def size_scaling_study(
     for model in models:
         # the dense gap first, so a register above the dense guard fails before its sweep
         gap_weak = full_spectrum(model.liouvillian(weak_gamma)).gap
-        sweep = gamma_sweep(model.graph, h_g, gammas, compute_gap=False)
+        sweep = gamma_sweep(model, h_g, gammas, compute_gap=False)
         gamma_sat = detect_gamma_sat(sweep, epsilon=epsilon)
         f_sat = fidelity(model.steady_state(gamma_sat), model.target)
         partial.append((gamma_sat, f_sat, gap_weak))

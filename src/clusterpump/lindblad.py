@@ -20,17 +20,20 @@ non-Hermitian Hamiltonian ``K = -i H - (gamma / 2) Q``:
     gamma * vec(P) vec(Q.T)^T + I kron K + conj(K) kron I,
 
 instead of summing the 2^N - 1 explicit jumps.  That d^2 x d^2 array
-(d = 2^N) serves spectra and dynamics only: ``PumpModel.steady_state``
-solves for the steady state in the eigenbasis of H with O(d^3) work and
-O(d^2) memory, and ``PumpModel.apply`` is the generator's action on one
-d x d matrix.
+(d = 2^N) serves spectra (gaps and the ``steady`` and ``spectrum``
+commands) and the dense reference in tests only, not dynamics:
+``PumpModel.steady_state`` solves for the steady state in the eigenbasis of
+H with O(d^3) work and O(d^2) memory, ``PumpModel.eigenbasis_generator``
+is the generator's action on one d x d matrix in that eigenbasis, at O(d^2)
+per call, for dynamics, and ``PumpModel.apply`` is the same action in the
+computational basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -168,7 +171,8 @@ class PumpModel:
 
     Refuses registers above ``MAX_MODEL_QUBITS`` before building anything;
     the dense ``liouvillian`` refuses registers above ``MAX_DENSE_QUBITS``.
-    The eigenbasis of H is computed on first use by ``steady_state`` and kept.
+    The eigenbasis of H is computed on first use by ``steady_state`` or
+    ``eigenbasis_generator`` and kept.
     """
 
     graph: GraphSpec
@@ -223,6 +227,35 @@ class PumpModel:
             + 0.5 * (np.outer(C, c_rho) + np.outer(rho_c, C.conj()))
         )
         return out
+
+    def eigenbasis_generator(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The generator's action on ``rho~ = V^T rho V`` in the eigenbasis of H,
+
+            rho~ -> Lam o rho~ + gamma [(Tr rho~ - c^+ rho~ c) c c^+
+                                        + (c (c^+ rho~) + (rho~ c) c^+) / 2],
+
+        with ``Lam_ab = -i (E_a - E_b) - gamma``: one elementwise product, two
+        matrix-vector products and rank-one updates, O(d^2) per call.  V is
+        real orthogonal, so RK4 on ``rho~`` is RK4 on ``rho`` up to round-off.
+        """
+        if gamma < 0:
+            raise ValueError(f"gamma must be nonnegative, got {gamma}")
+        energies, _, c = self.eigenbasis
+        lam = -1j * np.subtract.outer(energies, energies) - gamma
+        c_conj = c.conj()
+        gamma_c = gamma * c[:, None]
+
+        def rhs(rho: np.ndarray) -> np.ndarray:
+            rho_c = rho @ c
+            c_rho = c_conj @ rho
+            recycled = rho.trace() - c_conj @ rho_c
+            out = lam * rho
+            # (Tr - c^+ rho c) c c^+ + c (c^+ rho) / 2 is c times one row vector
+            out += gamma_c * (recycled * c_conj + 0.5 * c_rho)
+            out += ((0.5 * gamma) * rho_c)[:, None] * c_conj
+            return out
+
+        return rhs
 
     @cached_property
     def eigenbasis(self) -> tuple[np.ndarray, np.ndarray, StateVector]:

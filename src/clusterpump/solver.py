@@ -2,11 +2,15 @@
 
 Steady states come from a full eigendecomposition (``full_spectrum``, which
 also gives the gap) or from one bordered linear solve
-(``steady_state_direct``).  Two independent evolution routes are provided:
-``evolve_rk4`` runs the package's one fixed-step RK4 driver, ``rk4``, on the
-vectorized master equation (the mean-field ODEs use the same driver), and
-``evolve_expm`` applies the exact propagator ``exp(L t)`` computed by
-scaling and squaring; it is the oracle the RK4 route is tested against.
+(``steady_state_direct``); both take the dense Liouvillian and serve the
+``spectrum`` command and the tests as the reference.  Two independent
+evolution routes are provided: ``evolve_rk4`` runs the package's one
+fixed-step RK4 driver, ``rk4``, on density matrices (the mean-field ODEs use
+the same driver), with either a dense superoperator or the matrix-free
+generator in the eigenbasis of H (``PumpModel.eigenbasis_generator``, the
+route of the ``evolve`` command); ``evolve_expm`` applies the exact
+propagator ``exp(L t)`` of a dense L computed by scaling and squaring, the
+oracle the RK4 route is tested against.
 """
 
 from __future__ import annotations
@@ -19,12 +23,15 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .lindblad import Superoperator, devectorize, vectorize
+from .lindblad import MAX_MODEL_QUBITS, STEADY_STATE_ARRAYS, Superoperator, devectorize, vectorize
 
 # Relative factor for deciding which eigenvalues count as the kernel; the
 # absolute tolerance is scaled by the spectral radius so that strong
 # dissipation (large-norm generators) does not spuriously empty the kernel.
 KERNEL_TOL_FACTOR = 1e-8
+# Bytes the samples of one ``rk4`` run may take: the memory the model guard
+# already grants a structured steady-state solve at its largest register.
+SAMPLE_BUDGET_BYTES = STEADY_STATE_ARRAYS * 16 * 4**MAX_MODEL_QUBITS
 
 
 @dataclass
@@ -206,7 +213,8 @@ def rk4(
     Takes ``max(1, ceil(t_final / dt))`` equal steps, so no step exceeds
     ``dt``, and samples every ``sample_every`` steps; t = 0 and t = t_final
     are always included.  ``check`` is called on ``y0`` and on every new
-    state; it aborts the run by raising.
+    state; it aborts the run by raising.  A run whose samples would take
+    more than ``SAMPLE_BUDGET_BYTES`` raises ValueError before any step.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -214,14 +222,22 @@ def rk4(
         raise ValueError(f"t_final must be nonnegative, got {t_final}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    n_steps = 0 if t_final == 0 else max(1, int(math.ceil(t_final / dt - 1e-12)))
+    n_samples = 1 + -(-n_steps // sample_every)
+    if n_samples * y0.nbytes > SAMPLE_BUDGET_BYTES:
+        raise ValueError(
+            f"{n_samples} samples would need {n_samples * y0.nbytes / 2.0**30:.1f} GiB, above "
+            f"the {SAMPLE_BUDGET_BYTES / 2.0**30:.2f} GiB budget; sample less often or stop earlier"
+        )
     check(y0)
-    times = [0.0]
-    states = [y0]
-    if t_final == 0:
-        return Trajectory(np.array(times), np.array(states))
-    n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
+    times = np.zeros(n_samples)
+    states = np.empty((n_samples, *y0.shape), dtype=y0.dtype)
+    states[0] = y0
+    if n_steps == 0:
+        return Trajectory(times, states)
     step = t_final / n_steps
     y = y0
+    i = 1
     for k in range(1, n_steps + 1):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * step * k1)
@@ -230,34 +246,41 @@ def rk4(
         y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         check(y)
         if k % sample_every == 0 or k == n_steps:
-            times.append(k * step)
-            states.append(y)
-    return Trajectory(np.array(times), np.array(states))
+            times[i] = k * step
+            states[i] = y
+            i += 1
+    return Trajectory(times, states)
 
 
 def evolve_rk4(
     rho0: np.ndarray,
-    L: Superoperator,
+    L: Superoperator | Callable[[np.ndarray], np.ndarray],
     t_final: float,
     dt: float,
     sample_every: int = 1,
 ) -> Trajectory:
-    """RK4 (``rk4``) on ``d vec(rho)/dt = L vec(rho)``; states are (n, d, d) matrices.
+    """RK4 (``rk4``) on ``d rho/dt = L(rho)``; states are (n, d, d) matrices.
 
-    Aborts with NumericalError if the trace drifts by more than 1e-6.
+    ``L`` is a dense superoperator acting on ``vec(rho)`` or a callable on
+    d x d matrices, such as ``PumpModel.eigenbasis_generator``, in whose
+    basis ``rho0`` and the states are then written.  ``rho0`` must be a
+    density matrix in some orthonormal basis: the run aborts with
+    NumericalError "integration unstable, reduce dt" once the trace drifts by
+    more than 1e-6 or an entry exceeds ``|Tr rho0| + 1e-6`` in modulus, which
+    no positive semidefinite matrix does.  The trace alone would miss an
+    unstable step, since the generator preserves it.
     """
-    d = rho0.shape[0]
-    v0 = vectorize(rho0.astype(complex))
-    trace0 = v0[:: d + 1].sum()
+    rhs = L if callable(L) else lambda rho: devectorize(L @ vectorize(rho))
+    rho0 = rho0.astype(complex)
+    trace0 = np.trace(rho0)
+    bound = abs(trace0) + 1e-6
 
-    def check_trace(v: np.ndarray) -> None:
-        if abs(v[:: d + 1].sum() - trace0) > 1e-6:
+    def check_bounded(rho: np.ndarray) -> None:
+        # written so that NaN fails too
+        if not (abs(rho.trace() - trace0) <= 1e-6 and np.abs(rho).max() <= bound):
             raise NumericalError("integration unstable, reduce dt")
 
-    traj = rk4(lambda v: L @ v, v0, t_final, dt, sample_every, check_trace)
-    # each row is a column-stacked vec(rho); back to C-contiguous matrices
-    traj.states = np.ascontiguousarray(traj.states.reshape(-1, d, d).transpose(0, 2, 1))
-    return traj
+    return rk4(rhs, rho0, t_final, dt, sample_every, check_bounded)
 
 
 def evolve_expm(rho0: np.ndarray, L: Superoperator, t: float) -> np.ndarray:

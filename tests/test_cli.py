@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from clusterpump.cli import main, parse_graph
-from clusterpump.cluster import GraphSpec
+from clusterpump.cluster import GraphSpec, plus_state
+from clusterpump.lindblad import ModelParams, PumpModel
+from clusterpump.observables import fidelity, spin_expectations, witness_expectation
+from clusterpump.solver import evolve_rk4, pure_state_density
 
 
 def run(args):
@@ -216,10 +219,11 @@ def test_bad_flag_exits_one(tmp_path, capsys):
 
 def test_oversize_graph_exits_one(tmp_path, capsys, monkeypatch):
     # every command that needs the dense generator stops at its guard (N = 8
-    # and above); a sweep without gaps stops at the model's guard before H
+    # and above), evolve at its sample-memory guard; a sweep without gaps
+    # stops at the model's guard before H
     for args in (
         ["steady", "--graph", "chain:9"],
-        ["evolve", "--graph", "chain:8"],
+        ["evolve", "--graph", "chain:8", "--t-final", "10000", "--dt", "0.01", "--sample-every", "1"],
         ["sweep", "--graph", "square:2x4"],
         ["scaling", "--n-values", "2,8"],
     ):
@@ -241,6 +245,39 @@ def test_sweep_without_gap_beyond_dense_guard(tmp_path):
     assert doc["n_qubits"] == 8 and doc["n_failed"] == 0
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
     assert len(rows) == doc["n_points"] and all(row.endswith(",ok") for row in rows)
+
+
+def test_evolve_beyond_dense_guard(tmp_path):
+    # N = 8 steps in the eigenbasis of H without a 4^N x 4^N generator; the
+    # samples match RK4 on the matrix-free action in the computational basis
+    args = ["evolve", "--graph", "chain:8", "--h-g", "0.7", "--gamma-g", "3", "--t-final", "0.05",
+            "--dt", "0.01", "--sample-every", "1", "--out", str(tmp_path)]
+    assert run(args) == 0
+    rows = np.loadtxt(tmp_path / "evolve.csv", delimiter=",", skiprows=1)
+    model = PumpModel(GraphSpec.chain(8), ModelParams(g=1.0, h=0.7, gamma=3.0))
+    rho0 = pure_state_density(plus_state(8))
+    traj = evolve_rk4(rho0, lambda rho: model.apply(rho, 3.0), 0.05, 0.01)
+    expected = [
+        [t, *spin_expectations(rho).as_array(), fidelity(rho, model.target),
+         witness_expectation(rho, model.target, eta=0.5)]
+        for t, rho in zip(traj.times, traj.states)
+    ]
+    assert rows.shape == (6, 6)
+    assert np.abs(rows - np.array(expected)).max() <= 1e-12
+
+
+def test_evolve_refuses_oversized_samples(tmp_path, capsys, monkeypatch):
+    # a million 1 MiB samples exceed the memory the model guard grants; the
+    # run stops before its first step
+    def never(rho):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(PumpModel, "eigenbasis_generator", lambda self, gamma: never)
+    args = ["evolve", "--graph", "chain:8", "--t-final", "10000", "--dt", "0.01",
+            "--sample-every", "1", "--out", str(tmp_path)]
+    assert run(args) == 1
+    assert "1000001 samples would need 976.6 GiB" in capsys.readouterr().err
+    assert not (tmp_path / "evolve.csv").exists()
 
 
 def test_numerical_failure_exits_two(tmp_path):

@@ -272,3 +272,26 @@ def test_size_scaling_study_small():
     # dominated by gamma/2 and nearly size-independent
     assert study.strong_gamma == max(r.gamma_sat for r in study.rows)
     assert abs(study.fits["gap_strong_power_law"].coefficients[0]) <= 0.05
+
+
+def test_size_scaling_study_diagonalizes_each_hamiltonian_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    size_scaling_study([2, 3, 4], h_g=0.5, gamma_policy="log:0.5:600:24")
+    assert calls == [(4, 4), (8, 8), (16, 16)]
+
+
+def test_gamma_sweep_reuses_a_matching_model():
+    model = PumpModel(GraphSpec.chain(3), ModelParams(g=-1.0, h=0.5, gamma=0.0))
+    grid = [1.0, 10.0]
+    from_model = gamma_sweep(model, 0.5, grid, compute_gap=False, g=-1.0)
+    from_graph = gamma_sweep(GraphSpec.chain(3), 0.5, grid, compute_gap=False, g=-1.0)
+    assert np.array_equal(from_model.fidelity, from_graph.fidelity)
+    with pytest.raises(ValueError, match="the sweep asks for g = 1.0, h = 0.5"):
+        gamma_sweep(model, 0.5, grid, compute_gap=False)

@@ -175,6 +175,56 @@ def test_rk4_unstable_step_raises(rng):
         evolve_rk4(rho0, L, t_final=5.0, dt=0.5)
 
 
+def test_rk4_unbounded_entry_raises(rng):
+    # L preserves the trace exactly, so only the entry bound sees this run blow
+    # up (max |rho_ij| reaches about 8e3 by t = 0.7 without it)
+    L = chain_liouvillian(2, h_g=1.0, gamma_g=50.0)
+    rho0 = random_density_matrix(rng, 4)
+    with pytest.raises(NumericalError, match="integration unstable, reduce dt"):
+        evolve_rk4(rho0, L, t_final=0.7, dt=0.07)
+
+
+def test_rk4_nan_state_raises(rng):
+    rho0 = random_density_matrix(rng, 2)
+    with pytest.raises(NumericalError, match="reduce dt"):
+        evolve_rk4(rho0, np.full((4, 4), np.nan), t_final=0.1, dt=0.1)
+
+
+def eigenbasis_vs_dense(graph, h, gamma, rho0, n_steps):
+    """Largest deviation, over every sample, of the eigenbasis RK4 run
+    (rotated back) from the dense RK4 run, at a step inside the stable region."""
+    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=gamma))
+    energies, V, _ = model.eigenbasis
+    dt = 1.0 / (gamma + np.ptp(energies) + 1.0)
+    dense = evolve_rk4(rho0, model.liouvillian(gamma), n_steps * dt, dt, sample_every=3)
+    eigen = evolve_rk4(V.T @ rho0 @ V, model.eigenbasis_generator(gamma), n_steps * dt, dt, 3)
+    assert np.array_equal(dense.times, eigen.times)
+    return float(np.abs(V @ eigen.states @ V.T - dense.states).max())
+
+
+@pytest.mark.parametrize("gamma", [0.5, 5.0, 50.0])
+@pytest.mark.parametrize(
+    "graph",
+    [GraphSpec.chain(2), GraphSpec.chain(3), GraphSpec.chain(4), GraphSpec.chain(5), GraphSpec.grid(2, 2)],
+    ids=["chain:2", "chain:3", "chain:4", "chain:5", "square:2x2"],
+)
+def test_eigenbasis_rk4_matches_dense(rng, graph, gamma):
+    rho0 = random_density_matrix(rng, 2**graph.n_qubits)
+    assert eigenbasis_vs_dense(graph, 0.9, gamma, rho0, n_steps=30) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    graph=random_graphs(),
+    h=st.floats(min_value=-2.0, max_value=2.0),
+    gamma=st.floats(min_value=0.1, max_value=1e3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_eigenbasis_rk4_matches_dense_on_random_graphs(graph, h, gamma, seed):
+    rho0 = random_density_matrix(np.random.default_rng(seed), 2**graph.n_qubits)
+    assert eigenbasis_vs_dense(graph, h, gamma, rho0, n_steps=12) <= 1e-12
+
+
 def test_rk4_matches_expm(rng):
     L = chain_liouvillian(3, h_g=1.0, gamma_g=1.0)
     for _ in range(3):
