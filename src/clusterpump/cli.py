@@ -234,7 +234,7 @@ def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
     rng = np.random.default_rng(cfg["seed"])
     rho0 = _initial_density(cfg["rho0"], model.graph.n_qubits, rng)
     dt = cfg["dt"] if cfg["dt"] is not None else 0.01 / max(1.0, abs(model.params.gamma_g))
-    # step in the eigenbasis of H and rotate only the samples back; V is real
+    # step in the eigenbasis of H and rotate only the samples back
     _, V, _ = model.eigenbasis
     traj = evolve_rk4(
         V.T @ rho0 @ V, model.eigenbasis_generator(model.params.gamma), cfg["t_final"], dt,
@@ -242,7 +242,7 @@ def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
     )
     rows = []
     for t, sample in zip(traj.times, traj.states):
-        rho = V @ sample.real @ V.T + 1j * (V @ sample.imag @ V.T)
+        rho = model.from_eigenbasis(sample)
         spins = spin_expectations(rho)
         rows.append(
             [t, spins.jx, spins.jy, spins.jz,

@@ -1,11 +1,12 @@
 """Parameter sweeps, saturation detection, and scaling fits.
 
 A gamma sweep records steady-state fidelity, witness expectation, and
-(optionally) the Liouvillian gap on a grid of dissipation strengths.  Steady
-states alone come from the model's structured solve in the eigenbasis of H;
-only the gap needs the dense Liouvillian and its spectrum.  The
-saturation point gamma_sat is the smallest gamma whose fidelity comes within
-a factor (1 - epsilon) of the sweep maximum.  Scaling studies repeat the
+(optionally) the Liouvillian gap on a grid of dissipation strengths.  Both
+come from the model in the eigenbasis of H: steady states from its
+structured solve, gaps from the Liouvillian's eigenvalues without the
+4^N x 4^N superoperator (``PumpModel.gap``).  The saturation point
+gamma_sat is the smallest gamma whose fidelity comes within a factor
+(1 - epsilon) of the sweep maximum.  Scaling studies repeat the
 sweep over system sizes and fit the trends (linear gamma_sat growth, the
 offset-inverse fidelity law, and power laws for the gap).
 """
@@ -19,9 +20,8 @@ import numpy as np
 
 from .cluster import GraphSpec
 from .errors import NumericalError
-from .lindblad import ModelParams, PumpModel
+from .lindblad import ModelParams, PumpModel, check_dense_size
 from .observables import fidelity, witness_expectation
-from .solver import full_spectrum
 
 
 @dataclass
@@ -76,14 +76,14 @@ def gamma_sweep(
 
     ``system`` is a graph, or a model of one already built with coupling
     ``g`` and field ``h_g |g|``, whose cached eigenbasis of H is then reused.
-    The model is assembled once and the points run in grid order.  With
-    ``compute_gap=False`` each point is the structured
-    ``PumpModel.steady_state`` solve in the eigenbasis of H, which is computed
-    once per sweep, and the gap column is NaN; with the gap each point
-    diagonalizes its own dense Liouvillian.  ``eta`` is the witness offset.
-    A NumericalError at a point (a failed solve, or a fidelity with a
-    non-negligible imaginary part) is recorded in its status and the sweep
-    continues.
+    The model is assembled once and the points run in grid order.  Each
+    point is the structured ``PumpModel.steady_state`` solve in the
+    eigenbasis of H, which is computed once per sweep; with ``compute_gap``
+    the point also takes ``PumpModel.gap`` (N <= 7), and without it the gap
+    column is NaN.  ``eta`` is the witness offset.  A NumericalError at a
+    point (a degenerate kernel, a failed solve, or a fidelity with a
+    non-negligible imaginary part) is recorded in its status, every value
+    of the point is NaN, and the sweep continues.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.size and (np.any(np.diff(gammas) < 0) or np.any(gammas < 0)):
@@ -109,14 +109,14 @@ def gamma_sweep(
     for i, gamma_g in enumerate(gammas):
         gamma = gamma_g * abs(g)
         try:
-            if compute_gap:
-                spec = full_spectrum(model.liouvillian(gamma))
-                rho = spec.steady_state
-                gap[i] = spec.gap
-            else:
-                rho = model.steady_state(gamma)
-            fid[i] = fidelity(rho, model.target)
-            wit[i] = witness_expectation(rho, model.target, eta=eta)
+            # the gap first: it carries the dense guard and the kernel_dim
+            point_gap = model.gap(gamma) if compute_gap else np.nan
+            rho = model.steady_state(gamma)
+            fid[i], wit[i], gap[i] = (
+                fidelity(rho, model.target),
+                witness_expectation(rho, model.target, eta=eta),
+                point_gap,
+            )
         except NumericalError as exc:
             status[i] = str(exc)
     return SweepResult(axis_values=gammas.copy(), fidelity=fid, witness=wit, gap=gap, status=status)
@@ -238,19 +238,21 @@ def size_scaling_study(
     Per N: a fast (no-spectrum) gamma sweep locates gamma_sat from its
     fidelity column, and the structured steady state is re-solved exactly at
     gamma_sat for F_sat; the witness plays no part.  Sweep and re-solve share
-    one model, so each H is diagonalized once.  The gap is fitted
-    against N at two fixed dissipation strengths common to all sizes:
-    ``weak_gamma``, and ``strong_gamma`` which defaults to the largest
-    detected gamma_sat (the saturated regime).
+    one model, so each H is diagonalized once.  The gap
+    (``PumpModel.gap``, N <= 7, checked for every N before any work) is
+    fitted against N at two fixed dissipation strengths common to all
+    sizes: ``weak_gamma``, and ``strong_gamma`` which defaults to the
+    largest detected gamma_sat (the saturated regime).
     """
     gammas = parse_gamma_policy(gamma_policy)
+    for n in n_values:
+        check_dense_size(n)
     params = ModelParams(g=1.0, h=h_g, gamma=0.0)
     models = [PumpModel(GraphSpec.chain(n), params) for n in n_values]
 
     partial = []
     for model in models:
-        # the dense gap first, so a register above the dense guard fails before its sweep
-        gap_weak = full_spectrum(model.liouvillian(weak_gamma)).gap
+        gap_weak = model.gap(weak_gamma)
         sweep = gamma_sweep(model, h_g, gammas, compute_gap=False)
         gamma_sat = detect_gamma_sat(sweep, epsilon=epsilon)
         f_sat = fidelity(model.steady_state(gamma_sat), model.target)
@@ -265,7 +267,7 @@ def size_scaling_study(
             gamma_sat=gamma_sat,
             f_sat=f_sat,
             gap_weak=gap_weak,
-            gap_strong=full_spectrum(model.liouvillian(strong_gamma)).gap,
+            gap_strong=model.gap(strong_gamma),
         )
         for model, (gamma_sat, f_sat, gap_weak) in zip(models, partial)
     ]

@@ -20,13 +20,14 @@ non-Hermitian Hamiltonian ``K = -i H - (gamma / 2) Q``:
     gamma * vec(P) vec(Q.T)^T + I kron K + conj(K) kron I,
 
 instead of summing the 2^N - 1 explicit jumps.  That d^2 x d^2 array
-(d = 2^N) serves spectra (gaps and the ``steady`` and ``spectrum``
-commands) and the dense reference in tests only, not dynamics:
-``PumpModel.steady_state`` solves for the steady state in the eigenbasis of
-H with O(d^3) work and O(d^2) memory, ``PumpModel.eigenbasis_generator``
-is the generator's action on one d x d matrix in that eigenbasis, at O(d^2)
-per call, for dynamics, and ``PumpModel.apply`` is the same action in the
-computational basis.
+(d = 2^N) serves full spectra (the ``steady`` and ``spectrum`` commands)
+and the dense reference in tests only; the rest works in the eigenbasis of
+H: ``PumpModel.steady_state`` solves for the steady state with O(d^3) work
+and O(d^2) memory, ``PumpModel.gap`` takes the gap from the generator's
+eigenvalues alone, as a real matrix split by the target's support, without
+the d^2 x d^2 array, and ``PumpModel.eigenbasis_generator`` is the
+generator's action on one d x d matrix, at O(d^2) per call, for dynamics.
+``PumpModel.apply`` is the same action in the computational basis.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ MAX_DENSE_QUBITS = 7
 # 11.3 measured at N = 11, 13.4 at N = 10).
 MAX_MODEL_QUBITS = 11
 STEADY_STATE_ARRAYS = 12
+# Components of c = V^T |C> at most this large count as zero in
+# ``PumpModel.gap``; symmetry makes them 1e-14-small, the rest are >= 1e-4.
+# Counting a small component as nonzero costs time, not accuracy.
+SUPPORT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -134,6 +139,16 @@ def devectorize(v: np.ndarray) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
+def check_dense_size(n_qubits: int) -> None:
+    """Refuse, with ValueError naming the memory, registers above
+    ``MAX_DENSE_QUBITS``: the dense generator and the Liouvillian spectrum."""
+    if n_qubits > MAX_DENSE_QUBITS:
+        raise ValueError(
+            f"N = {n_qubits} exceeds the dense-solver guard ({MAX_DENSE_QUBITS}); "
+            f"the superoperator alone would need {16.0 ** (n_qubits + 1) / 2.0**30:.1f} GiB"
+        )
+
+
 def liouvillian_parts(
     H: DenseOperator, jumps: Sequence[DenseOperator]
 ) -> tuple[Superoperator, Superoperator]:
@@ -171,8 +186,8 @@ class PumpModel:
 
     Refuses registers above ``MAX_MODEL_QUBITS`` before building anything;
     the dense ``liouvillian`` refuses registers above ``MAX_DENSE_QUBITS``.
-    The eigenbasis of H is computed on first use by ``steady_state`` or
-    ``eigenbasis_generator`` and kept.
+    The eigenbasis of H is computed on first use by ``steady_state``,
+    ``eigenbasis_generator`` or ``gap`` and kept.
     """
 
     graph: GraphSpec
@@ -195,12 +210,7 @@ class PumpModel:
         with ``K = -i H - (gamma / 2) Q``, built in a single d^2 x d^2 array."""
         if gamma < 0:
             raise ValueError(f"gamma must be nonnegative, got {gamma}")
-        n = self.graph.n_qubits
-        if n > MAX_DENSE_QUBITS:
-            raise ValueError(
-                f"N = {n} exceeds the dense-solver guard ({MAX_DENSE_QUBITS}); "
-                f"the superoperator alone would need {16.0 ** (n + 1) / 2.0**30:.1f} GiB"
-            )
+        check_dense_size(self.graph.n_qubits)
         d = self.H.shape[0]
         P = np.outer(self.target, self.target.conj())
         Q = np.eye(d, dtype=complex) - P
@@ -267,6 +277,79 @@ class PumpModel:
         energies, V = np.linalg.eigh(self.H.real)
         return energies, V, V.T @ self.target
 
+    def from_eigenbasis(self, rho: np.ndarray) -> np.ndarray:
+        """``V rho V^T``: a complex matrix in the eigenbasis of H back in the
+        computational basis, as two real products ``V Re(rho) V^T`` and
+        ``V Im(rho) V^T`` (V is real; a complex V costs about twice as much)."""
+        _, V, _ = self.eigenbasis
+        return V @ rho.real @ V.T + 1j * (V @ rho.imag @ V.T)
+
+    def gap(self, gamma: float) -> float:
+        """Liouvillian gap at ``gamma`` from eigenvalues alone, without the
+        superoperator; equal to ``full_spectrum(self.liouvillian(gamma)).gap``.
+
+        The generator maps Hermitian matrices to Hermitian matrices and V is
+        real, so its spectrum is that of one real map on
+        ``X = Re rho~ + Im rho~`` (``rho~ = V^T rho V``),
+
+            X -> -D o X^T - gamma X + gamma [P (Tr X - c^T X c) + (P X + X P) / 2],
+
+        with ``D_ab = E_a - E_b`` and ``P = c c^T``.  Split the indices into
+        O, where ``|c_b| <= SUPPORT_TOL``, and the rest, J.  The map is then
+        block triangular (only the OO block feeds JJ, through Tr X), and its
+        diagonal blocks are
+
+        - the same map on real |J| x |J| matrices X_JJ, one dense eigenproblem
+          of size |J|^2;
+        - for each b in O, ``diag(Lam_ab)_{a in J} + (gamma / 2) c_J c_J^T``
+          on ``X_Jb - i X_bJ``, with ``Lam_ab = -gamma - i (E_a - E_b)``,
+          and its complex conjugate on ``X_Jb + i X_bJ``;
+        - ``Lam_ab`` itself for a, b in O.
+
+        The eigenvalues are ranked as ``full_spectrum`` ranks them.  The
+        register is refused above ``MAX_DENSE_QUBITS`` before H is
+        diagonalized (the |J|^2 problem grows like the dense one), and
+        gamma = 0 raises the "degenerate kernel" NumericalError.
+        """
+        if gamma < 0:
+            raise ValueError(f"gamma must be nonnegative, got {gamma}")
+        check_dense_size(self.graph.n_qubits)
+        # solver imports this module, so its helpers are imported on use
+        from .solver import _rank_spectrum
+
+        energies, _, c = self.eigenbasis
+        J = np.abs(c) > SUPPORT_TOL
+        O = ~J
+        c_j = c[J].real  # the target, and so c, is real
+        e_j = energies[J]
+        lam = -gamma - 1j * np.subtract.outer(energies, energies)
+        m = c_j.size
+        j = np.arange(m)
+        P = np.outer(c_j, c_j)
+
+        # X_JJ: gamma vec(P) vec(I - P)^T, then P X / 2 and X P / 2 as the
+        # two Kronecker terms, -gamma on the diagonal, -D o X^T on the
+        # transposed entries; entry (a, b, k, l) maps X_kl into X'_ab
+        block = np.multiply.outer(gamma * P, np.eye(m) - P)
+        block[:, j, :, j] += 0.5 * gamma * P
+        block[j, :, j, :] += 0.5 * gamma * P
+        a, b = np.meshgrid(j, j, indexing="ij")
+        block[a, b, b, a] -= np.subtract.outer(e_j, e_j)
+        block = block.reshape(m * m, m * m)
+        block[np.diag_indices(m * m)] -= gamma
+        vals_jj = np.linalg.eigvals(block)
+        del block
+
+        # one diagonal-plus-rank-one block per b in O
+        coupled = np.empty((np.count_nonzero(O), m, m), dtype=complex)
+        coupled[:] = 0.5 * gamma * P
+        coupled[:, j, j] += lam[np.ix_(J, O)].T
+        vals_jo = np.linalg.eigvals(coupled).ravel()
+
+        vals_oo = lam[np.ix_(O, O)].ravel()
+        vals = np.concatenate([vals_jj, vals_jo, vals_jo.conj(), vals_oo])
+        return _rank_spectrum(vals)[1]
+
     def steady_state(self, gamma: float) -> DenseOperator:
         """Steady state at dissipation rate ``gamma`` without the superoperator.
 
@@ -291,7 +374,7 @@ class PumpModel:
         # solver imports this module, so its helpers are imported on use
         from .solver import _solve_nonsingular, _unit_trace_hermitian
 
-        energies, V, c = self.eigenbasis
+        energies, _, c = self.eigenbasis
         d = c.size
         M = gamma / (gamma + 1j * np.subtract.outer(energies, energies))
         w = M @ np.abs(c) ** 2
@@ -314,7 +397,7 @@ class PumpModel:
             (1.0 - kappa) * np.outer(c, c.conj())
             + 0.5 * (np.outer(c, u.conj()) + np.outer(u, c.conj()))
         )
-        rho = _unit_trace_hermitian(V @ rho @ V.T)
+        rho = _unit_trace_hermitian(self.from_eigenbasis(rho))
 
         # Diagonal of the dense generator, gamma P_ab Q_ba + K_aa + conj(K_bb),
         # whose largest modulus bounds its infinity norm from below.

@@ -3,7 +3,10 @@
 Steady states come from a full eigendecomposition (``full_spectrum``, which
 also gives the gap) or from one bordered linear solve
 (``steady_state_direct``); both take the dense Liouvillian and serve the
-``spectrum`` command and the tests as the reference.  Two independent
+``steady`` and ``spectrum`` commands and the tests as the reference.
+Sweeps and scaling studies take the gap from ``PumpModel.gap``, which needs
+no dense Liouvillian and ranks its eigenvalues by the same rule
+(``_rank_spectrum``).  Two independent
 evolution routes are provided: ``evolve_rk4`` runs the package's one
 fixed-step RK4 driver, ``rk4``, on density matrices (the mean-field ODEs use
 the same driver), with either a dense superoperator or the matrix-free
@@ -88,6 +91,41 @@ def pure_state_density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _rank_spectrum(vals: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+    """Order a Liouvillian spectrum and read off its gap: ``(order, gap,
+    kernel_tol, kernel_dim)``, with the ordering and gap rule of
+    ``SpectrumResult``.
+
+    The kernel tolerance is ``KERNEL_TOL_FACTOR * max(1, max |lambda|)``.
+    Raises NumericalError when no eigenvalue lies within it, and the
+    "degenerate kernel (kernel_dim = ...)" NumericalError, carrying
+    ``kernel_dim``, when more than one does.  ``full_spectrum`` and
+    ``PumpModel.gap`` rank their eigenvalues here.
+    """
+    kernel_tol = KERNEL_TOL_FACTOR * max(1.0, float(np.abs(vals).max(initial=0.0)))
+    outside = np.abs(vals) > kernel_tol
+    kernel_dim = int(np.count_nonzero(~outside))
+    order = np.lexsort((-np.abs(vals.imag), -vals.real, outside))
+    ranked = vals[order]
+    lam0 = ranked[0]
+    if abs(lam0) > kernel_tol:
+        raise NumericalError(
+            f"no steady state found: leading eigenvalue {lam0} exceeds kernel tolerance {kernel_tol:g}"
+        )
+    if kernel_dim > 1:
+        err = NumericalError(
+            f"degenerate kernel (kernel_dim = {kernel_dim}): the steady state is not unique"
+        )
+        err.kernel_dim = kernel_dim
+        raise err
+    gap = 0.0
+    for lam in ranked[1:]:
+        if abs(lam - lam0) > kernel_tol:
+            gap = abs(lam.real) - abs(lam0.real)
+            break
+    return order, float(gap), float(kernel_tol), kernel_dim
+
+
 def full_spectrum(L: Superoperator) -> SpectrumResult:
     """Dense eigendecomposition of the Liouvillian.
 
@@ -98,44 +136,24 @@ def full_spectrum(L: Superoperator) -> SpectrumResult:
     state and raises ``NumericalError`` carrying ``kernel_dim``.
     """
     vals, vecs = np.linalg.eig(L)
-    kernel_tol = KERNEL_TOL_FACTOR * max(1.0, float(np.abs(vals).max(initial=0.0)))
-    outside = np.abs(vals) > kernel_tol
-    kernel_dim = int(np.count_nonzero(~outside))
-    order = np.lexsort((-np.abs(vals.imag), -vals.real, outside))
+    order, gap, kernel_tol, kernel_dim = _rank_spectrum(vals)
     vals = vals[order]
-    vecs = vecs[:, order]
-
-    lam0 = vals[0]
-    if abs(lam0) > kernel_tol:
-        raise NumericalError(
-            f"no steady state found: leading eigenvalue {lam0} exceeds kernel tolerance {kernel_tol:g}"
-        )
-    rho = devectorize(vecs[:, 0])
+    rho = devectorize(vecs[:, order[0]])
     trace = np.trace(rho)
-    if kernel_dim > 1 or abs(trace) <= 1e-12:
-        err = NumericalError(
-            f"degenerate kernel (kernel_dim = {kernel_dim}): the steady state is not unique"
-            if kernel_dim > 1
-            else "traceless kernel vector (kernel_dim = 1)"
-        )
+    if abs(trace) <= 1e-12:
+        err = NumericalError("traceless kernel vector (kernel_dim = 1)")
         err.kernel_dim = kernel_dim
         raise err
     rho = rho / trace
     anti = 0.5 * np.linalg.norm(rho - rho.conj().T)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
-
-    gap = 0.0
-    for lam in vals[1:]:
-        if abs(lam - lam0) > kernel_tol:
-            gap = abs(lam.real) - abs(lam0.real)
-            break
     return SpectrumResult(
         eigenvalues=vals,
         steady_state=rho,
-        gap=float(gap),
+        gap=gap,
         kernel_dim=kernel_dim,
-        kernel_tol=float(kernel_tol),
+        kernel_tol=kernel_tol,
         antihermitian_residual=float(anti),
     )
 

@@ -236,6 +236,9 @@ def test_oversize_graph_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("clusterpump.lindblad.hamiltonian", unbuilt)
     assert run(["sweep", "--graph", "chain:12", "--skip-gap", "--out", str(tmp_path)]) == 1
     assert "model guard" in capsys.readouterr().err
+    # N = 7 is allowed, N = 8 is not: a scaling study stops before the N = 7 work
+    assert run(["scaling", "--n-values", "7,8", "--out", str(tmp_path)]) == 1
+    assert "dense-solver guard" in capsys.readouterr().err
 
 
 def test_sweep_without_gap_beyond_dense_guard(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterpump import solver
 from clusterpump.cluster import GraphSpec
 from clusterpump.errors import NumericalError
 from clusterpump.experiments import (
@@ -166,6 +167,9 @@ def test_gamma_sweep_without_gap_matches():
     fast = gamma_sweep(GraphSpec.chain(2), 1.0, grid, compute_gap=False)
     assert np.abs(full.fidelity - fast.fidelity).max() <= 1e-9
     assert np.all(np.isnan(fast.gap))
+    model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=1.0, gamma=0.0))
+    for gamma, gap in zip(grid, full.gap):
+        assert gap == pytest.approx(solver.full_spectrum(model.liouvillian(gamma)).gap, rel=1e-10)
 
 
 def test_gamma_sweep_witness_sign_change_n3():
@@ -285,6 +289,26 @@ def test_size_scaling_study_diagonalizes_each_hamiltonian_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     size_scaling_study([2, 3, 4], h_g=0.5, gamma_policy="log:0.5:600:24")
     assert calls == [(4, 4), (8, 8), (16, 16)]
+
+
+def test_gaps_need_no_superoperator(monkeypatch):
+    # scaling studies and gap sweeps take their gaps from PumpModel.gap
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(PumpModel, "liouvillian", counted("liouvillian", PumpModel.liouvillian))
+    monkeypatch.setattr(solver, "full_spectrum", counted("full_spectrum", solver.full_spectrum))
+    study = size_scaling_study([2, 3, 4], h_g=0.5, gamma_policy="log:0.5:600:24")
+    sweep = gamma_sweep(GraphSpec.chain(3), 1.0, [0.5, 5.0, 50.0], compute_gap=True)
+    assert calls == []
+    assert all(row.gap_weak > 0 and row.gap_strong > 0 for row in study.rows)
+    assert sweep.status == ["ok"] * 3 and np.all(sweep.gap > 0)
 
 
 def test_gamma_sweep_reuses_a_matching_model():

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterpump import lindblad
 from clusterpump.cluster import GraphSpec, cluster_state
 from clusterpump.errors import NumericalError
 from clusterpump.lindblad import (
+    MAX_DENSE_QUBITS,
+    SUPPORT_TOL,
     ModelParams,
     PumpModel,
     devectorize,
@@ -17,7 +20,12 @@ from clusterpump.lindblad import (
     vectorize,
 )
 from clusterpump.operators import PauliString, pauli_to_dense
-from clusterpump.solver import check_density_matrix, pure_state_density, steady_state_direct
+from clusterpump.solver import (
+    check_density_matrix,
+    full_spectrum,
+    pure_state_density,
+    steady_state_direct,
+)
 from conftest import random_density_matrix, random_graphs, random_hermitian
 
 I2 = np.eye(2, dtype=complex)
@@ -260,6 +268,78 @@ def test_pump_model_steady_state_rejects_gamma_zero():
         model.steady_state(0.0)
     with pytest.raises(ValueError, match="gamma"):
         model.steady_state(-1.0)
+
+
+def test_from_eigenbasis_is_the_back_transform(rng):
+    model = PumpModel(GraphSpec.chain(4), ModelParams(g=1.0, h=0.7, gamma=0.0))
+    _, V, _ = model.eigenbasis
+    rho = random_density_matrix(rng, 16)
+    assert np.abs(model.from_eigenbasis(rho) - V @ rho @ V.T).max() <= 1e-14
+
+
+# ----------------------------------------------------------------- structured gap
+
+
+def assert_gap_matches_spectrum(model, gamma, abs_tol=0.0):
+    oracle = full_spectrum(model.liouvillian(gamma)).gap
+    assert abs(model.gap(gamma) - oracle) <= max(1e-10 * oracle, abs_tol)
+
+
+@pytest.mark.parametrize("graph", MODEL_GRAPHS)
+def test_pump_model_gap_matches_full_spectrum(graph):
+    model = PumpModel(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
+    for gamma in (0.5, 5.0, 50.0, 600.0):
+        assert_gap_matches_spectrum(model, gamma)
+
+
+def test_pump_model_gap_splits_chain5():
+    # 12 of the 32 eigenvectors of H are orthogonal to the chain:5 target, so
+    # the oracle cases above run the split into J and O
+    _, _, c = PumpModel(GraphSpec.chain(5), ModelParams(g=1.0, h=0.7, gamma=0.0)).eigenbasis
+    assert np.count_nonzero(np.abs(c) <= SUPPORT_TOL) == 12
+
+
+@pytest.mark.parametrize("graph", MODEL_GRAPHS[:3] + [SQUARE])
+def test_pump_model_gap_with_empty_complement(graph, monkeypatch):
+    # every graph up to N = 5 has eigenvectors of H orthogonal to its target;
+    # a negative cutoff empties O, leaving the unsplit real map on all of X
+    monkeypatch.setattr(lindblad, "SUPPORT_TOL", -1.0)
+    model = PumpModel(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
+    for gamma in (0.5, 50.0):
+        assert_gap_matches_spectrum(model, gamma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    graph=random_graphs(),
+    h=st.floats(min_value=-2.0, max_value=2.0),
+    gamma=st.floats(min_value=0.1, max_value=1e3),
+)
+def test_pump_model_gap_on_random_graphs(graph, h, gamma):
+    # relative 1e-10, or the eigenvalues' round-off when the gap is tiny
+    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
+    assert_gap_matches_spectrum(model, gamma, abs_tol=1e-12 * max(1.0, gamma))
+
+
+def test_pump_model_gap_strong_dissipation():
+    # the gap tends to gamma / 2 as the pumping dominates
+    for n in (3, 4):
+        model = PumpModel(GraphSpec.chain(n), ModelParams(g=1.0, h=0.5, gamma=0.0))
+        assert model.gap(100.0) == pytest.approx(50.07, abs=0.015)
+
+
+def test_pump_model_gap_failures():
+    model = PumpModel(GraphSpec.chain(3), ModelParams(g=1.0, h=1.0, gamma=0.0))
+    with pytest.raises(NumericalError, match="degenerate kernel") as exc:
+        model.gap(0.0)
+    assert exc.value.kernel_dim >= 8
+    with pytest.raises(ValueError, match="gamma"):
+        model.gap(-1.0)
+    # the dense guard comes before H is diagonalized
+    large = PumpModel(GraphSpec.chain(MAX_DENSE_QUBITS + 1), ModelParams(g=1.0, h=1.0, gamma=0.0))
+    with pytest.raises(ValueError, match="dense-solver guard .*GiB"):
+        large.gap(1.0)
+    assert "eigenbasis" not in vars(large)
 
 
 def test_liouvillian_rejects_mismatched_dims():
