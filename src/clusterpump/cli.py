@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -279,6 +280,8 @@ def _cmd_meanfield(cfg: dict, out_dir: Path) -> int:
             x, y, z = (float(v) for v in str(cfg["s0"]).split(","))
         except ValueError as exc:
             raise ConfigError(f"bad s0 {cfg['s0']!r}; expected x,y,z") from exc
+        if not all(math.isfinite(v) for v in (x, y, z)):
+            raise ConfigError(f"bad s0 {cfg['s0']!r}; components must be finite")
         s0 = MeanFieldState(x, y, z)
     else:
         # Default: a small seeded perturbation of the first stable branch

@@ -8,12 +8,15 @@ Sweeps and scaling studies take the gap from ``PumpModel.gap``, which needs
 no dense Liouvillian and ranks its eigenvalues by the same rule
 (``_rank_spectrum``).  Two independent
 evolution routes are provided: ``evolve_rk4`` runs the package's one
-fixed-step RK4 driver, ``rk4``, on density matrices (the mean-field ODEs use
-the same driver), with either a dense superoperator or the matrix-free
-generator in the eigenbasis of H (``PumpModel.eigenbasis_generator``, the
-route of the ``evolve`` command); ``evolve_expm`` applies the exact
-propagator ``exp(L t)`` of a dense L computed by scaling and squaring, the
-oracle the RK4 route is tested against.
+fixed-step driver, ``rk4``, with a four-stage RK4 step on density matrices,
+from either a dense superoperator or the matrix-free generator in the
+eigenbasis of H (``PumpModel.eigenbasis_generator``, the route of the
+``evolve`` command); ``evolve_expm`` applies the exact propagator
+``exp(L t)`` of a dense L computed by scaling and squaring, the oracle the
+RK4 route is tested against.  ``rk4`` owns the step count, the sample
+budget, the state checks and the sampling, and takes the step itself as a
+map, so the mean-field ODEs run the same driver with their RK4 step written
+on three floats.
 """
 
 from __future__ import annotations
@@ -219,15 +222,17 @@ def steady_state_direct(L: Superoperator) -> np.ndarray:
 
 
 def rk4(
-    rhs: Callable[[np.ndarray], np.ndarray],
+    step: Callable[[np.ndarray, float], np.ndarray],
     y0: np.ndarray,
     t_final: float,
     dt: float,
     sample_every: int,
     check: Callable[[np.ndarray], None],
 ) -> Trajectory:
-    """Classical 4th-order Runge-Kutta for ``dy/dt = rhs(y)`` from ``y0``.
+    """Fixed-step driver: ``y <- step(y, h)`` from ``y0`` up to ``t_final``.
 
+    ``step(y, h)`` returns the state one step of length ``h`` after ``y``,
+    as a new array; callers pass a classical 4th-order Runge-Kutta step.
     Takes ``max(1, ceil(t_final / dt))`` equal steps, so no step exceeds
     ``dt``, and samples every ``sample_every`` steps; t = 0 and t = t_final
     are always included.  ``check`` is called on ``y0`` and on every new
@@ -253,18 +258,14 @@ def rk4(
     states[0] = y0
     if n_steps == 0:
         return Trajectory(times, states)
-    step = t_final / n_steps
+    h = t_final / n_steps
     y = y0
     i = 1
     for k in range(1, n_steps + 1):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * step * k1)
-        k3 = rhs(y + 0.5 * step * k2)
-        k4 = rhs(y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = step(y, h)
         check(y)
         if k % sample_every == 0 or k == n_steps:
-            times[i] = k * step
+            times[i] = k * h
             states[i] = y
             i += 1
     return Trajectory(times, states)
@@ -277,7 +278,8 @@ def evolve_rk4(
     dt: float,
     sample_every: int = 1,
 ) -> Trajectory:
-    """RK4 (``rk4``) on ``d rho/dt = L(rho)``; states are (n, d, d) matrices.
+    """Classical RK4 on ``d rho/dt = L(rho)``, stepped by ``rk4``; states are
+    (n, d, d) matrices.
 
     ``L`` is a dense superoperator acting on ``vec(rho)`` or a callable on
     d x d matrices, such as ``PumpModel.eigenbasis_generator``, in whose
@@ -289,6 +291,14 @@ def evolve_rk4(
     unstable step, since the generator preserves it.
     """
     rhs = L if callable(L) else lambda rho: devectorize(L @ vectorize(rho))
+
+    def step(rho: np.ndarray, h: float) -> np.ndarray:
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * h * k1)
+        k3 = rhs(rho + 0.5 * h * k2)
+        k4 = rhs(rho + h * k3)
+        return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
     rho0 = rho0.astype(complex)
     trace0 = np.trace(rho0)
     bound = abs(trace0) + 1e-6
@@ -298,7 +308,7 @@ def evolve_rk4(
         if not (abs(rho.trace() - trace0) <= 1e-6 and np.abs(rho).max() <= bound):
             raise NumericalError("integration unstable, reduce dt")
 
-    return rk4(rhs, rho0, t_final, dt, sample_every, check_bounded)
+    return rk4(step, rho0, t_final, dt, sample_every, check_bounded)
 
 
 def evolve_expm(rho0: np.ndarray, L: Superoperator, t: float) -> np.ndarray:

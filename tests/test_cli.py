@@ -292,6 +292,24 @@ def test_numerical_failure_exits_two(tmp_path):
     assert code == 2
 
 
+def test_meanfield_nan_blowup_exits_two(tmp_path, capsys):
+    # a step so large that the state turns NaN is a blow-up, not a trajectory
+    code = run(
+        ["meanfield", "--s0", "0.1,0.1,0.1", "--dt", "1e150", "--t-final", "1e151",
+         "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert "mean-field blow-up" in capsys.readouterr().err
+    assert not (tmp_path / "meanfield.csv").exists()
+
+
+@pytest.mark.parametrize("s0", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+def test_meanfield_rejects_non_finite_s0(tmp_path, capsys, s0):
+    assert run(["meanfield", "--s0", s0, "--out", str(tmp_path)]) == 1
+    assert "components must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "meanfield.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["evolve", "meanfield"])
 @pytest.mark.parametrize(
     "flag, message",

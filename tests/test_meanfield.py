@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterpump.errors import NumericalError
 from clusterpump.lindblad import ModelParams
 from clusterpump.meanfield import (
     MeanFieldState,
+    _rhs,
     fixed_points,
     jacobian,
     mean_field_evolve,
@@ -57,8 +60,6 @@ def test_jacobian_matches_finite_differences(rng):
     s0 = rng.uniform(-1, 1, 3)
     jac = jacobian(MeanFieldState.from_array(s0), p)
     eps = 1e-7
-    from clusterpump.meanfield import _rhs
-
     for col in range(3):
         dv = np.zeros(3)
         dv[col] = eps
@@ -164,6 +165,67 @@ def test_blowup_guard_raises():
     p = ModelParams(g=1.0, h=1.0, gamma=0.0)
     with pytest.raises(NumericalError, match="blow-up"):
         mean_field_evolve(MeanFieldState(9.0, -9.0, 9.0), p, t_final=10.0, dt=0.01)
+
+
+def test_blowup_guard_catches_nan():
+    # a step so large that the state overflows to inf - inf = NaN, whose
+    # norm compares False against any bound
+    p = ModelParams(g=1.0, h=1.0, gamma=0.0)
+    with pytest.raises(NumericalError, match="blow-up"):
+        mean_field_evolve(MeanFieldState(0.1, 0.1, 0.1), p, t_final=1e151, dt=1e150)
+
+
+def array_rk4(s0, p, t_final, dt, sample_every):
+    """Plain numpy-array RK4 of ``_rhs``, sampled as ``solver.rk4`` samples."""
+    n_steps = 0 if t_final == 0 else max(1, math.ceil(t_final / dt - 1e-12))
+    h = t_final / n_steps if n_steps else 0.0
+    y = s0.as_array().astype(float)
+    times, states = [0.0], [y]
+    for k in range(1, n_steps + 1):
+        k1 = _rhs(y, p.g, p.h, p.gamma)
+        k2 = _rhs(y + 0.5 * h * k1, p.g, p.h, p.gamma)
+        k3 = _rhs(y + 0.5 * h * k2, p.g, p.h, p.gamma)
+        k4 = _rhs(y + h * k3, p.g, p.h, p.gamma)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if k % sample_every == 0 or k == n_steps:
+            times.append(k * h)
+            states.append(y)
+    return np.array(times), np.array(states)
+
+
+@pytest.mark.parametrize(
+    "gamma, t_final, dt, sample_every",
+    [(0.0, 2.0, 0.01, 1), (5.0, 1.037, 0.01, 1), (0.7, 3.3, 0.004, 7), (0.0, 0.95, 0.1, 4)],
+    ids=["gamma0", "ragged_t_final", "sampled", "gamma0_ragged_sampled"],
+)
+def test_evolve_is_bit_identical_to_array_rk4(gamma, t_final, dt, sample_every):
+    # the float step performs the array formula's operations in its order
+    p = ModelParams(g=1.0, h=0.92, gamma=gamma)
+    s0 = MeanFieldState(0.3, -0.4, 0.5)
+    traj = mean_field_evolve(s0, p, t_final, dt, sample_every)
+    times, states = array_rk4(s0, p, t_final, dt, sample_every)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) <= 1.0),
+    g=st.floats(-2.0, 2.0),
+    h=st.floats(-2.0, 2.0),
+    gamma=st.floats(0.0, 10.0),
+    t_final=st.floats(0.0, 0.5),
+    dt=st.floats(0.005, 0.05),
+    sample_every=st.integers(1, 5),
+)
+def test_evolve_is_bit_identical_to_array_rk4_random(s, g, h, gamma, t_final, dt, sample_every):
+    # |s| <= 1 grows at most by e^(2 |h| t) <= e^2 here, so no run meets the guard
+    p = ModelParams(g=g, h=h, gamma=gamma)
+    s0 = MeanFieldState(*s)
+    traj = mean_field_evolve(s0, p, t_final, dt, sample_every)
+    times, states = array_rk4(s0, p, t_final, dt, sample_every)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
 
 
 def test_trajectory_shape_and_sampling():
