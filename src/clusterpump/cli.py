@@ -30,12 +30,12 @@ from .experiments import (
     parse_gamma_policy,
     size_scaling_study,
 )
-from .lindblad import ModelParams, PumpModel, vectorize
+from .lindblad import ModelParams, PumpModel
 from .meanfield import MeanFieldState, fixed_points, mean_field_evolve
 from .meanfield import default_dt as mf_default_dt
 from .observables import fidelity, spin_expectations, witness_expectation
 from .operators import pauli_to_dense
-from .solver import evolve_rk4, full_spectrum, pure_state_density
+from .solver import evolve_rk4, pure_state_density, rank_spectrum
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,21 +170,23 @@ def _cmd_cluster(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_steady(cfg: dict, out_dir: Path) -> int:
-    """Solve for the steady state."""
+    """Steady state and Liouvillian gap, in the eigenbasis of H without the
+    4^N x 4^N superoperator (N <= 7, for the eigenvalues)."""
     model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
-    L = model.liouvillian(model.params.gamma)
-    spec = full_spectrum(L)
-    residual = float(np.linalg.norm(L @ vectorize(spec.steady_state), np.inf))
+    gamma = model.params.gamma
+    # ranked first, so that gamma = 0 fails as a degenerate kernel with its dimension
+    _, gap, _, kernel_dim = rank_spectrum(model.eigenvalues(gamma))
+    rho, antihermitian = model.steady_state(gamma)
     summary = {
         "config": cfg,
         "version": __version__,
         "n_qubits": model.graph.n_qubits,
-        "fidelity": fidelity(spec.steady_state, model.target),
-        "witness": witness_expectation(spec.steady_state, model.target, eta=cfg["eta"]),
-        "gap": spec.gap,
-        "kernel_dim": spec.kernel_dim,
-        "steady_state_residual": residual,
-        "antihermitian_residual": spec.antihermitian_residual,
+        "fidelity": fidelity(rho, model.target),
+        "witness": witness_expectation(rho, model.target, eta=cfg["eta"]),
+        "gap": gap,
+        "kernel_dim": kernel_dim,
+        "steady_state_residual": float(np.abs(model.apply(rho, gamma)).max()),
+        "antihermitian_residual": antihermitian,
     }
     _write_json(out_dir / "steady.json", summary)
     print(json.dumps({k: summary[k] for k in ("fidelity", "witness", "gap", "kernel_dim")}, sort_keys=True))
@@ -192,25 +194,24 @@ def _cmd_steady(cfg: dict, out_dir: Path) -> int:
 
 
 def _cmd_spectrum(cfg: dict, out_dir: Path) -> int:
-    """Write the full Liouvillian spectrum."""
+    """Write the full Liouvillian spectrum, from the eigenbasis of H without
+    the 4^N x 4^N superoperator (N <= 7)."""
     model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
-    spec = full_spectrum(model.liouvillian(model.params.gamma))
-    _write_csv(
-        out_dir / "spectrum.csv",
-        ["re", "im"],
-        [[lam.real, lam.imag] for lam in spec.eigenvalues],
-    )
+    vals = model.eigenvalues(model.params.gamma)
+    order, gap, _, kernel_dim = rank_spectrum(vals)
+    vals = vals[order]
+    _write_csv(out_dir / "spectrum.csv", ["re", "im"], [[lam.real, lam.imag] for lam in vals])
     summary = {
         "config": cfg,
         "version": __version__,
         "n_qubits": model.graph.n_qubits,
-        "n_eigenvalues": int(spec.eigenvalues.size),
-        "gap": spec.gap,
-        "kernel_dim": spec.kernel_dim,
-        "max_real_part": float(spec.eigenvalues.real.max()),
+        "n_eigenvalues": int(vals.size),
+        "gap": gap,
+        "kernel_dim": kernel_dim,
+        "max_real_part": float(vals.real.max()),
     }
     _write_json(out_dir / "spectrum.json", summary)
-    print(f"wrote {spec.eigenvalues.size} eigenvalues; gap = {spec.gap:.6g}")
+    print(f"wrote {vals.size} eigenvalues; gap = {gap:.6g}")
     return 0
 
 

@@ -111,7 +111,7 @@ def gamma_sweep(
         try:
             # the gap first: it carries the dense guard and the kernel_dim
             point_gap = model.gap(gamma) if compute_gap else np.nan
-            rho = model.steady_state(gamma)
+            rho, _ = model.steady_state(gamma)
             fid[i], wit[i], gap[i] = (
                 fidelity(rho, model.target),
                 witness_expectation(rho, model.target, eta=eta),
@@ -255,7 +255,7 @@ def size_scaling_study(
         gap_weak = model.gap(weak_gamma)
         sweep = gamma_sweep(model, h_g, gammas, compute_gap=False)
         gamma_sat = detect_gamma_sat(sweep, epsilon=epsilon)
-        f_sat = fidelity(model.steady_state(gamma_sat), model.target)
+        f_sat = fidelity(model.steady_state(gamma_sat)[0], model.target)
         partial.append((gamma_sat, f_sat, gap_weak))
 
     if strong_gamma is None:

@@ -20,14 +20,14 @@ non-Hermitian Hamiltonian ``K = -i H - (gamma / 2) Q``:
     gamma * vec(P) vec(Q.T)^T + I kron K + conj(K) kron I,
 
 instead of summing the 2^N - 1 explicit jumps.  That d^2 x d^2 array
-(d = 2^N) serves full spectra (the ``steady`` and ``spectrum`` commands)
-and the dense reference in tests only; the rest works in the eigenbasis of
-H: ``PumpModel.steady_state`` solves for the steady state with O(d^3) work
-and O(d^2) memory, ``PumpModel.gap`` takes the gap from the generator's
-eigenvalues alone, as a real matrix split by the target's support, without
-the d^2 x d^2 array, and ``PumpModel.eigenbasis_generator`` is the
-generator's action on one d x d matrix, at O(d^2) per call, for dynamics.
-``PumpModel.apply`` is the same action in the computational basis.
+(d = 2^N) is the dense reference in tests only; no command builds it.  The
+rest works in the eigenbasis of H: ``PumpModel.steady_state`` solves for the
+steady state with O(d^3) work and O(d^2) memory, ``PumpModel.eigenvalues``
+gives all d^2 eigenvalues of the generator (and ``PumpModel.gap`` its gap)
+from a real map split by the target's support into small blocks, and
+``PumpModel.eigenbasis_generator`` is the generator's action on one d x d
+matrix, at O(d^2) per call, for dynamics.  ``PumpModel.apply`` is the same
+action in the computational basis, with H applied by bit flips.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from .operators import DenseOperator, StateVector, pauli_to_dense
 Superoperator = np.ndarray
 
 # Dense generators above this register size are refused (the superoperator
-# for N qubits holds 16^N complex entries).
+# for N qubits holds 16^N complex entries), and so are Liouvillian
+# eigenvalues, whose eigenproblem grows as fast.
 MAX_DENSE_QUBITS = 7
 # Models above this register size are refused.  The structured steady-state
 # solve peaks at about STEADY_STATE_ARRAYS complex d x d arrays (d = 2^N;
@@ -53,9 +54,14 @@ MAX_DENSE_QUBITS = 7
 MAX_MODEL_QUBITS = 11
 STEADY_STATE_ARRAYS = 12
 # Components of c = V^T |C> at most this large count as zero in
-# ``PumpModel.gap``; symmetry makes them 1e-14-small, the rest are >= 1e-4.
-# Counting a small component as nonzero costs time, not accuracy.
+# ``PumpModel.eigenvalues``; symmetry makes them 1e-14-small, the rest are
+# >= 1e-4.  Counting a small component as nonzero costs time, not accuracy.
 SUPPORT_TOL = 1e-12
+
+
+def _require_nonnegative(gamma: float) -> None:
+    if gamma < 0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,7 @@ class ModelParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        _require_nonnegative(self.gamma)
 
     @classmethod
     def from_ratios(cls, h_g: float, gamma_g: float, g: float = 1.0) -> "ModelParams":
@@ -174,8 +179,7 @@ def liouvillian(
     H: DenseOperator, jumps: Sequence[DenseOperator], gamma: float
 ) -> Superoperator:
     """Dense Liouvillian acting on column-stacked density matrices."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    _require_nonnegative(gamma)
     unitary, dissipator = liouvillian_parts(H, jumps)
     return unitary + gamma * dissipator
 
@@ -185,9 +189,10 @@ class PumpModel:
     """The cluster-state pump on one graph: Hamiltonian and target state.
 
     Refuses registers above ``MAX_MODEL_QUBITS`` before building anything;
-    the dense ``liouvillian`` refuses registers above ``MAX_DENSE_QUBITS``.
+    the dense ``liouvillian`` and ``eigenvalues`` refuse registers above
+    ``MAX_DENSE_QUBITS``.
     The eigenbasis of H is computed on first use by ``steady_state``,
-    ``eigenbasis_generator`` or ``gap`` and kept.
+    ``eigenbasis_generator`` or ``eigenvalues`` and kept.
     """
 
     graph: GraphSpec
@@ -208,8 +213,7 @@ class PumpModel:
     def liouvillian(self, gamma: float) -> Superoperator:
         """Dense generator ``gamma vec(P) vec(Q.T)^T + I kron K + conj(K) kron I``
         with ``K = -i H - (gamma / 2) Q``, built in a single d^2 x d^2 array."""
-        if gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {gamma}")
+        _require_nonnegative(gamma)
         check_dense_size(self.graph.n_qubits)
         d = self.H.shape[0]
         P = np.outer(self.target, self.target.conj())
@@ -225,17 +229,33 @@ class PumpModel:
         return L
 
     def apply(self, rho: np.ndarray, gamma: float) -> np.ndarray:
-        """Matrix-free generator action ``-i[H, rho] + gamma (P Tr(Q rho) - {Q, rho} / 2)``."""
+        """Matrix-free generator action ``-i[H, rho] + gamma (P Tr(Q rho) - {Q, rho} / 2)``.
+
+        H acts as ``hamiltonian`` builds it: its ZZ diagonal, plus h times one
+        index-permuted view of rho per site (X_k flips bit k of a row or
+        column index), so the cost is O(N d^2) rather than two d x d products.
+        """
+        n = self.graph.n_qubits
+        d = rho.shape[0]
+        out = np.zeros_like(rho, dtype=complex)
+        for k in range(n):
+            # bit k of an index is axis 1 of a (2^k, 2, rest) view; reversing
+            # that axis applies X_k, without a gather
+            high, low = 2**k, 2 ** (n - 1 - k)
+            rows = out.reshape(high, 2, low * d)
+            rows += rho.reshape(high, 2, low * d)[:, ::-1]
+            columns = out.reshape(d * high, 2, low)
+            columns -= rho.reshape(d * high, 2, low)[:, ::-1]
+        out *= -1j * self.params.h
+        zz = self.H.diagonal().real
+        out += (-1j * np.subtract.outer(zz, zz) - gamma) * rho
         C = self.target
         rho_c = rho @ C
         c_rho = C.conj() @ rho
         recycled = np.trace(rho) - np.vdot(C, rho_c)
-        out = -1j * (self.H @ rho - rho @ self.H)
-        out += gamma * (
-            recycled * np.outer(C, C.conj())
-            - rho
-            + 0.5 * (np.outer(C, c_rho) + np.outer(rho_c, C.conj()))
-        )
+        # (Tr rho - <C|rho|C>) P + (P rho + rho P) / 2 as two rank-one updates
+        out += np.outer(gamma * C, recycled * C.conj() + 0.5 * c_rho)
+        out += np.outer((0.5 * gamma) * rho_c, C.conj())
         return out
 
     def eigenbasis_generator(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -248,8 +268,7 @@ class PumpModel:
         matrix-vector products and rank-one updates, O(d^2) per call.  V is
         real orthogonal, so RK4 on ``rho~`` is RK4 on ``rho`` up to round-off.
         """
-        if gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {gamma}")
+        _require_nonnegative(gamma)
         energies, _, c = self.eigenbasis
         lam = -1j * np.subtract.outer(energies, energies) - gamma
         c_conj = c.conj()
@@ -284,9 +303,10 @@ class PumpModel:
         _, V, _ = self.eigenbasis
         return V @ rho.real @ V.T + 1j * (V @ rho.imag @ V.T)
 
-    def gap(self, gamma: float) -> float:
-        """Liouvillian gap at ``gamma`` from eigenvalues alone, without the
-        superoperator; equal to ``full_spectrum(self.liouvillian(gamma)).gap``.
+    def eigenvalues(self, gamma: float) -> np.ndarray:
+        """All 4^N eigenvalues of the generator at ``gamma``, unordered, without
+        the superoperator; equal as a multiset to those of
+        ``self.liouvillian(gamma)``.
 
         The generator maps Hermitian matrices to Hermitian matrices and V is
         real, so its spectrum is that of one real map on
@@ -306,17 +326,11 @@ class PumpModel:
           and its complex conjugate on ``X_Jb + i X_bJ``;
         - ``Lam_ab`` itself for a, b in O.
 
-        The eigenvalues are ranked as ``full_spectrum`` ranks them.  The
-        register is refused above ``MAX_DENSE_QUBITS`` before H is
-        diagonalized (the |J|^2 problem grows like the dense one), and
-        gamma = 0 raises the "degenerate kernel" NumericalError.
+        The register is refused above ``MAX_DENSE_QUBITS`` before H is
+        diagonalized (the |J|^2 problem grows like the dense one).
         """
-        if gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {gamma}")
+        _require_nonnegative(gamma)
         check_dense_size(self.graph.n_qubits)
-        # solver imports this module, so its helpers are imported on use
-        from .solver import _rank_spectrum
-
         energies, _, c = self.eigenbasis
         J = np.abs(c) > SUPPORT_TOL
         O = ~J
@@ -347,11 +361,21 @@ class PumpModel:
         vals_jo = np.linalg.eigvals(coupled).ravel()
 
         vals_oo = lam[np.ix_(O, O)].ravel()
-        vals = np.concatenate([vals_jj, vals_jo, vals_jo.conj(), vals_oo])
-        return _rank_spectrum(vals)[1]
+        return np.concatenate([vals_jj, vals_jo, vals_jo.conj(), vals_oo])
 
-    def steady_state(self, gamma: float) -> DenseOperator:
-        """Steady state at dissipation rate ``gamma`` without the superoperator.
+    def gap(self, gamma: float) -> float:
+        """Liouvillian gap at ``gamma``: ``eigenvalues(gamma)`` ranked by
+        ``rank_spectrum``, the rule of ``full_spectrum``.  gamma = 0 raises
+        the "degenerate kernel" NumericalError."""
+        # solver imports this module, so its helpers are imported on use
+        from .solver import rank_spectrum
+
+        return rank_spectrum(self.eigenvalues(gamma))[1]
+
+    def steady_state(self, gamma: float) -> tuple[DenseOperator, float]:
+        """Steady state at dissipation rate ``gamma`` without the superoperator,
+        with the Frobenius norm of the anti-Hermitian part of the unit-trace
+        solution before it is made Hermitian (a diagnostic).
 
         In the eigenbasis of H, with ``M_ab = gamma / (gamma + i (E_a - E_b))``,
         the stationarity condition reads
@@ -365,8 +389,7 @@ class PumpModel:
         when ``|apply(rho, gamma)|_max`` exceeds ``1e-8 max(1, s)``, where s is
         the largest diagonal entry of the dense generator in modulus.
         """
-        if gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {gamma}")
+        _require_nonnegative(gamma)
         if gamma == 0:
             raise NumericalError(
                 "degenerate kernel: without dissipation (gamma = 0) the steady state is not unique"
@@ -397,7 +420,7 @@ class PumpModel:
             (1.0 - kappa) * np.outer(c, c.conj())
             + 0.5 * (np.outer(c, u.conj()) + np.outer(u, c.conj()))
         )
-        rho = _unit_trace_hermitian(self.from_eigenbasis(rho))
+        rho, antihermitian = _unit_trace_hermitian(self.from_eigenbasis(rho))
 
         # Diagonal of the dense generator, gamma P_ab Q_ba + K_aa + conj(K_bb),
         # whose largest modulus bounds its infinity norm from below.
@@ -410,4 +433,4 @@ class PumpModel:
             raise NumericalError(
                 f"structured steady-state residual {residual:g} exceeds tolerance {tol:g}"
             )
-        return rho
+        return rho, antihermitian

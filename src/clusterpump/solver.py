@@ -1,12 +1,12 @@
 """Spectral analysis of the Liouvillian and time evolution of density matrices.
 
-Steady states come from a full eigendecomposition (``full_spectrum``, which
-also gives the gap) or from one bordered linear solve
-(``steady_state_direct``); both take the dense Liouvillian and serve the
-``steady`` and ``spectrum`` commands and the tests as the reference.
-Sweeps and scaling studies take the gap from ``PumpModel.gap``, which needs
-no dense Liouvillian and ranks its eigenvalues by the same rule
-(``_rank_spectrum``).  Two independent
+``rank_spectrum`` orders a Liouvillian spectrum and reads off its gap and
+kernel; the ``steady`` and ``spectrum`` commands, sweeps and scaling studies
+apply it to ``PumpModel.eigenvalues``, which needs no 4^N x 4^N array, so no
+command builds one.  The dense routes take that array and are the tests'
+reference only: a full eigendecomposition (``full_spectrum``, ranked by the
+same rule, with the steady state and gap) and one bordered linear solve
+(``steady_state_direct``).  Two independent
 evolution routes are provided: ``evolve_rk4`` runs the package's one
 fixed-step driver, ``rk4``, with a four-stage RK4 step on density matrices,
 from either a dense superoperator or the matrix-free generator in the
@@ -49,9 +49,7 @@ class SpectrumResult:
     descending absolute imaginary part, so round-off on the imaginary axis
     cannot rank an oscillating mode above the kernel.  ``gap`` is
     |Re lambda_1| - |Re lambda_0| where lambda_1 is the first eigenvalue
-    lying outside ``kernel_tol`` of lambda_0.  ``antihermitian_residual``
-    is the norm of the discarded anti-Hermitian part of the recovered
-    steady state (diagnostic).
+    lying outside ``kernel_tol`` of lambda_0.
     """
 
     eigenvalues: np.ndarray
@@ -59,7 +57,6 @@ class SpectrumResult:
     gap: float
     kernel_dim: int
     kernel_tol: float
-    antihermitian_residual: float
 
 
 @dataclass
@@ -94,7 +91,7 @@ def pure_state_density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _rank_spectrum(vals: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+def rank_spectrum(vals: np.ndarray) -> tuple[np.ndarray, float, float, int]:
     """Order a Liouvillian spectrum and read off its gap: ``(order, gap,
     kernel_tol, kernel_dim)``, with the ordering and gap rule of
     ``SpectrumResult``.
@@ -102,8 +99,9 @@ def _rank_spectrum(vals: np.ndarray) -> tuple[np.ndarray, float, float, int]:
     The kernel tolerance is ``KERNEL_TOL_FACTOR * max(1, max |lambda|)``.
     Raises NumericalError when no eigenvalue lies within it, and the
     "degenerate kernel (kernel_dim = ...)" NumericalError, carrying
-    ``kernel_dim``, when more than one does.  ``full_spectrum`` and
-    ``PumpModel.gap`` rank their eigenvalues here.
+    ``kernel_dim``, when more than one does.  ``full_spectrum``,
+    ``PumpModel.gap`` and the ``steady`` and ``spectrum`` commands rank
+    their eigenvalues here.
     """
     kernel_tol = KERNEL_TOL_FACTOR * max(1.0, float(np.abs(vals).max(initial=0.0)))
     outside = np.abs(vals) > kernel_tol
@@ -139,7 +137,7 @@ def full_spectrum(L: Superoperator) -> SpectrumResult:
     state and raises ``NumericalError`` carrying ``kernel_dim``.
     """
     vals, vecs = np.linalg.eig(L)
-    order, gap, kernel_tol, kernel_dim = _rank_spectrum(vals)
+    order, gap, kernel_tol, kernel_dim = rank_spectrum(vals)
     vals = vals[order]
     rho = devectorize(vecs[:, order[0]])
     trace = np.trace(rho)
@@ -147,17 +145,13 @@ def full_spectrum(L: Superoperator) -> SpectrumResult:
         err = NumericalError("traceless kernel vector (kernel_dim = 1)")
         err.kernel_dim = kernel_dim
         raise err
-    rho = rho / trace
-    anti = 0.5 * np.linalg.norm(rho - rho.conj().T)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
+    rho, _ = _unit_trace_hermitian(rho)
     return SpectrumResult(
         eigenvalues=vals,
         steady_state=rho,
         gap=gap,
         kernel_dim=kernel_dim,
         kernel_tol=kernel_tol,
-        antihermitian_residual=float(anti),
     )
 
 
@@ -187,11 +181,13 @@ def _solve_nonsingular(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _unit_trace_hermitian(rho: np.ndarray) -> np.ndarray:
-    """Scale to unit trace, keep the Hermitian part, and rescale its trace to 1."""
+def _unit_trace_hermitian(rho: np.ndarray) -> tuple[np.ndarray, float]:
+    """Scale to unit trace, keep the Hermitian part, and rescale its trace to 1;
+    also returns the Frobenius norm of the anti-Hermitian part dropped."""
     rho = rho / np.trace(rho)
+    antihermitian = 0.5 * float(np.linalg.norm(rho - rho.conj().T))
     rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
+    return rho / np.trace(rho).real, antihermitian
 
 
 def steady_state_direct(L: Superoperator) -> np.ndarray:
@@ -212,7 +208,7 @@ def steady_state_direct(L: Superoperator) -> np.ndarray:
     A[0, :] = vectorize(np.eye(d, dtype=complex))
     b = np.zeros(d2, dtype=complex)
     b[0] = 1.0
-    rho = _unit_trace_hermitian(devectorize(_solve_nonsingular(A, b)))
+    rho, _ = _unit_trace_hermitian(devectorize(_solve_nonsingular(A, b)))
     residual = float(np.linalg.norm(L @ vectorize(rho), np.inf))
     if residual > residual_tol:
         raise NumericalError(

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from clusterpump import cli, solver
 from clusterpump.cli import main, parse_graph
 from clusterpump.cluster import GraphSpec, plus_state
 from clusterpump.lindblad import ModelParams, PumpModel
@@ -97,6 +98,34 @@ def test_spectrum_command(tmp_path):
     doc = json.loads((tmp_path / "spectrum.json").read_text())
     assert doc["n_eigenvalues"] == 16
     assert set(doc["config"]) == CONFIG_KEYS["spectrum"]
+
+
+def test_steady_and_spectrum_build_no_superoperator(tmp_path, monkeypatch):
+    # both commands work in the eigenbasis of H; the dense generator is an oracle only
+    def refuse(*args, **kwargs):
+        raise AssertionError("the 4^N x 4^N superoperator was used")
+
+    monkeypatch.setattr(PumpModel, "liouvillian", refuse)
+    monkeypatch.setattr(solver, "full_spectrum", refuse)
+    # also any copy imported into cli by name, which the patch on solver would miss
+    monkeypatch.setattr(cli, "full_spectrum", refuse, raising=False)
+    for graph in ("chain:3", "square:2x2"):
+        for command in ("steady", "spectrum"):
+            assert run([command, "--graph", graph, "--gamma-g", "5", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "steady.json").read_text())
+    assert doc["kernel_dim"] == 1
+    assert doc["steady_state_residual"] <= 1e-10 and doc["antihermitian_residual"] <= 1e-12
+
+
+def test_steady_matches_sweep_point(tmp_path):
+    # one model, one route: the steady command and a sweep point at the same gamma agree bit for bit
+    common = ["--graph", "square:2x3", "--h-g", "0.7", "--out", str(tmp_path)]
+    assert run(["steady", "--gamma-g", "5", *common]) == 0
+    assert run(["sweep", "--gamma-grid", "lin:1:5:2", *common]) == 0
+    steady = json.loads((tmp_path / "steady.json").read_text())
+    last = (tmp_path / "sweep.csv").read_text().splitlines()[-1].split(",")
+    assert float(last[0]) == 5.0 and last[4] == "ok"
+    assert [float(v) for v in last[1:4]] == [steady["fidelity"], steady["witness"], steady["gap"]]
 
 
 def test_evolve_command(tmp_path):

@@ -202,8 +202,8 @@ def test_gamma_sweep_marks_non_hermitian_point_failed(monkeypatch):
     solve = PumpModel.steady_state
 
     def skewed(self, gamma):
-        rho = solve(self, gamma)
-        return rho + 0.1j * np.eye(rho.shape[0]) if gamma == 2.0 else rho
+        rho, antihermitian = solve(self, gamma)
+        return (rho + 0.1j * np.eye(rho.shape[0]) if gamma == 2.0 else rho), antihermitian
 
     monkeypatch.setattr(PumpModel, "steady_state", skewed)
     sweep = gamma_sweep(GraphSpec.chain(2), 1.0, [1.0, 2.0, 4.0], compute_gap=False)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from clusterpump import lindblad
 from clusterpump.cluster import GraphSpec, cluster_state
@@ -246,7 +247,9 @@ def test_pump_model_steady_state_matches_direct_solve(graph):
     model = PumpModel(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
     for gamma in (0.5, 5.0, 200.0, 5000.0):
         oracle = steady_state_direct(model.liouvillian(gamma))
-        assert np.abs(model.steady_state(gamma) - oracle).max() <= 1e-12
+        rho, antihermitian = model.steady_state(gamma)
+        assert np.abs(rho - oracle).max() <= 1e-12
+        assert 0.0 <= antihermitian <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,7 +260,7 @@ def test_pump_model_steady_state_matches_direct_solve(graph):
 )
 def test_pump_model_steady_state_on_random_graphs(graph, h, gamma):
     model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
-    rho = model.steady_state(gamma)
+    rho, _ = model.steady_state(gamma)
     check_density_matrix(rho)
     assert np.abs(rho - steady_state_direct(model.liouvillian(gamma))).max() <= 1e-10
 
@@ -319,6 +322,34 @@ def test_pump_model_gap_on_random_graphs(graph, h, gamma):
     # relative 1e-10, or the eigenvalues' round-off when the gap is tiny
     model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
     assert_gap_matches_spectrum(model, gamma, abs_tol=1e-12 * max(1.0, gamma))
+
+
+def assert_same_eigenvalues(vals, oracle):
+    # equal as multisets: the closest one-to-one matching, within 1e-10 max(1, max |lambda|)
+    assert vals.shape == oracle.shape
+    distance = np.abs(vals[:, None] - oracle[None, :])
+    rows, cols = linear_sum_assignment(distance)
+    assert distance[rows, cols].max() <= 1e-10 * max(1.0, float(np.abs(oracle).max()))
+
+
+@pytest.mark.parametrize("graph", MODEL_GRAPHS)
+def test_pump_model_eigenvalues_match_dense(graph):
+    model = PumpModel(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
+    for gamma in (0.5, 5.0, 50.0, 600.0):
+        oracle = np.linalg.eigvals(model.liouvillian(gamma))
+        assert_same_eigenvalues(model.eigenvalues(gamma), oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    graph=random_graphs(),
+    h=st.floats(min_value=-2.0, max_value=2.0),
+    gamma=st.floats(min_value=0.0, max_value=1e3),
+)
+def test_pump_model_eigenvalues_on_random_graphs(graph, h, gamma):
+    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
+    oracle = np.linalg.eigvals(model.liouvillian(gamma))
+    assert_same_eigenvalues(model.eigenvalues(gamma), oracle)
 
 
 def test_pump_model_gap_strong_dissipation():
