@@ -4,7 +4,9 @@ A gamma sweep records steady-state fidelity, witness expectation, and
 (optionally) the Liouvillian gap on a grid of dissipation strengths.  Both
 come from the model in the eigenbasis of H: steady states from its
 structured solve, gaps from the Liouvillian's eigenvalues without the
-4^N x 4^N superoperator (``PumpModel.gap``).  The saturation point
+4^N x 4^N superoperator (``PumpModel.gap``): the poles of the Kronecker sum
+``rho -> K rho + rho K^+`` and the roots of the secular equation its rank-one
+recycling term adds.  The saturation point
 gamma_sat is the smallest gamma whose fidelity comes within a factor
 (1 - epsilon) of the sweep maximum.  Scaling studies repeat the
 sweep over system sizes and fit the trends (linear gamma_sat growth, the

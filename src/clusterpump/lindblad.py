@@ -22,12 +22,17 @@ non-Hermitian Hamiltonian ``K = -i H - (gamma / 2) Q``:
 instead of summing the 2^N - 1 explicit jumps.  That d^2 x d^2 array
 (d = 2^N) is the dense reference in tests only; no command builds it.  The
 rest works in the eigenbasis of H: ``PumpModel.steady_state`` solves for the
-steady state with O(d^3) work and O(d^2) memory, ``PumpModel.eigenvalues``
-gives all d^2 eigenvalues of the generator (and ``PumpModel.gap`` its gap)
-from a real map split by the target's support into small blocks, and
+steady state with O(d^3) work and O(d^2) memory, and
 ``PumpModel.eigenbasis_generator`` is the generator's action on one d x d
 matrix, at O(d^2) per call, for dynamics.  ``PumpModel.apply`` is the same
 action in the computational basis, with H applied by bit flips.
+
+``PumpModel.eigenvalues`` gives all d^2 eigenvalues of the generator (and
+``PumpModel.gap`` its gap) from its structure: ``rho -> K rho + rho K^+`` is a
+Kronecker sum and the recycling term has rank one.  One factorisation of K
+on the target's support J, a |J| x |J| matrix, gives the sum's eigenvalues
+(poles); the others are the roots of a secular equation with one pole per
+visible pair, found by Aberth iteration.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ Superoperator = np.ndarray
 
 # Dense generators above this register size are refused (the superoperator
 # for N qubits holds 16^N complex entries), and so are Liouvillian
-# eigenvalues, whose eigenproblem grows as fast.
+# eigenvalues: their secular equation has up to 4^N poles, and each Aberth
+# sweep over them costs O(16^N).
 MAX_DENSE_QUBITS = 7
 # Models above this register size are refused.  The structured steady-state
 # solve peaks at about STEADY_STATE_ARRAYS complex d x d arrays (d = 2^N;
@@ -57,6 +63,22 @@ STEADY_STATE_ARRAYS = 12
 # ``PumpModel.eigenvalues``; symmetry makes them 1e-14-small, the rest are
 # >= 1e-4.  Counting a small component as nonzero costs time, not accuracy.
 SUPPORT_TOL = 1e-12
+# Secular-equation poles whose weight is at most this fraction of the largest
+# are hidden: they are eigenvalues of the generator as they stand.
+HIDDEN_TOL = 1e-13
+# Energies of H, or secular-equation poles, closer than this relative to
+# max(1, their largest modulus) are one degenerate level, or one pole.
+COINCIDENT_TOL = 1e-12
+# Above this condition number of K_J's eigenvectors (at most 4.3 over 784
+# oracle cases; 1e8 at the exceptional point of chain:2 at h = 0, gamma = 4)
+# ``PumpModel.eigenvalues`` takes the JJ sector densely instead.
+EIGENVECTOR_COND_MAX = 1e3
+# Aberth sweeps after which the secular equation counts as unsolved; 784
+# oracle cases (N <= 5, gamma up to 600) and chains up to N = 7 took at most 11.
+ABERTH_MAX_SWEEPS = 100
+# Rows of every k x n array the secular-equation solver forms at once; whole
+# n x n temporaries raised a scaling study's peak memory by 12%.
+SECULAR_BLOCK = 64
 
 
 def _require_nonnegative(gamma: float) -> None:
@@ -184,6 +206,103 @@ def liouvillian(
     return unitary + gamma * dissipator
 
 
+def _pump_generator(H: DenseOperator, target: StateVector, gamma: float) -> Superoperator:
+    """``gamma vec(P) vec(Q.T)^T + I kron K + conj(K) kron I`` with
+    ``P = |target><target|``, ``Q = I - P`` and ``K = -i H - (gamma / 2) Q``,
+    built in a single d^2 x d^2 array."""
+    d = H.shape[0]
+    P = np.outer(target, target.conj())
+    Q = np.eye(d, dtype=complex) - P
+    L = np.multiply.outer(gamma * vectorize(P), vectorize(Q.T))
+    K = -1j * H - (0.5 * gamma) * Q
+    # Row (i, k) and column (j, l) of L are entries i*d + k and j*d + l,
+    # so I kron K fills blocks[a, :, a, :] and conj(K) kron I blocks[:, a, :, a].
+    blocks = L.reshape(d, d, d, d)
+    diag = np.arange(d)
+    blocks[diag, :, diag, :] += K
+    blocks[:, diag, :, diag] += K.conj()
+    return L
+
+
+def _merge_poles(mu: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge poles closer than ``COINCIDENT_TOL max(1, max |mu|)``: the distinct
+    poles, their summed weights and the extra copies.
+
+    Single linkage on the real parts, then on the imaginary parts within
+    each run, so each pass is one stable sort.
+    """
+    tol = COINCIDENT_TOL * max(1.0, float(np.abs(mu).max(initial=0.0)))
+    order = np.argsort(mu.real, kind="stable")
+    run = np.cumsum(np.diff(mu.real[order], prepend=-np.inf) > tol)
+    within = np.lexsort((mu.imag[order], run))
+    order, run = order[within], run[within]
+    starts = np.flatnonzero(
+        (np.diff(mu.imag[order], prepend=-np.inf) > tol) | (np.diff(run, prepend=-1) != 0)
+    )
+    return mu[order[starts]], np.add.reduceat(w[order], starts), mu[np.delete(order, starts)]
+
+
+def _secular_roots(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The n roots of ``f(z) = 1 + sum_m w_m / (mu_m - z)`` for n distinct poles
+    ``mu`` with nonzero weights ``w``, by Aberth-Ehrlich iteration (Aberth,
+    Math. Comp. 27, 339, 1973; the secular mode of MPSolve, Bini and Robol,
+    J. Comput. Appl. Math. 272, 276, 2014).
+
+    The Newton ratio is that of the polynomial ``p = f prod_m (mu_m - z)``,
+    ``f / (f' - f sum_m 1 / (mu_m - z))``, so an exact root takes a zero step.
+    Root m starts at the first-order estimate
+    ``mu_m + w_m / (1 + sum_{k != m} w_k / (mu_k - mu_m))``, or at half the
+    distance to the nearest other pole (in the direction of w_m) when that
+    estimate is not finite or lies farther out; one pole gives ``mu + w``.
+    Each start is then turned by 0.01 rad about its pole.
+    A root stops when its step is at most ``1e-13 max(1, |z|)``, and only
+    the others are recomputed.  Every k x n array is formed ``SECULAR_BLOCK``
+    rows at a time.  Raises NumericalError when roots are still moving after
+    ``ABERTH_MAX_SWEEPS`` sweeps.
+    """
+    n = mu.size
+    z = np.empty(n, dtype=complex)
+    for s in range(0, n, SECULAR_BLOCK):
+        rows = slice(s, s + SECULAR_BLOCK)
+        spread = mu - mu[rows, None]
+        spread[np.arange(spread.shape[0]), np.arange(s, s + spread.shape[0])] = np.inf
+        with np.errstate(all="ignore"):
+            shift = w[rows] / (1.0 + (w / spread).sum(axis=1))
+        reach = 0.5 * np.abs(spread).min(axis=1)
+        far = ~(np.abs(shift) <= reach)
+        shift[far] = reach[far] * w[rows][far] / np.abs(w[rows][far])
+        # f is real on the real axis, so conjugate start points would stay
+        # conjugate and could not reach two real roots: turn every shift by
+        # 0.01 rad (without it a 4-qubit star at h = 2, gamma = 600 took 79 sweeps)
+        z[rows] = mu[rows] + shift * np.exp(0.01j)
+    active = np.arange(n)
+    for _ in range(ABERTH_MAX_SWEEPS):
+        if active.size == 0:
+            return z
+        step = np.empty(active.size, dtype=complex)
+        for s in range(0, active.size, SECULAR_BLOCK):
+            roots = active[s : s + SECULAR_BLOCK]
+            zk = z[roots, None]
+            with np.errstate(all="ignore"):
+                inverse = 1.0 / (mu - zk)
+                f = 1.0 + inverse @ w
+                newton = f / ((inverse * inverse) @ w - f * inverse.sum(axis=1))
+            # a root that rounds onto its pole (f or f' overflows there) is
+            # that pole to working precision
+            newton[~np.isfinite(newton)] = 0.0
+            separation = zk - z
+            separation[np.arange(roots.size), roots] = np.inf
+            step[s : s + roots.size] = newton / (1.0 - newton * (1.0 / separation).sum(axis=1))
+        z[active] -= step
+        active = active[~(np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(z[active])))]
+    if active.size:
+        raise NumericalError(
+            f"secular equation unsolved: {active.size} of {n} roots still moving "
+            f"after {ABERTH_MAX_SWEEPS} Aberth sweeps"
+        )
+    return z
+
+
 @dataclass(frozen=True, eq=False)
 class PumpModel:
     """The cluster-state pump on one graph: Hamiltonian and target state.
@@ -215,18 +334,7 @@ class PumpModel:
         with ``K = -i H - (gamma / 2) Q``, built in a single d^2 x d^2 array."""
         _require_nonnegative(gamma)
         check_dense_size(self.graph.n_qubits)
-        d = self.H.shape[0]
-        P = np.outer(self.target, self.target.conj())
-        Q = np.eye(d, dtype=complex) - P
-        L = np.multiply.outer(gamma * vectorize(P), vectorize(Q.T))
-        K = -1j * self.H - (0.5 * gamma) * Q
-        # Row (i, k) and column (j, l) of L are entries i*d + k and j*d + l,
-        # so I kron K fills blocks[a, :, a, :] and conj(K) kron I blocks[:, a, :, a].
-        blocks = L.reshape(d, d, d, d)
-        diag = np.arange(d)
-        blocks[diag, :, diag, :] += K
-        blocks[:, diag, :, diag] += K.conj()
-        return L
+        return _pump_generator(self.H, self.target, gamma)
 
     def apply(self, rho: np.ndarray, gamma: float) -> np.ndarray:
         """Matrix-free generator action ``-i[H, rho] + gamma (P Tr(Q rho) - {Q, rho} / 2)``.
@@ -303,65 +411,95 @@ class PumpModel:
         _, V, _ = self.eigenbasis
         return V @ rho.real @ V.T + 1j * (V @ rho.imag @ V.T)
 
+    @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(E_J, c_J, E_O)``: the eigenbasis of H split by the target's support.
+
+        Each degenerate eigenspace of H is first rotated so that c has at most
+        one nonzero component in it; only E and c enter the Liouvillian's
+        eigenvalues, so V is left as it is.  J holds the indices with
+        ``|c_b| > SUPPORT_TOL`` and O the rest.
+        """
+        energies, _, c = self.eigenbasis
+        scale = max(1.0, float(np.abs(energies).max()))
+        level = np.cumsum(np.diff(energies, prepend=-np.inf) > COINCIDENT_TOL * scale) - 1
+        # the rotation puts the norm of c over an eigenspace on its first index
+        rotated = np.zeros(energies.size)
+        rotated[np.flatnonzero(np.diff(level, prepend=-1))] = np.sqrt(
+            np.bincount(level, weights=np.abs(c) ** 2)
+        )
+        J = np.abs(rotated) > SUPPORT_TOL
+        return energies[J], rotated[J], energies[~J]
+
+    def _kernel_factors(self, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(kappa, R, a)`` at ``gamma``: the eigenvalues of the effective
+        non-Hermitian Hamiltonian ``K = -i H - (gamma / 2) Q`` in the
+        eigenbasis of H, J of ``_support`` first, and the factors
+        ``K_J = R diag(kappa_J) R^-1`` and ``a = R^-1 c_J``.
+
+        ``K_J = diag(-i E_J - gamma / 2) + (gamma / 2) c_J c_J^T`` is |J| x |J|;
+        on O, K is diagonal: ``kappa_b = -i E_b - gamma / 2``.
+        """
+        e_j, c_j, e_o = self._support
+        kappa_j, R = np.linalg.eig(np.diag(-1j * e_j - 0.5 * gamma) + np.outer(0.5 * gamma * c_j, c_j))
+        return np.concatenate([kappa_j, -1j * e_o - 0.5 * gamma]), R, np.linalg.solve(R, c_j)
+
     def eigenvalues(self, gamma: float) -> np.ndarray:
         """All 4^N eigenvalues of the generator at ``gamma``, unordered, without
         the superoperator; equal as a multiset to those of
         ``self.liouvillian(gamma)``.
 
-        The generator maps Hermitian matrices to Hermitian matrices and V is
-        real, so its spectrum is that of one real map on
-        ``X = Re rho~ + Im rho~`` (``rho~ = V^T rho V``),
+        In the eigenbasis of H the generator is ``A + gamma |P>><<Q|`` with
+        ``A(rho) = K rho + rho K^+`` and a rank-one recycling term.  With
+        ``(kappa, R, a) = _kernel_factors(gamma)``, A has the eigenvalues
+        (poles) ``kappa_i + conj(kappa_j)``, and by the matrix determinant
+        lemma the others solve the secular equation
 
-            X -> -D o X^T - gamma X + gamma [P (Tr X - c^T X c) + (P X + X P) / 2],
+            f(lam) = 1 + gamma sum_ij W_ij / (kappa_i + conj(kappa_j) - lam) = 0,
+            W_ij = a_i conj(a_j) (R^+ Q R)_ji,  i, j in J
 
-        with ``D_ab = E_a - E_b`` and ``P = c c^T``.  Split the indices into
-        O, where ``|c_b| <= SUPPORT_TOL``, and the rest, J.  The map is then
-        block triangular (only the OO block feeds JJ, through Tr X), and its
-        diagonal blocks are
-
-        - the same map on real |J| x |J| matrices X_JJ, one dense eigenproblem
-          of size |J|^2;
-        - for each b in O, ``diag(Lam_ab)_{a in J} + (gamma / 2) c_J c_J^T``
-          on ``X_Jb - i X_bJ``, with ``Lam_ab = -gamma - i (E_a - E_b)``,
-          and its complex conjugate on ``X_Jb + i X_bJ``;
-        - ``Lam_ab`` itself for a, b in O.
+        (Golub, SIAM Rev. 15, 318, 1973).  Every pole that touches O, and
+        every JJ pole whose weight is at most ``HIDDEN_TOL`` of the largest, is
+        an eigenvalue; coincident poles are merged by summing their weights,
+        and their extra copies are eigenvalues too.  One root of f per
+        remaining pole comes from ``_secular_roots``.  The cost is one |J| x |J|
+        eigendecomposition and O(n^2) per Aberth sweep for n visible poles.
+        Near an exceptional point of K_J, where the condition number of R
+        exceeds ``EIGENVECTOR_COND_MAX``, the weights are lost to cancellation
+        and the JJ sector's |J|^2 eigenvalues come from its dense generator.
 
         The register is refused above ``MAX_DENSE_QUBITS`` before H is
-        diagonalized (the |J|^2 problem grows like the dense one).
+        diagonalized.  Raises NumericalError when the secular equation is not
+        solved within ``ABERTH_MAX_SWEEPS`` sweeps, or when the eigenvalues
+        do not sum to ``Tr L = -gamma d (d - 1)`` within
+        ``1e-10 max(1, sum |lam|)``.
         """
         _require_nonnegative(gamma)
         check_dense_size(self.graph.n_qubits)
-        energies, _, c = self.eigenbasis
-        J = np.abs(c) > SUPPORT_TOL
-        O = ~J
-        c_j = c[J].real  # the target, and so c, is real
-        e_j = energies[J]
-        lam = -gamma - 1j * np.subtract.outer(energies, energies)
-        m = c_j.size
-        j = np.arange(m)
-        P = np.outer(c_j, c_j)
-
-        # X_JJ: gamma vec(P) vec(I - P)^T, then P X / 2 and X P / 2 as the
-        # two Kronecker terms, -gamma on the diagonal, -D o X^T on the
-        # transposed entries; entry (a, b, k, l) maps X_kl into X'_ab
-        block = np.multiply.outer(gamma * P, np.eye(m) - P)
-        block[:, j, :, j] += 0.5 * gamma * P
-        block[j, :, j, :] += 0.5 * gamma * P
-        a, b = np.meshgrid(j, j, indexing="ij")
-        block[a, b, b, a] -= np.subtract.outer(e_j, e_j)
-        block = block.reshape(m * m, m * m)
-        block[np.diag_indices(m * m)] -= gamma
-        vals_jj = np.linalg.eigvals(block)
-        del block
-
-        # one diagonal-plus-rank-one block per b in O
-        coupled = np.empty((np.count_nonzero(O), m, m), dtype=complex)
-        coupled[:] = 0.5 * gamma * P
-        coupled[:, j, j] += lam[np.ix_(J, O)].T
-        vals_jo = np.linalg.eigvals(coupled).ravel()
-
-        vals_oo = lam[np.ix_(O, O)].ravel()
-        return np.concatenate([vals_jj, vals_jo, vals_jo.conj(), vals_oo])
+        kappa, R, a = self._kernel_factors(gamma)
+        m = a.size
+        poles = np.add.outer(kappa, kappa.conj())
+        if np.linalg.cond(R) <= EIGENVECTOR_COND_MAX:
+            gram = R.conj().T @ R
+            # R^+ Q R = R^+ R - (R^+ c_J)(R^+ c_J)^+, and R^+ c_J = R^+ R a
+            ra = gram @ a
+            weights = gamma * np.outer(a, a.conj()) * (gram - np.outer(ra, ra.conj())).T
+            mu, w, copies = _merge_poles(poles[:m, :m].ravel(), weights.ravel())
+            visible = np.abs(w) > HIDDEN_TOL * np.abs(w).max(initial=0.0)
+            jj = [copies, mu[~visible], _secular_roots(mu[visible], w[visible])]
+        else:
+            # near an exceptional point of K_J the weights cancel to no digits;
+            # the JJ sector is the dense generator of H = diag(E_J) and c_J
+            e_j, c_j, _ = self._support
+            jj = [np.linalg.eigvals(_pump_generator(np.diag(e_j), c_j, gamma))]
+        vals = np.concatenate([poles[:m, m:].ravel(), poles[m:].ravel(), *jj])
+        d = kappa.size
+        trace = -gamma * d * (d - 1)
+        if not abs(vals.sum() - trace) <= 1e-10 * max(1.0, float(np.abs(vals).sum())):
+            raise NumericalError(
+                f"Liouvillian eigenvalues sum to {complex(vals.sum()):.6g}, not to the trace {trace:g}"
+            )
+        return vals
 
     def gap(self, gamma: float) -> float:
         """Liouvillian gap at ``gamma``: ``eigenvalues(gamma)`` ranked by
@@ -384,9 +522,11 @@ class PumpModel:
 
         for ``u = rho~ c``.  Substituting gives a system linear in u and its
         conjugate, solved as 2d real equations at O(d^3) cost.  The result is
-        normalized as in ``steady_state_direct``.  Raises NumericalError
-        "degenerate kernel: ..." at gamma = 0 or on a singular system, and
-        when ``|apply(rho, gamma)|_max`` exceeds ``1e-8 max(1, s)``, where s is
+        normalized as in ``steady_state_direct``, in the eigenbasis, and
+        transformed back once.  Raises NumericalError "degenerate kernel: ..."
+        at gamma = 0 or on a singular system, and when the Frobenius norm of
+        ``eigenbasis_generator(gamma)`` on the normalized ``rho~`` (equal to
+        that of ``apply(rho, gamma)``) exceeds ``1e-8 max(1, s)``, where s is
         the largest diagonal entry of the dense generator in modulus.
         """
         _require_nonnegative(gamma)
@@ -414,13 +554,14 @@ class PumpModel:
         system[d:, d:] = A.real - B.real
         del A, B
         xy = _solve_nonsingular(system, np.concatenate([cw.real, cw.imag]))
+        del system  # its LU factors; the residual below needs the memory
         u = xy[:d] + 1j * xy[d:]
         kappa = np.vdot(c, u)
         rho = M * (
             (1.0 - kappa) * np.outer(c, c.conj())
             + 0.5 * (np.outer(c, u.conj()) + np.outer(u, c.conj()))
         )
-        rho, antihermitian = _unit_trace_hermitian(self.from_eigenbasis(rho))
+        rho, antihermitian = _unit_trace_hermitian(rho)
 
         # Diagonal of the dense generator, gamma P_ab Q_ba + K_aa + conj(K_bb),
         # whose largest modulus bounds its infinity norm from below.
@@ -428,9 +569,10 @@ class PumpModel:
         k = -1j * self.H.diagonal() - 0.5 * gamma * (1.0 - p)
         diagonal = gamma * (np.diag(p) - np.outer(p, p)) + k[:, None] + k.conj()[None, :]
         tol = 1e-8 * max(1.0, float(np.abs(diagonal).max()))
-        residual = float(np.abs(self.apply(rho, gamma)).max())
+        # V is orthogonal, so this is |L rho|_F >= max |L rho| in any basis
+        residual = float(np.linalg.norm(self.eigenbasis_generator(gamma)(rho)))
         if residual > tol:
             raise NumericalError(
                 f"structured steady-state residual {residual:g} exceeds tolerance {tol:g}"
             )
-        return rho, antihermitian
+        return self.from_eigenbasis(rho), antihermitian

@@ -2,8 +2,9 @@
 
 ``rank_spectrum`` orders a Liouvillian spectrum and reads off its gap and
 kernel; the ``steady`` and ``spectrum`` commands, sweeps and scaling studies
-apply it to ``PumpModel.eigenvalues``, which needs no 4^N x 4^N array, so no
-command builds one.  The dense routes take that array and are the tests'
+apply it to ``PumpModel.eigenvalues``, the poles of a Kronecker sum and the
+roots of a rank-one secular equation from one |J| x |J| factorisation, so no
+command builds a 4^N x 4^N array.  The dense routes take that array and are the tests'
 reference only: a full eigendecomposition (``full_spectrum``, ranked by the
 same rule, with the steady state and gap) and one bordered linear solve
 (``steady_state_direct``).  Two independent

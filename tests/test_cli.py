@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from clusterpump import cli, solver
+from clusterpump import cli, lindblad, solver
 from clusterpump.cli import main, parse_graph
 from clusterpump.cluster import GraphSpec, plus_state
 from clusterpump.lindblad import ModelParams, PumpModel
@@ -349,6 +349,35 @@ def test_dynamics_rejects_zero_step_arguments(tmp_path, capsys, command, flag, m
     # zero is a given value, not "unset": it is validated, never replaced by a default
     assert run([command, flag, "0", "--t-final", "0.1", "--out", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
+
+
+def _skew_weights(monkeypatch):
+    factors = PumpModel._kernel_factors
+
+    def skewed(self, gamma):
+        kappa, R, a = factors(self, gamma)
+        return kappa, R, a * np.linspace(1.0, 1.1, a.size)
+
+    monkeypatch.setattr(PumpModel, "_kernel_factors", skewed)
+
+
+@pytest.mark.parametrize("command", ["steady", "spectrum"])
+@pytest.mark.parametrize(
+    "break_eigenvalues, label",
+    [
+        (lambda patch: patch.setattr(lindblad, "ABERTH_MAX_SWEEPS", 1), "secular equation unsolved"),
+        (_skew_weights, "not to the trace"),
+    ],
+    ids=["sweep_limit", "trace"],
+)
+def test_eigenvalue_failures_exit_two(tmp_path, capsys, monkeypatch, command, break_eigenvalues, label):
+    # an unsolved secular equation or a spectrum off the generator's trace is
+    # a numerical failure, with its label, and no output is written
+    break_eigenvalues(monkeypatch)
+    assert run([command, "--graph", "chain:3", "--gamma-g", "5", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: " in err and label in err
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_steady_without_dissipation_reports_degenerate_kernel(tmp_path, capsys):

@@ -25,6 +25,7 @@ from clusterpump.solver import (
     check_density_matrix,
     full_spectrum,
     pure_state_density,
+    rank_spectrum,
     steady_state_direct,
 )
 from conftest import random_density_matrix, random_graphs, random_hermitian
@@ -36,6 +37,8 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 SQUARE = GraphSpec(4, ((0, 1), (0, 2), (1, 3), (2, 3)))
 MODEL_GRAPHS = [GraphSpec.chain(n) for n in range(2, 6)] + [SQUARE]
 SQUARE_2X3 = GraphSpec.grid(2, 3)
+STAR = GraphSpec(4, ((0, 1), (0, 2), (0, 3)))
+K4 = GraphSpec(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 
 
 # ----------------------------------------------------------------- params
@@ -265,6 +268,25 @@ def test_pump_model_steady_state_on_random_graphs(graph, h, gamma):
     assert np.abs(rho - steady_state_direct(model.liouvillian(gamma))).max() <= 1e-10
 
 
+def test_pump_model_steady_state_checks_its_residual_in_the_eigenbasis(monkeypatch):
+    # the residual is the generator's Frobenius norm on rho~, not apply(rho)
+    model = PumpModel(GraphSpec.chain(4), ModelParams(g=1.0, h=0.7, gamma=0.0))
+    oracle = steady_state_direct(model.liouvillian(5.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the residual was taken in the computational basis")
+
+    monkeypatch.setattr(PumpModel, "apply", refuse)
+    rho, _ = model.steady_state(5.0)
+    assert np.abs(rho - oracle).max() <= 1e-12
+    generator = PumpModel.eigenbasis_generator
+    monkeypatch.setattr(
+        PumpModel, "eigenbasis_generator", lambda self, gamma: lambda r: generator(self, gamma)(r) + 1e-6
+    )
+    with pytest.raises(NumericalError, match="structured steady-state residual .* exceeds tolerance"):
+        model.steady_state(5.0)
+
+
 def test_pump_model_steady_state_rejects_gamma_zero():
     model = PumpModel(GraphSpec.chain(3), ModelParams(g=1.0, h=1.0, gamma=0.0))
     with pytest.raises(NumericalError, match="degenerate kernel"):
@@ -357,6 +379,55 @@ def test_pump_model_gap_strong_dissipation():
     for n in (3, 4):
         model = PumpModel(GraphSpec.chain(n), ModelParams(g=1.0, h=0.5, gamma=0.0))
         assert model.gap(100.0) == pytest.approx(50.07, abs=0.015)
+    model = PumpModel(GraphSpec.chain(6), ModelParams(g=1.0, h=0.5, gamma=0.0))
+    assert model.gap(600.0) == pytest.approx(300.0, abs=0.03)
+
+
+@pytest.mark.parametrize(
+    "graph, h",
+    [(graph, 0.0) for graph in (GraphSpec.chain(3), SQUARE, STAR, K4)]
+    + [(GraphSpec(n, ()), h) for n in (1, 3) for h in (0.0, 0.7)]
+    + [(STAR, 0.7), (K4, -1.3)],
+    ids=lambda value: f"{value.n_qubits}q{len(value.edges)}e" if isinstance(value, GraphSpec) else f"h{value}",
+)
+def test_pump_model_eigenvalues_on_degenerate_spectra(graph, h):
+    # h = 0 makes H diagonal with highly degenerate levels, so every eigenspace
+    # of H is rotated before the split; the empty graph's target is an
+    # eigenvector of H, leaving one index in J
+    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
+    for gamma in (0.0, 0.1, 3.0, 600.0):
+        oracle = np.linalg.eigvals(model.liouvillian(gamma))
+        assert_same_eigenvalues(model.eigenvalues(gamma), oracle)
+
+
+def test_pump_model_gap_at_exceptional_point():
+    # at h = 0, gamma = 4 the two J levels of chain:2 meet in an exceptional
+    # point of K_J, where the secular weights lose every digit and the JJ
+    # sector is taken densely
+    model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=0.0, gamma=0.0))
+    _, R, _ = model._kernel_factors(4.0)
+    assert np.linalg.cond(R) > lindblad.EIGENVECTOR_COND_MAX
+    assert_gap_matches_spectrum(model, 4.0)
+    assert rank_spectrum(model.eigenvalues(4.0))[3] == 1
+
+
+def test_pump_model_eigenvalues_fail_loudly(monkeypatch):
+    model = PumpModel(GraphSpec.chain(3), ModelParams(g=1.0, h=0.7, gamma=0.0))
+    assert rank_spectrum(model.eigenvalues(5.0))[3] == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(lindblad, "ABERTH_MAX_SWEEPS", 1)
+        with pytest.raises(NumericalError, match="secular equation unsolved: .* after 1 Aberth sweeps"):
+            model.eigenvalues(5.0)
+    # a wrong weight moves the roots off the trace of the generator
+    factors = PumpModel._kernel_factors
+
+    def skewed(self, gamma):
+        kappa, R, a = factors(self, gamma)
+        return kappa, R, a * np.linspace(1.0, 1.1, a.size)
+
+    monkeypatch.setattr(PumpModel, "_kernel_factors", skewed)
+    with pytest.raises(NumericalError, match="eigenvalues sum to .*, not to the trace -168"):
+        model.eigenvalues(3.0)
 
 
 def test_pump_model_gap_failures():
