@@ -239,8 +239,8 @@ def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
     # step in the eigenbasis of H and rotate only the samples back
     _, V, _ = model.eigenbasis
     traj = evolve_rk4(
-        V.T @ rho0 @ V, model.eigenbasis_generator(model.params.gamma), cfg["t_final"], dt,
-        sample_every=cfg["sample_every"],
+        V.T @ rho0 @ V, None, cfg["t_final"], dt, sample_every=cfg["sample_every"],
+        step=model.rk4_step(model.params.gamma),
     )
     rows = []
     for t, sample in zip(traj.times, traj.states):

@@ -9,10 +9,11 @@ reference only: a full eigendecomposition (``full_spectrum``, ranked by the
 same rule, with the steady state and gap) and one bordered linear solve
 (``steady_state_direct``).  Two independent
 evolution routes are provided: ``evolve_rk4`` runs the package's one
-fixed-step driver, ``rk4``, with a four-stage RK4 step on density matrices,
-from either a dense superoperator or the matrix-free generator in the
-eigenbasis of H (``PumpModel.eigenbasis_generator``, the route of the
-``evolve`` command); ``evolve_expm`` applies the exact propagator
+fixed-step driver, ``rk4``, on density matrices, either with a four-stage RK4
+step from a dense superoperator or a matrix-free generator (the reference),
+or with a whole RK4 step given as one map, ``PumpModel.rk4_step`` in the
+eigenbasis of H (the route of the ``evolve`` command, at about a third of
+the numpy calls per step); ``evolve_expm`` applies the exact propagator
 ``exp(L t)`` of a dense L computed by scaling and squaring, the oracle the
 RK4 route is tested against.  ``rk4`` owns the step count, the sample
 budget, the state checks and the sampling, and takes the step itself as a
@@ -270,31 +271,38 @@ def rk4(
 
 def evolve_rk4(
     rho0: np.ndarray,
-    L: Superoperator | Callable[[np.ndarray], np.ndarray],
+    L: Superoperator | Callable[[np.ndarray], np.ndarray] | None,
     t_final: float,
     dt: float,
     sample_every: int = 1,
+    step: Callable[[np.ndarray, float], np.ndarray] | None = None,
 ) -> Trajectory:
     """Classical RK4 on ``d rho/dt = L(rho)``, stepped by ``rk4``; states are
     (n, d, d) matrices.
 
     ``L`` is a dense superoperator acting on ``vec(rho)`` or a callable on
     d x d matrices, such as ``PumpModel.eigenbasis_generator``, in whose
-    basis ``rho0`` and the states are then written.  ``rho0`` must be a
+    basis ``rho0`` and the states are then written; each step takes four
+    stages.  ``step``, passed instead of ``L`` (which is then None), is a
+    whole RK4 step ``(rho, h) -> rho`` as one map, such as
+    ``PumpModel.rk4_step``.  ``rho0`` must be a
     density matrix in some orthonormal basis: the run aborts with
     NumericalError "integration unstable, reduce dt" once the trace drifts by
     more than 1e-6 or an entry exceeds ``|Tr rho0| + 1e-6`` in modulus, which
     no positive semidefinite matrix does.  The trace alone would miss an
     unstable step, since the generator preserves it.
     """
-    rhs = L if callable(L) else lambda rho: devectorize(L @ vectorize(rho))
+    if (L is None) == (step is None):
+        raise TypeError("evolve_rk4 takes either L or step")
+    if step is None:
+        rhs = L if callable(L) else lambda rho: devectorize(L @ vectorize(rho))
 
-    def step(rho: np.ndarray, h: float) -> np.ndarray:
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * h * k1)
-        k3 = rhs(rho + 0.5 * h * k2)
-        k4 = rhs(rho + h * k3)
-        return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        def step(rho: np.ndarray, h: float) -> np.ndarray:
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * h * k1)
+            k3 = rhs(rho + 0.5 * h * k2)
+            k4 = rhs(rho + h * k3)
+            return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     rho0 = rho0.astype(complex)
     trace0 = np.trace(rho0)

@@ -301,10 +301,10 @@ def test_evolve_beyond_dense_guard(tmp_path):
 def test_evolve_refuses_oversized_samples(tmp_path, capsys, monkeypatch):
     # a million 1 MiB samples exceed the memory the model guard grants; the
     # run stops before its first step
-    def never(rho):
+    def never(rho, h):
         raise AssertionError("stepped")
 
-    monkeypatch.setattr(PumpModel, "eigenbasis_generator", lambda self, gamma: never)
+    monkeypatch.setattr(PumpModel, "rk4_step", lambda self, gamma: never)
     args = ["evolve", "--graph", "chain:8", "--t-final", "10000", "--dt", "0.01",
             "--sample-every", "1", "--out", str(tmp_path)]
     assert run(args) == 1
@@ -319,6 +319,16 @@ def test_numerical_failure_exits_two(tmp_path):
          "--dt", "0.5", "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+def test_evolve_unstable_step_exits_two(tmp_path, capsys):
+    # the run of test_rk4_unbounded_entry_raises: dt = 0.07 is outside RK4's
+    # stability region at gamma = 50, and the one-map step refuses it too
+    args = ["evolve", "--graph", "chain:2", "--h-g", "1", "--gamma-g", "50", "--t-final", "0.7",
+            "--dt", "0.07", "--rho0", "random", "--out", str(tmp_path)]
+    assert run(args) == 2
+    assert "integration unstable, reduce dt" in capsys.readouterr().err
+    assert not (tmp_path / "evolve.csv").exists()
 
 
 def test_meanfield_nan_blowup_exits_two(tmp_path, capsys):

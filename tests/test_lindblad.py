@@ -268,6 +268,15 @@ def test_pump_model_steady_state_on_random_graphs(graph, h, gamma):
     assert np.abs(rho - steady_state_direct(model.liouvillian(gamma))).max() <= 1e-10
 
 
+@pytest.mark.parametrize("gamma", [0.05, 1.0, 600.0])
+def test_pump_model_steady_state_of_a_dark_target(gamma):
+    # N = 1 at h = 0: H = 0, so |C> is an eigenvector of H and the target is
+    # dark; K . + . K^+ is singular there, yet the steady state is unique
+    model = PumpModel(GraphSpec(1, ()), ModelParams(g=1.0, h=0.0, gamma=0.0))
+    rho, _ = model.steady_state(gamma)
+    assert np.abs(rho - np.outer(model.target, model.target.conj())).max() <= 1e-12
+
+
 def test_pump_model_steady_state_checks_its_residual_in_the_eigenbasis(monkeypatch):
     # the residual is the generator's Frobenius norm on rho~, not apply(rho)
     model = PumpModel(GraphSpec.chain(4), ModelParams(g=1.0, h=0.7, gamma=0.0))

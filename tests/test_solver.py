@@ -225,6 +225,70 @@ def test_eigenbasis_rk4_matches_dense_on_random_graphs(graph, h, gamma, seed):
     assert eigenbasis_vs_dense(graph, h, gamma, rho0, n_steps=12) <= 1e-12
 
 
+def rk4_stability_edge(model, gamma):
+    """Largest dt at which every eigenvalue of the generator stays in RK4's
+    stability region, max |p(dt lam)| <= 1, by bisection."""
+    lam = model.eigenvalues(gamma)
+    lo, hi = 0.0, 10.0 / max(1.0, float(np.abs(lam).max()))
+    for _ in range(60):
+        x = 0.5 * (lo + hi) * lam
+        growth = np.abs(1.0 + x * (1.0 + x * (0.5 + x * (1.0 / 6.0 + x / 24.0)))).max()
+        lo, hi = (0.5 * (lo + hi), hi) if growth <= 1.0 + 1e-12 else (lo, 0.5 * (lo + hi))
+    return lo
+
+
+def one_map_vs_four_stages(model, gamma, rho0, dt, n_steps):
+    """Largest deviation, over every sample, of ``PumpModel.rk4_step`` from the
+    four-stage RK4 step on ``eigenbasis_generator``."""
+    _, V, _ = model.eigenbasis
+    rho0 = V.T @ rho0 @ V
+    four = evolve_rk4(rho0, model.eigenbasis_generator(gamma), n_steps * dt, dt, sample_every=3)
+    one = evolve_rk4(rho0, None, n_steps * dt, dt, sample_every=3, step=model.rk4_step(gamma))
+    assert np.array_equal(four.times, one.times)
+    return float(np.abs(one.states - four.states).max())
+
+
+@pytest.mark.parametrize("edge", [False, True], ids=["default_dt", "edge_dt"])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 5.0, 600.0])
+@pytest.mark.parametrize(
+    "graph",
+    [GraphSpec.chain(2), GraphSpec.chain(3), GraphSpec.chain(4), GraphSpec.chain(5), GraphSpec.grid(2, 2),
+     GraphSpec(3, ((0, 1),))],
+    ids=["chain:2", "chain:3", "chain:4", "chain:5", "square:2x2", "isolated:3"],
+)
+def test_rk4_step_matches_four_stages(rng, graph, gamma, edge):
+    # the evolve command's default dt, and 0.95 of the largest stable one; an
+    # isolated vertex gives the target a nonzero energy <C|H|C> = h, which
+    # makes c^+ (hK)^i c complex (it is real on the other graphs)
+    model = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=gamma))
+    dt = 0.95 * rk4_stability_edge(model, gamma) if edge else 0.01 / max(1.0, gamma)
+    rho0 = random_density_matrix(rng, 2**graph.n_qubits)
+    assert one_map_vs_four_stages(model, gamma, rho0, dt, n_steps=40) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    graph=random_graphs(),
+    h=st.floats(min_value=-2.0, max_value=2.0),
+    gamma=st.floats(min_value=0.0, max_value=1e3),
+    fraction=st.floats(min_value=0.01, max_value=0.95),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_rk4_step_matches_four_stages_on_random_graphs(graph, h, gamma, fraction, seed):
+    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=gamma))
+    dt = fraction * rk4_stability_edge(model, gamma)
+    rho0 = random_density_matrix(np.random.default_rng(seed), 2**graph.n_qubits)
+    assert one_map_vs_four_stages(model, gamma, rho0, dt, n_steps=12) <= 1e-12
+
+
+def test_evolve_rk4_takes_l_or_step(rng):
+    rho0 = random_density_matrix(rng, 2)
+    with pytest.raises(TypeError, match="either L or step"):
+        evolve_rk4(rho0, None, 1.0, 0.1)
+    with pytest.raises(TypeError, match="either L or step"):
+        evolve_rk4(rho0, np.zeros((4, 4)), 1.0, 0.1, step=lambda rho, h: rho)
+
+
 def test_rk4_matches_expm(rng):
     L = chain_liouvillian(3, h_g=1.0, gamma_g=1.0)
     for _ in range(3):
