@@ -33,7 +33,7 @@ from .experiments import (
 from .lindblad import ModelParams, PumpModel
 from .meanfield import MeanFieldState, fixed_points, mean_field_evolve
 from .meanfield import default_dt as mf_default_dt
-from .observables import fidelity, spin_expectations, witness_expectation
+from .observables import eigenbasis_observables, fidelity, spin_expectations, witness_expectation
 from .operators import pauli_to_dense
 from .solver import evolve_rk4, pure_state_density, rank_spectrum
 
@@ -236,20 +236,14 @@ def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
     rng = np.random.default_rng(cfg["seed"])
     rho0 = _initial_density(cfg["rho0"], model.graph.n_qubits, rng)
     dt = cfg["dt"] if cfg["dt"] is not None else 0.01 / max(1.0, abs(model.params.gamma_g))
-    # step in the eigenbasis of H and rotate only the samples back
-    _, V, _ = model.eigenbasis
+    # step in the eigenbasis of H and read the observables there
+    _, V, c = model.eigenbasis
     traj = evolve_rk4(
         V.T @ rho0 @ V, None, cfg["t_final"], dt, sample_every=cfg["sample_every"],
         step=model.rk4_step(model.params.gamma),
     )
-    rows = []
-    for t, sample in zip(traj.times, traj.states):
-        rho = model.from_eigenbasis(sample)
-        spins = spin_expectations(rho)
-        rows.append(
-            [t, spins.jx, spins.jy, spins.jz,
-             fidelity(rho, model.target), witness_expectation(rho, model.target, eta=cfg["eta"])]
-        )
+    observables = eigenbasis_observables(traj.states, V, c, eta=cfg["eta"])
+    rows = np.column_stack([traj.times, observables]).tolist()
     _write_csv(out_dir / "evolve.csv", ["t", "jx", "jy", "jz", "fidelity", "witness"], rows)
     summary = {
         "config": cfg,

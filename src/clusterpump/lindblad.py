@@ -419,9 +419,23 @@ class PumpModel:
         ``(hA)^m (c c^+) = Y Pi_m Y^+`` for ``Y = [(h kappa)^n o c]``, n < 4.
         The tables that map the probes to U and V are built by recursion, with
         ``(gamma / 2) c`` and no division, for the h of the first call and again
-        whenever h changes.  A step then costs three thin products, one rank-8
-        update and about 20 numpy calls, O(d^2), against about 70 calls for the
-        four stages.
+        whenever h changes.
+
+        For Hermitian X, ``W = Z^+``: U's first four columns are ``u + Y Gamma``
+        and V's last four rows are ``u^+``, with ``u = sum_s b[:, s] o conj(Z_s)``;
+        ``Gamma`` is Hermitian and ``P4_ba = conj(P4_ab)``.  So the step is
+        ``G + G^+`` with
+
+            G = (u + Y Gamma / 2) Y^+ + (P4 o X) / 2
+
+        from the one probe Z.  It is computed so for any X, and its output is
+        exactly Hermitian; a non-Hermitian X is read as if ``X R^+`` were
+        ``Z^+``.  ``(P4 o X) / 2`` stays inside G: added to ``G + G^+``
+        instead, it would carry the anti-Hermitian round-off of a start
+        ``V^T rho V`` as ``P4 o .``, which grows at dt near the stability edge,
+        where some ``|P4_ab| > 1``.  A step costs one thin product, one rank-4
+        product, a transposed copy and about 20 numpy calls, O(d^2), against
+        about 70 calls for the four stages.
         """
         _require_nonnegative(gamma)
         energies, _, c = self.eigenbasis
@@ -482,18 +496,20 @@ class PumpModel:
                 q[j] = qa[j] + 2.0 * g * sum(qp[j - 1 - i] * q[i] for i in range(j))
                 psi = 2.0 * g * sum(Pi[kk - 1 - j] / fact[kk] for kk in range(j + 1, 5))
                 table += np.outer(psi.ravel(), q[j])
-            return P4, R, R.conj().T, b, b.conj(), Y, Y.conj().T, table
+            # Gamma enters G halved, as Y (Gamma / 2) Y^+
+            return 0.5 * P4, R, R.conj().T, b, Y, Y.conj().T, 0.5 * table[:, 0], 0.5 * table[:, 1:]
 
         def step(rho: np.ndarray, h: float) -> np.ndarray:
-            P4, R, R_h, b, b_conj, Y, Y_h, table = tables(h)
+            half_P4, R, R_h, b, Y, Y_h, trace_column, M_columns = tables(h)
             Z = R @ rho
-            W = rho @ R_h
-            probes = np.concatenate(([rho.trace()], (Z @ R_h).ravel()))
-            Gamma = (table @ probes).reshape(4, 4)
-            U = np.concatenate(((b * W.T).sum(axis=1).T + Y @ Gamma, Y), axis=1)
-            V = np.concatenate((Y_h, (b_conj * Z).sum(axis=1)))
-            out = P4 * rho
-            out += U @ V
+            half_Gamma = (M_columns @ (Z @ R_h).ravel() + trace_column * rho.trace()).reshape(4, 4)
+            G = ((b * Z.conj()).sum(axis=1).T + Y @ half_Gamma) @ Y_h
+            G += half_P4 * rho
+            # G + G^+ through a transposed copy: a ufunc reading G.conj().T
+            # strides across rows, and took four times as long at d = 256
+            out = G.T.copy()
+            np.conjugate(out, out=out)
+            out += G
             return out
 
         return step

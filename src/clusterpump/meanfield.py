@@ -19,10 +19,10 @@ whose equilibria fall into four closed-form families:
 ``mean_field_evolve`` integrates the ODEs with the same fixed-step driver
 (``solver.rk4``) that integrates the exact master equation, and returns the
 same ``solver.Trajectory`` type, with states of shape (n_samples, 3).  Its
-RK4 step is written out on three Python floats, since numpy calls on
-length-3 arrays would cost more than the arithmetic; it performs the
-operations of the array formula in the same order, so its states are those
-of a numpy RK4 of ``_rhs`` to the bit.
+RK4 step is written out on three Python floats, and the state stays three
+floats between steps, since numpy calls on length-3 arrays would cost more
+than the arithmetic; it performs the operations of the array formula in the
+same order, so its states are those of a numpy RK4 of ``_rhs`` to the bit.
 """
 
 from __future__ import annotations
@@ -177,28 +177,28 @@ def mean_field_evolve(
     # The coefficients of ``_rhs``, folded as its left-to-right products fold them.
     a, b, c, gamma = -4.0 * p.g, 4.0 * p.g, 2.0 * p.h, p.gamma
 
-    def rhs(x: float, y: float, z: float) -> tuple[float, float, float]:
-        return a * y * z - gamma * x, b * x * z - c * z - gamma * y, -c * y - gamma * z
-
-    def step(s: np.ndarray, tau: float) -> np.ndarray:
-        x, y, z = s.tolist()
+    def step(s: tuple[float, float, float], tau: float) -> tuple[float, float, float]:
+        # ``_rhs`` inlined four times, in its order of operations
+        x, y, z = s
         half = 0.5 * tau
-        k1x, k1y, k1z = rhs(x, y, z)
-        k2x, k2y, k2z = rhs(x + half * k1x, y + half * k1y, z + half * k1z)
-        k3x, k3y, k3z = rhs(x + half * k2x, y + half * k2y, z + half * k2z)
-        k4x, k4y, k4z = rhs(x + tau * k3x, y + tau * k3y, z + tau * k3z)
+        k1x, k1y, k1z = a * y * z - gamma * x, b * x * z - c * z - gamma * y, -c * y - gamma * z
+        x2, y2, z2 = x + half * k1x, y + half * k1y, z + half * k1z
+        k2x, k2y, k2z = a * y2 * z2 - gamma * x2, b * x2 * z2 - c * z2 - gamma * y2, -c * y2 - gamma * z2
+        x3, y3, z3 = x + half * k2x, y + half * k2y, z + half * k2z
+        k3x, k3y, k3z = a * y3 * z3 - gamma * x3, b * x3 * z3 - c * z3 - gamma * y3, -c * y3 - gamma * z3
+        x4, y4, z4 = x + tau * k3x, y + tau * k3y, z + tau * k3z
+        k4x, k4y, k4z = a * y4 * z4 - gamma * x4, b * x4 * z4 - c * z4 - gamma * y4, -c * y4 - gamma * z4
         sixth = tau / 6.0
-        return np.array(
-            [
-                x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-                y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-                z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
-            ]
+        return (
+            x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+            z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
         )
 
-    def check_norm(s: np.ndarray) -> None:
+    def check_norm(s: tuple[float, float, float]) -> None:
         # written so that NaN fails too
-        if not math.hypot(*s.tolist()) <= BLOWUP_NORM:
+        if not math.hypot(*s) <= BLOWUP_NORM:
             raise NumericalError("mean-field blow-up")
 
-    return rk4(step, s0.as_array().astype(float), t_final, dt, sample_every, check_norm)
+    # Python floats, not numpy scalars, from the first step on
+    return rk4(step, tuple(s0.as_array().astype(float).tolist()), t_final, dt, sample_every, check_norm)

@@ -12,13 +12,14 @@ evolution routes are provided: ``evolve_rk4`` runs the package's one
 fixed-step driver, ``rk4``, on density matrices, either with a four-stage RK4
 step from a dense superoperator or a matrix-free generator (the reference),
 or with a whole RK4 step given as one map, ``PumpModel.rk4_step`` in the
-eigenbasis of H (the route of the ``evolve`` command, at about a third of
-the numpy calls per step); ``evolve_expm`` applies the exact propagator
+eigenbasis of H (the route of the ``evolve`` command: one thin probe of the
+state and a Hermitian rank-4 update per step, against four generator calls);
+``evolve_expm`` applies the exact propagator
 ``exp(L t)`` of a dense L computed by scaling and squaring, the oracle the
 RK4 route is tested against.  ``rk4`` owns the step count, the sample
 budget, the state checks and the sampling, and takes the step itself as a
 map, so the mean-field ODEs run the same driver with their RK4 step written
-on three floats.
+on three floats, which are also the state between their steps.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from numpy.typing import ArrayLike
 
 from .errors import NumericalError
 from .lindblad import MAX_MODEL_QUBITS, STEADY_STATE_ARRAYS, Superoperator, devectorize, vectorize
@@ -220,8 +222,8 @@ def steady_state_direct(L: Superoperator) -> np.ndarray:
 
 
 def rk4(
-    step: Callable[[np.ndarray, float], np.ndarray],
-    y0: np.ndarray,
+    step: Callable,
+    y0: ArrayLike,
     t_final: float,
     dt: float,
     sample_every: int,
@@ -230,7 +232,10 @@ def rk4(
     """Fixed-step driver: ``y <- step(y, h)`` from ``y0`` up to ``t_final``.
 
     ``step(y, h)`` returns the state one step of length ``h`` after ``y``,
-    as a new array; callers pass a classical 4th-order Runge-Kutta step.
+    as a new object; callers pass a classical 4th-order Runge-Kutta step.
+    ``y0`` is an array, or anything ``np.asarray`` makes one (the mean-field
+    ODEs pass three floats); the state between steps is what ``step``
+    returns, and samples are stored as arrays of ``y0``'s shape and dtype.
     Takes ``max(1, ceil(t_final / dt))`` equal steps, so no step exceeds
     ``dt``, and samples every ``sample_every`` steps; t = 0 and t = t_final
     are always included.  ``check`` is called on ``y0`` and on every new
@@ -245,15 +250,16 @@ def rk4(
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     n_steps = 0 if t_final == 0 else max(1, int(math.ceil(t_final / dt - 1e-12)))
     n_samples = 1 + -(-n_steps // sample_every)
-    if n_samples * y0.nbytes > SAMPLE_BUDGET_BYTES:
+    first = np.asarray(y0)
+    if n_samples * first.nbytes > SAMPLE_BUDGET_BYTES:
         raise ValueError(
-            f"{n_samples} samples would need {n_samples * y0.nbytes / 2.0**30:.1f} GiB, above "
+            f"{n_samples} samples would need {n_samples * first.nbytes / 2.0**30:.1f} GiB, above "
             f"the {SAMPLE_BUDGET_BYTES / 2.0**30:.2f} GiB budget; sample less often or stop earlier"
         )
     check(y0)
     times = np.zeros(n_samples)
-    states = np.empty((n_samples, *y0.shape), dtype=y0.dtype)
-    states[0] = y0
+    states = np.empty((n_samples, *first.shape), dtype=first.dtype)
+    states[0] = first
     if n_steps == 0:
         return Trajectory(times, states)
     h = t_final / n_steps

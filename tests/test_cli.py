@@ -298,6 +298,36 @@ def test_evolve_beyond_dense_guard(tmp_path):
     assert np.abs(rows - np.array(expected)).max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "graph_arg, graph",
+    [("square:2x2", GraphSpec.grid(2, 2)), ('{"n": 3, "edges": [[0, 1]]}', GraphSpec(3, ((0, 1),)))],
+    ids=["square:2x2", "isolated:3"],
+)
+def test_evolve_observables_match_the_back_transformed_samples(tmp_path, graph_arg, graph):
+    # a random start has <Y> != 0, and an isolated vertex makes c^+ (hK)^i c
+    # complex; each row is read in the eigenbasis of H and must match the
+    # observables of the same sample transformed back
+    args = ["evolve", "--graph", graph_arg, "--h-g", "0.9", "--gamma-g", "2", "--t-final", "0.3",
+            "--rho0", "random", "--seed", "5", "--sample-every", "1", "--eta", "0.4",
+            "--out", str(tmp_path)]
+    assert run(args) == 0
+    rows = np.loadtxt(tmp_path / "evolve.csv", delimiter=",", skiprows=1)
+    model = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=2.0))
+    _, V, _ = model.eigenbasis
+    rho0 = cli._initial_density("random", graph.n_qubits, np.random.default_rng(5))
+    traj = evolve_rk4(V.T @ rho0 @ V, None, 0.3, 0.005, step=model.rk4_step(2.0))
+    expected = []
+    for t, sample in zip(traj.times, traj.states):
+        rho = model.from_eigenbasis(sample)
+        expected.append(
+            [t, *spin_expectations(rho).as_array(), fidelity(rho, model.target),
+             witness_expectation(rho, model.target, eta=0.4)]
+        )
+    assert rows.shape == (61, 6)
+    assert np.abs(rows[:, 2]).max() > 1e-3
+    assert np.abs(rows - np.array(expected)).max() <= 1e-12
+
+
 def test_evolve_refuses_oversized_samples(tmp_path, capsys, monkeypatch):
     # a million 1 MiB samples exceed the memory the model guard grants; the
     # run stops before its first step
@@ -413,6 +443,23 @@ def test_outputs_are_bit_identical_across_runs(tmp_path):
         assert run(args_sweep) == 0
         snapshots.append(
             {name: (tmp_path / name).read_bytes() for name in ("steady.json", "sweep.csv", "sweep.json")}
+        )
+    assert snapshots[0] == snapshots[1]
+
+
+def test_dynamics_outputs_are_bit_identical_across_runs(tmp_path):
+    # the identical evolve and meanfield configs run twice in one process
+    # produce identical bytes
+    args_evolve = ["evolve", "--graph", "chain:3", "--gamma-g", "3", "--t-final", "1",
+                   "--rho0", "random", "--seed", "3", "--out", str(tmp_path)]
+    args_meanfield = ["meanfield", "--h-g", "0.8", "--gamma-g", "1", "--t-final", "5",
+                      "--seed", "3", "--out", str(tmp_path)]
+    snapshots = []
+    for _ in range(2):
+        assert run(args_evolve) == 0
+        assert run(args_meanfield) == 0
+        snapshots.append(
+            {name: (tmp_path / name).read_bytes() for name in ("evolve.csv", "evolve.json", "meanfield.csv")}
         )
     assert snapshots[0] == snapshots[1]
 
