@@ -1,7 +1,8 @@
 """Batch command-line interface.
 
 Commands: cluster, steady, spectrum, evolve, meanfield, sweep, scaling.
-Options come from flags or a JSON config file (flags override the file).
+Options come from flags or a JSON config file, whose entries are parsed as
+flags placed before the command line's own (flags win); numbers must be finite.
 Every command writes a JSON summary embedding the fully resolved
 configuration, so runs are reproducible from their outputs alone; identical
 configurations produce byte-identical files.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cluster import GraphSpec, cluster_state, plus_state, state_from_bits, stabilizers
+from .cluster import GraphSpec, cluster_state, plus_state, state_from_bits
 from .errors import ConfigError, NumericalError
 from .experiments import (
     DEFAULT_GAMMA_POLICY,
@@ -33,8 +35,7 @@ from .experiments import (
 from .lindblad import ModelParams, PumpModel
 from .meanfield import MeanFieldState, fixed_points, mean_field_evolve
 from .meanfield import default_dt as mf_default_dt
-from .observables import eigenbasis_observables, fidelity, spin_expectations, witness_expectation
-from .operators import pauli_to_dense
+from .observables import _site_flips, eigenbasis_observables, fidelity, spin_expectations, witness_expectation
 from .solver import evolve_rk4, pure_state_density, rank_spectrum
 
 
@@ -47,6 +48,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # noqa: D102 - argparse hook
         raise ConfigError(message)
+
+
+def _finite(text: str) -> float:
+    """The type of every float option: a number, but not NaN or infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -96,44 +108,50 @@ def parse_graph(text: str) -> GraphSpec:
     raise ConfigError(f"cannot interpret graph {text!r}")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults, config file, and explicit flags (flags win)."""
-    out = dict(defaults)
-    if args.config:
-        cfg_path = Path(args.config)
-        if not cfg_path.is_file():
-            raise ConfigError(f"config file not found: {args.config}")
-        try:
-            cfg = json.loads(cfg_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        for key, value in cfg.items():
-            k = key.replace("-", "_")
-            if k == "command":
-                continue
-            if k not in defaults:
-                raise ConfigError(f"unknown config key {key!r} for this command")
-            out[k] = value
-    for k in defaults:
-        v = getattr(args, k, None)
-        if v is not None:
-            out[k] = v
-    return out
-
-
-def _sign_g(cfg: dict) -> float:
-    sign = cfg["sign_g"]
-    if sign not in (1, -1):
-        raise ConfigError(f"sign_g must be 1 or -1, got {sign}")
-    return float(sign)
+def _config_flags(path: str, keys) -> list[str]:
+    """A JSON config file's entries as ``--key=value`` flags of a command taking
+    ``keys``: strings raw, other values as JSON, ``null`` the default, and
+    ``true``/``false`` the switch ``--skip-gap``; a summary's ``command`` is skipped."""
+    try:  # a missing file is an OSError, exit 1 too
+        cfg = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file must hold a JSON object, not {type(cfg).__name__}")
+    flags = []
+    for key, value in cfg.items():
+        k = key.replace("-", "_")
+        if k == "command" or value is None:
+            continue
+        if k not in keys:
+            raise ConfigError(f"unknown config key {key!r} for this command")
+        flag = "--" + k.replace("_", "-")
+        if k == "skip_gap" and isinstance(value, bool):
+            flags += [flag] * value
+        else:  # a skip_gap other than true or false fails as an explicit argument
+            flags.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return flags
 
 
 def _model(cfg: dict) -> ModelParams:
-    return ModelParams(g=_sign_g(cfg), h=float(cfg["h_g"]), gamma=float(cfg["gamma_g"]))
+    return ModelParams(g=float(cfg["sign_g"]), h=cfg["h_g"], gamma=cfg["gamma_g"])
 
 
 def _bitstring(index: int, n: int) -> str:
     return format(index, f"0{n}b")
+
+
+def _stabilizer_deviation(graph: GraphSpec, state: np.ndarray) -> float:
+    """max_j |S_j psi - psi|_inf for S_j = X_j prod_{k in N(j)} Z_k, without matrices:
+    (S_j psi)[x] = s(y) psi[y] at y = x xor (bit j), s the neighbours' Z signs."""
+    sites = _site_flips(state.size)
+    deviation = 0.0
+    for j in range(graph.n_qubits):
+        signed = state.copy()
+        for k in graph.neighbors(j):
+            signed *= sites[k][1]
+        deviation = max(deviation, float(np.abs(signed[sites[j][0]] - state).max()))
+    return deviation
 
 
 # ---------------------------------------------------------------- commands
@@ -144,8 +162,7 @@ def _cmd_cluster(cfg: dict, out_dir: Path) -> int:
     graph = parse_graph(cfg["graph"])
     state = cluster_state(graph)
     n = graph.n_qubits
-    dense_stabs = [pauli_to_dense(s) for s in stabilizers(graph)]
-    stab_dev = max(float(np.linalg.norm(m @ state - state, np.inf)) for m in dense_stabs)
+    stab_dev = _stabilizer_deviation(graph, state)
     spins = spin_expectations(pure_state_density(state))
     amplitudes = [
         [_bitstring(i, n), float(a.real), float(a.imag)]
@@ -244,24 +261,19 @@ def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
     )
     observables = eigenbasis_observables(traj.states, V, c, eta=cfg["eta"])
     rows = np.column_stack([traj.times, observables]).tolist()
-    _write_csv(out_dir / "evolve.csv", ["t", "jx", "jy", "jz", "fidelity", "witness"], rows)
+    header = ["t", "jx", "jy", "jz", "fidelity", "witness"]
+    _write_csv(out_dir / "evolve.csv", header, rows)
+    final = dict(zip(header, rows[-1]))
     summary = {
         "config": cfg,
         "version": __version__,
         "n_qubits": model.graph.n_qubits,
         "dt": dt,
         "n_samples": len(rows),
-        "final": {
-            "t": rows[-1][0],
-            "jx": rows[-1][1],
-            "jy": rows[-1][2],
-            "jz": rows[-1][3],
-            "fidelity": rows[-1][4],
-            "witness": rows[-1][5],
-        },
+        "final": final,
     }
     _write_json(out_dir / "evolve.json", summary)
-    print(f"evolved to t = {rows[-1][0]:g}; final fidelity = {rows[-1][4]:.6f}")
+    print(f"evolved to t = {final['t']:g}; final fidelity = {final['fidelity']:.6f}")
     return 0
 
 
@@ -270,9 +282,9 @@ def _cmd_meanfield(cfg: dict, out_dir: Path) -> int:
     params = _model(cfg)
     points = fixed_points(params)
     rng = np.random.default_rng(cfg["seed"])
-    if cfg.get("s0"):
+    if cfg["s0"]:
         try:
-            x, y, z = (float(v) for v in str(cfg["s0"]).split(","))
+            x, y, z = (float(v) for v in cfg["s0"].split(","))
         except ValueError as exc:
             raise ConfigError(f"bad s0 {cfg['s0']!r}; expected x,y,z") from exc
         if not all(math.isfinite(v) for v in (x, y, z)):
@@ -324,13 +336,9 @@ def _cmd_meanfield(cfg: dict, out_dir: Path) -> int:
 def _cmd_sweep(cfg: dict, out_dir: Path) -> int:
     """Gamma sweep of steady-state metrics."""
     graph = parse_graph(cfg["graph"])
-    try:
-        grid = parse_gamma_policy(cfg["gamma_grid"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    sweep = gamma_sweep(
-        graph, cfg["h_g"], grid, compute_gap=not cfg["skip_gap"], eta=cfg["eta"], g=_sign_g(cfg)
-    )
+    grid = parse_gamma_policy(cfg["gamma_grid"])
+    sweep = gamma_sweep(graph, cfg["h_g"], grid, compute_gap=not cfg["skip_gap"], eta=cfg["eta"],
+                        g=float(cfg["sign_g"]))
     rows = [
         [g_, f, w, gp, st]
         for g_, f, w, gp, st in zip(
@@ -364,7 +372,7 @@ def _cmd_sweep(cfg: dict, out_dir: Path) -> int:
 def _cmd_scaling(cfg: dict, out_dir: Path) -> int:
     """Size-scaling study with fits."""
     try:
-        n_values = [int(v) for v in str(cfg["n_values"]).split(",")]
+        n_values = [int(v) for v in cfg["n_values"].split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad n_values {cfg['n_values']!r}") from exc
     study = size_scaling_study(
@@ -375,34 +383,15 @@ def _cmd_scaling(cfg: dict, out_dir: Path) -> int:
         weak_gamma=cfg["weak_gamma"],
         strong_gamma=cfg["strong_gamma"],
     )
-    _write_csv(
-        out_dir / "scaling.csv",
-        ["n", "gamma_sat", "f_sat", "gap_weak", "gap_strong"],
-        [[r.n, r.gamma_sat, r.f_sat, r.gap_weak, r.gap_strong] for r in study.rows],
-    )
+    rows = [dataclasses.asdict(r) for r in study.rows]
+    _write_csv(out_dir / "scaling.csv", list(rows[0]), [list(r.values()) for r in rows])
     summary = {
         "config": cfg,
         "version": __version__,
         "weak_gamma": study.weak_gamma,
         "strong_gamma": study.strong_gamma,
-        "rows": [
-            {
-                "n": r.n,
-                "gamma_sat": r.gamma_sat,
-                "f_sat": r.f_sat,
-                "gap_weak": r.gap_weak,
-                "gap_strong": r.gap_strong,
-            }
-            for r in study.rows
-        ],
-        "fits": {
-            name: {
-                "model": fit.model,
-                "coefficients": list(fit.coefficients),
-                "r_squared": fit.r_squared,
-            }
-            for name, fit in study.fits.items()
-        },
+        "rows": rows,
+        "fits": {name: dataclasses.asdict(fit) for name, fit in study.fits.items()},
     }
     _write_json(out_dir / "scaling.json", summary)
     for r in study.rows:
@@ -467,24 +456,24 @@ _DEFAULTS = {
 _OPTIONS = {
     "out": {"help": "output directory (default: current directory)"},
     "seed": {"type": int, "help": "seed for randomized initial states"},
-    "h_g": {"type": float, "help": "transverse field h/g"},
-    "gamma_g": {"type": float, "help": "dissipation rate gamma/g"},
+    "h_g": {"type": _finite, "help": "transverse field h/g"},
+    "gamma_g": {"type": _finite, "help": "dissipation rate gamma/g"},
     "sign_g": {"type": int, "choices": (1, -1), "help": "sign of the Ising coupling"},
-    "eta": {"type": float, "help": "witness offset (default 1/2)"},
+    "eta": {"type": _finite, "help": "witness offset (default 1/2)"},
     "graph": {"help": 'graph preset ("chain:N", "square:RxC"), JSON file, or inline JSON'},
-    "t_final": {"type": float},
-    "dt": {"type": float, "help": "RK4 step (default: scaled to the fastest rate)"},
+    "t_final": {"type": _finite},
+    "dt": {"type": _finite, "help": "RK4 step (default: scaled to the fastest rate)"},
     "rho0": {"choices": ("plus", "zero", "mixed", "random"), "help": "initial state"},
     "sample_every": {"type": int},
     "s0": {"help": "initial (jx,jy,jz) as x,y,z; default perturbs a stable branch"},
     "gamma_grid": {"help": 'grid, e.g. "log:0.1:500:31"'},
     "skip_gap": {"action": "store_const", "const": True,
                  "help": "skip spectra (fast steady-state solves only)"},
-    "epsilon": {"type": float, "help": "saturation criterion"},
+    "epsilon": {"type": _finite, "help": "saturation criterion"},
     "n_values": {"help": "comma-separated chain lengths"},
     "gamma_policy": {},
-    "weak_gamma": {"type": float},
-    "strong_gamma": {"type": float,
+    "weak_gamma": {"type": _finite},
+    "strong_gamma": {"type": _finite,
                      "help": "fixed strong dissipation for the gap fit (default: largest gamma_sat)"},
 }
 
@@ -508,15 +497,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; explicit flags override it")
         for key in _DEFAULTS[name]:
             p.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key])
+        p.set_defaults(**_DEFAULTS[name])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        cfg = _resolve(args, _DEFAULTS[args.command])
-        cfg["command"] = args.command
+        if args.config:
+            # argv[0] is the command; the file's flags go before the command line's
+            flags = _config_flags(args.config, _DEFAULTS[args.command])
+            args = parser.parse_args([argv[0], *flags, *argv[1:]])
+        cfg = {k: v for k, v in vars(args).items() if k != "config"}
         out_dir = Path(cfg["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](cfg, out_dir)

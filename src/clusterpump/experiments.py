@@ -215,8 +215,8 @@ def parse_gamma_policy(text: str) -> np.ndarray:
     if len(parts) != 4 or parts[0] not in ("log", "lin"):
         raise ValueError(f"bad gamma policy {text!r}; expected log:<lo>:<hi>:<n> or lin:<lo>:<hi>:<n>")
     lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
-    if n < 2 or hi <= lo:
-        raise ValueError(f"bad gamma policy {text!r}: need hi > lo and n >= 2")
+    if n < 2 or not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"bad gamma policy {text!r}: need finite lo < hi and n >= 2")
     if parts[0] == "log":
         if lo <= 0:
             raise ValueError("log grid requires lo > 0")

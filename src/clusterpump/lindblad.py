@@ -85,8 +85,8 @@ SECULAR_BLOCK = 64
 
 
 def _require_nonnegative(gamma: float) -> None:
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    if not 0 <= gamma < math.inf:  # NaN fails too
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -346,6 +346,7 @@ class PumpModel:
         index-permuted view of rho per site (X_k flips bit k of a row or
         column index), so the cost is O(N d^2) rather than two d x d products.
         """
+        _require_nonnegative(gamma)
         n = self.graph.n_qubits
         d = rho.shape[0]
         out = np.zeros_like(rho, dtype=complex)
@@ -691,7 +692,7 @@ class PumpModel:
         tol = 1e-8 * max(1.0, float(np.abs(diagonal).max()))
         # V is orthogonal, so this is |L rho|_F >= max |L rho| in any basis
         residual = float(np.linalg.norm(self.eigenbasis_generator(gamma)(rho)))
-        if residual > tol:
+        if not residual <= tol:
             raise NumericalError(
                 f"structured steady-state residual {residual:g} exceeds tolerance {tol:g}"
             )

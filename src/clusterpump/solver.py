@@ -176,7 +176,7 @@ def _solve_nonsingular(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     a_norm = lange("1", A)
     lu, piv, info = getrf(A, overwrite_a=True)
     rcond, _ = gecon(lu, a_norm, norm="1")
-    if info > 0 or rcond < np.finfo(float).eps:
+    if info > 0 or not rcond >= np.finfo(float).eps:
         raise NumericalError(
             f"degenerate kernel: the steady-state system is singular "
             f"(reciprocal condition number {rcond:.3g})"
@@ -214,7 +214,7 @@ def steady_state_direct(L: Superoperator) -> np.ndarray:
     b[0] = 1.0
     rho, _ = _unit_trace_hermitian(devectorize(_solve_nonsingular(A, b)))
     residual = float(np.linalg.norm(L @ vectorize(rho), np.inf))
-    if residual > residual_tol:
+    if not residual <= residual_tol:
         raise NumericalError(
             f"direct steady-state residual {residual:g} exceeds tolerance {residual_tol:g}"
         )
@@ -239,9 +239,12 @@ def rk4(
     Takes ``max(1, ceil(t_final / dt))`` equal steps, so no step exceeds
     ``dt``, and samples every ``sample_every`` steps; t = 0 and t = t_final
     are always included.  ``check`` is called on ``y0`` and on every new
-    state; it aborts the run by raising.  A run whose samples would take
-    more than ``SAMPLE_BUDGET_BYTES`` raises ValueError before any step.
+    state; it aborts the run by raising.  A non-finite ``dt`` or ``t_final``,
+    or a run whose samples would take more than ``SAMPLE_BUDGET_BYTES``,
+    raises ValueError before any step.
     """
+    if not (math.isfinite(dt) and math.isfinite(t_final)):
+        raise ValueError(f"dt and t_final must be finite, got {dt} and {t_final}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_final < 0:

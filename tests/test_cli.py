@@ -5,9 +5,10 @@ import pytest
 
 from clusterpump import cli, lindblad, solver
 from clusterpump.cli import main, parse_graph
-from clusterpump.cluster import GraphSpec, plus_state
+from clusterpump.cluster import GraphSpec, cluster_state, plus_state, stabilizers
 from clusterpump.lindblad import ModelParams, PumpModel
 from clusterpump.observables import fidelity, spin_expectations, witness_expectation
+from clusterpump.operators import pauli_to_dense
 from clusterpump.solver import evolve_rk4, pure_state_density
 
 
@@ -233,11 +234,111 @@ def test_options_a_command_does_not_read_are_rejected(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("command", ["steady", "sweep"])
 def test_sign_g_is_checked(tmp_path, capsys, command):
-    # the flag's choices do not guard a config file; every model command checks the sign
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"graph": "chain:2", "sign_g": 2}))
     assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    assert "sign_g must be 1 or -1, got 2" in capsys.readouterr().err
+    assert "argument --sign-g: invalid choice: 2" in capsys.readouterr().err
+
+
+def assert_refused(capsys, args, out):
+    # exit 1 with a single "error:" line, and no summary written
+    assert run([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("steady", [{"graph": "chain:2"}]),
+        ("sweep", {"skip_gap": "false"}),
+        ("evolve", {"seed": 1.5}),
+        ("evolve", {"sample_every": 2.5}),
+        ("steady", {"gamma_g": float("nan")}),
+    ],
+    ids=["list", "skip_gap_string", "seed_float", "sample_every_float", "gamma_g_nan"],
+)
+def test_malformed_config_exits_one(tmp_path, capsys, command, config):
+    # a config file is typed and checked by the command's parser, as its flags are
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert_refused(capsys, [command, "--config", str(cfg)], tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["steady", "--eta", "nan"],
+        ["evolve", "--t-final", "inf"],
+        ["sweep", "--epsilon", "nan"],
+        ["sweep", "--gamma-grid", "lin:1:inf:3"],
+    ],
+    ids=["eta_nan", "t_final_inf", "epsilon_nan", "gamma_grid_inf"],
+)
+def test_non_finite_flag_exits_one(tmp_path, capsys, args):
+    assert_refused(capsys, [*args, "--graph", "chain:2"], tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "command, config, flags",
+    [
+        ("cluster", {"graph": "square:2x2"}, ["--graph", "square:2x2"]),
+        ("steady", {"graph": "chain:3", "h_g": 1, "gamma_g": "25", "sign_g": -1, "eta": None},
+         ["--graph", "chain:3", "--h-g", "1", "--gamma-g", "25", "--sign-g", "-1"]),
+        ("spectrum", {"command": "spectrum", "graph": "chain:2", "gamma_g": 2},
+         ["--graph", "chain:2", "--gamma-g", "2"]),
+        ("evolve", {"graph": "chain:2", "t_final": "1", "h_g": 1, "rho0": "random", "seed": 4,
+                    "sample_every": 5, "dt": None},
+         ["--graph", "chain:2", "--t-final", "1", "--h-g", "1", "--rho0", "random", "--seed", "4",
+          "--sample-every", "5"]),
+        ("meanfield", {"h_g": 1, "gamma_g": 5, "t_final": "2", "s0": "0.9,0.1,0.1"},
+         ["--h-g", "1", "--gamma-g", "5", "--t-final", "2", "--s0", "0.9,0.1,0.1"]),
+        ("sweep", {"graph": "chain:2", "gamma_grid": "lin:1:5:3", "skip_gap": True, "h_g": 1,
+                   "epsilon": "0.01"},
+         ["--graph", "chain:2", "--gamma-grid", "lin:1:5:3", "--skip-gap", "--h-g", "1",
+          "--epsilon", "0.01"]),
+        ("scaling", {"n_values": "2,3", "h_g": "0.5", "gamma_policy": "log:0.5:600:16", "weak_gamma": 1,
+                     "strong_gamma": None},
+         ["--n-values", "2,3", "--h-g", "0.5", "--gamma-policy", "log:0.5:600:16", "--weak-gamma", "1"]),
+    ],
+    ids=["cluster", "steady", "spectrum", "evolve", "meanfield", "sweep", "scaling"],
+)
+def test_config_file_writes_the_bytes_of_its_flags(tmp_path, command, config, flags):
+    # ints and strings in a config file get their flag's type: the run is the
+    # flag run, byte for byte, and null keeps the default
+    def outputs(args):
+        assert run([command, *args, "--out", str(tmp_path / "out")]) == 0
+        return {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert outputs(["--config", str(cfg)]) == outputs(flags)
+
+
+@pytest.mark.parametrize(
+    "graph_arg",
+    ["chain:4", "square:2x2", "square:2x3", '{"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}'],
+    ids=["chain:4", "square:2x2", "square:2x3", "star:4"],
+)
+def test_stabilizer_deviation_matches_the_dense_generators(tmp_path, monkeypatch, rng, graph_arg):
+    # the cluster command applies each generator to the state by index, with
+    # no 2^N x 2^N matrix; on the target and on a random state it agrees with
+    # the dense generators exactly
+    graph = parse_graph(graph_arg)
+    dense = [pauli_to_dense(s) for s in stabilizers(graph)]
+    random = rng.standard_normal(2**graph.n_qubits) + 1j * rng.standard_normal(2**graph.n_qubits)
+    for state in (cluster_state(graph), random / np.linalg.norm(random)):
+        expected = max(float(np.linalg.norm(m @ state - state, np.inf)) for m in dense)
+        assert cli._stabilizer_deviation(graph, state) == expected
+
+    def refuse(*args):
+        raise AssertionError("a dense stabilizer was built")
+
+    monkeypatch.setattr("clusterpump.operators.pauli_to_dense", refuse)
+    monkeypatch.setattr(cli, "pauli_to_dense", refuse, raising=False)
+    assert run(["cluster", "--graph", graph_arg, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "cluster.json").read_text())["stabilizer_max_deviation"] == 0.0
 
 
 def test_bad_flag_exits_one(tmp_path, capsys):

@@ -254,7 +254,8 @@ def test_parse_gamma_policy():
     assert grid == pytest.approx([1.0, 10.0, 100.0])
     grid = parse_gamma_policy("lin:0:4:5")
     assert grid == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0])
-    for bad in ("geom:1:2:3", "log:1:2", "log:2:1:5", "log:0:1:5", "log:1:10:1"):
+    for bad in ("geom:1:2:3", "log:1:2", "log:2:1:5", "log:0:1:5", "log:1:10:1", "lin:1:inf:3",
+                "lin:-inf:1:3", "log:nan:10:3"):
         with pytest.raises(ValueError):
             parse_gamma_policy(bad)
 

@@ -49,6 +49,19 @@ def test_params_rejects_negative_gamma():
         ModelParams(g=1.0, h=1.0, gamma=-0.1)
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+def test_non_finite_gamma_is_refused(gamma):
+    # NaN and inf fail where gamma enters, not as an all-NaN steady state
+    with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
+        ModelParams(g=1.0, h=1.0, gamma=gamma)
+    model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=1.0, gamma=1.0))
+    rho = np.eye(4, dtype=complex) / 4
+    for call in (model.steady_state, model.eigenvalues, model.gap, model.rk4_step,
+                 model.eigenbasis_generator, model.liouvillian, lambda g: model.apply(rho, g)):
+        with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
+            call(gamma)
+
+
 def test_params_ratios():
     p = ModelParams.from_ratios(h_g=2.0, gamma_g=3.0, g=0.5)
     assert p.h == 1.0 and p.gamma == 1.5
@@ -293,6 +306,12 @@ def test_pump_model_steady_state_checks_its_residual_in_the_eigenbasis(monkeypat
         PumpModel, "eigenbasis_generator", lambda self, gamma: lambda r: generator(self, gamma)(r) + 1e-6
     )
     with pytest.raises(NumericalError, match="structured steady-state residual .* exceeds tolerance"):
+        model.steady_state(5.0)
+    # a NaN residual fails the check too
+    monkeypatch.setattr(
+        PumpModel, "eigenbasis_generator", lambda self, gamma: lambda r: np.full_like(r, np.nan)
+    )
+    with pytest.raises(NumericalError, match="structured steady-state residual nan exceeds tolerance"):
         model.steady_state(5.0)
 
 

@@ -190,6 +190,24 @@ def test_rk4_nan_state_raises(rng):
         evolve_rk4(rho0, np.full((4, 4), np.nan), t_final=0.1, dt=0.1)
 
 
+@pytest.mark.parametrize(
+    "t_final, dt", [(1.0, np.nan), (1.0, np.inf), (np.inf, 0.1), (np.nan, 0.1)],
+    ids=["dt_nan", "dt_inf", "t_final_inf", "t_final_nan"],
+)
+def test_rk4_refuses_non_finite_times(rng, t_final, dt):
+    rho0 = random_density_matrix(rng, 2)
+    with pytest.raises(ValueError, match="dt and t_final must be finite"):
+        evolve_rk4(rho0, np.zeros((4, 4)), t_final, dt)
+
+
+def test_direct_steady_state_refuses_nan():
+    # a NaN generator is refused, not solved into a NaN state
+    L = chain_liouvillian(2, h_g=1.0, gamma_g=2.0)
+    L[3, 5] = np.nan
+    with pytest.raises(NumericalError):
+        steady_state_direct(L)
+
+
 def eigenbasis_vs_dense(graph, h, gamma, rho0, n_steps):
     """Largest deviation, over every sample, of the eigenbasis RK4 run
     (rotated back) from the dense RK4 run, at a step inside the stable region."""
