@@ -35,7 +35,14 @@ from .experiments import (
 from .lindblad import ModelParams, PumpModel
 from .meanfield import MeanFieldState, fixed_points, mean_field_evolve
 from .meanfield import default_dt as mf_default_dt
-from .observables import _site_flips, eigenbasis_observables, fidelity, spin_expectations, witness_expectation
+from .observables import (
+    _site_flips,
+    eigenbasis_observables,
+    fidelity,
+    kernel_observables,
+    pure_state_spins,
+    witness_expectation,
+)
 from .solver import evolve_rk4, pure_state_density, rank_spectrum
 
 
@@ -163,7 +170,7 @@ def _cmd_cluster(cfg: dict, out_dir: Path) -> int:
     state = cluster_state(graph)
     n = graph.n_qubits
     stab_dev = _stabilizer_deviation(graph, state)
-    spins = spin_expectations(pure_state_density(state))
+    spins = pure_state_spins(state)
     amplitudes = [
         [_bitstring(i, n), float(a.real), float(a.imag)]
         for i, a in enumerate(state)
@@ -253,13 +260,20 @@ def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
     rng = np.random.default_rng(cfg["seed"])
     rho0 = _initial_density(cfg["rho0"], model.graph.n_qubits, rng)
     dt = cfg["dt"] if cfg["dt"] is not None else 0.01 / max(1.0, abs(model.params.gamma_g))
-    # step in the eigenbasis of H and read the observables there
-    _, V, c = model.eigenbasis
-    traj = evolve_rk4(
-        V.T @ rho0 @ V, None, cfg["t_final"], dt, sample_every=cfg["sample_every"],
-        step=model.rk4_step(model.params.gamma),
-    )
-    observables = eigenbasis_observables(traj.states, V, c, eta=cfg["eta"])
+    gamma = model.params.gamma
+    kernel = model.kernel_step(gamma)
+    if kernel is not None:
+        # step in the eigenbasis of K and read the observables there
+        traj = evolve_rk4(rho0, None, cfg["t_final"], dt, sample_every=cfg["sample_every"], step=kernel)
+        observables = kernel_observables(traj.states, kernel, eta=cfg["eta"])
+    else:
+        # at an exceptional point of K: four stages in the eigenbasis of H
+        _, V, c = model.eigenbasis
+        traj = evolve_rk4(
+            V.T @ rho0 @ V, model.eigenbasis_generator(gamma), cfg["t_final"], dt,
+            sample_every=cfg["sample_every"],
+        )
+        observables = eigenbasis_observables(traj.states, V, c, eta=cfg["eta"])
     rows = np.column_stack([traj.times, observables]).tolist()
     header = ["t", "jx", "jy", "jz", "fidelity", "witness"]
     _write_csv(out_dir / "evolve.csv", header, rows)

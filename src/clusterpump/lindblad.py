@@ -24,17 +24,18 @@ instead of summing the 2^N - 1 explicit jumps.  That d^2 x d^2 array
 rest works in the eigenbasis of H: ``PumpModel.steady_state`` solves for the
 steady state with O(d^3) work and O(d^2) memory, and
 ``PumpModel.eigenbasis_generator`` is the generator's action on one d x d
-matrix, at O(d^2) per call.  ``PumpModel.rk4_step`` is one whole RK4 step of
-that generator as a single map for dynamics, ``P4 o rho~`` plus a rank-8
-update, also O(d^2).  ``PumpModel.apply`` is the generator's action in the
-computational basis, with H applied by bit flips.
+matrix, at O(d^2) per call.  ``PumpModel.apply`` is the generator's action
+in the computational basis, with H applied by bit flips.
 
-``PumpModel.eigenvalues`` gives all d^2 eigenvalues of the generator (and
-``PumpModel.gap`` its gap) from its structure: ``rho -> K rho + rho K^+`` is a
-Kronecker sum and the recycling term has rank one.  One factorisation of K
-on the target's support J, a |J| x |J| matrix, gives the sum's eigenvalues
-(poles); the others are the roots of a secular equation with one pole per
-visible pair, found by Aberth iteration.
+The structure: ``rho -> K rho + rho K^+`` is a Kronecker sum and the
+recycling term has rank one.  One factorisation of K on the target's
+support J, a |J| x |J| matrix, diagonalises the sum.
+``PumpModel.eigenvalues`` (and ``PumpModel.gap``) take from it all d^2
+eigenvalues of the generator: the sum's eigenvalues (poles), and the roots
+of a secular equation with one pole per visible pair, found by Aberth
+iteration.  ``PumpModel.kernel_step`` (``KernelStep``) steps dynamics in the
+eigenbasis of K, where one RK4 step is an elementwise product plus a rank-4
+update of the state's upper triangle, O(d^2).
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ HIDDEN_TOL = 1e-13
 COINCIDENT_TOL = 1e-12
 # Above this condition number of K_J's eigenvectors (at most 4.3 over 784
 # oracle cases; 1e8 at the exceptional point of chain:2 at h = 0, gamma = 4)
-# ``PumpModel.eigenvalues`` takes the JJ sector densely instead.
+# ``PumpModel.eigenvalues`` takes the JJ sector densely instead, and
+# ``PumpModel.kernel_step`` leaves dynamics to the four-stage step.
 EIGENVECTOR_COND_MAX = 1e3
 # Aberth sweeps after which the secular equation counts as unsolved; 784
 # oracle cases (N <= 5, gamma up to 600) and chains up to N = 7 took at most 11.
@@ -314,7 +316,7 @@ class PumpModel:
     the dense ``liouvillian`` and ``eigenvalues`` refuse registers above
     ``MAX_DENSE_QUBITS``.
     The eigenbasis of H is computed on first use by ``steady_state``,
-    ``eigenbasis_generator`` or ``eigenvalues`` and kept.
+    ``eigenbasis_generator``, ``eigenvalues`` or ``kernel_step`` and kept.
     """
 
     graph: GraphSpec
@@ -398,123 +400,6 @@ class PumpModel:
 
         return rhs
 
-    def rk4_step(self, gamma: float) -> Callable[[np.ndarray, float], np.ndarray]:
-        """One classical RK4 step of ``eigenbasis_generator(gamma)`` as one map
-        ``step(rho~, h) = sum_(k<=4) (h L)^k rho~ / k!``, which is what the four
-        stages compute for a linear generator, up to round-off.
-
-        In the eigenbasis of H the generator is
-        ``L(X) = A(X) + gamma q(X) c c^+`` with ``A(X) = K X + X K^+``,
-        ``K = diag(kappa) + (gamma / 2) c c^+``, ``kappa = -i E - gamma / 2``
-        and ``q(X) = Tr X - c^+ X c``.  With ``hK = D + g c c^+``
-        (``D = diag(h kappa)``, ``g = h gamma / 2``), expanding
-        ``(hK)^i = D^i + g sum_(r<i) D^(i-1-r) c c^+ (hK)^r`` turns the step into
-
-            P4 o X + U V^T,   P4_ab = p(h Lam_ab),   p(x) = sum_(k<=4) x^k / k!,
-
-        with U and V d x 8 and linear in four probes of X: ``Z = R X`` and
-        ``W = X R^+`` for the rows ``R_r = c^+ (hK)^r`` (r < 4), the 4 x 4
-        ``M = R X R^+`` and ``Tr X``.  The recycling scalars ``q(L^j X)`` follow
-        from ``M`` and ``Tr X`` by a forward substitution, since
-        ``Tr A(X) = -gamma q(X)`` and ``q(c c^+) = 0``; and
-        ``(hA)^m (c c^+) = Y Pi_m Y^+`` for ``Y = [(h kappa)^n o c]``, n < 4.
-        The tables that map the probes to U and V are built by recursion, with
-        ``(gamma / 2) c`` and no division, for the h of the first call and again
-        whenever h changes.
-
-        For Hermitian X, ``W = Z^+``: U's first four columns are ``u + Y Gamma``
-        and V's last four rows are ``u^+``, with ``u = sum_s b[:, s] o conj(Z_s)``;
-        ``Gamma`` is Hermitian and ``P4_ba = conj(P4_ab)``.  So the step is
-        ``G + G^+`` with
-
-            G = (u + Y Gamma / 2) Y^+ + (P4 o X) / 2
-
-        from the one probe Z.  It is computed so for any X, and its output is
-        exactly Hermitian; a non-Hermitian X is read as if ``X R^+`` were
-        ``Z^+``.  ``(P4 o X) / 2`` stays inside G: added to ``G + G^+``
-        instead, it would carry the anti-Hermitian round-off of a start
-        ``V^T rho V`` as ``P4 o .``, which grows at dt near the stability edge,
-        where some ``|P4_ab| > 1``.  A step costs one thin product, one rank-4
-        product, a transposed copy and about 20 numpy calls, O(d^2), against
-        about 70 calls for the four stages.
-        """
-        _require_nonnegative(gamma)
-        energies, _, c = self.eigenbasis
-        kappa = -1j * energies - 0.5 * gamma
-        c_conj = c.conj()
-        fact = [math.factorial(k) for k in range(5)]
-        binom = [[math.comb(m, i) for i in range(m + 1)] for m in range(4)]
-
-        @lru_cache(maxsize=1)
-        def tables(h: float) -> tuple[np.ndarray, ...]:
-            k = h * kappa
-            g = 0.5 * h * gamma
-            lam = np.add.outer(k, k.conj())
-            P4 = 1.0 + lam * (1.0 + lam * (0.5 + lam * (1.0 / 6.0 + lam / 24.0)))
-            powers = k ** np.arange(4)[:, None]
-            Y = (c * powers).T
-            R = np.empty((4, c.size), dtype=complex)
-            R[0] = c_conj
-            for r in range(3):
-                R[r + 1] = R[r] * k + (g * (R[r] @ c)) * c_conj
-            mu = R @ c
-            # u_m = sum_s b[m, s] o W_s and v_n = sum_r conj(b[n, r]) o Z_r, with
-            # b[m, s] = g e_(3-m-s)(k) / (m+s+1)! and e_n(k) = sum_(i<=n) k^i / i!
-            e = np.cumsum(powers / np.array(fact[:4])[:, None], axis=0)
-            b = np.zeros((4, 4, c.size), dtype=complex)
-            for m, s in np.ndindex(4, 4):
-                if m + s <= 3:
-                    b[m, s] = (g / fact[m + s + 1]) * e[3 - m - s]
-            # Gamma (flattened) = table @ [Tr X, M (flattened)]: first
-            # Gamma_nm = g^2 sum_rs M_rs / ((n+1+r)! (m+1+s)!) over n+r+m+s <= 2
-            table = np.zeros((16, 17), dtype=complex)
-            for n, r, m, s in np.ndindex(4, 4, 4, 4):
-                if n + r + m + s <= 2:
-                    table[4 * n + m, 1 + 4 * r + s] = g * g / (fact[n + 1 + r] * fact[m + 1 + s])
-            # then the recycling terms sum_j q(L^j X) Psi_j, with (hK)^i c = Y T_:i,
-            # (hK . + . (hK)^+)^m (c c^+) = Y Pi_m Y^+ and
-            # Psi_j = 2g sum_(j<k<=4) Pi_(k-1-j) / k!
-            T = np.zeros((4, 4), dtype=complex)
-            T[0, 0] = 1.0
-            for i in range(3):
-                T[1:, i + 1] = T[:-1, i]
-                T[0, i + 1] = g * mu[i]
-            Pi = [sum(binom[m][i] * np.outer(T[:, i], T[:, m - i].conj()) for i in range(m + 1)) for m in range(4)]
-            # q(A^m X) = -2g q(A^(m-1) X) - sum_i C(m, i) M_i,m-i, and the same for
-            # q(A^m c c^+) with mu_i conj(mu_(m-i)) in place of M; q(c c^+) = 0
-            qa = np.zeros((4, 17), dtype=complex)
-            qp = np.zeros(4, dtype=complex)
-            qa[0, :2] = 1.0, -1.0
-            for m in range(1, 4):
-                qa[m] = -2.0 * g * qa[m - 1]
-                qp[m] = -2.0 * g * qp[m - 1]
-                for i in range(m + 1):
-                    qa[m, 1 + 4 * i + m - i] -= binom[m][i]
-                    qp[m] -= binom[m][i] * mu[i] * mu[m - i].conj()
-            # q(L^j X) = q(A^j X) + 2g sum_(i<j) q(L^i X) q(A^(j-1-i) c c^+)
-            q = np.zeros((4, 17), dtype=complex)
-            for j in range(4):
-                q[j] = qa[j] + 2.0 * g * sum(qp[j - 1 - i] * q[i] for i in range(j))
-                psi = 2.0 * g * sum(Pi[kk - 1 - j] / fact[kk] for kk in range(j + 1, 5))
-                table += np.outer(psi.ravel(), q[j])
-            # Gamma enters G halved, as Y (Gamma / 2) Y^+
-            return 0.5 * P4, R, R.conj().T, b, Y, Y.conj().T, 0.5 * table[:, 0], 0.5 * table[:, 1:]
-
-        def step(rho: np.ndarray, h: float) -> np.ndarray:
-            half_P4, R, R_h, b, Y, Y_h, trace_column, M_columns = tables(h)
-            Z = R @ rho
-            half_Gamma = (M_columns @ (Z @ R_h).ravel() + trace_column * rho.trace()).reshape(4, 4)
-            G = ((b * Z.conj()).sum(axis=1).T + Y @ half_Gamma) @ Y_h
-            G += half_P4 * rho
-            # G + G^+ through a transposed copy: a ufunc reading G.conj().T
-            # strides across rows, and took four times as long at d = 256
-            out = G.T.copy()
-            np.conjugate(out, out=out)
-            out += G
-            return out
-
-        return step
-
     @cached_property
     def eigenbasis(self) -> tuple[np.ndarray, np.ndarray, StateVector]:
         """``(E, V, c)`` with ``H = V diag(E) V^T`` and ``c = V^T |C>``.
@@ -533,24 +418,37 @@ class PumpModel:
         return V @ rho.real @ V.T + 1j * (V @ rho.imag @ V.T)
 
     @cached_property
-    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(E_J, c_J, E_O)``: the eigenbasis of H split by the target's support.
+    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(E_J, c_J, E_O, W)``: the eigenbasis of H split by the target's support.
 
         Each degenerate eigenspace of H is first rotated so that c has at most
-        one nonzero component in it; only E and c enter the Liouvillian's
-        eigenvalues, so V is left as it is.  J holds the indices with
-        ``|c_b| > SUPPORT_TOL`` and O the rest.
+        one nonzero component in it, the norm of c over the eigenspace, on its
+        first index.  J holds the indices with ``|c_b| > SUPPORT_TOL`` and O
+        the rest.  W is V so rotated, with the J columns first, so that
+        ``W^T |C> = (c_J, 0)`` up to round-off and ``H = W diag(E_J, E_O) W^T``.
         """
-        energies, _, c = self.eigenbasis
+        energies, V, c = self.eigenbasis
+        c = c.real  # the target, a graph state, is real
         scale = max(1.0, float(np.abs(energies).max()))
-        level = np.cumsum(np.diff(energies, prepend=-np.inf) > COINCIDENT_TOL * scale) - 1
-        # the rotation puts the norm of c over an eigenspace on its first index
+        first = np.diff(energies, prepend=-np.inf) > COINCIDENT_TOL * scale
+        level = np.cumsum(first) - 1
+        starts = np.flatnonzero(first)
         rotated = np.zeros(energies.size)
-        rotated[np.flatnonzero(np.diff(level, prepend=-1))] = np.sqrt(
-            np.bincount(level, weights=np.abs(c) ** 2)
-        )
+        rotated[starts] = np.sqrt(np.bincount(level, weights=c**2))
         J = np.abs(rotated) > SUPPORT_TOL
-        return energies[J], rotated[J], energies[~J]
+        # a singleton keeps its column up to sign; a larger level gets the
+        # Householder reflection that maps its part of c onto its first index
+        W = V * np.where(c < 0, -1.0, 1.0)
+        for s, stop in zip(starts, np.append(starts[1:], energies.size)):
+            if stop - s > 1 and J[s]:
+                u = c[s:stop] / rotated[s]
+                sign = 1.0 if u[0] >= 0 else -1.0
+                u[0] += sign
+                block = V[:, s:stop]
+                W[:, s:stop] = block - np.outer(block @ u, u / (0.5 * (u @ u)))
+                W[:, s] *= -sign
+        order = np.concatenate([np.flatnonzero(J), np.flatnonzero(~J)])
+        return energies[J], rotated[J], energies[~J], W[:, order]
 
     def _kernel_factors(self, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(kappa, R, a)`` at ``gamma``: the eigenvalues of the effective
@@ -561,9 +459,22 @@ class PumpModel:
         ``K_J = diag(-i E_J - gamma / 2) + (gamma / 2) c_J c_J^T`` is |J| x |J|;
         on O, K is diagonal: ``kappa_b = -i E_b - gamma / 2``.
         """
-        e_j, c_j, e_o = self._support
+        e_j, c_j, e_o, _ = self._support
         kappa_j, R = np.linalg.eig(np.diag(-1j * e_j - 0.5 * gamma) + np.outer(0.5 * gamma * c_j, c_j))
         return np.concatenate([kappa_j, -1j * e_o - 0.5 * gamma]), R, np.linalg.solve(R, c_j)
+
+    def kernel_step(self, gamma: float) -> KernelStep | None:
+        """RK4 for dynamics at ``gamma`` in the eigenbasis of K (``KernelStep``),
+        or None near an exceptional point of K_J, where the condition number of
+        its eigenvectors R exceeds ``EIGENVECTOR_COND_MAX``; dynamics there take
+        the four stages of ``eigenbasis_generator``."""
+        _require_nonnegative(gamma)
+        kappa, R, a = self._kernel_factors(gamma)
+        singular = np.linalg.svd(R, compute_uv=False)
+        if not singular[0] <= EIGENVECTOR_COND_MAX * singular[-1]:
+            return None
+        _, c_j, _, W = self._support
+        return KernelStep(gamma, kappa, R, a, c_j, W, 1.0 / singular[-1] ** 2)
 
     def eigenvalues(self, gamma: float) -> np.ndarray:
         """All 4^N eigenvalues of the generator at ``gamma``, unordered, without
@@ -611,7 +522,7 @@ class PumpModel:
         else:
             # near an exceptional point of K_J the weights cancel to no digits;
             # the JJ sector is the dense generator of H = diag(E_J) and c_J
-            e_j, c_j, _ = self._support
+            e_j, c_j, _, _ = self._support
             jj = [np.linalg.eigvals(_pump_generator(np.diag(e_j), c_j, gamma))]
         vals = np.concatenate([poles[:m, m:].ravel(), poles[m:].ravel(), *jj])
         d = kappa.size
@@ -697,3 +608,181 @@ class PumpModel:
                 f"structured steady-state residual {residual:g} exceeds tolerance {tol:g}"
             )
         return self.from_eigenbasis(rho), antihermitian
+
+
+@dataclass(frozen=True, eq=False)
+class KernelStep:
+    """Classical RK4 for the pump's master equation in the eigenbasis of
+    ``K = -i H - (gamma / 2) Q``, built by ``PumpModel.kernel_step``.
+
+    In the basis W of ``PumpModel._support``, where ``W^T |C> = (c_J, 0)``, K
+    is blockdiag(K_J, diag kappa_O) with ``K_J = R diag(kappa_J) R^-1``.  A
+    state stands for ``X = R^-1 W^T rho W R^-+`` (R acting on J), where the
+    generator is
+
+        L(X) = Lam o X + gamma q(X) a a^+,   Lam_ij = kappa_i + conj(kappa_j),
+
+    with ``a = R^-1 c_J`` and ``q(X) = Tr(Q rho) = <(R^+ Q R)^T, X>``; q reads
+    only the J x J block and the O diagonal of X, and a a^+ lives on J x J.
+    X is Hermitian, so a state holds its upper triangle (the J x J triangle,
+    the O diagonal, the JO block, the O x O strict triangle, in that order,
+    with a real diagonal) and, last, Tr rho: every state stands for an
+    exactly Hermitian X.  Each functional ``Tr(F X)`` of a Hermitian F is the
+    real dot product of the state's float view with fixed weights.
+
+    One step of length h is ``p(hL)`` with ``p(x) = sum_(k<=4) x^k / k!``,
+    what the four stages compute for a linear generator.  As
+    ``(hL)^k X = (h Lam)^k o X + h gamma sum_(i<k) beta_i (h Lam)^(k-1-i) o a a^+``
+    with ``beta_i = q((hL)^i X)``, it is
+
+        step(x) = P4 o x + sum_(m<4) w_m (h Lam)^m o a a^+,   P4 = p(h Lam),
+
+    where w, and the trace of the step's output, are five real functionals
+    of x on the J x J triangle and the O diagonal, from a 4 x 4 forward
+    substitution over ``q((h Lam)^m o a a^+)``.  ``tables(h)`` builds them, and
+    refuses an h at which ``|P4| > 1 + 1e-12`` on a pair that touches O: such
+    a pair is an eigenvalue of L, so the run would grow.  A step is then one
+    elementwise product and two real matrix-vector products.
+    """
+
+    gamma: float
+    kappa: np.ndarray
+    R: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    W: np.ndarray
+    # ||R^-1||_2^2, which bounds ||X||_F / ||rho||_F
+    inverse_norm2: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tables", lru_cache(maxsize=1)(self._tables))
+
+    @staticmethod
+    def _pack(JJ: np.ndarray, JO: np.ndarray, OO: np.ndarray) -> np.ndarray:
+        """A state from the upper blocks of X (and 0 for the trace)."""
+        upper = np.triu(np.ones(OO.shape, dtype=bool), 1)
+        return np.concatenate([JJ[np.triu_indices(JJ.shape[0])], OO.diagonal(), JO.ravel(), OO[upper], [0.0]])
+
+    def _diagonal(self) -> np.ndarray:
+        """Where X's diagonal sits in a state: the first entry of each J row of
+        the triangle, then the O diagonal."""
+        m, d = self.c.size, self.kappa.size
+        lengths = np.arange(m, 0, -1)
+        return np.concatenate([np.cumsum(lengths) - lengths, np.arange(m * (m + 1) // 2, m * (m + 1) // 2 + d - m)])
+
+    @cached_property
+    def _support_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """q = Tr(Q rho) and Tr rho as the complex weights u of ``functional``,
+        on the J x J triangle and the O diagonal, the only entries where
+        ``R^+ Q R = R^+ R - (R^+ c_J)(R^+ c_J)^+`` and ``R^+ R`` are nonzero (on O
+        both are the identity)."""
+        m, d = self.c.size, self.kappa.size
+        rows, cols = np.triu_indices(m)
+        scale = np.where(rows == cols, 1.0, 2.0)
+        gram = self.R.conj().T @ self.R
+        rc = self.R.conj().T @ self.c
+        ones = np.ones(d - m)
+        q = np.concatenate([scale * (gram - np.outer(rc, rc.conj()))[rows, cols], ones])
+        trace = np.concatenate([scale * gram[rows, cols], ones])
+        return q, trace
+
+    def _tables(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(P4, weights, B)`` for steps of length h: the state's factor P4 (0 on
+        the trace), the five functionals' interleaved float weights on the
+        support, and the float view of the rows ``(h Lam)^m o a a^+``."""
+        m = self.c.size
+        jj = m * (m + 1) // 2
+        q, trace = self._support_weights
+        n = q.size
+        k = h * self.kappa
+        kj, ko = k[:m], k[m:]
+        lam = self._pack(np.add.outer(kj, kj.conj()), np.add.outer(kj, ko.conj()), np.add.outer(ko, ko.conj()))
+        # p(lam) by Horner's rule in place, with no temporaries of a state's size
+        P4 = lam / 24.0
+        for coefficient in (1.0 / 6.0, 0.5, 1.0):
+            P4 += coefficient
+            P4 *= lam
+        P4 += 1.0
+        P4[-1] = 0.0
+        if not np.abs(P4[jj:-1]).max(initial=0.0) <= 1.0 + 1e-12:
+            raise NumericalError("integration unstable, reduce dt")
+        powers = np.ones((4, n), dtype=complex)
+        for i in range(1, 4):
+            powers[i] = powers[i - 1] * lam[:n]
+        rows, cols = np.triu_indices(m)
+        aa = self.a[rows] * self.a[cols].conj()
+        aa.imag[rows == cols] = 0.0
+        B = powers[:, :jj] * aa
+        g = h * self.gamma
+        # q((h Lam)^j o X) = Re(conj(u_j) . x) with u_j = q o conj(h Lam)^j
+        u = q * powers.conj()
+        # beta_j = rho_j + g sum_(i<j) sigma_(j-1-i) beta_i, with rho_j = q((h Lam)^j o X)
+        # and sigma_j = q((h Lam)^j o a a^+), gives beta = M rho
+        sigma = (u[:, :jj].conj() * aa).sum(axis=1).real
+        M = np.eye(4)
+        for j in range(1, 4):
+            M[j] += g * sum(sigma[j - 1 - i] * M[i] for i in range(j))
+        # w_i = g sum_(j <= 3-i) beta_j / (i+j+1)!
+        C = np.array([[g / math.factorial(i + j + 1) if i + j <= 3 else 0.0 for j in range(4)] for i in range(4)])
+        update = (C @ M) @ u
+        # Tr of the output: the trace weights through P4, plus those of the update rows
+        tau = (B * trace[:jj].conj()).sum(axis=1).real
+        functionals = np.vstack([update, trace * P4[:n].conj() + tau @ update])
+        return P4, functionals.view(float), B.view(float)
+
+    def step(self, x: np.ndarray, h: float) -> np.ndarray:
+        """The state one RK4 step of length h after x."""
+        P4, weights, B = self.tables(h)
+        # np.dot rather than @: half the call overhead at N = 5
+        w = np.dot(weights, x[: weights.shape[1] // 2].view(float))
+        out = P4 * x
+        block = out[: B.shape[1] // 2].view(float)
+        block += np.dot(w[:4], B)
+        out[-1] = w[4]
+        return out
+
+    def start(self, rho: np.ndarray) -> np.ndarray:
+        """The state of a density matrix given in the computational basis; a
+        non-Hermitian rho is read through the upper triangle of its X."""
+        m = self.c.size
+        X = self.W.T @ rho.real @ self.W + 1j * (self.W.T @ rho.imag @ self.W)
+        R_inv = np.linalg.inv(self.R)
+        x = self._pack(R_inv @ X[:m, :m] @ R_inv.conj().T, R_inv @ X[:m, m:], X[m:, m:])
+        x.imag[self._diagonal()] = 0.0
+        trace = self._support_weights[1]
+        x[-1] = x[: trace.size].view(float) @ trace.view(float)
+        return x
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """The Hermitian X that state x stands for."""
+        m, d = self.c.size, self.kappa.size
+        o, jj = d - m, m * (m + 1) // 2
+        U = np.zeros((d, d), dtype=complex)
+        U[:m, :m][np.triu_indices(m)] = x[:jj]
+        np.fill_diagonal(U[m:, m:], x[jj : jj + o])
+        U[:m, m:] = x[jj + o : jj + o + m * o].reshape(m, o)
+        U[m:, m:][np.triu(np.ones((o, o), dtype=bool), 1)] = x[jj + o + m * o : -1]
+        X = U + U.conj().T
+        np.fill_diagonal(X, U.diagonal())
+        return X
+
+    def density(self, x: np.ndarray) -> np.ndarray:
+        """``rho = W R X R^+ W^T``, state x in the computational basis."""
+        m = self.c.size
+        X = self.matrix(x)
+        X[:m] = self.R @ X[:m]
+        X[:, :m] = X[:, :m] @ self.R.conj().T
+        return self.W @ X @ self.W.T
+
+    def functional(self, O: np.ndarray) -> np.ndarray:
+        """Float weights w with ``x.view(float) @ w = Tr(rho O)`` for every state x,
+        for a Hermitian O given in the basis W (``W^T O W``): from the upper
+        blocks of ``F = R^+ O R``, ``Tr(F X) = sum_i F_ii X_ii
+        + 2 Re sum_(i<j) conj(F_ij) X_ij``; O(d^2 |J|) work, once.  The
+        weights are linear in O, as complex numbers ``w.view(complex)``."""
+        m = self.c.size
+        R_h = self.R.conj().T
+        u = self._pack(R_h @ O[:m, :m] @ self.R, R_h @ O[:m, m:], O[m:, m:])
+        u *= 2.0
+        u[self._diagonal()] *= 0.5
+        return u.view(float)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Callable, Iterator
+
 import numpy as np
 
 from .errors import NumericalError
+from .lindblad import KernelStep
 from .meanfield import MeanFieldState
 from .operators import StateVector
 
@@ -71,17 +74,47 @@ def spin_expectations(rho: np.ndarray) -> MeanFieldState:
     s_x = 1 - 2 x_k: <X_k> = sum_x rho[x, x^m], <Y_k> = -sum_x s_x Im rho[x, x^m]
     and <Z_k> = sum_x s_x rho[x, x].
     """
-    sites = _site_flips(rho.shape[0])
     index = np.arange(rho.shape[0])
-    populations = rho.diagonal().real
+    return _site_averages(lambda flip: rho[index, flip], rho.diagonal().real)
+
+
+def pure_state_spins(psi: StateVector) -> MeanFieldState:
+    """``spin_expectations(|psi><psi|)`` read off the vector at O(N 2^N),
+    with ``rho[x, y] = psi_x conj(psi_y)`` formed only where it is read."""
+    return _site_averages(lambda flip: psi * psi[flip].conj(), (psi * psi.conj()).real)
+
+
+def _site_averages(coherences: Callable[[np.ndarray], np.ndarray], populations: np.ndarray) -> MeanFieldState:
+    """The rule of ``spin_expectations`` from ``coherences(flip) = rho[x, flip[x]]``
+    and the populations ``rho[x, x]``."""
+    sites = _site_flips(populations.size)
     jx = jy = jz = 0.0
     for flip, sign in sites:
-        flipped = rho[index, flip]
+        flipped = coherences(flip)
         jx += flipped.real.sum()
         jy -= sign @ flipped.imag
         jz += sign @ populations
     n = len(sites)
     return MeanFieldState(jx=jx / n, jy=jy / n, jz=jz / n)
+
+
+def _spin_operators(V: np.ndarray) -> Iterator[np.ndarray]:
+    """``V^T Sigma_x V``, ``i V^T Sigma_y V`` and ``V^T Sigma_z V``, real and one
+    at a time, for the site sums ``Sigma_a = sum_k a_k`` and a real orthogonal
+    V: Sigma_x V and Sigma_y V are sums of row-flipped copies of V and
+    Sigma_z is diagonal, so they cost three real d x d products."""
+    sites = _site_flips(V.shape[0])
+    total = np.zeros(V.shape)
+    for flip, _ in sites:
+        total += V[flip]
+    yield V.T @ total
+    total[...] = 0.0
+    for flip, sign in sites:
+        total += sign[:, None] * V[flip]
+    # Sigma_y V = -i total
+    yield V.T @ total
+    del total
+    yield V.T @ (sum(sign for _, sign in sites)[:, None] * V)
 
 
 def eigenbasis_observables(states: np.ndarray, V: np.ndarray, c: StateVector, eta: float = 0.5) -> np.ndarray:
@@ -91,34 +124,49 @@ def eigenbasis_observables(states: np.ndarray, V: np.ndarray, c: StateVector, et
     ``fidelity`` and ``witness_expectation`` of each ``rho``.
 
     Each entry is ``Tr(rho~ O~)`` with ``O~ = V^T O V``, for O a site sum of
-    Paulis, ``|target><target|`` or I: ``<target|rho|target> = c^+ rho~ c``.
-    Sigma_x V and Sigma_y V are sums of row-flipped copies of V and Sigma_z is
-    diagonal, so the three spin ``O~`` cost three real d x d products once;
-    then each entry is one pass over the samples, O(d^2) per sample, with no
-    copy of them.  Fidelity follows ``fidelity_from_overlap``.
+    Paulis (``_spin_operators``), ``|target><target|`` or I:
+    ``<target|rho|target> = c^+ rho~ c``.  Each entry is then one pass over
+    the samples, O(d^2) per sample, with no copy of them.  Fidelity follows
+    ``fidelity_from_overlap``.
     """
     n_samples, d, _ = states.shape
-    sites = _site_flips(d)
-    flips = np.zeros((d, d))
-    signed_flips = np.zeros((d, d))
-    diagonal = np.zeros(d)
-    for flip, sign in sites:
-        flipped = V[flip]
-        flips += flipped
-        signed_flips += sign[:, None] * flipped
-        diagonal += sign
-
-    def trace_with(O: np.ndarray) -> np.ndarray:
-        return np.einsum("nab,ba->n", states, O)
-
     rows = np.empty((n_samples, 5))
-    rows[:, 0] = trace_with(V.T @ flips).real
-    # Sigma_y V = -i signed_flips, and Re(-i z) = Im z
-    rows[:, 1] = trace_with(V.T @ signed_flips).imag
-    rows[:, 2] = trace_with(V.T @ (diagonal[:, None] * V)).real
-    rows[:, :3] /= len(sites)
+    for column, O in enumerate(_spin_operators(V)):
+        value = np.einsum("nab,ba->n", states, O)
+        # Tr(rho~ (-i S)) has real part Im Tr(rho~ S)
+        rows[:, column] = value.imag if column == 1 else value.real
+    rows[:, :3] /= d.bit_length() - 1
     overlap = np.einsum("a,nab,b->n", c.conj(), states, c)
     trace = states.trace(axis1=1, axis2=2)
     rows[:, 3] = fidelity_from_overlap(overlap, trace)
     rows[:, 4] = (eta * trace - overlap).real
+    return rows
+
+
+def kernel_observables(states: np.ndarray, step: KernelStep, eta: float = 0.5) -> np.ndarray:
+    """Rows ``(jx, jy, jz, fidelity, witness)`` of the states of a
+    ``PumpModel.kernel_step`` run, as ``eigenbasis_observables`` gives them.
+
+    Each spin sum and the target's projector is one functional
+    ``step.functional`` of the states, built once from ``_spin_operators``
+    of the step's basis; the trace is the states' last entry.  Each costs
+    one real matrix-vector product over the samples, O(d^2) per sample.
+    """
+    d = step.W.shape[0]
+    samples = states.view(float)
+    rows = np.empty((states.shape[0], 5))
+    for column, O in enumerate(_spin_operators(step.W)):
+        weights = step.functional(O)
+        if column == 1:
+            # the weights are linear in O, and Sigma_y's operator is -i O
+            weights.view(complex)[...] *= -1j
+        rows[:, column] = samples @ weights
+    rows[:, :3] /= d.bit_length() - 1
+    projector = np.zeros((d, d))
+    m = step.c.size
+    projector[:m, :m] = np.outer(step.c, step.c)
+    overlap = samples @ step.functional(projector)
+    trace = states[:, -1].real
+    rows[:, 3] = fidelity_from_overlap(overlap, trace)
+    rows[:, 4] = eta * trace - overlap
     return rows

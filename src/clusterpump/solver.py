@@ -10,10 +10,11 @@ same rule, with the steady state and gap) and one bordered linear solve
 (``steady_state_direct``).  Two independent
 evolution routes are provided: ``evolve_rk4`` runs the package's one
 fixed-step driver, ``rk4``, on density matrices, either with a four-stage RK4
-step from a dense superoperator or a matrix-free generator (the reference),
-or with a whole RK4 step given as one map, ``PumpModel.rk4_step`` in the
-eigenbasis of H (the route of the ``evolve`` command: one thin probe of the
-state and a Hermitian rank-4 update per step, against four generator calls);
+step from a dense superoperator or a matrix-free generator (the reference,
+and the ``evolve`` command's step at an exceptional point of K), or with a
+whole RK4 step as one map, ``PumpModel.kernel_step`` in the eigenbasis of K
+(the route of the ``evolve`` command: an elementwise product and two real
+matrix-vector products per step, against four generator calls);
 ``evolve_expm`` applies the exact propagator
 ``exp(L t)`` of a dense L computed by scaling and squaring, the oracle the
 RK4 route is tested against.  ``rk4`` owns the step count, the sample
@@ -33,7 +34,7 @@ import scipy.linalg
 from numpy.typing import ArrayLike
 
 from .errors import NumericalError
-from .lindblad import MAX_MODEL_QUBITS, STEADY_STATE_ARRAYS, Superoperator, devectorize, vectorize
+from .lindblad import MAX_MODEL_QUBITS, STEADY_STATE_ARRAYS, KernelStep, Superoperator, devectorize, vectorize
 
 # Relative factor for deciding which eigenvalues count as the kernel; the
 # absolute tolerance is scaled by the spectral radius so that strong
@@ -164,16 +165,20 @@ def _solve_nonsingular(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     Fortran-ordered array.
 
     Every steady-state solve goes through here.  Raises NumericalError
-    "degenerate kernel: ..." when LAPACK's reciprocal condition estimate of
-    ``A`` is below machine epsilon or a pivot is exactly zero, since the
-    solution would then be arbitrary.
+    "non-finite steady-state system: ..." when ``A`` or ``b`` holds NaN or
+    infinity, and "degenerate kernel: ..." when LAPACK's reciprocal condition
+    estimate of ``A`` is below machine epsilon or a pivot is exactly zero,
+    since the solution would then be arbitrary.
     """
     # Raw LAPACK rather than scipy.linalg.solve: the condition estimate is
     # returned, not issued as a warning, so threaded sweeps can act on it.
     lange, getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(
         ("lange", "getrf", "gecon", "getrs"), (A,)
     )
+    # LAPACK's norm is NaN or infinite when an entry is (or its column sums overflow)
     a_norm = lange("1", A)
+    if not (math.isfinite(a_norm) and np.isfinite(b).all()):
+        raise NumericalError("non-finite steady-state system: the generator holds NaN or infinity")
     lu, piv, info = getrf(A, overwrite_a=True)
     rcond, _ = gecon(lu, a_norm, norm="1")
     if info > 0 or not rcond >= np.finfo(float).eps:
@@ -221,6 +226,19 @@ def steady_state_direct(L: Superoperator) -> np.ndarray:
     return rho
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """``max(1, ceil(t_final / dt))`` steps to reach ``t_final`` with none longer
+    than ``dt`` (0 at t_final = 0); raises ValueError on a non-finite,
+    nonpositive ``dt`` or a non-finite, negative ``t_final``."""
+    if not (math.isfinite(dt) and math.isfinite(t_final)):
+        raise ValueError(f"dt and t_final must be finite, got {dt} and {t_final}")
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if t_final < 0:
+        raise ValueError(f"t_final must be nonnegative, got {t_final}")
+    return 0 if t_final == 0 else max(1, int(math.ceil(t_final / dt - 1e-12)))
+
+
 def rk4(
     step: Callable,
     y0: ArrayLike,
@@ -236,22 +254,16 @@ def rk4(
     ``y0`` is an array, or anything ``np.asarray`` makes one (the mean-field
     ODEs pass three floats); the state between steps is what ``step``
     returns, and samples are stored as arrays of ``y0``'s shape and dtype.
-    Takes ``max(1, ceil(t_final / dt))`` equal steps, so no step exceeds
-    ``dt``, and samples every ``sample_every`` steps; t = 0 and t = t_final
-    are always included.  ``check`` is called on ``y0`` and on every new
-    state; it aborts the run by raising.  A non-finite ``dt`` or ``t_final``,
-    or a run whose samples would take more than ``SAMPLE_BUDGET_BYTES``,
-    raises ValueError before any step.
+    Takes ``step_count(t_final, dt)`` equal steps of ``h = t_final / n``, and
+    samples every ``sample_every`` steps; t = 0 and t = t_final are always
+    included.  ``check`` is called on ``y0`` and on every new state; it
+    aborts the run by raising.  Bad times (see ``step_count``), or a run
+    whose samples would take more than ``SAMPLE_BUDGET_BYTES``, raise
+    ValueError before any step.
     """
-    if not (math.isfinite(dt) and math.isfinite(t_final)):
-        raise ValueError(f"dt and t_final must be finite, got {dt} and {t_final}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_final < 0:
-        raise ValueError(f"t_final must be nonnegative, got {t_final}")
+    n_steps = step_count(t_final, dt)
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    n_steps = 0 if t_final == 0 else max(1, int(math.ceil(t_final / dt - 1e-12)))
     n_samples = 1 + -(-n_steps // sample_every)
     first = np.asarray(y0)
     if n_samples * first.nbytes > SAMPLE_BUDGET_BYTES:
@@ -284,34 +296,57 @@ def evolve_rk4(
     t_final: float,
     dt: float,
     sample_every: int = 1,
-    step: Callable[[np.ndarray, float], np.ndarray] | None = None,
+    step: KernelStep | None = None,
 ) -> Trajectory:
-    """Classical RK4 on ``d rho/dt = L(rho)``, stepped by ``rk4``; states are
-    (n, d, d) matrices.
+    """Classical RK4 on ``d rho/dt = L(rho)``, stepped by ``rk4``.
 
     ``L`` is a dense superoperator acting on ``vec(rho)`` or a callable on
     d x d matrices, such as ``PumpModel.eigenbasis_generator``, in whose
-    basis ``rho0`` and the states are then written; each step takes four
-    stages.  ``step``, passed instead of ``L`` (which is then None), is a
-    whole RK4 step ``(rho, h) -> rho`` as one map, such as
-    ``PumpModel.rk4_step``.  ``rho0`` must be a
-    density matrix in some orthonormal basis: the run aborts with
-    NumericalError "integration unstable, reduce dt" once the trace drifts by
-    more than 1e-6 or an entry exceeds ``|Tr rho0| + 1e-6`` in modulus, which
-    no positive semidefinite matrix does.  The trace alone would miss an
-    unstable step, since the generator preserves it.
+    basis ``rho0`` and the (n, d, d) states are then written; each step
+    takes four stages.  ``rho0`` must be a density matrix in some
+    orthonormal basis: the run aborts with NumericalError "integration
+    unstable, reduce dt" once the trace drifts by more than 1e-6 or an entry
+    exceeds ``|Tr rho0| + 1e-6`` in modulus, which no positive semidefinite
+    matrix does.  The trace alone would miss an unstable step, since the
+    generator preserves it.
+
+    ``step``, passed instead of ``L`` (which is then None), is a
+    ``PumpModel.kernel_step``: each RK4 step is one map on its states,
+    ``rho0`` is given in the computational basis, and the samples are its
+    states (``step.density`` reads one back).  An h at which a pole on a pair
+    that touches O leaves RK4's stability region is refused before the first
+    step, with the same message.  The check then reads the state's own
+    trace, and bounds ``||X||_2 <= ||R^-1||_2^2 (|Tr rho0| + 1e-6)`` for the
+    entries X of the state: ``||X||_F <= ||R^-1||_2^2 ||rho||_F``, so every
+    state with ``||rho||_F <= |Tr rho0| + 1e-6``, every positive
+    semidefinite one included, passes, and a growing run is refused.
     """
     if (L is None) == (step is None):
         raise TypeError("evolve_rk4 takes either L or step")
-    if step is None:
-        rhs = L if callable(L) else lambda rho: devectorize(L @ vectorize(rho))
+    if step is not None:
+        n_steps = step_count(t_final, dt)
+        x0 = step.start(rho0)
+        if n_steps:
+            step.tables(t_final / n_steps)
+        trace0 = x0[-1]
+        bound = (step.inverse_norm2 * (abs(trace0) + 1e-6)) ** 2
 
-        def step(rho: np.ndarray, h: float) -> np.ndarray:
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * h * k1)
-            k3 = rhs(rho + 0.5 * h * k2)
-            k4 = rhs(rho + h * k3)
-            return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        def check_kernel(x: np.ndarray) -> None:
+            entries = x[:-1]
+            # written so that NaN fails too
+            if not (abs(x[-1] - trace0) <= 1e-6 and np.vdot(entries, entries).real <= bound):
+                raise NumericalError("integration unstable, reduce dt")
+
+        return rk4(step.step, x0, t_final, dt, sample_every, check_kernel)
+
+    rhs = L if callable(L) else lambda rho: devectorize(L @ vectorize(rho))
+
+    def four_stages(rho: np.ndarray, h: float) -> np.ndarray:
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * h * k1)
+        k3 = rhs(rho + 0.5 * h * k2)
+        k4 = rhs(rho + h * k3)
+        return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     rho0 = rho0.astype(complex)
     trace0 = np.trace(rho0)
@@ -322,7 +357,7 @@ def evolve_rk4(
         if not (abs(rho.trace() - trace0) <= 1e-6 and np.abs(rho).max() <= bound):
             raise NumericalError("integration unstable, reduce dt")
 
-    return rk4(step, rho0, t_final, dt, sample_every, check_bounded)
+    return rk4(four_stages, rho0, t_final, dt, sample_every, check_bounded)
 
 
 def evolve_expm(rho0: np.ndarray, L: Superoperator, t: float) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from clusterpump import cli, lindblad, solver
 from clusterpump.cli import main, parse_graph
 from clusterpump.cluster import GraphSpec, cluster_state, plus_state, stabilizers
-from clusterpump.lindblad import ModelParams, PumpModel
+from clusterpump.lindblad import KernelStep, ModelParams, PumpModel
 from clusterpump.observables import fidelity, spin_expectations, witness_expectation
 from clusterpump.operators import pauli_to_dense
 from clusterpump.solver import evolve_rk4, pure_state_density
@@ -405,21 +405,21 @@ def test_evolve_beyond_dense_guard(tmp_path):
     ids=["square:2x2", "isolated:3"],
 )
 def test_evolve_observables_match_the_back_transformed_samples(tmp_path, graph_arg, graph):
-    # a random start has <Y> != 0, and an isolated vertex makes c^+ (hK)^i c
-    # complex; each row is read in the eigenbasis of H and must match the
-    # observables of the same sample transformed back
+    # a random start has <Y> != 0, and an isolated vertex gives the target a
+    # nonzero energy; each row is read in the eigenbasis of K and must match
+    # the observables of the same sample transformed back
     args = ["evolve", "--graph", graph_arg, "--h-g", "0.9", "--gamma-g", "2", "--t-final", "0.3",
             "--rho0", "random", "--seed", "5", "--sample-every", "1", "--eta", "0.4",
             "--out", str(tmp_path)]
     assert run(args) == 0
     rows = np.loadtxt(tmp_path / "evolve.csv", delimiter=",", skiprows=1)
     model = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=2.0))
-    _, V, _ = model.eigenbasis
+    kernel = model.kernel_step(2.0)
     rho0 = cli._initial_density("random", graph.n_qubits, np.random.default_rng(5))
-    traj = evolve_rk4(V.T @ rho0 @ V, None, 0.3, 0.005, step=model.rk4_step(2.0))
+    traj = evolve_rk4(rho0, None, 0.3, 0.005, step=kernel)
     expected = []
     for t, sample in zip(traj.times, traj.states):
-        rho = model.from_eigenbasis(sample)
+        rho = kernel.density(sample)
         expected.append(
             [t, *spin_expectations(rho).as_array(), fidelity(rho, model.target),
              witness_expectation(rho, model.target, eta=0.4)]
@@ -430,16 +430,17 @@ def test_evolve_observables_match_the_back_transformed_samples(tmp_path, graph_a
 
 
 def test_evolve_refuses_oversized_samples(tmp_path, capsys, monkeypatch):
-    # a million 1 MiB samples exceed the memory the model guard grants; the
-    # run stops before its first step
-    def never(rho, h):
+    # a million half-MiB samples (the upper triangle of a 256 x 256 matrix)
+    # exceed the memory the model guard grants; the run stops before its
+    # first step
+    def never(self, x, h):
         raise AssertionError("stepped")
 
-    monkeypatch.setattr(PumpModel, "rk4_step", lambda self, gamma: never)
+    monkeypatch.setattr(KernelStep, "step", never)
     args = ["evolve", "--graph", "chain:8", "--t-final", "10000", "--dt", "0.01",
             "--sample-every", "1", "--out", str(tmp_path)]
     assert run(args) == 1
-    assert "1000001 samples would need 976.6 GiB" in capsys.readouterr().err
+    assert "1000001 samples would need 490.2 GiB" in capsys.readouterr().err
     assert not (tmp_path / "evolve.csv").exists()
 
 
@@ -460,6 +461,44 @@ def test_evolve_unstable_step_exits_two(tmp_path, capsys):
     assert run(args) == 2
     assert "integration unstable, reduce dt" in capsys.readouterr().err
     assert not (tmp_path / "evolve.csv").exists()
+
+
+def test_evolve_refuses_an_unstable_dt_before_stepping(tmp_path, capsys, monkeypatch):
+    # the same run: dt = 0.07 puts a pole of L on a pair that touches O
+    # outside RK4's stability region, so it is refused before any step
+    def never(self, x, h):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(KernelStep, "step", never)
+    args = ["evolve", "--graph", "chain:2", "--h-g", "1", "--gamma-g", "50", "--t-final", "0.7",
+            "--dt", "0.07", "--rho0", "random", "--out", str(tmp_path)]
+    assert run(args) == 2
+    assert "integration unstable, reduce dt" in capsys.readouterr().err
+    assert not (tmp_path / "evolve.csv").exists()
+
+
+def test_evolve_at_an_exceptional_point_takes_four_stages(tmp_path):
+    # chain:2 at h = 0, gamma = 4 has no eigenbasis of K; the command steps
+    # by four stages in the eigenbasis of H, and its rows are those of that
+    # run's samples transformed back
+    args = ["evolve", "--graph", "chain:2", "--h-g", "0", "--gamma-g", "4", "--t-final", "0.5",
+            "--rho0", "random", "--seed", "3", "--sample-every", "5", "--out", str(tmp_path)]
+    assert run(args) == 0
+    rows = np.loadtxt(tmp_path / "evolve.csv", delimiter=",", skiprows=1)
+    model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=0.0, gamma=4.0))
+    assert model.kernel_step(4.0) is None
+    _, V, _ = model.eigenbasis
+    rho0 = cli._initial_density("random", 2, np.random.default_rng(3))
+    traj = evolve_rk4(V.T @ rho0 @ V, model.eigenbasis_generator(4.0), 0.5, 0.0025, sample_every=5)
+    expected = []
+    for t, sample in zip(traj.times, traj.states):
+        rho = model.from_eigenbasis(sample)
+        expected.append(
+            [t, *spin_expectations(rho).as_array(), fidelity(rho, model.target),
+             witness_expectation(rho, model.target, eta=0.5)]
+        )
+    assert rows.shape == (41, 6)
+    assert np.abs(rows - np.array(expected)).max() <= 1e-12
 
 
 def test_meanfield_nan_blowup_exits_two(tmp_path, capsys):

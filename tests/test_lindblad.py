@@ -56,7 +56,7 @@ def test_non_finite_gamma_is_refused(gamma):
         ModelParams(g=1.0, h=1.0, gamma=gamma)
     model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=1.0, gamma=1.0))
     rho = np.eye(4, dtype=complex) / 4
-    for call in (model.steady_state, model.eigenvalues, model.gap, model.rk4_step,
+    for call in (model.steady_state, model.eigenvalues, model.gap, model.kernel_step,
                  model.eigenbasis_generator, model.liouvillian, lambda g: model.apply(rho, g)):
         with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
             call(gamma)

@@ -3,7 +3,15 @@ import pytest
 
 from clusterpump.cluster import GraphSpec, cluster_state, orthogonal_basis, plus_state, state_from_bits
 from clusterpump.errors import NumericalError
-from clusterpump.observables import eigenbasis_observables, fidelity, spin_expectations, witness_expectation
+from clusterpump.lindblad import ModelParams, PumpModel
+from clusterpump.observables import (
+    eigenbasis_observables,
+    fidelity,
+    kernel_observables,
+    pure_state_spins,
+    spin_expectations,
+    witness_expectation,
+)
 from clusterpump.operators import PauliString, pauli_to_dense
 from clusterpump.solver import pure_state_density
 from conftest import random_density_matrix
@@ -153,3 +161,29 @@ def test_eigenbasis_observables_fail_as_fidelity_does():
             with pytest.raises(error) as batched:
                 eigenbasis_observables(np.array([good, bad, later]), np.eye(4), c)
             assert str(batched.value) == str(single.value)
+
+
+@pytest.mark.parametrize("graph", [GraphSpec.chain(3), GraphSpec.grid(2, 2), GraphSpec(3, ((0, 1),))],
+                         ids=["chain:3", "square:2x2", "isolated:3"])
+def test_pure_state_spins_equal_those_of_the_density_matrix(rng, graph):
+    # bit-identical: the same products, read where they are needed
+    d = 2**graph.n_qubits
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    for state in (cluster_state(graph), psi / np.linalg.norm(psi)):
+        assert pure_state_spins(state) == spin_expectations(pure_state_density(state))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 5.0])
+@pytest.mark.parametrize("graph", [GraphSpec.chain(3), GraphSpec.grid(2, 2), GraphSpec(3, ((0, 1),))],
+                         ids=["chain:3", "square:2x2", "isolated:3"])
+def test_kernel_observables_match_the_transformed_back_matrices(rng, graph, gamma):
+    kernel = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=gamma)).kernel_step(gamma)
+    target = cluster_state(graph)
+    rhos = [random_density_matrix(rng, 2**graph.n_qubits) for _ in range(4)]
+    states = np.array([kernel.start(rho) for rho in rhos])
+    rows = kernel_observables(states, kernel, eta=0.3)
+    expected = [
+        [*spin_expectations(rho).as_array(), fidelity(rho, target), witness_expectation(rho, target, eta=0.3)]
+        for rho in rhos
+    ]
+    assert np.abs(rows - np.array(expected)).max() <= 1e-13

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clusterpump.cluster import GraphSpec, cluster_state, orthogonal_basis, plus_state
 from clusterpump.errors import NumericalError
 from clusterpump.lindblad import (
+    KernelStep,
     ModelParams,
     PumpModel,
     devectorize,
@@ -201,10 +202,11 @@ def test_rk4_refuses_non_finite_times(rng, t_final, dt):
 
 
 def test_direct_steady_state_refuses_nan():
-    # a NaN generator is refused, not solved into a NaN state
+    # a NaN generator is refused under its own label, not solved into a NaN
+    # state or reported as a degenerate kernel
     L = chain_liouvillian(2, h_g=1.0, gamma_g=2.0)
     L[3, 5] = np.nan
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="non-finite steady-state system"):
         steady_state_direct(L)
 
 
@@ -256,28 +258,28 @@ def rk4_stability_edge(model, gamma):
 
 
 def one_map_vs_four_stages(model, gamma, rho0, dt, n_steps):
-    """Largest deviation, over every sample, of ``PumpModel.rk4_step`` from the
-    four-stage RK4 step on ``eigenbasis_generator``."""
+    """Largest deviation, over every sample transformed back, of RK4 with
+    ``PumpModel.kernel_step`` from the four-stage RK4 step on
+    ``eigenbasis_generator``."""
     _, V, _ = model.eigenbasis
-    rho0 = V.T @ rho0 @ V
-    four = evolve_rk4(rho0, model.eigenbasis_generator(gamma), n_steps * dt, dt, sample_every=3)
-    one = evolve_rk4(rho0, None, n_steps * dt, dt, sample_every=3, step=model.rk4_step(gamma))
+    kernel = model.kernel_step(gamma)
+    four = evolve_rk4(V.T @ rho0 @ V, model.eigenbasis_generator(gamma), n_steps * dt, dt, sample_every=3)
+    one = evolve_rk4(rho0, None, n_steps * dt, dt, sample_every=3, step=kernel)
     assert np.array_equal(four.times, one.times)
-    return float(np.abs(one.states - four.states).max())
+    return max(float(np.abs(kernel.density(x) - V @ rho @ V.T).max()) for x, rho in zip(one.states, four.states))
+
+
+GRAPHS = [GraphSpec.chain(2), GraphSpec.chain(3), GraphSpec.chain(4), GraphSpec.chain(5), GraphSpec.grid(2, 2),
+          GraphSpec(3, ((0, 1),))]
+GRAPH_IDS = ["chain:2", "chain:3", "chain:4", "chain:5", "square:2x2", "isolated:3"]
 
 
 @pytest.mark.parametrize("edge", [False, True], ids=["default_dt", "edge_dt"])
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 5.0, 600.0])
-@pytest.mark.parametrize(
-    "graph",
-    [GraphSpec.chain(2), GraphSpec.chain(3), GraphSpec.chain(4), GraphSpec.chain(5), GraphSpec.grid(2, 2),
-     GraphSpec(3, ((0, 1),))],
-    ids=["chain:2", "chain:3", "chain:4", "chain:5", "square:2x2", "isolated:3"],
-)
+@pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
 def test_rk4_step_matches_four_stages(rng, graph, gamma, edge):
     # the evolve command's default dt, and 0.95 of the largest stable one; an
-    # isolated vertex gives the target a nonzero energy <C|H|C> = h, which
-    # makes c^+ (hK)^i c complex (it is real on the other graphs)
+    # isolated vertex gives the target a nonzero energy <C|H|C> = h
     model = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=gamma))
     dt = 0.95 * rk4_stability_edge(model, gamma) if edge else 0.01 / max(1.0, gamma)
     rho0 = random_density_matrix(rng, 2**graph.n_qubits)
@@ -294,6 +296,8 @@ def test_rk4_step_matches_four_stages(rng, graph, gamma, edge):
 )
 def test_rk4_step_matches_four_stages_on_random_graphs(graph, h, gamma, fraction, seed):
     model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=gamma))
+    # exceptional points of K_J (h = 0 at special gamma) step by four stages
+    assume(model.kernel_step(gamma) is not None)
     dt = fraction * rk4_stability_edge(model, gamma)
     rho0 = random_density_matrix(np.random.default_rng(seed), 2**graph.n_qubits)
     assert one_map_vs_four_stages(model, gamma, rho0, dt, n_steps=12) <= 1e-12
@@ -305,17 +309,18 @@ def test_rk4_step_matches_four_stages_on_random_graphs(graph, h, gamma, fraction
     ids=["chain:3", "square:2x2", "isolated:3"],
 )
 def test_rk4_step_output_is_exactly_hermitian(rng, graph, gamma):
-    # the step returns G + G^+, so its output is Hermitian to the bit for any
-    # input, and each state of a run is an exactly Hermitian input to the next
+    # a state holds the upper triangle of X and a real diagonal, which the
+    # step keeps real, so the X of every state is Hermitian to the bit, and
+    # a non-Hermitian matrix is read through its upper triangle
     model = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=gamma))
-    step = model.rk4_step(gamma)
+    kernel = model.kernel_step(gamma)
     d = 2**graph.n_qubits
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     hermitian = 0.5 * (a + a.conj().T)
     assert np.array_equal(hermitian, hermitian.conj().T)
     dt = 0.01 / max(1.0, gamma)
     for rho in (hermitian, a):
-        out = step(rho, dt)
+        out = kernel.matrix(kernel.step(kernel.start(rho), dt))
         assert np.array_equal(out, out.conj().T)
 
 
@@ -325,16 +330,55 @@ def test_rk4_step_output_is_exactly_hermitian(rng, graph, gamma):
     ids=["chain:3", "square:2x2", "isolated:3"],
 )
 def test_rk4_step_reads_a_start_as_its_hermitian_part(rng, graph, gamma):
-    # V^T rho V is Hermitian only to round-off; the one-probe step reads a
-    # non-Hermitian X as if X R^+ were (R X)^+, which for this start moves
-    # the output by round-off only (3e-17 at most over 80 such cases)
+    # R^-1 W^T rho W R^-+ is Hermitian only to round-off, and the start keeps
+    # its upper triangle: it is the Hermitian part to round-off, and rho
+    # steps as its Hermitian part to round-off
     model = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=gamma))
-    _, V, _ = model.eigenbasis
-    step = model.rk4_step(gamma)
-    rho = V.T @ random_density_matrix(rng, 2**graph.n_qubits) @ V
-    hermitian_part = 0.5 * (rho + rho.conj().T)
+    kernel = model.kernel_step(gamma)
+    rho = random_density_matrix(rng, 2**graph.n_qubits)
+    m = kernel.c.size
+    R_inv = np.linalg.inv(kernel.R)
+    X = kernel.W.T @ rho @ kernel.W
+    X[:m] = R_inv @ X[:m]
+    X[:, :m] = X[:, :m] @ R_inv.conj().T
+    assert np.abs(kernel.matrix(kernel.start(rho)) - 0.5 * (X + X.conj().T)).max() <= 1e-15
     dt = 0.01 / max(1.0, gamma)
-    assert np.abs(step(rho, dt) - step(hermitian_part, dt)).max() <= 1e-15
+    stepped = [kernel.density(kernel.step(kernel.start(r), dt)) for r in (rho, 0.5 * (rho + rho.conj().T))]
+    assert np.abs(stepped[0] - stepped[1]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 5.0, 600.0])
+@pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
+def test_kernel_step_refuses_no_stable_run(graph, gamma):
+    # plus, zero and random starts at the default dt and at 0.95 of the
+    # stability edge pass the pre-step refusal and every state check
+    model = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=gamma))
+    kernel = model.kernel_step(gamma)
+    n = graph.n_qubits
+    starts = [pure_state_density(plus_state(n)), pure_state_density(np.eye(2**n)[0]),
+              random_density_matrix(np.random.default_rng(7), 2**n)]
+    for dt in (0.01 / max(1.0, gamma), 0.95 * rk4_stability_edge(model, gamma)):
+        for rho0 in starts:
+            traj = evolve_rk4(rho0, None, 200 * dt, dt, sample_every=200, step=kernel)
+            assert np.isfinite(traj.states).all()
+
+
+def test_kernel_step_refuses_an_unstable_dt_before_stepping(rng, monkeypatch):
+    # at gamma = 50, dt = 0.07 puts a pole on a pair that touches O outside
+    # RK4's stability region: |p(dt lam)| = 2.75 there, an eigenvalue of L
+    model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=1.0, gamma=50.0))
+    kernel = model.kernel_step(50.0)
+    m, d = kernel.c.size, kernel.kappa.size
+    lam = 0.07 * np.add.outer(kernel.kappa, kernel.kappa.conj())
+    growth = np.abs(1.0 + lam * (1.0 + lam * (0.5 + lam * (1.0 / 6.0 + lam / 24.0))))
+    assert 0 < m < d and growth[:, m:].max() == pytest.approx(2.75, abs=5e-3)
+
+    def never(self, x, h):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(KernelStep, "step", never)
+    with pytest.raises(NumericalError, match="integration unstable, reduce dt"):
+        evolve_rk4(random_density_matrix(rng, 4), None, 0.7, 0.07, step=kernel)
 
 
 def test_evolve_rk4_takes_l_or_step(rng):
