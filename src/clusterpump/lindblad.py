@@ -21,11 +21,12 @@ non-Hermitian Hamiltonian ``K = -i H - (gamma / 2) Q``:
 
 instead of summing the 2^N - 1 explicit jumps.  That d^2 x d^2 array
 (d = 2^N) is the dense reference in tests only; no command builds it.  The
-rest works in the eigenbasis of H: ``PumpModel.steady_state`` solves for the
-steady state with O(d^3) work and O(d^2) memory, and
-``PumpModel.eigenbasis_generator`` is the generator's action on one d x d
-matrix, at O(d^2) per call.  ``PumpModel.apply`` is the generator's action
-in the computational basis, with H applied by bit flips.
+rest works in the eigenbasis of H: ``PumpModel.eigenbasis_generator`` is the
+generator's action on one d x d matrix, at O(d^2) per call, and
+``PumpModel.steady_state`` solves 2|J| real equations on the target's
+support J (below), at O(|J|^3) work past the eigendecomposition of H.
+``PumpModel.apply`` is the generator's action in the computational basis,
+with H applied by bit flips.
 
 The structure: ``rho -> K rho + rho K^+`` is a Kronecker sum and the
 recycling term has rank one.  One factorisation of K on the target's
@@ -58,14 +59,16 @@ Superoperator = np.ndarray
 # eigenvalues: their secular equation has up to 4^N poles, and each Aberth
 # sweep over them costs O(16^N).
 MAX_DENSE_QUBITS = 7
-# Models above this register size are refused.  The structured steady-state
-# solve peaks at about STEADY_STATE_ARRAYS complex d x d arrays (d = 2^N;
-# 11.3 measured at N = 11, 13.4 at N = 10).
+# Models above this register size are refused.  A command peaks at about
+# MODEL_ARRAYS complex d x d arrays (d = 2^N) above the interpreter's 61 MB:
+# by getrusage on chains, 5-step ``evolve`` 8.9, 8.4, 11 and 2-point
+# ``sweep --skip-gap`` 8.1, 6.9, 9.3 at N = 11, 10, 9.
 MAX_MODEL_QUBITS = 11
-STEADY_STATE_ARRAYS = 12
-# Components of c = V^T |C> at most this large count as zero in
-# ``PumpModel.eigenvalues``; symmetry makes them 1e-14-small, the rest are
-# >= 1e-4.  Counting a small component as nonzero costs time, not accuracy.
+MODEL_ARRAYS = 9
+# Levels of H on which the norm of c = V^T |C> is at most this large are O of
+# ``PumpModel._support``.  Round-off leaves such norms up to 4.8e-13 (random
+# graphs, N <= 5, near-degenerate levels); true ones reach 2.4e-10 (h = 0.004).
+# Keeping a small norm costs time; dropping one moves steady states by its size.
 SUPPORT_TOL = 1e-12
 # Secular-equation poles whose weight is at most this fraction of the largest
 # are hidden: they are eigenvalues of the generator as they stand.
@@ -78,6 +81,10 @@ COINCIDENT_TOL = 1e-12
 # ``PumpModel.eigenvalues`` takes the JJ sector densely instead, and
 # ``PumpModel.kernel_step`` leaves dynamics to the four-stage step.
 EIGENVECTOR_COND_MAX = 1e3
+# Secular-equation roots closer than this relative to max(1, their largest
+# modulus) are one cluster, re-centred by ``_secular_roots``: the roots that
+# split from a double root at a defective eigenvalue lie ~1e-7 apart.
+ROOT_CLUSTER_TOL = 1e-6
 # Aberth sweeps after which the secular equation counts as unsolved; 784
 # oracle cases (N <= 5, gamma up to 600) and chains up to N = 7 took at most 11.
 ABERTH_MAX_SWEEPS = 100
@@ -229,22 +236,22 @@ def _pump_generator(H: DenseOperator, target: StateVector, gamma: float) -> Supe
     return L
 
 
-def _merge_poles(mu: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge poles closer than ``COINCIDENT_TOL max(1, max |mu|)``: the distinct
-    poles, their summed weights and the extra copies.
+def _groups(z: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, starts)``: ``z[order]`` lists the groups of points closer than
+    ``rtol max(1, max |z|)`` one after another, each from an index in ``starts``.
 
     Single linkage on the real parts, then on the imaginary parts within
     each run, so each pass is one stable sort.
     """
-    tol = COINCIDENT_TOL * max(1.0, float(np.abs(mu).max(initial=0.0)))
-    order = np.argsort(mu.real, kind="stable")
-    run = np.cumsum(np.diff(mu.real[order], prepend=-np.inf) > tol)
-    within = np.lexsort((mu.imag[order], run))
+    tol = rtol * max(1.0, float(np.abs(z).max(initial=0.0)))
+    order = np.argsort(z.real, kind="stable")
+    run = np.cumsum(np.diff(z.real[order], prepend=-np.inf) > tol)
+    within = np.lexsort((z.imag[order], run))
     order, run = order[within], run[within]
     starts = np.flatnonzero(
-        (np.diff(mu.imag[order], prepend=-np.inf) > tol) | (np.diff(run, prepend=-1) != 0)
+        (np.diff(z.imag[order], prepend=-np.inf) > tol) | (np.diff(run, prepend=-1) != 0)
     )
-    return mu[order[starts]], np.add.reduceat(w[order], starts), mu[np.delete(order, starts)]
+    return order, starts
 
 
 def _secular_roots(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -264,6 +271,12 @@ def _secular_roots(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
     the others are recomputed.  Every k x n array is formed ``SECULAR_BLOCK``
     rows at a time.  Raises NumericalError when roots are still moving after
     ``ABERTH_MAX_SWEEPS`` sweeps.
+
+    Near a multiple root f is flat to rounding over a disc of radius about
+    sqrt(eps), where Aberth's roots land anywhere, their mean too.  So each
+    group of k roots closer than ``ROOT_CLUSTER_TOL`` becomes the k roots
+    nearest its mean of f's Taylor polynomial of degree k + 2 there, unless
+    a pole lies within 100 diameters: the mean is then O(eps)-accurate.
     """
     n = mu.size
     z = np.empty(n, dtype=complex)
@@ -283,7 +296,7 @@ def _secular_roots(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
     active = np.arange(n)
     for _ in range(ABERTH_MAX_SWEEPS):
         if active.size == 0:
-            return z
+            break
         step = np.empty(active.size, dtype=complex)
         for s in range(0, active.size, SECULAR_BLOCK):
             roots = active[s : s + SECULAR_BLOCK]
@@ -305,7 +318,48 @@ def _secular_roots(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
             f"secular equation unsolved: {active.size} of {n} roots still moving "
             f"after {ABERTH_MAX_SWEEPS} Aberth sweeps"
         )
+    order, starts = _groups(z, ROOT_CLUSTER_TOL)
+    sizes = np.diff(np.append(starts, n))
+    for start, k in zip(starts[sizes > 1], sizes[sizes > 1]):
+        group = order[start : start + k]
+        center = z[group].mean()
+        # within 100 diameters of a pole the polynomial would not hold
+        if not np.abs(mu - center).min() > 200.0 * np.abs(z[group] - center).max():
+            continue
+        # f(center + t) = 1 + sum_j t^j sum_i w_i / (mu_i - center)^(j+1)
+        inverse = 1.0 / (mu - center)
+        taylor = [inverse ** (j + 1) @ w for j in range(k + 3)]
+        taylor[0] += 1.0
+        t = np.roots(taylor[::-1])
+        z[group] = center + t[np.argsort(np.abs(t))[:k]]
     return z
+
+
+def _eigenbasis_rhs(energies: np.ndarray, c: np.ndarray, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The generator's action on ``rho~`` in an eigenbasis of H with energies
+    ``E`` and target components ``c``,
+
+        rho~ -> Lam o rho~ + gamma [(Tr rho~ - c^+ rho~ c) c c^+
+                                    + (c (c^+ rho~) + (rho~ c) c^+) / 2],
+
+    with ``Lam_ab = -i (E_a - E_b) - gamma``: one elementwise product, two
+    matrix-vector products and rank-one updates, O(d^2) per call.  With
+    ``E_J, c_J`` of ``PumpModel._support`` it acts on the J x J block."""
+    lam = -1j * np.subtract.outer(energies, energies) - gamma
+    c_conj = c.conj()
+    gamma_c = gamma * c[:, None]
+
+    def rhs(rho: np.ndarray) -> np.ndarray:
+        rho_c = rho @ c
+        c_rho = c_conj @ rho
+        recycled = rho.trace() - c_conj @ rho_c
+        out = lam * rho
+        # (Tr - c^+ rho c) c c^+ + c (c^+ rho) / 2 is c times one row vector
+        out += gamma_c * (recycled * c_conj + 0.5 * c_rho)
+        out += ((0.5 * gamma) * rho_c)[:, None] * c_conj
+        return out
+
+    return rhs
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,8 +382,8 @@ class PumpModel:
         n = self.graph.n_qubits
         if n > MAX_MODEL_QUBITS:
             raise ValueError(
-                f"N = {n} exceeds the model guard ({MAX_MODEL_QUBITS}); its steady-state "
-                f"solve would need about {STEADY_STATE_ARRAYS * 16.0 * 4.0**n / 2.0**30:.1f} GiB"
+                f"N = {n} exceeds the model guard ({MAX_MODEL_QUBITS}); its eigenbasis and "
+                f"the work on it would need about {MODEL_ARRAYS * 16.0 * 4.0**n / 2.0**30:.1f} GiB"
             )
         object.__setattr__(self, "target", cluster_state(self.graph))
         object.__setattr__(self, "H", hamiltonian(self.graph, self.params))
@@ -374,31 +428,11 @@ class PumpModel:
 
     def eigenbasis_generator(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
         """The generator's action on ``rho~ = V^T rho V`` in the eigenbasis of H,
-
-            rho~ -> Lam o rho~ + gamma [(Tr rho~ - c^+ rho~ c) c c^+
-                                        + (c (c^+ rho~) + (rho~ c) c^+) / 2],
-
-        with ``Lam_ab = -i (E_a - E_b) - gamma``: one elementwise product, two
-        matrix-vector products and rank-one updates, O(d^2) per call.  V is
-        real orthogonal, so RK4 on ``rho~`` is RK4 on ``rho`` up to round-off.
-        """
+        ``_eigenbasis_rhs(E, c, gamma)``.  V is real orthogonal, so RK4 on
+        ``rho~`` is RK4 on ``rho`` up to round-off."""
         _require_nonnegative(gamma)
         energies, _, c = self.eigenbasis
-        lam = -1j * np.subtract.outer(energies, energies) - gamma
-        c_conj = c.conj()
-        gamma_c = gamma * c[:, None]
-
-        def rhs(rho: np.ndarray) -> np.ndarray:
-            rho_c = rho @ c
-            c_rho = c_conj @ rho
-            recycled = rho.trace() - c_conj @ rho_c
-            out = lam * rho
-            # (Tr - c^+ rho c) c c^+ + c (c^+ rho) / 2 is c times one row vector
-            out += gamma_c * (recycled * c_conj + 0.5 * c_rho)
-            out += ((0.5 * gamma) * rho_c)[:, None] * c_conj
-            return out
-
-        return rhs
+        return _eigenbasis_rhs(energies, c, gamma)
 
     @cached_property
     def eigenbasis(self) -> tuple[np.ndarray, np.ndarray, StateVector]:
@@ -409,13 +443,6 @@ class PumpModel:
         """
         energies, V = np.linalg.eigh(self.H.real)
         return energies, V, V.T @ self.target
-
-    def from_eigenbasis(self, rho: np.ndarray) -> np.ndarray:
-        """``V rho V^T``: a complex matrix in the eigenbasis of H back in the
-        computational basis, as two real products ``V Re(rho) V^T`` and
-        ``V Im(rho) V^T`` (V is real; a complex V costs about twice as much)."""
-        _, V, _ = self.eigenbasis
-        return V @ rho.real @ V.T + 1j * (V @ rho.imag @ V.T)
 
     @cached_property
     def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -516,7 +543,10 @@ class PumpModel:
             # R^+ Q R = R^+ R - (R^+ c_J)(R^+ c_J)^+, and R^+ c_J = R^+ R a
             ra = gram @ a
             weights = gamma * np.outer(a, a.conj()) * (gram - np.outer(ra, ra.conj())).T
-            mu, w, copies = _merge_poles(poles[:m, :m].ravel(), weights.ravel())
+            # coincident poles merge, their weights summed; the copies are eigenvalues
+            mu, weights = poles[:m, :m].ravel(), weights.ravel()
+            order, starts = _groups(mu, COINCIDENT_TOL)
+            mu, w, copies = mu[order[starts]], np.add.reduceat(weights[order], starts), mu[np.delete(order, starts)]
             visible = np.abs(w) > HIDDEN_TOL * np.abs(w).max(initial=0.0)
             jj = [copies, mu[~visible], _secular_roots(mu[visible], w[visible])]
         else:
@@ -547,19 +577,21 @@ class PumpModel:
         with the Frobenius norm of the anti-Hermitian part of the unit-trace
         solution before it is made Hermitian (a diagnostic).
 
-        In the eigenbasis of H, with ``M_ab = gamma / (gamma + i (E_a - E_b))``,
-        the stationarity condition reads
+        In the basis W of ``_support``, where ``W^T |C> = (c, 0)`` with c = c_J
+        real, the steady state ``rho~`` lives on J x J.  With
+        ``M_ab = gamma / (gamma + i (E_a - E_b))`` on J, stationarity reads
 
-            rho~ = M o [(1 - kappa) c c^+ + (c u^+ + u c^+) / 2],  kappa = c^+ u,
+            rho~ = M o [(1 - kappa) c c^T + (c u^+ + u c^T) / 2],  kappa = c^T u,
 
         for ``u = rho~ c``.  Substituting gives a system linear in u and its
-        conjugate, solved as 2d real equations at O(d^3) cost.  The result is
-        normalized as in ``steady_state_direct``, in the eigenbasis, and
-        transformed back once.  Raises NumericalError "degenerate kernel: ..."
-        at gamma = 0 or on a singular system, and when the Frobenius norm of
-        ``eigenbasis_generator(gamma)`` on the normalized ``rho~`` (equal to
-        that of ``apply(rho, gamma)``) exceeds ``1e-8 max(1, s)``, where s is
-        the largest diagonal entry of the dense generator in modulus.
+        conjugate, solved as 2|J| real equations at O(|J|^3) cost.  The result
+        is normalized as in ``steady_state_direct`` and transformed back once,
+        ``W_J rho~ W_J^T`` as two real products.  Raises NumericalError
+        "degenerate kernel: ..." at gamma = 0 or on a singular system, and
+        when the Frobenius norm of ``_eigenbasis_rhs(E_J, c_J, gamma)`` on the
+        normalized ``rho~`` (equal to that of ``apply(rho, gamma)``) exceeds
+        ``1e-8 max(1, s)``, where s is the largest diagonal entry of the dense
+        generator in modulus.
         """
         _require_nonnegative(gamma)
         if gamma == 0:
@@ -569,30 +601,21 @@ class PumpModel:
         # solver imports this module, so its helpers are imported on use
         from .solver import _solve_nonsingular, _unit_trace_hermitian
 
-        energies, _, c = self.eigenbasis
-        d = c.size
+        energies, c, _, W = self._support
+        m = c.size
         M = gamma / (gamma + 1j * np.subtract.outer(energies, energies))
-        w = M @ np.abs(c) ** 2
+        w = M @ c**2
         # A u + B conj(u) = c o w
         cw = c * w
-        A = np.outer(cw, c.conj())
-        A[np.diag_indices(d)] += 1.0 - 0.5 * w
+        A = np.outer(cw, c)
+        A[np.diag_indices(m)] += 1.0 - 0.5 * w
         B = -0.5 * (c[:, None] * M * c[None, :])
-        # with u = x + i y: [[Re(A + B), Im(B - A)], [Im(A + B), Re(A - B)]] [x; y]
-        system = np.empty((2 * d, 2 * d), order="F")
-        system[:d, :d] = A.real + B.real
-        system[:d, d:] = B.imag - A.imag
-        system[d:, :d] = A.imag + B.imag
-        system[d:, d:] = A.real - B.real
-        del A, B
-        xy = _solve_nonsingular(system, np.concatenate([cw.real, cw.imag]))
-        del system  # its LU factors; the residual below needs the memory
-        u = xy[:d] + 1j * xy[d:]
-        kappa = np.vdot(c, u)
-        rho = M * (
-            (1.0 - kappa) * np.outer(c, c.conj())
-            + 0.5 * (np.outer(c, u.conj()) + np.outer(u, c.conj()))
-        )
+        # with u = x + i y, a real system in [x; y]
+        system = np.block([[A.real + B.real, B.imag - A.imag], [A.imag + B.imag, A.real - B.real]])
+        xy = _solve_nonsingular(np.asfortranarray(system), np.concatenate([cw.real, cw.imag]))
+        u = xy[:m] + 1j * xy[m:]
+        kappa = c @ u
+        rho = M * ((1.0 - kappa) * np.outer(c, c) + 0.5 * (np.outer(c, u.conj()) + np.outer(u, c)))
         rho, antihermitian = _unit_trace_hermitian(rho)
 
         # Diagonal of the dense generator, gamma P_ab Q_ba + K_aa + conj(K_bb),
@@ -601,13 +624,14 @@ class PumpModel:
         k = -1j * self.H.diagonal() - 0.5 * gamma * (1.0 - p)
         diagonal = gamma * (np.diag(p) - np.outer(p, p)) + k[:, None] + k.conj()[None, :]
         tol = 1e-8 * max(1.0, float(np.abs(diagonal).max()))
-        # V is orthogonal, so this is |L rho|_F >= max |L rho| in any basis
-        residual = float(np.linalg.norm(self.eigenbasis_generator(gamma)(rho)))
+        # W is orthogonal, so this is |L rho|_F >= max |L rho| in any basis
+        residual = float(np.linalg.norm(_eigenbasis_rhs(energies, c, gamma)(rho)))
         if not residual <= tol:
             raise NumericalError(
                 f"structured steady-state residual {residual:g} exceeds tolerance {tol:g}"
             )
-        return self.from_eigenbasis(rho), antihermitian
+        W_J = W[:, :m]
+        return W_J @ rho.real @ W_J.T + 1j * (W_J @ rho.imag @ W_J.T), antihermitian
 
 
 @dataclass(frozen=True, eq=False)

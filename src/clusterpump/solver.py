@@ -34,15 +34,14 @@ import scipy.linalg
 from numpy.typing import ArrayLike
 
 from .errors import NumericalError
-from .lindblad import MAX_MODEL_QUBITS, STEADY_STATE_ARRAYS, KernelStep, Superoperator, devectorize, vectorize
+from .lindblad import KernelStep, Superoperator, devectorize, vectorize
 
 # Relative factor for deciding which eigenvalues count as the kernel; the
 # absolute tolerance is scaled by the spectral radius so that strong
 # dissipation (large-norm generators) does not spuriously empty the kernel.
 KERNEL_TOL_FACTOR = 1e-8
-# Bytes the samples of one ``rk4`` run may take: the memory the model guard
-# already grants a structured steady-state solve at its largest register.
-SAMPLE_BUDGET_BYTES = STEADY_STATE_ARRAYS * 16 * 4**MAX_MODEL_QUBITS
+# Bytes the samples of one ``rk4`` run may take (0.75 GiB).
+SAMPLE_BUDGET_BYTES = 3 * 2**28
 
 
 @dataclass
@@ -204,7 +203,8 @@ def steady_state_direct(L: Superoperator) -> np.ndarray:
 
     One row of ``L v = 0`` is replaced by the trace constraint ``Tr rho = 1``.
     This is the dense reference for ``PumpModel.steady_state``, which solves
-    the same problem in the eigenbasis of H.  Raises NumericalError if that
+    the same problem as 2|J| real equations on the target's support J in an
+    eigenbasis of H.  Raises NumericalError if that
     bordered matrix is singular to working precision (a degenerate kernel,
     e.g. gamma = 0, whose solution would be an arbitrary kernel vector) or if
     the result misses ``L vec(rho) = 0`` by more than ``1e-8 * max(1, ||L||_inf)``.

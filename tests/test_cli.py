@@ -431,8 +431,7 @@ def test_evolve_observables_match_the_back_transformed_samples(tmp_path, graph_a
 
 def test_evolve_refuses_oversized_samples(tmp_path, capsys, monkeypatch):
     # a million half-MiB samples (the upper triangle of a 256 x 256 matrix)
-    # exceed the memory the model guard grants; the run stops before its
-    # first step
+    # exceed the 0.75 GiB sample budget; the run stops before its first step
     def never(self, x, h):
         raise AssertionError("stepped")
 
@@ -492,7 +491,7 @@ def test_evolve_at_an_exceptional_point_takes_four_stages(tmp_path):
     traj = evolve_rk4(V.T @ rho0 @ V, model.eigenbasis_generator(4.0), 0.5, 0.0025, sample_every=5)
     expected = []
     for t, sample in zip(traj.times, traj.states):
-        rho = model.from_eigenbasis(sample)
+        rho = V @ sample @ V.T
         expected.append(
             [t, *spin_expectations(rho).as_array(), fidelity(rho, model.target),
              witness_expectation(rho, model.target, eta=0.5)]
