@@ -264,16 +264,16 @@ def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
     kernel = model.kernel_step(gamma)
     if kernel is not None:
         # step in the eigenbasis of K and read the observables there
-        traj = evolve_rk4(rho0, None, cfg["t_final"], dt, sample_every=cfg["sample_every"], step=kernel)
+        traj = evolve_rk4(rho0, kernel, cfg["t_final"], dt, sample_every=cfg["sample_every"])
         observables = kernel_observables(traj.states, kernel, eta=cfg["eta"])
     else:
-        # at an exceptional point of K: four stages in the eigenbasis of H
-        _, V, c = model.eigenbasis
+        # at an exceptional point of K: four stages in the eigenbasis W of H
+        _, W, c, _ = model.eigenbasis
         traj = evolve_rk4(
-            V.T @ rho0 @ V, model.eigenbasis_generator(gamma), cfg["t_final"], dt,
+            W.T @ rho0 @ W, model.eigenbasis_generator(gamma), cfg["t_final"], dt,
             sample_every=cfg["sample_every"],
         )
-        observables = eigenbasis_observables(traj.states, V, c, eta=cfg["eta"])
+        observables = eigenbasis_observables(traj.states, W, c, eta=cfg["eta"])
     rows = np.column_stack([traj.times, observables]).tolist()
     header = ["t", "jx", "jy", "jz", "fidelity", "witness"]
     _write_csv(out_dir / "evolve.csv", header, rows)

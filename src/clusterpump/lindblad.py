@@ -21,12 +21,12 @@ non-Hermitian Hamiltonian ``K = -i H - (gamma / 2) Q``:
 
 instead of summing the 2^N - 1 explicit jumps.  That d^2 x d^2 array
 (d = 2^N) is the dense reference in tests only; no command builds it.  The
-rest works in the eigenbasis of H: ``PumpModel.eigenbasis_generator`` is the
-generator's action on one d x d matrix, at O(d^2) per call, and
-``PumpModel.steady_state`` solves 2|J| real equations on the target's
-support J (below), at O(|J|^3) work past the eigendecomposition of H.
-``PumpModel.apply`` is the generator's action in the computational basis,
-with H applied by bit flips.
+rest works in one eigenbasis W of H, ``PumpModel.eigenbasis``, J first (below):
+``PumpModel.eigenbasis_generator`` is the generator's action on one d x d
+matrix there, at O(d^2) per call, and ``PumpModel.steady_state`` solves 2|J|
+real equations on the target's support J, at O(|J|^3) work past the
+eigendecomposition of H.  ``PumpModel.apply`` is the generator's action in
+the computational basis, with H applied as its ZZ diagonal and bit flips.
 
 The structure: ``rho -> K rho + rho K^+`` is a Kronecker sum and the
 recycling term has rank one.  One factorisation of K on the target's
@@ -61,12 +61,12 @@ Superoperator = np.ndarray
 MAX_DENSE_QUBITS = 7
 # Models above this register size are refused.  A command peaks at about
 # MODEL_ARRAYS complex d x d arrays (d = 2^N) above the interpreter's 61 MB:
-# by getrusage on chains, 5-step ``evolve`` 8.9, 8.4, 11 and 2-point
-# ``sweep --skip-gap`` 8.1, 6.9, 9.3 at N = 11, 10, 9.
+# by getrusage on chains, 5-step ``evolve`` 7.4, 7.0, 9.7 and 2-point
+# ``sweep --skip-gap`` 5.8, 4.6, 7.2 at N = 11, 10, 9 (the largest N sets it).
 MAX_MODEL_QUBITS = 11
-MODEL_ARRAYS = 9
+MODEL_ARRAYS = 7.5
 # Levels of H on which the norm of c = V^T |C> is at most this large are O of
-# ``PumpModel._support``.  Round-off leaves such norms up to 4.8e-13 (random
+# ``PumpModel.eigenbasis``.  Round-off leaves such norms up to 4.8e-13 (random
 # graphs, N <= 5, near-degenerate levels); true ones reach 2.4e-10 (h = 0.004).
 # Keeping a small norm costs time; dropping one moves steady states by its size.
 SUPPORT_TOL = 1e-12
@@ -138,17 +138,18 @@ def hamiltonian(g_spec: GraphSpec, p: ModelParams) -> DenseOperator:
     so the result equals the sum of the dense Pauli strings exactly.
     """
     n = g_spec.n_qubits
-    dim = 2**n
-    index = np.arange(dim)
-    bits = [(index >> (n - 1 - k)) & 1 for k in range(n)]
-    diagonal = np.zeros(dim)
-    for j, k in g_spec.edges:
-        diagonal += p.g * (1.0 - 2.0 * (bits[j] ^ bits[k]))
-    ham = np.zeros((dim, dim), dtype=complex)
-    ham[index, index] = diagonal
+    index = np.arange(2**n)
+    ham = np.diag(_zz_diagonal(g_spec, p.g).astype(complex))
     for k in range(n):
         ham[index, index ^ (1 << (n - 1 - k))] += p.h
     return ham
+
+
+def _zz_diagonal(g_spec: GraphSpec, g: float) -> np.ndarray:
+    """The diagonal of ``hamiltonian``, its edge terms accumulated in edge order."""
+    n = g_spec.n_qubits
+    bits = [(np.arange(2**n) >> (n - 1 - k)) & 1 for k in range(n)]
+    return sum((g * (1.0 - 2.0 * (bits[j] ^ bits[k])) for j, k in g_spec.edges), np.zeros(2**n))
 
 
 def projection_jumps(g_spec: GraphSpec) -> list[DenseOperator]:
@@ -344,7 +345,7 @@ def _eigenbasis_rhs(energies: np.ndarray, c: np.ndarray, gamma: float) -> Callab
 
     with ``Lam_ab = -i (E_a - E_b) - gamma``: one elementwise product, two
     matrix-vector products and rank-one updates, O(d^2) per call.  With
-    ``E_J, c_J`` of ``PumpModel._support`` it acts on the J x J block."""
+    ``E_J, c_J`` of ``PumpModel.eigenbasis`` it acts on the J x J block."""
     lam = -1j * np.subtract.outer(energies, energies) - gamma
     c_conj = c.conj()
     gamma_c = gamma * c[:, None]
@@ -364,7 +365,7 @@ def _eigenbasis_rhs(energies: np.ndarray, c: np.ndarray, gamma: float) -> Callab
 
 @dataclass(frozen=True, eq=False)
 class PumpModel:
-    """The cluster-state pump on one graph: Hamiltonian and target state.
+    """The cluster-state pump on one graph: target state and H's ZZ diagonal.
 
     Refuses registers above ``MAX_MODEL_QUBITS`` before building anything;
     the dense ``liouvillian`` and ``eigenvalues`` refuse registers above
@@ -376,7 +377,7 @@ class PumpModel:
     graph: GraphSpec
     params: ModelParams
     target: StateVector = field(init=False, repr=False)
-    H: DenseOperator = field(init=False, repr=False)
+    zz: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.graph.n_qubits
@@ -386,14 +387,14 @@ class PumpModel:
                 f"the work on it would need about {MODEL_ARRAYS * 16.0 * 4.0**n / 2.0**30:.1f} GiB"
             )
         object.__setattr__(self, "target", cluster_state(self.graph))
-        object.__setattr__(self, "H", hamiltonian(self.graph, self.params))
+        object.__setattr__(self, "zz", _zz_diagonal(self.graph, self.params.g))
 
     def liouvillian(self, gamma: float) -> Superoperator:
         """Dense generator ``gamma vec(P) vec(Q.T)^T + I kron K + conj(K) kron I``
         with ``K = -i H - (gamma / 2) Q``, built in a single d^2 x d^2 array."""
         _require_nonnegative(gamma)
         check_dense_size(self.graph.n_qubits)
-        return _pump_generator(self.H, self.target, gamma)
+        return _pump_generator(hamiltonian(self.graph, self.params), self.target, gamma)
 
     def apply(self, rho: np.ndarray, gamma: float) -> np.ndarray:
         """Matrix-free generator action ``-i[H, rho] + gamma (P Tr(Q rho) - {Q, rho} / 2)``.
@@ -415,8 +416,7 @@ class PumpModel:
             columns = out.reshape(d * high, 2, low)
             columns -= rho.reshape(d * high, 2, low)[:, ::-1]
         out *= -1j * self.params.h
-        zz = self.H.diagonal().real
-        out += (-1j * np.subtract.outer(zz, zz) - gamma) * rho
+        out += (-1j * np.subtract.outer(self.zz, self.zz) - gamma) * rho
         C = self.target
         rho_c = rho @ C
         c_rho = C.conj() @ rho
@@ -427,35 +427,27 @@ class PumpModel:
         return out
 
     def eigenbasis_generator(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
-        """The generator's action on ``rho~ = V^T rho V`` in the eigenbasis of H,
-        ``_eigenbasis_rhs(E, c, gamma)``.  V is real orthogonal, so RK4 on
+        """The generator's action on ``rho~ = W^T rho W`` in the eigenbasis W of
+        H, ``_eigenbasis_rhs(E, c, gamma)``.  W is real orthogonal, so RK4 on
         ``rho~`` is RK4 on ``rho`` up to round-off."""
         _require_nonnegative(gamma)
-        energies, _, c = self.eigenbasis
+        energies, _, c, _ = self.eigenbasis
         return _eigenbasis_rhs(energies, c, gamma)
 
     @cached_property
-    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray, StateVector]:
-        """``(E, V, c)`` with ``H = V diag(E) V^T`` and ``c = V^T |C>``.
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """``(E, W, c, m)``: an eigenbasis W of H, ``H = W diag(E) W^T``, whose
+        first m columns are the target's support J, with ``c = W^T |C>`` up to
+        round-off, and exactly 0 on the rest, O.
 
-        H is real symmetric (Z Z and X are real), so V is real and the real
-        eigensolver applies, several times faster than the complex one.
+        H is real symmetric (Z Z and X are real), so the real eigensolver
+        applies, several times faster than the complex one.  Each degenerate
+        eigenspace of its eigenvectors V is rotated so that ``V^T |C>`` has at
+        most one nonzero component there, the norm over the eigenspace, on its
+        first index; J holds the indices with ``|c_b| > SUPPORT_TOL``.
         """
-        energies, V = np.linalg.eigh(self.H.real)
-        return energies, V, V.T @ self.target
-
-    @cached_property
-    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(E_J, c_J, E_O, W)``: the eigenbasis of H split by the target's support.
-
-        Each degenerate eigenspace of H is first rotated so that c has at most
-        one nonzero component in it, the norm of c over the eigenspace, on its
-        first index.  J holds the indices with ``|c_b| > SUPPORT_TOL`` and O
-        the rest.  W is V so rotated, with the J columns first, so that
-        ``W^T |C> = (c_J, 0)`` up to round-off and ``H = W diag(E_J, E_O) W^T``.
-        """
-        energies, V, c = self.eigenbasis
-        c = c.real  # the target, a graph state, is real
+        energies, V = np.linalg.eigh(hamiltonian(self.graph, self.params).real)
+        c = (V.T @ self.target).real  # the target, a graph state, is real
         scale = max(1.0, float(np.abs(energies).max()))
         first = np.diff(energies, prepend=-np.inf) > COINCIDENT_TOL * scale
         level = np.cumsum(first) - 1
@@ -465,43 +457,47 @@ class PumpModel:
         J = np.abs(rotated) > SUPPORT_TOL
         # a singleton keeps its column up to sign; a larger level gets the
         # Householder reflection that maps its part of c onto its first index
-        W = V * np.where(c < 0, -1.0, 1.0)
+        signs = np.where(c < 0, -1.0, 1.0)
+        V *= signs
         for s, stop in zip(starts, np.append(starts[1:], energies.size)):
             if stop - s > 1 and J[s]:
                 u = c[s:stop] / rotated[s]
                 sign = 1.0 if u[0] >= 0 else -1.0
                 u[0] += sign
-                block = V[:, s:stop]
-                W[:, s:stop] = block - np.outer(block @ u, u / (0.5 * (u @ u)))
-                W[:, s] *= -sign
+                block = V[:, s:stop] * signs[s:stop]  # the sign flip undone
+                V[:, s:stop] = block - np.outer(block @ u, u / (0.5 * (u @ u)))
+                V[:, s] *= -sign
         order = np.concatenate([np.flatnonzero(J), np.flatnonzero(~J)])
-        return energies[J], rotated[J], energies[~J], W[:, order]
+        return energies[order], V[:, order], np.where(J, rotated, 0.0)[order], int(np.count_nonzero(J))
 
-    def _kernel_factors(self, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(kappa, R, a)`` at ``gamma``: the eigenvalues of the effective
-        non-Hermitian Hamiltonian ``K = -i H - (gamma / 2) Q`` in the
-        eigenbasis of H, J of ``_support`` first, and the factors
-        ``K_J = R diag(kappa_J) R^-1`` and ``a = R^-1 c_J``.
+    def _kernel_factors(self, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None]:
+        """``(kappa, R, a, s)`` at ``gamma``: the eigenvalues of the effective
+        non-Hermitian Hamiltonian ``K = -i H - (gamma / 2) Q`` in the basis W
+        of ``eigenbasis``, the factors ``K_J = R diag(kappa_J) R^-1`` and
+        ``a = R^-1 c_J``, and R's smallest singular value s, or None near an
+        exceptional point of K_J, where R's condition number exceeds
+        ``EIGENVECTOR_COND_MAX``.
 
         ``K_J = diag(-i E_J - gamma / 2) + (gamma / 2) c_J c_J^T`` is |J| x |J|;
         on O, K is diagonal: ``kappa_b = -i E_b - gamma / 2``.
         """
-        e_j, c_j, e_o, _ = self._support
+        energies, _, c, m = self.eigenbasis
+        e_j, c_j = energies[:m], c[:m]
         kappa_j, R = np.linalg.eig(np.diag(-1j * e_j - 0.5 * gamma) + np.outer(0.5 * gamma * c_j, c_j))
-        return np.concatenate([kappa_j, -1j * e_o - 0.5 * gamma]), R, np.linalg.solve(R, c_j)
+        singular = np.linalg.svd(R, compute_uv=False)
+        smallest = singular[-1] if singular[0] <= EIGENVECTOR_COND_MAX * singular[-1] else None
+        return np.concatenate([kappa_j, -1j * energies[m:] - 0.5 * gamma]), R, np.linalg.solve(R, c_j), smallest
 
     def kernel_step(self, gamma: float) -> KernelStep | None:
         """RK4 for dynamics at ``gamma`` in the eigenbasis of K (``KernelStep``),
-        or None near an exceptional point of K_J, where the condition number of
-        its eigenvectors R exceeds ``EIGENVECTOR_COND_MAX``; dynamics there take
-        the four stages of ``eigenbasis_generator``."""
+        or None near an exceptional point of K_J (``_kernel_factors``);
+        dynamics there take the four stages of ``eigenbasis_generator``."""
         _require_nonnegative(gamma)
-        kappa, R, a = self._kernel_factors(gamma)
-        singular = np.linalg.svd(R, compute_uv=False)
-        if not singular[0] <= EIGENVECTOR_COND_MAX * singular[-1]:
+        kappa, R, a, smallest = self._kernel_factors(gamma)
+        if smallest is None:
             return None
-        _, c_j, _, W = self._support
-        return KernelStep(gamma, kappa, R, a, c_j, W, 1.0 / singular[-1] ** 2)
+        _, W, c, m = self.eigenbasis
+        return KernelStep(gamma, kappa, R, a, c[:m], W, 1.0 / smallest**2)
 
     def eigenvalues(self, gamma: float) -> np.ndarray:
         """All 4^N eigenvalues of the generator at ``gamma``, unordered, without
@@ -510,7 +506,7 @@ class PumpModel:
 
         In the eigenbasis of H the generator is ``A + gamma |P>><<Q|`` with
         ``A(rho) = K rho + rho K^+`` and a rank-one recycling term.  With
-        ``(kappa, R, a) = _kernel_factors(gamma)``, A has the eigenvalues
+        ``(kappa, R, a, _) = _kernel_factors(gamma)``, A has the eigenvalues
         (poles) ``kappa_i + conj(kappa_j)``, and by the matrix determinant
         lemma the others solve the secular equation
 
@@ -523,9 +519,9 @@ class PumpModel:
         and their extra copies are eigenvalues too.  One root of f per
         remaining pole comes from ``_secular_roots``.  The cost is one |J| x |J|
         eigendecomposition and O(n^2) per Aberth sweep for n visible poles.
-        Near an exceptional point of K_J, where the condition number of R
-        exceeds ``EIGENVECTOR_COND_MAX``, the weights are lost to cancellation
-        and the JJ sector's |J|^2 eigenvalues come from its dense generator.
+        Near an exceptional point of K_J, where ``_kernel_factors`` gives no
+        singular value, the weights are lost to cancellation and the JJ
+        sector's |J|^2 eigenvalues come from its dense generator.
 
         The register is refused above ``MAX_DENSE_QUBITS`` before H is
         diagonalized.  Raises NumericalError when the secular equation is not
@@ -535,10 +531,10 @@ class PumpModel:
         """
         _require_nonnegative(gamma)
         check_dense_size(self.graph.n_qubits)
-        kappa, R, a = self._kernel_factors(gamma)
+        kappa, R, a, smallest = self._kernel_factors(gamma)
         m = a.size
         poles = np.add.outer(kappa, kappa.conj())
-        if np.linalg.cond(R) <= EIGENVECTOR_COND_MAX:
+        if smallest is not None:
             gram = R.conj().T @ R
             # R^+ Q R = R^+ R - (R^+ c_J)(R^+ c_J)^+, and R^+ c_J = R^+ R a
             ra = gram @ a
@@ -552,8 +548,8 @@ class PumpModel:
         else:
             # near an exceptional point of K_J the weights cancel to no digits;
             # the JJ sector is the dense generator of H = diag(E_J) and c_J
-            e_j, c_j, _, _ = self._support
-            jj = [np.linalg.eigvals(_pump_generator(np.diag(e_j), c_j, gamma))]
+            energies, _, c, _ = self.eigenbasis
+            jj = [np.linalg.eigvals(_pump_generator(np.diag(energies[:m]), c[:m], gamma))]
         vals = np.concatenate([poles[:m, m:].ravel(), poles[m:].ravel(), *jj])
         d = kappa.size
         trace = -gamma * d * (d - 1)
@@ -577,7 +573,7 @@ class PumpModel:
         with the Frobenius norm of the anti-Hermitian part of the unit-trace
         solution before it is made Hermitian (a diagnostic).
 
-        In the basis W of ``_support``, where ``W^T |C> = (c, 0)`` with c = c_J
+        In the basis W of ``eigenbasis``, where ``W^T |C> = (c, 0)`` with c = c_J
         real, the steady state ``rho~`` lives on J x J.  With
         ``M_ab = gamma / (gamma + i (E_a - E_b))`` on J, stationarity reads
 
@@ -591,7 +587,7 @@ class PumpModel:
         when the Frobenius norm of ``_eigenbasis_rhs(E_J, c_J, gamma)`` on the
         normalized ``rho~`` (equal to that of ``apply(rho, gamma)``) exceeds
         ``1e-8 max(1, s)``, where s is the largest diagonal entry of the dense
-        generator in modulus.
+        generator in modulus, taken ``SECULAR_BLOCK`` rows at a time.
         """
         _require_nonnegative(gamma)
         if gamma == 0:
@@ -601,8 +597,8 @@ class PumpModel:
         # solver imports this module, so its helpers are imported on use
         from .solver import _solve_nonsingular, _unit_trace_hermitian
 
-        energies, c, _, W = self._support
-        m = c.size
+        energies, W, c, m = self.eigenbasis
+        energies, c = energies[:m], c[:m]
         M = gamma / (gamma + 1j * np.subtract.outer(energies, energies))
         w = M @ c**2
         # A u + B conj(u) = c o w
@@ -619,11 +615,16 @@ class PumpModel:
         rho, antihermitian = _unit_trace_hermitian(rho)
 
         # Diagonal of the dense generator, gamma P_ab Q_ba + K_aa + conj(K_bb),
-        # whose largest modulus bounds its infinity norm from below.
+        # whose largest modulus bounds its infinity norm from below, by row
+        # blocks (np.eye(n, d, s) * p is rows s.. of diag(p))
         p = np.abs(self.target) ** 2
-        k = -1j * self.H.diagonal() - 0.5 * gamma * (1.0 - p)
-        diagonal = gamma * (np.diag(p) - np.outer(p, p)) + k[:, None] + k.conj()[None, :]
-        tol = 1e-8 * max(1.0, float(np.abs(diagonal).max()))
+        k = -1j * self.zz - 0.5 * gamma * (1.0 - p)
+        largest = 0.0
+        for s in range(0, p.size, SECULAR_BLOCK):
+            p_s, k_s = p[s : s + SECULAR_BLOCK], k[s : s + SECULAR_BLOCK]
+            diagonal = gamma * (np.eye(p_s.size, p.size, s) * p - np.outer(p_s, p)) + k_s[:, None] + k.conj()[None, :]
+            largest = max(largest, float(np.abs(diagonal).max()))
+        tol = 1e-8 * max(1.0, largest)
         # W is orthogonal, so this is |L rho|_F >= max |L rho| in any basis
         residual = float(np.linalg.norm(_eigenbasis_rhs(energies, c, gamma)(rho)))
         if not residual <= tol:
@@ -639,7 +640,7 @@ class KernelStep:
     """Classical RK4 for the pump's master equation in the eigenbasis of
     ``K = -i H - (gamma / 2) Q``, built by ``PumpModel.kernel_step``.
 
-    In the basis W of ``PumpModel._support``, where ``W^T |C> = (c_J, 0)``, K
+    In the basis W of ``PumpModel.eigenbasis``, where ``W^T |C> = (c_J, 0)``, K
     is blockdiag(K_J, diag kappa_O) with ``K_J = R diag(kappa_J) R^-1``.  A
     state stands for ``X = R^-1 W^T rho W R^-+`` (R acting on J), where the
     generator is

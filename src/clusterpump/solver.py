@@ -12,7 +12,7 @@ evolution routes are provided: ``evolve_rk4`` runs the package's one
 fixed-step driver, ``rk4``, on density matrices, either with a four-stage RK4
 step from a dense superoperator or a matrix-free generator (the reference,
 and the ``evolve`` command's step at an exceptional point of K), or with a
-whole RK4 step as one map, ``PumpModel.kernel_step`` in the eigenbasis of K
+whole RK4 step as one map, given ``PumpModel.kernel_step`` as the generator
 (the route of the ``evolve`` command: an elementwise product and two real
 matrix-vector products per step, against four generator calls);
 ``evolve_expm`` applies the exact propagator
@@ -292,44 +292,41 @@ def rk4(
 
 def evolve_rk4(
     rho0: np.ndarray,
-    L: Superoperator | Callable[[np.ndarray], np.ndarray] | None,
+    L: Superoperator | Callable[[np.ndarray], np.ndarray] | KernelStep,
     t_final: float,
     dt: float,
     sample_every: int = 1,
-    step: KernelStep | None = None,
 ) -> Trajectory:
     """Classical RK4 on ``d rho/dt = L(rho)``, stepped by ``rk4``.
 
-    ``L`` is a dense superoperator acting on ``vec(rho)`` or a callable on
+    ``L`` is a dense superoperator acting on ``vec(rho)``, a callable on
     d x d matrices, such as ``PumpModel.eigenbasis_generator``, in whose
-    basis ``rho0`` and the (n, d, d) states are then written; each step
-    takes four stages.  ``rho0`` must be a density matrix in some
-    orthonormal basis: the run aborts with NumericalError "integration
-    unstable, reduce dt" once the trace drifts by more than 1e-6 or an entry
-    exceeds ``|Tr rho0| + 1e-6`` in modulus, which no positive semidefinite
-    matrix does.  The trace alone would miss an unstable step, since the
-    generator preserves it.
+    basis ``rho0`` and the (n, d, d) states are then written, or a
+    ``PumpModel.kernel_step`` (below).  The first two take four stages a
+    step, and ``rho0`` must be a density matrix in some orthonormal basis:
+    the run aborts with NumericalError "integration unstable, reduce dt"
+    once the trace drifts by more than 1e-6 or an entry exceeds
+    ``|Tr rho0| + 1e-6`` in modulus, which no positive semidefinite matrix
+    does.  The trace alone would miss an unstable step, since the generator
+    preserves it.
 
-    ``step``, passed instead of ``L`` (which is then None), is a
-    ``PumpModel.kernel_step``: each RK4 step is one map on its states,
-    ``rho0`` is given in the computational basis, and the samples are its
-    states (``step.density`` reads one back).  An h at which a pole on a pair
-    that touches O leaves RK4's stability region is refused before the first
+    With a kernel step, each RK4 step is one map on its states, ``rho0`` is
+    given in the computational basis, and the samples are its states
+    (``L.density`` reads one back).  An h at which a pole on a pair that
+    touches O leaves RK4's stability region is refused before the first
     step, with the same message.  The check then reads the state's own
     trace, and bounds ``||X||_2 <= ||R^-1||_2^2 (|Tr rho0| + 1e-6)`` for the
     entries X of the state: ``||X||_F <= ||R^-1||_2^2 ||rho||_F``, so every
     state with ``||rho||_F <= |Tr rho0| + 1e-6``, every positive
     semidefinite one included, passes, and a growing run is refused.
     """
-    if (L is None) == (step is None):
-        raise TypeError("evolve_rk4 takes either L or step")
-    if step is not None:
+    if isinstance(L, KernelStep):
         n_steps = step_count(t_final, dt)
-        x0 = step.start(rho0)
+        x0 = L.start(rho0)
         if n_steps:
-            step.tables(t_final / n_steps)
+            L.tables(t_final / n_steps)
         trace0 = x0[-1]
-        bound = (step.inverse_norm2 * (abs(trace0) + 1e-6)) ** 2
+        bound = (L.inverse_norm2 * (abs(trace0) + 1e-6)) ** 2
 
         def check_kernel(x: np.ndarray) -> None:
             entries = x[:-1]
@@ -337,7 +334,7 @@ def evolve_rk4(
             if not (abs(x[-1] - trace0) <= 1e-6 and np.vdot(entries, entries).real <= bound):
                 raise NumericalError("integration unstable, reduce dt")
 
-        return rk4(step.step, x0, t_final, dt, sample_every, check_kernel)
+        return rk4(L.step, x0, t_final, dt, sample_every, check_kernel)
 
     rhs = L if callable(L) else lambda rho: devectorize(L @ vectorize(rho))
 

@@ -416,7 +416,7 @@ def test_evolve_observables_match_the_back_transformed_samples(tmp_path, graph_a
     model = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=2.0))
     kernel = model.kernel_step(2.0)
     rho0 = cli._initial_density("random", graph.n_qubits, np.random.default_rng(5))
-    traj = evolve_rk4(rho0, None, 0.3, 0.005, step=kernel)
+    traj = evolve_rk4(rho0, kernel, 0.3, 0.005)
     expected = []
     for t, sample in zip(traj.times, traj.states):
         rho = kernel.density(sample)
@@ -478,20 +478,18 @@ def test_evolve_refuses_an_unstable_dt_before_stepping(tmp_path, capsys, monkeyp
 
 def test_evolve_at_an_exceptional_point_takes_four_stages(tmp_path):
     # chain:2 at h = 0, gamma = 4 has no eigenbasis of K; the command steps
-    # by four stages in the eigenbasis of H, and its rows are those of that
-    # run's samples transformed back
+    # by four stages in the eigenbasis of H, and its rows are those of a
+    # four-stage run of the dense generator in the computational basis
     args = ["evolve", "--graph", "chain:2", "--h-g", "0", "--gamma-g", "4", "--t-final", "0.5",
             "--rho0", "random", "--seed", "3", "--sample-every", "5", "--out", str(tmp_path)]
     assert run(args) == 0
     rows = np.loadtxt(tmp_path / "evolve.csv", delimiter=",", skiprows=1)
     model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=0.0, gamma=4.0))
     assert model.kernel_step(4.0) is None
-    _, V, _ = model.eigenbasis
     rho0 = cli._initial_density("random", 2, np.random.default_rng(3))
-    traj = evolve_rk4(V.T @ rho0 @ V, model.eigenbasis_generator(4.0), 0.5, 0.0025, sample_every=5)
+    traj = evolve_rk4(rho0, model.liouvillian(4.0), 0.5, 0.0025, sample_every=5)
     expected = []
-    for t, sample in zip(traj.times, traj.states):
-        rho = V @ sample @ V.T
+    for t, rho in zip(traj.times, traj.states):
         expected.append(
             [t, *spin_expectations(rho).as_array(), fidelity(rho, model.target),
              witness_expectation(rho, model.target, eta=0.5)]
@@ -534,8 +532,8 @@ def _skew_weights(monkeypatch):
     factors = PumpModel._kernel_factors
 
     def skewed(self, gamma):
-        kappa, R, a = factors(self, gamma)
-        return kappa, R, a * np.linspace(1.0, 1.1, a.size)
+        kappa, R, a, smallest = factors(self, gamma)
+        return kappa, R, a * np.linspace(1.0, 1.1, a.size), smallest
 
     monkeypatch.setattr(PumpModel, "_kernel_factors", skewed)
 

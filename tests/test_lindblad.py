@@ -228,11 +228,12 @@ def test_pump_model_liouvillian_matches_explicit_jumps(graph):
     params = ModelParams(g=-1.0, h=0.7, gamma=0.0)
     model = PumpModel(graph, params)
     assert np.array_equal(model.target, cluster_state(graph))
-    assert np.array_equal(model.H, hamiltonian(graph, params))
+    H = hamiltonian(graph, params)
+    assert np.array_equal(model.zz, H.diagonal().real)
     jumps = projection_jumps(graph)
     # gamma = 0 checks the unitary part alone
     for gamma in (0.0, 3.5, 500.0):
-        oracle = liouvillian(model.H, jumps, gamma)
+        oracle = liouvillian(H, jumps, gamma)
         assert np.abs(model.liouvillian(gamma) - oracle).max() <= 1e-12
     with pytest.raises(ValueError, match="gamma"):
         model.liouvillian(-1.0)
@@ -245,8 +246,9 @@ def test_pump_model_liouvillian_matches_explicit_jumps(graph):
     gamma=st.floats(min_value=0.0, max_value=1e3),
 )
 def test_pump_model_liouvillian_matches_explicit_jumps_on_random_graphs(graph, h, gamma):
-    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
-    oracle = liouvillian(model.H, projection_jumps(graph), gamma)
+    params = ModelParams(g=1.0, h=h, gamma=0.0)
+    model = PumpModel(graph, params)
+    oracle = liouvillian(hamiltonian(graph, params), projection_jumps(graph), gamma)
     assert np.abs(model.liouvillian(gamma) - oracle).max() <= 1e-12 * max(1.0, gamma)
 
 
@@ -329,8 +331,23 @@ def test_pump_model_steady_state_solves_on_the_support(monkeypatch):
     monkeypatch.setattr(solver, "_solve_nonsingular", recording)
     model = PumpModel(GraphSpec.chain(5), ModelParams(g=1.0, h=0.7, gamma=0.0))
     model.steady_state(5.0)
-    assert model._support[1].size == 20
+    assert model.eigenbasis[3] == 20
     assert shapes == [(40, 40)]
+
+
+def test_pump_model_holds_one_basis():
+    # H's eigendecomposition is kept once, as the real basis W: after every
+    # structured route has run, the model holds no d x d array but W (no
+    # complex H, no eigenvectors V beside W), only vectors of length d
+    model = PumpModel(GraphSpec.chain(5), ModelParams(g=1.0, h=0.7, gamma=0.0))
+    model.steady_state(5.0)
+    model.kernel_step(5.0)
+    model.eigenvalues(5.0)
+    held = [x for value in vars(model).values() for x in (value if isinstance(value, tuple) else (value,))]
+    owners = {id(a): a for a in (x if x.base is None else x.base for x in held if isinstance(x, np.ndarray))}
+    large = [a for a in owners.values() if a.size > 32]
+    assert [(a.shape, a.dtype) for a in large] == [((32, 32), np.float64)]
+    assert np.shares_memory(large[0], model.eigenbasis[1])
 
 
 def test_pump_model_steady_state_rejects_gamma_zero():
@@ -359,8 +376,9 @@ def test_pump_model_gap_matches_full_spectrum(graph):
 def test_pump_model_gap_splits_chain5():
     # 12 of the 32 eigenvectors of H are orthogonal to the chain:5 target, so
     # the oracle cases above run the split into J and O
-    _, _, c = PumpModel(GraphSpec.chain(5), ModelParams(g=1.0, h=0.7, gamma=0.0)).eigenbasis
-    assert np.count_nonzero(np.abs(c) <= SUPPORT_TOL) == 12
+    _, _, c, m = PumpModel(GraphSpec.chain(5), ModelParams(g=1.0, h=0.7, gamma=0.0)).eigenbasis
+    assert c.size - m == 12
+    assert np.abs(c[:m]).min() > SUPPORT_TOL and not c[m:].any()
 
 
 @pytest.mark.parametrize("graph", MODEL_GRAPHS[:3] + [SQUARE])
@@ -492,8 +510,8 @@ def test_pump_model_gap_at_exceptional_point():
     # point of K_J, where the secular weights lose every digit and the JJ
     # sector is taken densely
     model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=0.0, gamma=0.0))
-    _, R, _ = model._kernel_factors(4.0)
-    assert np.linalg.cond(R) > lindblad.EIGENVECTOR_COND_MAX
+    _, R, _, smallest = model._kernel_factors(4.0)
+    assert smallest is None and np.linalg.cond(R) > lindblad.EIGENVECTOR_COND_MAX
     assert_gap_matches_spectrum(model, 4.0)
     assert rank_spectrum(model.eigenvalues(4.0))[3] == 1
 
@@ -509,8 +527,8 @@ def test_pump_model_eigenvalues_fail_loudly(monkeypatch):
     factors = PumpModel._kernel_factors
 
     def skewed(self, gamma):
-        kappa, R, a = factors(self, gamma)
-        return kappa, R, a * np.linspace(1.0, 1.1, a.size)
+        kappa, R, a, smallest = factors(self, gamma)
+        return kappa, R, a * np.linspace(1.0, 1.1, a.size), smallest
 
     monkeypatch.setattr(PumpModel, "_kernel_factors", skewed)
     with pytest.raises(NumericalError, match="eigenvalues sum to .*, not to the trace -168"):

@@ -214,12 +214,12 @@ def eigenbasis_vs_dense(graph, h, gamma, rho0, n_steps):
     """Largest deviation, over every sample, of the eigenbasis RK4 run
     (rotated back) from the dense RK4 run, at a step inside the stable region."""
     model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=gamma))
-    energies, V, _ = model.eigenbasis
+    energies, W, _, _ = model.eigenbasis
     dt = 1.0 / (gamma + np.ptp(energies) + 1.0)
     dense = evolve_rk4(rho0, model.liouvillian(gamma), n_steps * dt, dt, sample_every=3)
-    eigen = evolve_rk4(V.T @ rho0 @ V, model.eigenbasis_generator(gamma), n_steps * dt, dt, 3)
+    eigen = evolve_rk4(W.T @ rho0 @ W, model.eigenbasis_generator(gamma), n_steps * dt, dt, 3)
     assert np.array_equal(dense.times, eigen.times)
-    return float(np.abs(V @ eigen.states @ V.T - dense.states).max())
+    return float(np.abs(W @ eigen.states @ W.T - dense.states).max())
 
 
 @pytest.mark.parametrize("gamma", [0.5, 5.0, 50.0])
@@ -261,12 +261,12 @@ def one_map_vs_four_stages(model, gamma, rho0, dt, n_steps):
     """Largest deviation, over every sample transformed back, of RK4 with
     ``PumpModel.kernel_step`` from the four-stage RK4 step on
     ``eigenbasis_generator``."""
-    _, V, _ = model.eigenbasis
+    _, W, _, _ = model.eigenbasis
     kernel = model.kernel_step(gamma)
-    four = evolve_rk4(V.T @ rho0 @ V, model.eigenbasis_generator(gamma), n_steps * dt, dt, sample_every=3)
-    one = evolve_rk4(rho0, None, n_steps * dt, dt, sample_every=3, step=kernel)
+    four = evolve_rk4(W.T @ rho0 @ W, model.eigenbasis_generator(gamma), n_steps * dt, dt, sample_every=3)
+    one = evolve_rk4(rho0, kernel, n_steps * dt, dt, sample_every=3)
     assert np.array_equal(four.times, one.times)
-    return max(float(np.abs(kernel.density(x) - V @ rho @ V.T).max()) for x, rho in zip(one.states, four.states))
+    return max(float(np.abs(kernel.density(x) - W @ rho @ W.T).max()) for x, rho in zip(one.states, four.states))
 
 
 GRAPHS = [GraphSpec.chain(2), GraphSpec.chain(3), GraphSpec.chain(4), GraphSpec.chain(5), GraphSpec.grid(2, 2),
@@ -359,7 +359,7 @@ def test_kernel_step_refuses_no_stable_run(graph, gamma):
               random_density_matrix(np.random.default_rng(7), 2**n)]
     for dt in (0.01 / max(1.0, gamma), 0.95 * rk4_stability_edge(model, gamma)):
         for rho0 in starts:
-            traj = evolve_rk4(rho0, None, 200 * dt, dt, sample_every=200, step=kernel)
+            traj = evolve_rk4(rho0, kernel, 200 * dt, dt, sample_every=200)
             assert np.isfinite(traj.states).all()
 
 
@@ -378,15 +378,7 @@ def test_kernel_step_refuses_an_unstable_dt_before_stepping(rng, monkeypatch):
 
     monkeypatch.setattr(KernelStep, "step", never)
     with pytest.raises(NumericalError, match="integration unstable, reduce dt"):
-        evolve_rk4(random_density_matrix(rng, 4), None, 0.7, 0.07, step=kernel)
-
-
-def test_evolve_rk4_takes_l_or_step(rng):
-    rho0 = random_density_matrix(rng, 2)
-    with pytest.raises(TypeError, match="either L or step"):
-        evolve_rk4(rho0, None, 1.0, 0.1)
-    with pytest.raises(TypeError, match="either L or step"):
-        evolve_rk4(rho0, np.zeros((4, 4)), 1.0, 0.1, step=lambda rho, h: rho)
+        evolve_rk4(random_density_matrix(rng, 4), kernel, 0.7, 0.07)
 
 
 def test_rk4_matches_expm(rng):
