@@ -37,10 +37,10 @@ from .meanfield import MeanFieldState, fixed_points, mean_field_evolve
 from .meanfield import default_dt as mf_default_dt
 from .observables import (
     _site_flips,
-    eigenbasis_observables,
     fidelity,
     kernel_observables,
     pure_state_spins,
+    spin_expectations,
     witness_expectation,
 )
 from .solver import evolve_rk4, pure_state_density, rank_spectrum
@@ -267,13 +267,14 @@ def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
         traj = evolve_rk4(rho0, kernel, cfg["t_final"], dt, sample_every=cfg["sample_every"])
         observables = kernel_observables(traj.states, kernel, eta=cfg["eta"])
     else:
-        # at an exceptional point of K: four stages in the eigenbasis W of H
-        _, W, c, _ = model.eigenbasis
-        traj = evolve_rk4(
-            W.T @ rho0 @ W, model.eigenbasis_generator(gamma), cfg["t_final"], dt,
-            sample_every=cfg["sample_every"],
-        )
-        observables = eigenbasis_observables(traj.states, W, c, eta=cfg["eta"])
+        # at an exceptional point of K_J: four stages of the generator's action
+        traj = evolve_rk4(rho0, lambda rho: model.apply(rho, gamma), cfg["t_final"], dt,
+                          sample_every=cfg["sample_every"])
+        observables = [
+            [*spin_expectations(rho).as_array(), fidelity(rho, model.target),
+             witness_expectation(rho, model.target, eta=cfg["eta"])]
+            for rho in traj.states
+        ]
     rows = np.column_stack([traj.times, observables]).tolist()
     header = ["t", "jx", "jy", "jz", "fidelity", "witness"]
     _write_csv(out_dir / "evolve.csv", header, rows)

@@ -241,12 +241,15 @@ def size_scaling_study(
     fidelity column, and the structured steady state is re-solved exactly at
     gamma_sat for F_sat; the witness plays no part.  Sweep and re-solve share
     one model, so each H is diagonalized once.  The gap
-    (``PumpModel.gap``, N <= 7, checked for every N before any work) is
-    fitted against N at two fixed dissipation strengths common to all
-    sizes: ``weak_gamma``, and ``strong_gamma`` which defaults to the
-    largest detected gamma_sat (the saturated regime).
+    (``PumpModel.gap``, N <= 7) is fitted against N at two fixed
+    dissipation strengths common to all sizes: ``weak_gamma``, and
+    ``strong_gamma`` which defaults to the largest detected gamma_sat (the
+    saturated regime).  Before any work, every N is checked against the
+    dense guard and the sizes for the two distinct values a fit needs.
     """
     gammas = parse_gamma_policy(gamma_policy)
+    if len(set(n_values)) < 2:
+        raise ValueError(f"a scaling study needs at least 2 distinct sizes, got {list(n_values)}")
     for n in n_values:
         check_dense_size(n)
     params = ModelParams(g=1.0, h=h_g, gamma=0.0)

@@ -20,13 +20,14 @@ non-Hermitian Hamiltonian ``K = -i H - (gamma / 2) Q``:
     gamma * vec(P) vec(Q.T)^T + I kron K + conj(K) kron I,
 
 instead of summing the 2^N - 1 explicit jumps.  That d^2 x d^2 array
-(d = 2^N) is the dense reference in tests only; no command builds it.  The
-rest works in one eigenbasis W of H, ``PumpModel.eigenbasis``, J first (below):
-``PumpModel.eigenbasis_generator`` is the generator's action on one d x d
-matrix there, at O(d^2) per call, and ``PumpModel.steady_state`` solves 2|J|
-real equations on the target's support J, at O(|J|^3) work past the
-eigendecomposition of H.  ``PumpModel.apply`` is the generator's action in
-the computational basis, with H applied as its ZZ diagonal and bit flips.
+(d = 2^N) is the dense reference in tests only; no command builds it.
+``PumpModel.apply`` is the generator's action on one d x d matrix in the
+computational basis, with H applied as its ZZ diagonal and bit flips, at
+O(N d^2) per call: the reference the structured routes are checked against,
+and the ``evolve`` command's step at an exceptional point of K_J.  The rest
+works in one eigenbasis W of H, ``PumpModel.eigenbasis``, J first (below):
+``PumpModel.steady_state`` solves 2|J| real equations on the target's
+support J, at O(|J|^3) work past the eigendecomposition of H.
 
 The structure: ``rho -> K rho + rho K^+`` is a Kronecker sum and the
 recycling term has rank one.  One factorisation of K on the target's
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,9 +66,10 @@ MAX_DENSE_QUBITS = 7
 # ``sweep --skip-gap`` 5.8, 4.6, 7.2 at N = 11, 10, 9 (the largest N sets it).
 MAX_MODEL_QUBITS = 11
 MODEL_ARRAYS = 7.5
-# Levels of H on which the norm of c = V^T |C> is at most this large are O of
-# ``PumpModel.eigenbasis``.  Round-off leaves such norms up to 4.8e-13 (random
-# graphs, N <= 5, near-degenerate levels); true ones reach 2.4e-10 (h = 0.004).
+# Levels of H on which the norm of the target's components (eigh's V^T |C>)
+# is at most this large are O of ``PumpModel.eigenbasis``.  Round-off leaves
+# such norms up to 4.8e-13 (random graphs, N <= 5, near-degenerate levels);
+# true ones reach 2.4e-10 (h = 0.004).
 # Keeping a small norm costs time; dropping one moves steady states by its size.
 SUPPORT_TOL = 1e-12
 # Secular-equation poles whose weight is at most this fraction of the largest
@@ -336,7 +338,7 @@ def _secular_roots(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
     return z
 
 
-def _eigenbasis_rhs(energies: np.ndarray, c: np.ndarray, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
+def _eigenbasis_rhs(energies: np.ndarray, c: np.ndarray, gamma: float, rho: np.ndarray) -> np.ndarray:
     """The generator's action on ``rho~`` in an eigenbasis of H with energies
     ``E`` and target components ``c``,
 
@@ -344,23 +346,18 @@ def _eigenbasis_rhs(energies: np.ndarray, c: np.ndarray, gamma: float) -> Callab
                                     + (c (c^+ rho~) + (rho~ c) c^+) / 2],
 
     with ``Lam_ab = -i (E_a - E_b) - gamma``: one elementwise product, two
-    matrix-vector products and rank-one updates, O(d^2) per call.  With
-    ``E_J, c_J`` of ``PumpModel.eigenbasis`` it acts on the J x J block."""
-    lam = -1j * np.subtract.outer(energies, energies) - gamma
+    matrix-vector products and rank-one updates, O(d^2).  With ``E_J, c_J``
+    of ``PumpModel.eigenbasis`` it acts on the J x J block; the steady state's
+    residual check is its one use."""
     c_conj = c.conj()
-    gamma_c = gamma * c[:, None]
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        rho_c = rho @ c
-        c_rho = c_conj @ rho
-        recycled = rho.trace() - c_conj @ rho_c
-        out = lam * rho
-        # (Tr - c^+ rho c) c c^+ + c (c^+ rho) / 2 is c times one row vector
-        out += gamma_c * (recycled * c_conj + 0.5 * c_rho)
-        out += ((0.5 * gamma) * rho_c)[:, None] * c_conj
-        return out
-
-    return rhs
+    rho_c = rho @ c
+    c_rho = c_conj @ rho
+    recycled = rho.trace() - c_conj @ rho_c
+    out = (-1j * np.subtract.outer(energies, energies) - gamma) * rho
+    # (Tr - c^+ rho c) c c^+ + c (c^+ rho) / 2 is c times one row vector
+    out += (gamma * c[:, None]) * (recycled * c_conj + 0.5 * c_rho)
+    out += ((0.5 * gamma) * rho_c)[:, None] * c_conj
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,7 +368,8 @@ class PumpModel:
     the dense ``liouvillian`` and ``eigenvalues`` refuse registers above
     ``MAX_DENSE_QUBITS``.
     The eigenbasis of H is computed on first use by ``steady_state``,
-    ``eigenbasis_generator``, ``eigenvalues`` or ``kernel_step`` and kept.
+    ``eigenvalues`` or ``kernel_step`` and kept; ``apply`` and the dense
+    ``liouvillian`` do without it.
     """
 
     graph: GraphSpec
@@ -425,14 +423,6 @@ class PumpModel:
         out += np.outer(gamma * C, recycled * C.conj() + 0.5 * c_rho)
         out += np.outer((0.5 * gamma) * rho_c, C.conj())
         return out
-
-    def eigenbasis_generator(self, gamma: float) -> Callable[[np.ndarray], np.ndarray]:
-        """The generator's action on ``rho~ = W^T rho W`` in the eigenbasis W of
-        H, ``_eigenbasis_rhs(E, c, gamma)``.  W is real orthogonal, so RK4 on
-        ``rho~`` is RK4 on ``rho`` up to round-off."""
-        _require_nonnegative(gamma)
-        energies, _, c, _ = self.eigenbasis
-        return _eigenbasis_rhs(energies, c, gamma)
 
     @cached_property
     def eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -491,7 +481,7 @@ class PumpModel:
     def kernel_step(self, gamma: float) -> KernelStep | None:
         """RK4 for dynamics at ``gamma`` in the eigenbasis of K (``KernelStep``),
         or None near an exceptional point of K_J (``_kernel_factors``);
-        dynamics there take the four stages of ``eigenbasis_generator``."""
+        dynamics there take four stages of ``apply``."""
         _require_nonnegative(gamma)
         kappa, R, a, smallest = self._kernel_factors(gamma)
         if smallest is None:
@@ -584,10 +574,11 @@ class PumpModel:
         is normalized as in ``steady_state_direct`` and transformed back once,
         ``W_J rho~ W_J^T`` as two real products.  Raises NumericalError
         "degenerate kernel: ..." at gamma = 0 or on a singular system, and
-        when the Frobenius norm of ``_eigenbasis_rhs(E_J, c_J, gamma)`` on the
-        normalized ``rho~`` (equal to that of ``apply(rho, gamma)``) exceeds
-        ``1e-8 max(1, s)``, where s is the largest diagonal entry of the dense
-        generator in modulus, taken ``SECULAR_BLOCK`` rows at a time.
+        when the Frobenius norm of ``_eigenbasis_rhs(E_J, c_J, gamma, rho~)``
+        for the normalized ``rho~`` (equal to that of ``apply(rho, gamma)``)
+        exceeds ``1e-8 max(1, s)``, where s is the largest diagonal entry of
+        the dense generator in modulus, one of two values since every
+        |C_a|^2 is equal: O(d) work.
         """
         _require_nonnegative(gamma)
         if gamma == 0:
@@ -614,19 +605,20 @@ class PumpModel:
         rho = M * ((1.0 - kappa) * np.outer(c, c) + 0.5 * (np.outer(c, u.conj()) + np.outer(u, c)))
         rho, antihermitian = _unit_trace_hermitian(rho)
 
-        # Diagonal of the dense generator, gamma P_ab Q_ba + K_aa + conj(K_bb),
-        # whose largest modulus bounds its infinity norm from below, by row
-        # blocks (np.eye(n, d, s) * p is rows s.. of diag(p))
-        p = np.abs(self.target) ** 2
-        k = -1j * self.zz - 0.5 * gamma * (1.0 - p)
-        largest = 0.0
-        for s in range(0, p.size, SECULAR_BLOCK):
-            p_s, k_s = p[s : s + SECULAR_BLOCK], k[s : s + SECULAR_BLOCK]
-            diagonal = gamma * (np.eye(p_s.size, p.size, s) * p - np.outer(p_s, p)) + k_s[:, None] + k.conj()[None, :]
-            largest = max(largest, float(np.abs(diagonal).max()))
+        # The largest modulus of the dense generator's diagonal,
+        # gamma P_ab Q_ba + K_aa + conj(K_bb), bounds its infinity norm from
+        # below.  A graph state has |C_a|^2 = p for every a, so the entries
+        # off the diagonal share one real part and have imaginary parts up to
+        # ptp(zz), and those on it are real: two moduli, each formed in the
+        # order of operations of the elementwise expression
+        p = np.abs(self.target[:1]) ** 2
+        r = -(0.5 * gamma * (1.0 - p))
+        off = gamma * (0.0 - p * p) + r + r
+        on = gamma * (p - p * p) + r + r
+        largest = float(np.abs(np.concatenate([off + 1j * np.ptp(self.zz), on])).max())
         tol = 1e-8 * max(1.0, largest)
         # W is orthogonal, so this is |L rho|_F >= max |L rho| in any basis
-        residual = float(np.linalg.norm(_eigenbasis_rhs(energies, c, gamma)(rho)))
+        residual = float(np.linalg.norm(_eigenbasis_rhs(energies, c, gamma, rho)))
         if not residual <= tol:
             raise NumericalError(
                 f"structured steady-state residual {residual:g} exceeds tolerance {tol:g}"

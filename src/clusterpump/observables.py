@@ -117,40 +117,17 @@ def _spin_operators(V: np.ndarray) -> Iterator[np.ndarray]:
     yield V.T @ (sum(sign for _, sign in sites)[:, None] * V)
 
 
-def eigenbasis_observables(states: np.ndarray, V: np.ndarray, c: StateVector, eta: float = 0.5) -> np.ndarray:
-    """Rows ``(jx, jy, jz, fidelity, witness)`` of samples ``rho~ = V^T rho V``
-    written in a real orthonormal basis V, with ``c = V^T |target>``, without
-    transforming them back; equal up to round-off to ``spin_expectations``,
-    ``fidelity`` and ``witness_expectation`` of each ``rho``.
-
-    Each entry is ``Tr(rho~ O~)`` with ``O~ = V^T O V``, for O a site sum of
-    Paulis (``_spin_operators``), ``|target><target|`` or I:
-    ``<target|rho|target> = c^+ rho~ c``.  Each entry is then one pass over
-    the samples, O(d^2) per sample, with no copy of them.  Fidelity follows
-    ``fidelity_from_overlap``.
-    """
-    n_samples, d, _ = states.shape
-    rows = np.empty((n_samples, 5))
-    for column, O in enumerate(_spin_operators(V)):
-        value = np.einsum("nab,ba->n", states, O)
-        # Tr(rho~ (-i S)) has real part Im Tr(rho~ S)
-        rows[:, column] = value.imag if column == 1 else value.real
-    rows[:, :3] /= d.bit_length() - 1
-    overlap = np.einsum("a,nab,b->n", c.conj(), states, c)
-    trace = states.trace(axis1=1, axis2=2)
-    rows[:, 3] = fidelity_from_overlap(overlap, trace)
-    rows[:, 4] = (eta * trace - overlap).real
-    return rows
-
-
 def kernel_observables(states: np.ndarray, step: KernelStep, eta: float = 0.5) -> np.ndarray:
     """Rows ``(jx, jy, jz, fidelity, witness)`` of the states of a
-    ``PumpModel.kernel_step`` run, as ``eigenbasis_observables`` gives them.
+    ``PumpModel.kernel_step`` run, without transforming them back; equal up
+    to round-off to ``spin_expectations``, ``fidelity`` and
+    ``witness_expectation`` of each ``step.density(x)``.
 
     Each spin sum and the target's projector is one functional
     ``step.functional`` of the states, built once from ``_spin_operators``
     of the step's basis; the trace is the states' last entry.  Each costs
     one real matrix-vector product over the samples, O(d^2) per sample.
+    Fidelity follows ``fidelity_from_overlap``.
     """
     d = step.W.shape[0]
     samples = states.view(float)

@@ -10,11 +10,12 @@ same rule, with the steady state and gap) and one bordered linear solve
 (``steady_state_direct``).  Two independent
 evolution routes are provided: ``evolve_rk4`` runs the package's one
 fixed-step driver, ``rk4``, on density matrices, either with a four-stage RK4
-step from a dense superoperator or a matrix-free generator (the reference,
-and the ``evolve`` command's step at an exceptional point of K), or with a
-whole RK4 step as one map, given ``PumpModel.kernel_step`` as the generator
-(the route of the ``evolve`` command: an elementwise product and two real
-matrix-vector products per step, against four generator calls);
+step from a dense superoperator or a matrix-free generator such as
+``PumpModel.apply`` (the reference, and the ``evolve`` command's step at an
+exceptional point of K_J), or with a whole RK4 step as one map, given
+``PumpModel.kernel_step`` as the generator (the route of the ``evolve``
+command: an elementwise product and two real matrix-vector products per
+step, against four generator calls);
 ``evolve_expm`` applies the exact propagator
 ``exp(L t)`` of a dense L computed by scaling and squaring, the oracle the
 RK4 route is tested against.  ``rk4`` owns the step count, the sample
@@ -300,10 +301,10 @@ def evolve_rk4(
     """Classical RK4 on ``d rho/dt = L(rho)``, stepped by ``rk4``.
 
     ``L`` is a dense superoperator acting on ``vec(rho)``, a callable on
-    d x d matrices, such as ``PumpModel.eigenbasis_generator``, in whose
-    basis ``rho0`` and the (n, d, d) states are then written, or a
+    d x d matrices, such as ``lambda rho: model.apply(rho, gamma)``, or a
     ``PumpModel.kernel_step`` (below).  The first two take four stages a
-    step, and ``rho0`` must be a density matrix in some orthonormal basis:
+    step, write ``rho0`` and the (n, d, d) states in one basis, the
+    computational basis for ``apply``, and ``rho0`` must be a density matrix:
     the run aborts with NumericalError "integration unstable, reduce dt"
     once the trace drifts by more than 1e-6 or an entry exceeds
     ``|Tr rho0| + 1e-6`` in modulus, which no positive semidefinite matrix

@@ -371,6 +371,18 @@ def test_oversize_graph_exits_one(tmp_path, capsys, monkeypatch):
     assert "dense-solver guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_values", ["3", "3,3"])
+def test_scaling_refuses_fewer_than_two_sizes_before_any_work(tmp_path, capsys, monkeypatch, n_values):
+    # the fits need two distinct sizes; the study stops before its first sweep
+    def unsolved(*args):
+        raise AssertionError("a steady state was solved")
+
+    monkeypatch.setattr(PumpModel, "steady_state", unsolved)
+    assert run(["scaling", "--n-values", n_values, "--out", str(tmp_path)]) == 1
+    assert "at least 2 distinct sizes" in capsys.readouterr().err
+    assert not (tmp_path / "scaling.csv").exists()
+
+
 def test_sweep_without_gap_beyond_dense_guard(tmp_path):
     # N = 8 needs no 4^N x 4^N generator when the gap is skipped
     assert run(["sweep", "--graph", "chain:8", "--skip-gap", "--out", str(tmp_path)]) == 0
@@ -381,7 +393,7 @@ def test_sweep_without_gap_beyond_dense_guard(tmp_path):
 
 
 def test_evolve_beyond_dense_guard(tmp_path):
-    # N = 8 steps in the eigenbasis of H without a 4^N x 4^N generator; the
+    # N = 8 steps in the eigenbasis of K without a 4^N x 4^N generator; the
     # samples match RK4 on the matrix-free action in the computational basis
     args = ["evolve", "--graph", "chain:8", "--h-g", "0.7", "--gamma-g", "3", "--t-final", "0.05",
             "--dt", "0.01", "--sample-every", "1", "--out", str(tmp_path)]
@@ -478,8 +490,8 @@ def test_evolve_refuses_an_unstable_dt_before_stepping(tmp_path, capsys, monkeyp
 
 def test_evolve_at_an_exceptional_point_takes_four_stages(tmp_path):
     # chain:2 at h = 0, gamma = 4 has no eigenbasis of K; the command steps
-    # by four stages in the eigenbasis of H, and its rows are those of a
-    # four-stage run of the dense generator in the computational basis
+    # by four stages of the matrix-free generator, and its rows are those of
+    # a four-stage run of the dense generator in the computational basis
     args = ["evolve", "--graph", "chain:2", "--h-g", "0", "--gamma-g", "4", "--t-final", "0.5",
             "--rho0", "random", "--seed", "3", "--sample-every", "5", "--out", str(tmp_path)]
     assert run(args) == 0

@@ -59,7 +59,7 @@ def test_non_finite_gamma_is_refused(gamma):
     model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=1.0, gamma=1.0))
     rho = np.eye(4, dtype=complex) / 4
     for call in (model.steady_state, model.eigenvalues, model.gap, model.kernel_step,
-                 model.eigenbasis_generator, model.liouvillian, lambda g: model.apply(rho, g)):
+                 model.liouvillian, lambda g: model.apply(rho, g)):
         with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
             call(gamma)
 
@@ -307,14 +307,93 @@ def test_pump_model_steady_state_checks_its_residual_in_the_eigenbasis(monkeypat
     assert np.abs(rho - oracle).max() <= 1e-12
     generator = lindblad._eigenbasis_rhs
     monkeypatch.setattr(
-        lindblad, "_eigenbasis_rhs", lambda energies, c, gamma: lambda r: generator(energies, c, gamma)(r) + 1e-6
+        lindblad, "_eigenbasis_rhs", lambda energies, c, gamma, r: generator(energies, c, gamma, r) + 1e-6
     )
     with pytest.raises(NumericalError, match="structured steady-state residual .* exceeds tolerance"):
         model.steady_state(5.0)
     # a NaN residual fails the check too
-    monkeypatch.setattr(lindblad, "_eigenbasis_rhs", lambda energies, c, gamma: lambda r: np.full_like(r, np.nan))
+    monkeypatch.setattr(lindblad, "_eigenbasis_rhs", lambda energies, c, gamma, r: np.full_like(r, np.nan))
     with pytest.raises(NumericalError, match="structured steady-state residual nan exceeds tolerance"):
         model.steady_state(5.0)
+
+
+def dense_diagonal_tolerance(model, gamma):
+    """The steady state's residual tolerance, 1e-8 max(1, s), with s the
+    largest modulus of the dense generator's diagonal formed elementwise,
+    ``SECULAR_BLOCK`` rows at a time."""
+    p = np.abs(model.target) ** 2
+    k = -1j * model.zz - 0.5 * gamma * (1.0 - p)
+    largest = 0.0
+    for s in range(0, p.size, lindblad.SECULAR_BLOCK):
+        p_s, k_s = p[s : s + lindblad.SECULAR_BLOCK], k[s : s + lindblad.SECULAR_BLOCK]
+        diagonal = gamma * (np.eye(p_s.size, p.size, s) * p - np.outer(p_s, p)) + k_s[:, None] + k.conj()[None, :]
+        largest = max(largest, float(np.abs(diagonal).max()))
+    return 1e-8 * max(1.0, largest)
+
+
+@pytest.mark.parametrize("g", [1.0, -1.0, 2.5])
+@pytest.mark.parametrize(
+    "graph",
+    [GraphSpec.chain(n) for n in range(1, 6)] + [SQUARE_2X3, GraphSpec(3, ((0, 1),)), GraphSpec(3, ())],
+    ids=[f"chain:{n}" for n in range(1, 6)] + ["square:2x3", "isolated:3", "empty:3"],
+)
+def test_pump_model_steady_state_tolerance_is_that_of_the_dense_diagonal(monkeypatch, graph, g):
+    # a residual of exactly the elementwise tolerance passes and one ulp more
+    # fails, so the tolerance is that of the dense diagonal to the bit
+    model = PumpModel(graph, ModelParams(g=g, h=0.7, gamma=0.0))
+    residual = np.zeros((1, 1))
+    monkeypatch.setattr(lindblad, "_eigenbasis_rhs", lambda energies, c, gamma, rho: residual)
+    for gamma in np.geomspace(1e-3, 600.0, 7):
+        tol = dense_diagonal_tolerance(model, gamma)
+        residual[0, 0] = tol
+        assert np.linalg.norm(residual) == tol
+        model.steady_state(gamma)
+        residual[0, 0] = np.nextafter(tol, np.inf)
+        with pytest.raises(NumericalError, match="exceeds tolerance"):
+            model.steady_state(gamma)
+
+
+def eigenbasis_rhs_vs_dense(graph, h, gamma, rho):
+    """Largest deviation of ``_eigenbasis_rhs`` on ``rho~`` from
+    ``W^T L(W rho~ W^T) W`` with the dense generator L, relative to
+    max(1, max |dense|)."""
+    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=gamma))
+    energies, W, c, _ = model.eigenbasis
+    dense = W.T @ devectorize(model.liouvillian(gamma) @ vectorize(W @ rho @ W.T)) @ W
+    error = np.abs(lindblad._eigenbasis_rhs(energies, c, gamma, rho) - dense).max()
+    return float(error / max(1.0, np.abs(dense).max()))
+
+
+@pytest.mark.parametrize("gamma", [0.5, 5.0, 50.0])
+@pytest.mark.parametrize("graph", MODEL_GRAPHS, ids=["chain:2", "chain:3", "chain:4", "chain:5", "square:2x2"])
+def test_eigenbasis_rhs_matches_dense(rng, graph, gamma):
+    rho = random_density_matrix(rng, 2**graph.n_qubits)
+    assert eigenbasis_rhs_vs_dense(graph, 0.9, gamma, rho) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    graph=random_graphs(),
+    h=st.floats(min_value=-2.0, max_value=2.0),
+    gamma=st.floats(min_value=0.1, max_value=1e3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_eigenbasis_rhs_matches_dense_on_random_graphs(graph, h, gamma, seed):
+    rho = random_density_matrix(np.random.default_rng(seed), 2**graph.n_qubits)
+    assert eigenbasis_rhs_vs_dense(graph, h, gamma, rho) <= 1e-12
+
+
+@pytest.mark.parametrize("graph", MODEL_GRAPHS, ids=["chain:2", "chain:3", "chain:4", "chain:5", "square:2x2"])
+def test_eigenbasis_rhs_keeps_the_support(rng, graph):
+    # c is exactly 0 on O, so a state on J x J maps to exactly 0 outside it
+    energies, _, c, m = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=0.0)).eigenbasis
+    d = 2**graph.n_qubits
+    assert 0 < m < d
+    rho = np.zeros((d, d), dtype=complex)
+    rho[:m, :m] = random_density_matrix(rng, m)
+    out = lindblad._eigenbasis_rhs(energies, c, 5.0, rho)
+    assert np.abs(out[:m, :m]).max() > 0.0
+    assert np.all(out[m:] == 0.0) and np.all(out[:, m:] == 0.0)
 
 
 def test_pump_model_steady_state_solves_on_the_support(monkeypatch):

@@ -5,7 +5,6 @@ from clusterpump.cluster import GraphSpec, cluster_state, orthogonal_basis, plus
 from clusterpump.errors import NumericalError
 from clusterpump.lindblad import ModelParams, PumpModel
 from clusterpump.observables import (
-    eigenbasis_observables,
     fidelity,
     kernel_observables,
     pure_state_spins,
@@ -128,39 +127,6 @@ def test_spin_expectations_match_dense_pauli_traces(rng, n):
         for alpha in "XYZ"
     ]
     assert np.abs(spin_expectations(rho).as_array() - expected).max() <= 1e-14
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_eigenbasis_observables_match_the_transformed_back_matrices(rng, n):
-    # any real orthogonal V, not only an eigenbasis of H, and a complex target
-    d = 2**n
-    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    target = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    target /= np.linalg.norm(target)
-    rhos = [random_density_matrix(rng, d) for _ in range(4)]
-    states = np.array([V.T @ rho @ V for rho in rhos])
-    rows = eigenbasis_observables(states, V, V.T @ target, eta=0.3)
-    expected = [
-        [*spin_expectations(rho).as_array(), fidelity(rho, target), witness_expectation(rho, target, eta=0.3)]
-        for rho in rhos
-    ]
-    assert rows.shape == (4, 5)
-    assert np.abs(rows - np.array(expected)).max() <= 1e-13
-
-
-def test_eigenbasis_observables_fail_as_fidelity_does():
-    # the first failing sample raises what ``fidelity`` raises on it
-    c = cluster_state(GraphSpec.chain(2))
-    good = np.eye(4, dtype=complex) / 4
-    complex_overlap = good + 0.1j * (pure_state_density(c) - good)
-    traceless = np.zeros((4, 4), dtype=complex)
-    for bad, error in ((complex_overlap, NumericalError), (traceless, ValueError)):
-        with pytest.raises(error) as single:
-            fidelity(bad, c)
-        for later in (good, complex_overlap, traceless):
-            with pytest.raises(error) as batched:
-                eigenbasis_observables(np.array([good, bad, later]), np.eye(4), c)
-            assert str(batched.value) == str(single.value)
 
 
 @pytest.mark.parametrize("graph", [GraphSpec.chain(3), GraphSpec.grid(2, 2), GraphSpec(3, ((0, 1),))],
