@@ -2,8 +2,10 @@
 
 A gamma sweep records steady-state fidelity, witness expectation, and
 (optionally) the Liouvillian gap on a grid of dissipation strengths.  Both
-come from the model in the eigenbasis of H: steady states from its
-structured solve, gaps from the Liouvillian's eigenvalues without the
+come from the model in the eigenbasis of H: fidelity and witness from its
+batched steady states on the target's support
+(``PumpModel.support_steady_states``), read off without forming the
+d x d density matrix; gaps from the Liouvillian's eigenvalues without the
 4^N x 4^N superoperator (``PumpModel.gap``): the poles of the Kronecker sum
 ``rho -> K rho + rho K^+`` and the roots of the secular equation its rank-one
 recycling term adds.  The saturation point
@@ -23,7 +25,7 @@ import numpy as np
 from .cluster import GraphSpec
 from .errors import NumericalError
 from .lindblad import ModelParams, PumpModel, check_dense_size
-from .observables import fidelity, witness_expectation
+from .observables import support_metrics
 
 
 @dataclass
@@ -78,14 +80,18 @@ def gamma_sweep(
 
     ``system`` is a graph, or a model of one already built with coupling
     ``g`` and field ``h_g |g|``, whose cached eigenbasis of H is then reused.
-    The model is assembled once and the points run in grid order.  Each
-    point is the structured ``PumpModel.steady_state`` solve in the
-    eigenbasis of H, which is computed once per sweep; with ``compute_gap``
-    the point also takes ``PumpModel.gap`` (N <= 7), and without it the gap
-    column is NaN.  ``eta`` is the witness offset.  A NumericalError at a
-    point (a degenerate kernel, a failed solve, or a fidelity with a
-    non-negligible imaginary part) is recorded in its status, every value
-    of the point is NaN, and the sweep continues.
+    The model is assembled once.  With ``compute_gap`` every point first
+    takes ``PumpModel.gap`` (N <= 7) in grid order, and without it the gap
+    column is NaN.  The points whose gap did not fail then take their steady
+    states from one batched pass, ``PumpModel.support_steady_states``, in
+    the eigenbasis of H, which is computed once per sweep; fidelity
+    ``c_J^T rho~ c_J / Tr rho~`` and witness ``eta Tr rho~ - c_J^T rho~ c_J``
+    are read off ``rho~`` on the target's support, and no d x d density
+    matrix is formed.  ``eta`` is the witness offset.  A NumericalError at a
+    point (a degenerate kernel, gamma = 0 included, a failed solve, or a
+    fidelity with a non-negligible imaginary part) is recorded in its
+    status, the gap's taking precedence, every value of the point is NaN,
+    and the sweep continues.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.size and (np.any(np.diff(gammas) < 0) or np.any(gammas < 0)):
@@ -103,24 +109,28 @@ def gamma_sweep(
         model = system
     else:
         model = PumpModel(system, params)
+    scaled = gammas * abs(g)
     n_pts = gammas.size
     fid = np.full(n_pts, np.nan)
     wit = np.full(n_pts, np.nan)
     gap = np.full(n_pts, np.nan)
     status = ["ok"] * n_pts
-    for i, gamma_g in enumerate(gammas):
-        gamma = gamma_g * abs(g)
-        try:
-            # the gap first: it carries the dense guard and the kernel_dim
-            point_gap = model.gap(gamma) if compute_gap else np.nan
-            rho, _ = model.steady_state(gamma)
-            fid[i], wit[i], gap[i] = (
-                fidelity(rho, model.target),
-                witness_expectation(rho, model.target, eta=eta),
-                point_gap,
-            )
-        except NumericalError as exc:
-            status[i] = str(exc)
+    if compute_gap:
+        # the gaps first: they carry the dense guard and the kernel_dim
+        for i, gamma in enumerate(scaled):
+            try:
+                gap[i] = model.gap(gamma)
+            except NumericalError as exc:
+                status[i] = str(exc)
+    todo = [i for i, s in enumerate(status) if s == "ok"]
+    for i, (rho, _, error) in zip(todo, model.support_steady_states(scaled[todo])):
+        if error is None:
+            try:
+                fid[i], wit[i] = support_metrics(model, rho, eta)
+                continue
+            except NumericalError as exc:
+                error = exc
+        status[i], gap[i] = str(error), np.nan
     return SweepResult(axis_values=gammas.copy(), fidelity=fid, witness=wit, gap=gap, status=status)
 
 
@@ -238,9 +248,10 @@ def size_scaling_study(
     """Saturation and gap scaling over chain lengths.
 
     Per N: a fast (no-spectrum) gamma sweep locates gamma_sat from its
-    fidelity column, and the structured steady state is re-solved exactly at
-    gamma_sat for F_sat; the witness plays no part.  Sweep and re-solve share
-    one model, so each H is diagonalized once.  The gap
+    fidelity column, and the steady state on the target's support is
+    re-solved exactly at gamma_sat for F_sat, read off it as in the sweep;
+    the witness plays no part.  Sweep and re-solve share one model, so each
+    H is diagonalized once.  The gap
     (``PumpModel.gap``, N <= 7) is fitted against N at two fixed
     dissipation strengths common to all sizes: ``weak_gamma``, and
     ``strong_gamma`` which defaults to the largest detected gamma_sat (the
@@ -260,7 +271,10 @@ def size_scaling_study(
         gap_weak = model.gap(weak_gamma)
         sweep = gamma_sweep(model, h_g, gammas, compute_gap=False)
         gamma_sat = detect_gamma_sat(sweep, epsilon=epsilon)
-        f_sat = fidelity(model.steady_state(gamma_sat)[0], model.target)
+        ((rho, _, error),) = model.support_steady_states([gamma_sat])
+        if error is not None:
+            raise error
+        f_sat = support_metrics(model, rho)[0]
         partial.append((gamma_sat, f_sat, gap_weak))
 
     if strong_gamma is None:

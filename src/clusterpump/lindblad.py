@@ -26,8 +26,11 @@ computational basis, with H applied as its ZZ diagonal and bit flips, at
 O(N d^2) per call: the reference the structured routes are checked against,
 and the ``evolve`` command's step at an exceptional point of K_J.  The rest
 works in one eigenbasis W of H, ``PumpModel.eigenbasis``, J first (below):
-``PumpModel.steady_state`` solves 2|J| real equations on the target's
-support J, at O(|J|^3) work past the eigendecomposition of H.
+``PumpModel.support_steady_states`` solves 2|J| real equations per rate on
+the target's support J, at O(|J|^3) work past the eigendecomposition of H,
+a whole grid of rates in batches; sweeps read fidelity and witness off
+those states on J, and ``PumpModel.steady_state`` is the one-point case
+transformed back to the computational basis.
 
 The structure: ``rho -> K rho + rho K^+`` is a Kronecker sum and the
 recycling term has rank one.  One factorisation of K on the target's
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,6 +96,12 @@ ABERTH_MAX_SWEEPS = 100
 # Rows of every k x n array the secular-equation solver forms at once; whole
 # n x n temporaries raised a scaling study's peak memory by 12%.
 SECULAR_BLOCK = 64
+# Bytes of the stacked 2|J| x 2|J| real systems that one batch of
+# ``PumpModel.support_steady_states`` forms at once; its complex |J| x |J|
+# stacks are half as large each.  A chain:11 point (|J| = 925 at h = g) is a
+# batch of its own, chain:10 (|J| = 234) takes two points a batch, and up to
+# N = 6 a batch holds 32 points or more.
+STEADY_BATCH_BYTES = 2**22
 
 
 def _require_nonnegative(gamma: float) -> None:
@@ -338,7 +347,7 @@ def _secular_roots(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
     return z
 
 
-def _eigenbasis_rhs(energies: np.ndarray, c: np.ndarray, gamma: float, rho: np.ndarray) -> np.ndarray:
+def _eigenbasis_rhs(energies: np.ndarray, c: np.ndarray, gamma, rho: np.ndarray) -> np.ndarray:
     """The generator's action on ``rho~`` in an eigenbasis of H with energies
     ``E`` and target components ``c``,
 
@@ -346,17 +355,19 @@ def _eigenbasis_rhs(energies: np.ndarray, c: np.ndarray, gamma: float, rho: np.n
                                     + (c (c^+ rho~) + (rho~ c) c^+) / 2],
 
     with ``Lam_ab = -i (E_a - E_b) - gamma``: one elementwise product, two
-    matrix-vector products and rank-one updates, O(d^2).  With ``E_J, c_J``
-    of ``PumpModel.eigenbasis`` it acts on the J x J block; the steady state's
-    residual check is its one use."""
+    matrix-vector products and rank-one updates, O(d^2).  ``rho`` may be a
+    stack (k, n, n) of matrices with one rate each in ``gamma`` (k,).  With
+    ``E_J, c_J`` of ``PumpModel.eigenbasis`` it acts on the J x J block; the
+    steady states' residual check is its one use."""
+    gamma = np.asarray(gamma)[..., None, None]
     c_conj = c.conj()
     rho_c = rho @ c
     c_rho = c_conj @ rho
-    recycled = rho.trace() - c_conj @ rho_c
+    recycled = np.trace(rho, axis1=-2, axis2=-1) - rho_c @ c_conj
     out = (-1j * np.subtract.outer(energies, energies) - gamma) * rho
     # (Tr - c^+ rho c) c c^+ + c (c^+ rho) / 2 is c times one row vector
-    out += (gamma * c[:, None]) * (recycled * c_conj + 0.5 * c_rho)
-    out += ((0.5 * gamma) * rho_c)[:, None] * c_conj
+    out += (gamma * c[:, None]) * (recycled[..., None] * c_conj + 0.5 * c_rho)[..., None, :]
+    out += ((0.5 * gamma[..., 0]) * rho_c)[..., :, None] * c_conj
     return out
 
 
@@ -563,46 +574,105 @@ class PumpModel:
         with the Frobenius norm of the anti-Hermitian part of the unit-trace
         solution before it is made Hermitian (a diagnostic).
 
-        In the basis W of ``eigenbasis``, where ``W^T |C> = (c, 0)`` with c = c_J
-        real, the steady state ``rho~`` lives on J x J.  With
+        The one-point case of ``support_steady_states``, transformed back
+        once by ``density``; raises the point's NumericalError.
+        """
+        ((rho, antihermitian, error),) = self.support_steady_states([gamma])
+        if error is not None:
+            raise error
+        return self.density(rho), antihermitian
+
+    def density(self, rho: np.ndarray) -> DenseOperator:
+        """``W_J rho~ W_J^T``: a matrix on the target's support J, given in the
+        basis W of ``eigenbasis``, in the computational basis."""
+        _, W, _, m = self.eigenbasis
+        W_J = W[:, :m]
+        return W_J @ rho.real @ W_J.T + 1j * (W_J @ rho.imag @ W_J.T)
+
+    def support_steady_states(
+        self, gammas: Sequence[float]
+    ) -> Iterator[tuple[np.ndarray | None, float, NumericalError | None]]:
+        """``(rho~_J, antihermitian, error)`` at each rate of ``gammas``, in order:
+        the steady state on the target's support J, in the basis W of
+        ``eigenbasis``, the Frobenius norm of the anti-Hermitian part of its
+        unit-trace solution before it is made Hermitian, and None; or, at a
+        point that fails, ``(None, nan, error)`` with the NumericalError that
+        point alone raises.
+
+        In the basis W, where ``W^T |C> = (c, 0)`` with c = c_J real, the
+        steady state ``rho~`` lives on J x J.  With
         ``M_ab = gamma / (gamma + i (E_a - E_b))`` on J, stationarity reads
 
             rho~ = M o [(1 - kappa) c c^T + (c u^+ + u c^T) / 2],  kappa = c^T u,
 
         for ``u = rho~ c``.  Substituting gives a system linear in u and its
-        conjugate, solved as 2|J| real equations at O(|J|^3) cost.  The result
-        is normalized as in ``steady_state_direct`` and transformed back once,
-        ``W_J rho~ W_J^T`` as two real products.  Raises NumericalError
-        "degenerate kernel: ..." at gamma = 0 or on a singular system, and
-        when the Frobenius norm of ``_eigenbasis_rhs(E_J, c_J, gamma, rho~)``
-        for the normalized ``rho~`` (equal to that of ``apply(rho, gamma)``)
-        exceeds ``1e-8 max(1, s)``, where s is the largest diagonal entry of
-        the dense generator in modulus, one of two values since every
-        |C_a|^2 is equal: O(d) work.
+        conjugate, 2|J| real equations at O(|J|^3) cost, each solved by
+        ``_solve_nonsingular``.  The grid runs in batches of at most
+        ``STEADY_BATCH_BYTES`` of such systems, each batch built, normalized
+        as in ``steady_state_direct`` and checked as a stack.  A rate that is
+        negative or not finite raises ValueError before any work.  A point
+        fails with "degenerate kernel: ..." at gamma = 0 (it never enters a
+        batch) or on a singular system, and when the Frobenius norm of
+        ``_eigenbasis_rhs(E_J, c_J, gamma, rho~)`` for the normalized
+        ``rho~`` (equal to that of ``apply(rho, gamma)``) exceeds
+        ``1e-8 max(1, s)``, where s is the largest diagonal entry of the
+        dense generator in modulus, one of two values since every |C_a|^2 is
+        equal: O(d) work.
         """
-        _require_nonnegative(gamma)
-        if gamma == 0:
-            raise NumericalError(
-                "degenerate kernel: without dissipation (gamma = 0) the steady state is not unique"
-            )
+        gammas = np.asarray(gammas, dtype=float)
+        for gamma in gammas:
+            _require_nonnegative(gamma)
+        m = self.eigenbasis[3]
+        batch = max(1, STEADY_BATCH_BYTES // (32 * m * m))
+        for s in range(0, gammas.size, batch):
+            yield from self._steady_batch(gammas[s : s + batch])
+
+    def _steady_batch(self, gammas: np.ndarray) -> list[tuple[np.ndarray | None, float, NumericalError | None]]:
+        """``support_steady_states`` on one batch of rates: a function of its
+        own, so that the batch's temporaries are freed before its points are
+        yielded."""
         # solver imports this module, so its helpers are imported on use
         from .solver import _solve_nonsingular, _unit_trace_hermitian
 
-        energies, W, c, m = self.eigenbasis
+        out = [None] * gammas.size
+        for point in np.flatnonzero(gammas == 0):
+            out[point] = (None, math.nan, NumericalError(
+                "degenerate kernel: without dissipation (gamma = 0) the steady state is not unique"))
+        positive = np.flatnonzero(gammas > 0)
+        if not positive.size:
+            return out
+        gamma = gammas[positive]
+        energies, _, c, m = self.eigenbasis
         energies, c = energies[:m], c[:m]
-        M = gamma / (gamma + 1j * np.subtract.outer(energies, energies))
+        G = gamma[:, None, None]
+        M = G / (G + 1j * np.subtract.outer(energies, energies))
         w = M @ c**2
         # A u + B conj(u) = c o w
         cw = c * w
-        A = np.outer(cw, c)
-        A[np.diag_indices(m)] += 1.0 - 0.5 * w
-        B = -0.5 * (c[:, None] * M * c[None, :])
-        # with u = x + i y, a real system in [x; y]
-        system = np.block([[A.real + B.real, B.imag - A.imag], [A.imag + B.imag, A.real - B.real]])
-        xy = _solve_nonsingular(np.asfortranarray(system), np.concatenate([cw.real, cw.imag]))
-        u = xy[:m] + 1j * xy[m:]
-        kappa = c @ u
-        rho = M * ((1.0 - kappa) * np.outer(c, c) + 0.5 * (np.outer(c, u.conj()) + np.outer(u, c)))
+        A = cw[:, :, None] * c
+        diagonal = np.arange(m)
+        A[:, diagonal, diagonal] += 1.0 - 0.5 * w
+        B = -0.5 * (c[:, None] * M * c)
+        # with u = x + i y, a real system in [x; y]; each one Fortran-ordered
+        system = np.empty((gamma.size, 2 * m, 2 * m)).transpose(0, 2, 1)
+        system[:, :m, :m] = A.real + B.real
+        system[:, :m, m:] = B.imag - A.imag
+        system[:, m:, :m] = A.imag + B.imag
+        system[:, m:, m:] = A.real - B.real
+        del A, B
+        rhs = np.concatenate([cw.real, cw.imag], axis=1)
+        for k, point in enumerate(positive):
+            try:
+                rhs[k] = _solve_nonsingular(system[k], rhs[k])
+            except NumericalError as exc:
+                # the point's state is formed from u = 0, and dropped
+                out[point], rhs[k] = (None, math.nan, exc), 0.0
+        del system
+        u = rhs[:, :m] + 1j * rhs[:, m:]
+        kappa = u @ c
+        rho = M * ((1.0 - kappa)[:, None, None] * np.outer(c, c)
+                   + 0.5 * (c[:, None] * u.conj()[:, None, :] + u[:, :, None] * c))
+        del M
         rho, antihermitian = _unit_trace_hermitian(rho)
 
         # The largest modulus of the dense generator's diagonal,
@@ -615,16 +685,18 @@ class PumpModel:
         r = -(0.5 * gamma * (1.0 - p))
         off = gamma * (0.0 - p * p) + r + r
         on = gamma * (p - p * p) + r + r
-        largest = float(np.abs(np.concatenate([off + 1j * np.ptp(self.zz), on])).max())
-        tol = 1e-8 * max(1.0, largest)
+        tol = 1e-8 * np.maximum(1.0, np.maximum(np.abs(off + 1j * np.ptp(self.zz)), np.abs(on)))
         # W is orthogonal, so this is |L rho|_F >= max |L rho| in any basis
-        residual = float(np.linalg.norm(_eigenbasis_rhs(energies, c, gamma, rho)))
-        if not residual <= tol:
-            raise NumericalError(
-                f"structured steady-state residual {residual:g} exceeds tolerance {tol:g}"
-            )
-        W_J = W[:, :m]
-        return W_J @ rho.real @ W_J.T + 1j * (W_J @ rho.imag @ W_J.T), antihermitian
+        residual = np.linalg.norm(_eigenbasis_rhs(energies, c, gamma, rho).reshape(gamma.size, -1), axis=1)
+        for k, point in enumerate(positive):
+            if out[point] is not None:
+                continue
+            if residual[k] <= tol[k]:
+                out[point] = (rho[k], float(antihermitian[k]), None)
+            else:
+                out[point] = (None, math.nan, NumericalError(
+                    f"structured steady-state residual {residual[k]:g} exceeds tolerance {tol[k]:g}"))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -793,13 +865,26 @@ class KernelStep:
 
     def functional(self, O: np.ndarray) -> np.ndarray:
         """Float weights w with ``x.view(float) @ w = Tr(rho O)`` for every state x,
-        for a Hermitian O given in the basis W (``W^T O W``): from the upper
-        blocks of ``F = R^+ O R``, ``Tr(F X) = sum_i F_ii X_ii
+        for a real symmetric O given in the basis W (``W^T O W``): from the
+        upper blocks of ``F = R^+ O R``, ``Tr(F X) = sum_i F_ii X_ii
         + 2 Re sum_(i<j) conj(F_ij) X_ij``; O(d^2 |J|) work, once.  The
         weights are linear in O, as complex numbers ``w.view(complex)``."""
         m = self.c.size
-        R_h = self.R.conj().T
-        u = self._pack(R_h @ O[:m, :m] @ self.R, R_h @ O[:m, m:], O[m:, m:])
+
+        def adjoint_times(block: np.ndarray) -> np.ndarray:
+            # R^+ block as two real products: a complex R^+ times the real
+            # block would copy the block to complex
+            out = np.empty((m, block.shape[1]), dtype=complex)
+            out.real = self.R.real.T @ block
+            out.imag = self.R.imag.T @ block
+            out.imag *= -1.0
+            return out
+
+        # the larger block first, whose freed temporaries then hold the
+        # smaller one's: a chain:11 `evolve` peaked at 525 MB, and at 553 MB
+        # with the JJ block first
+        JO = adjoint_times(O[:m, m:])
+        u = self._pack(adjoint_times(O[:m, :m]) @ self.R, JO, O[m:, m:])
         u *= 2.0
         u[self._diagonal()] *= 0.5
         return u.view(float)

@@ -7,7 +7,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import NumericalError
-from .lindblad import KernelStep
+from .lindblad import KernelStep, PumpModel
 from .meanfield import MeanFieldState
 from .operators import StateVector
 
@@ -41,6 +41,16 @@ def fidelity(rho: np.ndarray, target: StateVector) -> float:
     if rho.shape[0] != target.shape[0]:
         raise ValueError(f"dimension mismatch: rho {rho.shape}, target {target.shape}")
     return float(fidelity_from_overlap(np.vdot(target, rho @ target), np.trace(rho)))
+
+
+def support_metrics(model: PumpModel, rho: np.ndarray, eta: float = 0.5) -> tuple[float, float]:
+    """``(fidelity, witness)`` of a steady state ``rho~`` of
+    ``model.support_steady_states``, read off the target's support J without
+    forming the d x d matrix: ``F = c_J^T rho~ c_J / Tr rho~`` by the rule of
+    ``fidelity_from_overlap``, and ``eta Tr rho~ - c_J^T rho~ c_J``."""
+    _, _, c, m = model.eigenbasis
+    overlap, trace = c[:m] @ rho @ c[:m], rho.trace()
+    return float(fidelity_from_overlap(overlap, trace)), float((eta * trace - overlap).real)
 
 
 def witness_expectation(rho: np.ndarray, target: StateVector, eta: float = 0.5) -> float:

@@ -1,4 +1,6 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,10 +379,43 @@ def test_scaling_refuses_fewer_than_two_sizes_before_any_work(tmp_path, capsys, 
     def unsolved(*args):
         raise AssertionError("a steady state was solved")
 
-    monkeypatch.setattr(PumpModel, "steady_state", unsolved)
+    monkeypatch.setattr(PumpModel, "support_steady_states", unsolved)
     assert run(["scaling", "--n-values", n_values, "--out", str(tmp_path)]) == 1
     assert "at least 2 distinct sizes" in capsys.readouterr().err
     assert not (tmp_path / "scaling.csv").exists()
+
+
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "seed_0.json"
+
+
+def close_to(values, refs, tol=1e-8):
+    """The benchmark's agreement rule: |v - r| <= tol max(1, |r|) throughout."""
+    values, refs = np.asarray(values, dtype=float), np.asarray(refs, dtype=float)
+    return values.shape == refs.shape and bool(np.all(np.abs(values - refs) <= tol * np.maximum(1.0, np.abs(refs))))
+
+
+def test_sweep_and_scaling_match_the_bench_reference(tmp_path):
+    # the sweep_n6 and scaling_n5 commands at the seed-0 inputs reproduce the
+    # recorded reference outputs to the benchmark's 1e-8
+    ref = json.loads(BENCH_REFERENCE.read_text())
+    h_g = ref["inputs"]["h_g"]
+    sweep_ref, scaling_ref = ref["workloads"]["sweep_n6"]["sweep"], ref["workloads"]["scaling_n5"]["scaling"]
+    assert run(["sweep", "--graph", "square:2x3", "--h-g", h_g, "--gamma-grid", "log:50:5000:4", "--skip-gap",
+                "--out", str(tmp_path)]) == 0
+    rows = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
+    assert [row["status"] for row in rows] == ["ok"] * 4
+    assert close_to([float(row["fidelity"]) for row in rows], sweep_ref["fidelity"])
+    assert close_to([float(row["witness"]) for row in rows], sweep_ref["witness"])
+    assert close_to(json.loads((tmp_path / "sweep.json").read_text())["gamma_sat"], sweep_ref["gamma_sat"])
+    assert run(["scaling", "--n-values", "2,3,4,5", "--h-g", h_g, "--gamma-policy", "log:0.5:600:24",
+                "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "scaling.json").read_text())
+    rows = [[r["n"], r["gamma_sat"], r["f_sat"], r["gap_weak"], r["gap_strong"]] for r in doc["rows"]]
+    assert close_to(rows, scaling_ref["rows"])
+    assert close_to(doc["strong_gamma"], scaling_ref["strong_gamma"])
+    assert doc["fits"].keys() == scaling_ref["fits"].keys()
+    for name, fit in doc["fits"].items():
+        assert close_to([*fit["coefficients"], fit["r_squared"]], scaling_ref["fits"][name])
 
 
 def test_sweep_without_gap_beyond_dense_guard(tmp_path):

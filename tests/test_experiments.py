@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,13 +200,13 @@ def test_gamma_sweep_marks_degenerate_kernel_failed(compute_gap):
 
 def test_gamma_sweep_marks_non_hermitian_point_failed(monkeypatch):
     # a steady state whose fidelity has an imaginary part fails its point only
-    solve = PumpModel.steady_state
+    solve = PumpModel.support_steady_states
 
-    def skewed(self, gamma):
-        rho, antihermitian = solve(self, gamma)
-        return (rho + 0.1j * np.eye(rho.shape[0]) if gamma == 2.0 else rho), antihermitian
+    def skewed(self, gammas):
+        for gamma, (rho, antihermitian, error) in zip(gammas, solve(self, gammas)):
+            yield (rho + 0.1j * np.eye(rho.shape[0]) if gamma == 2.0 else rho), antihermitian, error
 
-    monkeypatch.setattr(PumpModel, "steady_state", skewed)
+    monkeypatch.setattr(PumpModel, "support_steady_states", skewed)
     sweep = gamma_sweep(GraphSpec.chain(2), 1.0, [1.0, 2.0, 4.0], compute_gap=False)
     assert sweep.status[0] == sweep.status[2] == "ok"
     assert "imaginary part" in sweep.status[1] and np.isnan(sweep.fidelity[1])
@@ -320,3 +321,21 @@ def test_gamma_sweep_reuses_a_matching_model():
     assert np.array_equal(from_model.fidelity, from_graph.fidelity)
     with pytest.raises(ValueError, match="the sweep asks for g = 1.0, h = 0.5"):
         gamma_sweep(model, 0.5, grid, compute_gap=False)
+
+
+def test_gamma_sweep_forms_no_dense_state():
+    # fidelity and witness are read off the steady state on the target's
+    # support: a chain:10 sweep traces less than one complex d x d array
+    # (16 MiB) beyond the cached eigenbasis, which forming each point's
+    # d x d state exceeds (53 MiB)
+    model = PumpModel(GraphSpec.chain(10), ModelParams(g=1.0, h=1.0, gamma=0.0))
+    model.eigenbasis
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sweep = gamma_sweep(model, 1.0, np.geomspace(1.0, 100.0, 4), compute_gap=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sweep.status == ["ok"] * 4
+    assert peak - start < 16 * 4**10

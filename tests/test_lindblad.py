@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from scipy.sparse.csgraph import connected_components
 from clusterpump import lindblad
 from clusterpump.cluster import GraphSpec, cluster_state
 from clusterpump.errors import NumericalError
+from clusterpump.experiments import gamma_sweep
 from clusterpump.lindblad import (
     MAX_DENSE_QUBITS,
     SUPPORT_TOL,
@@ -262,11 +265,17 @@ def test_pump_model_apply_matches_liouvillian(graph, rng):
         assert np.abs(model.apply(rho, gamma) - dense).max() <= 1e-12
 
 
+@lru_cache(maxsize=None)
+def direct_steady_state(graph, h, gamma):
+    """The dense oracle's steady state, kept: at N = 6 each costs seconds."""
+    return steady_state_direct(PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0)).liouvillian(gamma))
+
+
 @pytest.mark.parametrize("graph", MODEL_GRAPHS + [SQUARE_2X3])
 def test_pump_model_steady_state_matches_direct_solve(graph):
     model = PumpModel(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
     for gamma in (0.5, 5.0, 200.0, 5000.0):
-        oracle = steady_state_direct(model.liouvillian(gamma))
+        oracle = direct_steady_state(graph, 0.7, gamma)
         rho, antihermitian = model.steady_state(gamma)
         assert np.abs(rho - oracle).max() <= 1e-12
         assert 0.0 <= antihermitian <= 1e-12
@@ -435,6 +444,106 @@ def test_pump_model_steady_state_rejects_gamma_zero():
         model.steady_state(0.0)
     with pytest.raises(ValueError, match="gamma"):
         model.steady_state(-1.0)
+
+
+BATCH_GRAPHS = [GraphSpec.chain(n) for n in range(1, 6)] + [SQUARE_2X3, STAR]
+BATCH_GAMMAS = [0.5, 5.0, 200.0, 5000.0]
+
+
+@pytest.mark.parametrize(
+    "graph", BATCH_GRAPHS, ids=[f"chain:{n}" for n in range(1, 6)] + ["square:2x3", "star:4"]
+)
+def test_support_steady_states_match_direct_solve(graph):
+    # one batch over the grid; each state on the support, transformed back,
+    # is the dense oracle's
+    model = PumpModel(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
+    points = list(model.support_steady_states(BATCH_GAMMAS))
+    assert len(points) == len(BATCH_GAMMAS)
+    for gamma, (rho, antihermitian, error) in zip(BATCH_GAMMAS, points):
+        assert error is None and 0.0 <= antihermitian <= 1e-12
+        assert rho.shape == (model.eigenbasis[3],) * 2
+        assert np.abs(model.density(rho) - direct_steady_state(graph, 0.7, gamma)).max() <= 1e-12
+
+
+def test_support_steady_states_of_a_dark_target():
+    # N = 1 at h = 0, where K . + . K^+ is singular, in one batch
+    model = PumpModel(GraphSpec(1, ()), ModelParams(g=1.0, h=0.0, gamma=0.0))
+    for gamma, (rho, _, error) in zip(BATCH_GAMMAS, model.support_steady_states(BATCH_GAMMAS)):
+        assert error is None
+        assert np.abs(model.density(rho) - steady_state_direct(model.liouvillian(gamma))).max() <= 1e-12
+
+
+def test_support_steady_states_fail_point_by_point(monkeypatch):
+    # gamma = 0 and a point whose residual check fails fail alone, with the
+    # messages a one-point solve raises; the other points are unchanged
+    model = PumpModel(GraphSpec.chain(4), ModelParams(g=1.0, h=0.7, gamma=0.0))
+    gammas = [0.0, 0.5, 5.0, 50.0]
+    clean = list(model.support_steady_states(gammas))
+    generator = lindblad._eigenbasis_rhs
+
+    def failing_at_5(energies, c, gamma, rho):
+        return generator(energies, c, gamma, rho) + (np.asarray(gamma) == 5.0)[..., None, None]
+
+    monkeypatch.setattr(lindblad, "_eigenbasis_rhs", failing_at_5)
+    points = list(model.support_steady_states(gammas))
+    messages = []
+    for gamma in (0.0, 5.0):
+        with pytest.raises(NumericalError) as exc:
+            model.steady_state(gamma)
+        messages.append(str(exc.value))
+    assert messages[0] == "degenerate kernel: without dissipation (gamma = 0) the steady state is not unique"
+    assert messages[1].startswith("structured steady-state residual")
+    assert [(rho, str(error)) for rho, _, error in (points[0], points[2])] == [(None, m) for m in messages]
+    for k in (1, 3):
+        assert points[k][2] is None and np.array_equal(points[k][0], clean[k][0])
+    sweep = gamma_sweep(model, 0.7, gammas, compute_gap=False)
+    assert sweep.status == [messages[0], "ok", messages[1], "ok"]
+
+
+def test_support_steady_states_keep_a_failed_solve_to_its_point(monkeypatch):
+    # a system refused by the solver fails its own point with the solver's
+    # message; the batch's other points are unchanged
+    from clusterpump import solver
+
+    model = PumpModel(GraphSpec.chain(4), ModelParams(g=1.0, h=0.7, gamma=0.0))
+    gammas = [0.5, 5.0, 50.0]
+    clean = list(model.support_steady_states(gammas))
+    solve = solver._solve_nonsingular
+    calls = []
+
+    def refusing_the_second(A, b):
+        calls.append(A.shape)
+        if len(calls) == 2:
+            raise NumericalError("degenerate kernel: refused")
+        return solve(A, b)
+
+    monkeypatch.setattr(solver, "_solve_nonsingular", refusing_the_second)
+    points = list(model.support_steady_states(gammas))
+    assert len(calls) == 3
+    assert points[1][0] is None and str(points[1][2]) == "degenerate kernel: refused"
+    for k in (0, 2):
+        assert points[k][2] is None and np.array_equal(points[k][0], clean[k][0])
+
+
+def test_support_steady_states_do_not_depend_on_the_batch(monkeypatch):
+    # a grid solved one point per batch equals the grid solved as one batch
+    model = PumpModel(GraphSpec.chain(5), ModelParams(g=1.0, h=0.7, gamma=0.0))
+    gammas = np.geomspace(0.05, 1e4, 40)
+    sizes = []
+    batch = PumpModel._steady_batch
+
+    def recording(self, chunk):
+        sizes.append(chunk.size)
+        return batch(self, chunk)
+
+    monkeypatch.setattr(PumpModel, "_steady_batch", recording)
+    whole = list(model.support_steady_states(gammas))
+    monkeypatch.setattr(lindblad, "STEADY_BATCH_BYTES", 1)
+    single = list(model.support_steady_states(gammas))
+    assert sizes == [40] + [1] * 40
+    for (a, norm_a, error_a), (b, norm_b, error_b) in zip(whole, single):
+        assert error_a is None and error_b is None
+        assert np.abs(a - b).max() <= 1e-15 and abs(norm_a - norm_b) <= 1e-15
 
 
 # ----------------------------------------------------------------- structured gap

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from clusterpump import lindblad
 from clusterpump.cluster import GraphSpec, cluster_state, orthogonal_basis, plus_state
 from clusterpump.errors import NumericalError
 from clusterpump.lindblad import (
@@ -325,6 +326,30 @@ def test_kernel_step_refuses_no_stable_run(graph, gamma):
         for rho0 in starts:
             traj = evolve_rk4(rho0, kernel, 200 * dt, dt, sample_every=200)
             assert np.isfinite(traj.states).all()
+
+
+def test_kernel_step_accepts_a_stable_run_that_leaves_positivity():
+    # at a stable dt RK4 leaves positivity, so ||rho||_F can exceed Tr rho;
+    # the one-map route's state check still accepts what four stages accept
+    model = PumpModel(GraphSpec(1, ()), ModelParams(g=1.0, h=1.0, gamma=2.0))
+    dt = 0.875 * rk4_stability_edge(model, 2.0)
+    rho0 = random_density_matrix(np.random.default_rng(0), 2)
+    four = evolve_rk4(rho0, lambda rho: model.apply(rho, 2.0), 12 * dt, dt)
+    assert max(np.linalg.norm(rho) for rho in four.states) > 1.0
+    assert min(np.linalg.eigvalsh(rho).min() for rho in four.states) < 0.0
+    assert one_map_vs_four_stages(model, 2.0, rho0, dt, n_steps=12) <= 1e-12
+
+
+def test_kernel_step_refuses_a_growing_run_on_the_support(rng, monkeypatch):
+    # with O empty no pole touches O, so nothing is refused before the first
+    # step; the state check refuses the run as it grows
+    monkeypatch.setattr(lindblad, "SUPPORT_TOL", -1.0)
+    model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=1.0, gamma=50.0))
+    kernel = model.kernel_step(50.0)
+    assert kernel.c.size == kernel.kappa.size
+    kernel.tables(0.07)  # the pre-step refusal lets this dt through
+    with pytest.raises(NumericalError, match="integration unstable, reduce dt"):
+        evolve_rk4(random_density_matrix(rng, 4), kernel, 7.0, 0.07)
 
 
 def test_kernel_step_refuses_an_unstable_dt_before_stepping(rng, monkeypatch):
