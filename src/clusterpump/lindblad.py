@@ -71,8 +71,9 @@ MAX_MODEL_QUBITS = 11
 MODEL_ARRAYS = 7.5
 # Levels of H on which the norm of the target's components (eigh's V^T |C>)
 # is at most this large are O of ``PumpModel.eigenbasis``.  Round-off leaves
-# such norms up to 4.8e-13 (random graphs, N <= 5, near-degenerate levels);
-# true ones reach 2.4e-10 (h = 0.004).
+# such norms up to 4.8e-13 (random graphs, N <= 5, near-degenerate levels),
+# and 9.3e-13 on a 4-qubit graph at h = -1e-5 where a 50-digit eigensolve
+# reads 0; true ones reach 2.4e-10 (h = 0.004).
 # Keeping a small norm costs time; dropping one moves steady states by its size.
 SUPPORT_TOL = 1e-12
 # Secular-equation poles whose weight is at most this fraction of the largest
