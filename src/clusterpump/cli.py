@@ -69,9 +69,8 @@ def _finite(text: str) -> float:
     return value
 
 
-def _cells(numbers) -> list[str]:
-    """CSV cells of numbers, each with the 17 significant digits that round-trip a float."""
-    return [format(c, ".17g") for c in numbers]
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -79,11 +78,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write rows of string cells (numbers through ``_cells``), quoted as needed."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        for row in rows:
+            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
 
 
 def parse_graph(text: str) -> GraphSpec:
@@ -203,10 +202,9 @@ def _cmd_steady(cfg: dict, out_dir: Path) -> int:
     # ranked first, so that gamma = 0 fails as a degenerate kernel with its dimension
     _, gap, _, kernel_dim = rank_spectrum(model.eigenvalues(gamma))
     # read off the support as a sweep point is, and transformed back for the residual
-    ((rho, antihermitian, error),) = model.support_steady_states([gamma])
-    if error is not None:
-        raise error
-    fid, witness = support_metrics(model, rho, eta=cfg["eta"])
+    rho, antihermitian = model.support_steady_state(gamma)
+    _, _, c, m = model.eigenbasis
+    fid, witness = support_metrics(c[:m], rho, eta=cfg["eta"])
     rho = model.density(rho)
     summary = {
         "config": cfg,
@@ -231,8 +229,7 @@ def _cmd_spectrum(cfg: dict, out_dir: Path) -> int:
     vals = model.eigenvalues(model.params.gamma)
     order, gap, _, kernel_dim = rank_spectrum(vals)
     vals = vals[order]
-    rows = np.column_stack([vals.real, vals.imag]).tolist()
-    _write_csv(out_dir / "spectrum.csv", ["re", "im"], map(_cells, rows))
+    _write_csv(out_dir / "spectrum.csv", ["re", "im"], [[lam.real, lam.imag] for lam in vals])
     summary = {
         "config": cfg,
         "version": __version__,
@@ -285,7 +282,7 @@ def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
         ]
     rows = np.column_stack([traj.times, observables]).tolist()
     header = ["t", "jx", "jy", "jz", "fidelity", "witness"]
-    _write_csv(out_dir / "evolve.csv", header, map(_cells, rows))
+    _write_csv(out_dir / "evolve.csv", header, rows)
     final = dict(zip(header, rows[-1]))
     summary = {
         "config": cfg,
@@ -324,13 +321,13 @@ def _cmd_meanfield(cfg: dict, out_dir: Path) -> int:
     _write_csv(
         out_dir / "meanfield.csv",
         ["t", "jx", "jy", "jz"],
-        map(_cells, np.column_stack([traj.times, traj.states]).tolist()),
+        [[t, s[0], s[1], s[2]] for t, s in zip(traj.times, traj.states)],
     )
     _write_csv(
         out_dir / "meanfield_fixed_points.csv",
         ["label", "jx", "jy", "jz", "stable", "classification"],
         [
-            [fp.label, *_cells([fp.state.jx, fp.state.jy, fp.state.jz]), str(fp.stable), fp.classification]
+            [fp.label, fp.state.jx, fp.state.jy, fp.state.jz, str(fp.stable), fp.classification]
             for fp in points
         ],
     )
@@ -362,8 +359,12 @@ def _cmd_sweep(cfg: dict, out_dir: Path) -> int:
     grid = parse_gamma_policy(cfg["gamma_grid"])
     sweep = gamma_sweep(graph, cfg["h_g"], grid, compute_gap=not cfg["skip_gap"], eta=cfg["eta"],
                         g=float(cfg["sign_g"]))
-    values = np.column_stack([sweep.axis_values, sweep.fidelity, sweep.witness, sweep.gap]).tolist()
-    rows = [[*_cells(row), status] for row, status in zip(values, sweep.status)]
+    rows = [
+        [g_, f, w, gp, st]
+        for g_, f, w, gp, st in zip(
+            sweep.axis_values, sweep.fidelity, sweep.witness, sweep.gap, sweep.status
+        )
+    ]
     _write_csv(out_dir / "sweep.csv", ["gamma_g", "fidelity", "witness", "gap", "status"], rows)
     gamma_sat = None
     note = None
@@ -403,7 +404,7 @@ def _cmd_scaling(cfg: dict, out_dir: Path) -> int:
         strong_gamma=cfg["strong_gamma"],
     )
     rows = [dataclasses.asdict(r) for r in study.rows]
-    _write_csv(out_dir / "scaling.csv", list(rows[0]), [_cells(r.values()) for r in rows])
+    _write_csv(out_dir / "scaling.csv", list(rows[0]), [list(r.values()) for r in rows])
     summary = {
         "config": cfg,
         "version": __version__,

@@ -123,10 +123,11 @@ def gamma_sweep(
             except NumericalError as exc:
                 status[i] = str(exc)
     todo = [i for i, s in enumerate(status) if s == "ok"]
+    _, _, c, m = model.eigenbasis
     for i, (rho, _, error) in zip(todo, model.support_steady_states(scaled[todo])):
         if error is None:
             try:
-                fid[i], wit[i] = support_metrics(model, rho, eta)
+                fid[i], wit[i] = support_metrics(c[:m], rho, eta)
                 continue
             except NumericalError as exc:
                 error = exc
@@ -271,10 +272,8 @@ def size_scaling_study(
         gap_weak = model.gap(weak_gamma)
         sweep = gamma_sweep(model, h_g, gammas, compute_gap=False)
         gamma_sat = detect_gamma_sat(sweep, epsilon=epsilon)
-        ((rho, _, error),) = model.support_steady_states([gamma_sat])
-        if error is not None:
-            raise error
-        f_sat = support_metrics(model, rho)[0]
+        _, _, c, m = model.eigenbasis
+        f_sat = support_metrics(c[:m], model.support_steady_state(gamma_sat)[0])[0]
         partial.append((gamma_sat, f_sat, gap_weak))
 
     if strong_gamma is None:

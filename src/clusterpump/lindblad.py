@@ -70,12 +70,14 @@ MAX_DENSE_QUBITS = 7
 MAX_MODEL_QUBITS = 11
 MODEL_ARRAYS = 7.5
 # Levels of H on which the norm of the target's components (eigh's V^T |C>)
-# is at most this large are O of ``PumpModel.eigenbasis``.  Round-off leaves
-# such norms up to 4.8e-13 (random graphs, N <= 5, near-degenerate levels),
-# and 9.3e-13 on a 4-qubit graph at h = -1e-5 where a 50-digit eigensolve
-# reads 0; true ones reach 2.4e-10 (h = 0.004).
-# Keeping a small norm costs time; dropping one moves steady states by its size.
-SUPPORT_TOL = 1e-12
+# is at most this large are O of ``PumpModel.eigenbasis``.  eigh's mixing of
+# near-degenerate levels leaves round-off norms up to 2.8e-12 (chain:8), so
+# no tolerance drops all of them; true ones reach 2.4e-10 (h = 0.004).
+# Keeping a small norm costs time; dropping one moves steady states by its
+# size, and the generator in the basis W by up to 1.8 times it, relative to
+# the generator's largest entry: below 1e-12 at this tolerance, but up to
+# 1.7e-12 at 1e-12 (4-qubit graphs, h = -3e-4 to 0.09).
+SUPPORT_TOL = 4e-13
 # Secular-equation poles whose weight is at most this fraction of the largest
 # are hidden: they are eigenvalues of the generator as they stand.
 HIDDEN_TOL = 1e-13
@@ -575,13 +577,18 @@ class PumpModel:
         with the Frobenius norm of the anti-Hermitian part of the unit-trace
         solution before it is made Hermitian (a diagnostic).
 
-        The one-point case of ``support_steady_states``, transformed back
-        once by ``density``; raises the point's NumericalError.
+        ``support_steady_state`` transformed back once by ``density``.
         """
+        rho, antihermitian = self.support_steady_state(gamma)
+        return self.density(rho), antihermitian
+
+    def support_steady_state(self, gamma: float) -> tuple[np.ndarray, float]:
+        """``(rho~_J, antihermitian)`` at ``gamma``: the one-point case of
+        ``support_steady_states``, which raises the point's NumericalError."""
         ((rho, antihermitian, error),) = self.support_steady_states([gamma])
         if error is not None:
             raise error
-        return self.density(rho), antihermitian
+        return rho, antihermitian
 
     def density(self, rho: np.ndarray) -> DenseOperator:
         """``W_J rho~ W_J^T``: a matrix on the target's support J, given in the
@@ -866,26 +873,13 @@ class KernelStep:
 
     def functional(self, O: np.ndarray) -> np.ndarray:
         """Float weights w with ``x.view(float) @ w = Tr(rho O)`` for every state x,
-        for a real symmetric O given in the basis W (``W^T O W``): from the
-        upper blocks of ``F = R^+ O R``, ``Tr(F X) = sum_i F_ii X_ii
+        for a Hermitian O given in the basis W (``W^T O W``): from the upper
+        blocks of ``F = R^+ O R``, ``Tr(F X) = sum_i F_ii X_ii
         + 2 Re sum_(i<j) conj(F_ij) X_ij``; O(d^2 |J|) work, once.  The
         weights are linear in O, as complex numbers ``w.view(complex)``."""
         m = self.c.size
-
-        def adjoint_times(block: np.ndarray) -> np.ndarray:
-            # R^+ block as two real products: a complex R^+ times the real
-            # block would copy the block to complex
-            out = np.empty((m, block.shape[1]), dtype=complex)
-            out.real = self.R.real.T @ block
-            out.imag = self.R.imag.T @ block
-            out.imag *= -1.0
-            return out
-
-        # the larger block first, whose freed temporaries then hold the
-        # smaller one's: a chain:11 `evolve` peaked at 525 MB, and at 553 MB
-        # with the JJ block first
-        JO = adjoint_times(O[:m, m:])
-        u = self._pack(adjoint_times(O[:m, :m]) @ self.R, JO, O[m:, m:])
+        R_h = self.R.conj().T
+        u = self._pack(R_h @ O[:m, :m] @ self.R, R_h @ O[:m, m:], O[m:, m:])
         u *= 2.0
         u[self._diagonal()] *= 0.5
         return u.view(float)

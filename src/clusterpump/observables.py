@@ -7,7 +7,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import NumericalError
-from .lindblad import KernelStep, PumpModel
+from .lindblad import KernelStep
 from .meanfield import MeanFieldState
 from .operators import StateVector
 
@@ -43,14 +43,19 @@ def fidelity(rho: np.ndarray, target: StateVector) -> float:
     return float(fidelity_from_overlap(np.vdot(target, rho @ target), np.trace(rho)))
 
 
-def support_metrics(model: PumpModel, rho: np.ndarray, eta: float = 0.5) -> tuple[float, float]:
-    """``(fidelity, witness)`` of a steady state ``rho~`` of
-    ``model.support_steady_states``, read off the target's support J without
-    forming the d x d matrix: ``F = c_J^T rho~ c_J / Tr rho~`` by the rule of
-    ``fidelity_from_overlap``, and ``eta Tr rho~ - c_J^T rho~ c_J``."""
-    _, _, c, m = model.eigenbasis
-    overlap, trace = c[:m] @ rho @ c[:m], rho.trace()
-    return float(fidelity_from_overlap(overlap, trace)), float((eta * trace - overlap).real)
+def witness_from_overlap(overlap: np.ndarray, trace: np.ndarray, eta: float = 0.5) -> np.ndarray:
+    """``eta Tr(rho) - <target|rho|target>`` from the overlap and the trace,
+    elementwise: the rule of ``witness_expectation``."""
+    return np.real(eta * trace - overlap)
+
+
+def support_metrics(c: np.ndarray, rho: np.ndarray, eta: float = 0.5) -> tuple[float, float]:
+    """``(fidelity, witness)`` of a matrix ``rho~`` on the target's support J,
+    in the basis W of ``PumpModel.eigenbasis`` where the target is ``c = c_J``
+    (``PumpModel.support_steady_states``), without forming the d x d matrix:
+    the overlap is ``c^T rho~ c``."""
+    overlap, trace = c @ rho @ c, rho.trace()
+    return float(fidelity_from_overlap(overlap, trace)), float(witness_from_overlap(overlap, trace, eta))
 
 
 def witness_expectation(rho: np.ndarray, target: StateVector, eta: float = 0.5) -> float:
@@ -61,9 +66,7 @@ def witness_expectation(rho: np.ndarray, target: StateVector, eta: float = 0.5) 
     """
     if rho.shape[0] != target.shape[0]:
         raise ValueError(f"dimension mismatch: rho {rho.shape}, target {target.shape}")
-    overlap = np.vdot(target, rho @ target)
-    value = eta * np.trace(rho) - overlap
-    return float(value.real)
+    return float(witness_from_overlap(np.vdot(target, rho @ target), np.trace(rho), eta))
 
 
 def _site_flips(dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -137,7 +140,8 @@ def kernel_observables(states: np.ndarray, step: KernelStep, eta: float = 0.5) -
     ``step.functional`` of the states, built once from ``_spin_operators``
     of the step's basis; the trace is the states' last entry.  Each costs
     one real matrix-vector product over the samples, O(d^2) per sample.
-    Fidelity follows ``fidelity_from_overlap``.
+    Fidelity and witness follow ``fidelity_from_overlap`` and
+    ``witness_from_overlap``.
     """
     d = step.W.shape[0]
     samples = states.view(float)
@@ -155,5 +159,5 @@ def kernel_observables(states: np.ndarray, step: KernelStep, eta: float = 0.5) -
     overlap = samples @ step.functional(projector)
     trace = states[:, -1].real
     rows[:, 3] = fidelity_from_overlap(overlap, trace)
-    rows[:, 4] = eta * trace - overlap
+    rows[:, 4] = witness_from_overlap(overlap, trace, eta)
     return rows

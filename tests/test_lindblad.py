@@ -1,5 +1,3 @@
-from functools import lru_cache
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,20 +263,22 @@ def test_pump_model_apply_matches_liouvillian(graph, rng):
         assert np.abs(model.apply(rho, gamma) - dense).max() <= 1e-12
 
 
-@lru_cache(maxsize=None)
-def direct_steady_state(graph, h, gamma):
-    """The dense oracle's steady state, kept: at N = 6 each costs seconds."""
-    return steady_state_direct(PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0)).liouvillian(gamma))
+STEADY_GAMMAS = [0.5, 5.0, 200.0, 5000.0]
 
 
-@pytest.mark.parametrize("graph", MODEL_GRAPHS + [SQUARE_2X3])
+@pytest.mark.parametrize("graph", MODEL_GRAPHS + [SQUARE_2X3, GraphSpec.chain(1), STAR])
 def test_pump_model_steady_state_matches_direct_solve(graph):
+    # point by point, and the whole grid as one batch on the target's support
     model = PumpModel(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
-    for gamma in (0.5, 5.0, 200.0, 5000.0):
-        oracle = direct_steady_state(graph, 0.7, gamma)
+    batch = list(model.support_steady_states(STEADY_GAMMAS))
+    assert len(batch) == len(STEADY_GAMMAS)
+    for gamma, (rho_j, norm, error) in zip(STEADY_GAMMAS, batch):
+        oracle = steady_state_direct(model.liouvillian(gamma))
         rho, antihermitian = model.steady_state(gamma)
         assert np.abs(rho - oracle).max() <= 1e-12
         assert 0.0 <= antihermitian <= 1e-12
+        assert error is None and 0.0 <= norm <= 1e-12
+        assert np.abs(model.density(rho_j) - oracle).max() <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,13 +294,20 @@ def test_pump_model_steady_state_on_random_graphs(graph, h, gamma):
     assert np.abs(rho - steady_state_direct(model.liouvillian(gamma))).max() <= 1e-10
 
 
-@pytest.mark.parametrize("gamma", [0.05, 1.0, 600.0])
+DARK_GAMMAS = [0.05, 1.0, 600.0]
+
+
+@pytest.mark.parametrize("gamma", DARK_GAMMAS)
 def test_pump_model_steady_state_of_a_dark_target(gamma):
     # N = 1 at h = 0: H = 0, so |C> is an eigenvector of H and the target is
-    # dark; K . + . K^+ is singular there, yet the steady state is unique
+    # dark; K . + . K^+ is singular there, yet the steady state is unique,
+    # alone and as a point of one batch
     model = PumpModel(GraphSpec(1, ()), ModelParams(g=1.0, h=0.0, gamma=0.0))
+    target = np.outer(model.target, model.target.conj())
     rho, _ = model.steady_state(gamma)
-    assert np.abs(rho - np.outer(model.target, model.target.conj())).max() <= 1e-12
+    assert np.abs(rho - target).max() <= 1e-12
+    rho_j, _, error = list(model.support_steady_states(DARK_GAMMAS))[DARK_GAMMAS.index(gamma)]
+    assert error is None and np.abs(model.density(rho_j) - target).max() <= 1e-12
 
 
 def test_pump_model_steady_state_checks_its_residual_in_the_eigenbasis(monkeypatch):
@@ -364,18 +371,11 @@ def test_pump_model_steady_state_tolerance_is_that_of_the_dense_diagonal(monkeyp
 
 def eigenbasis_rhs_vs_dense(graph, h, gamma, rho):
     """Largest deviation of ``_eigenbasis_rhs`` on ``rho~`` from
-    ``W^T L(W rho~ W^T) W`` with the dense generator L of the target ``W c``
-    that the eigenbasis keeps, relative to max(1, max |dense|).
-
-    The kept target drops the levels of O, whose components of |C> are at
-    most ``SUPPORT_TOL``; that is checked here to the same bound, so the
-    deviation measures the action alone.  (With h = -1e-5 on a 4-qubit graph
-    eigh's V^T |C> reads 9.3e-13 on a level where it is exactly 0.)"""
+    ``W^T L(W rho~ W^T) W`` with the dense generator L, relative to
+    max(1, max |dense|)."""
     model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=gamma))
     energies, W, c, _ = model.eigenbasis
-    assert np.abs(W.T @ model.target - c).max() <= SUPPORT_TOL + 1e-14
-    generator = lindblad._pump_generator(hamiltonian(graph, model.params), W @ c, gamma)
-    dense = W.T @ devectorize(generator @ vectorize(W @ rho @ W.T)) @ W
+    dense = W.T @ devectorize(model.liouvillian(gamma) @ vectorize(W @ rho @ W.T)) @ W
     error = np.abs(lindblad._eigenbasis_rhs(energies, c, gamma, rho) - dense).max()
     return float(error / max(1.0, np.abs(dense).max()))
 
@@ -451,33 +451,6 @@ def test_pump_model_steady_state_rejects_gamma_zero():
         model.steady_state(0.0)
     with pytest.raises(ValueError, match="gamma"):
         model.steady_state(-1.0)
-
-
-BATCH_GRAPHS = [GraphSpec.chain(n) for n in range(1, 6)] + [SQUARE_2X3, STAR]
-BATCH_GAMMAS = [0.5, 5.0, 200.0, 5000.0]
-
-
-@pytest.mark.parametrize(
-    "graph", BATCH_GRAPHS, ids=[f"chain:{n}" for n in range(1, 6)] + ["square:2x3", "star:4"]
-)
-def test_support_steady_states_match_direct_solve(graph):
-    # one batch over the grid; each state on the support, transformed back,
-    # is the dense oracle's
-    model = PumpModel(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
-    points = list(model.support_steady_states(BATCH_GAMMAS))
-    assert len(points) == len(BATCH_GAMMAS)
-    for gamma, (rho, antihermitian, error) in zip(BATCH_GAMMAS, points):
-        assert error is None and 0.0 <= antihermitian <= 1e-12
-        assert rho.shape == (model.eigenbasis[3],) * 2
-        assert np.abs(model.density(rho) - direct_steady_state(graph, 0.7, gamma)).max() <= 1e-12
-
-
-def test_support_steady_states_of_a_dark_target():
-    # N = 1 at h = 0, where K . + . K^+ is singular, in one batch
-    model = PumpModel(GraphSpec(1, ()), ModelParams(g=1.0, h=0.0, gamma=0.0))
-    for gamma, (rho, _, error) in zip(BATCH_GAMMAS, model.support_steady_states(BATCH_GAMMAS)):
-        assert error is None
-        assert np.abs(model.density(rho) - steady_state_direct(model.liouvillian(gamma))).max() <= 1e-12
 
 
 def test_support_steady_states_fail_point_by_point(monkeypatch):
