@@ -38,7 +38,8 @@ support J, a |J| x |J| matrix, diagonalises the sum.
 ``PumpModel.eigenvalues`` (and ``PumpModel.gap``) take from it all d^2
 eigenvalues of the generator: the sum's eigenvalues (poles), and the roots
 of a secular equation with one pole per visible pair, found by Aberth
-iteration.  ``PumpModel.kernel_step`` (``KernelStep``) steps dynamics in the
+iteration with one unknown per real pole or conjugate pair of poles.
+``PumpModel.kernel_step`` (``KernelStep``) steps dynamics in the
 eigenbasis of K, where one RK4 step is an elementwise product plus a rank-4
 update of the state's upper triangle, O(d^2).
 """
@@ -60,8 +61,9 @@ Superoperator = np.ndarray
 
 # Dense generators above this register size are refused (the superoperator
 # for N qubits holds 16^N complex entries), and so are Liouvillian
-# eigenvalues: their secular equation has up to 4^N poles, and each Aberth
-# sweep over them costs O(16^N).
+# eigenvalues: their secular equation has up to n = 4^N poles, and each
+# Aberth sweep, over about n / 2 unknowns (one per real pole or conjugate
+# pair) against all n poles and roots, costs about 16^N / 2 evaluations.
 MAX_DENSE_QUBITS = 7
 # Models above this register size are refused.  A command peaks at about
 # MODEL_ARRAYS complex d x d arrays (d = 2^N) above the interpreter's 61 MB:
@@ -93,9 +95,17 @@ EIGENVECTOR_COND_MAX = 1e3
 # modulus) are one cluster, re-centred by ``_secular_roots``: the roots that
 # split from a double root at a defective eigenvalue lie ~1e-7 apart.
 ROOT_CLUSTER_TOL = 1e-6
-# Aberth sweeps after which the secular equation counts as unsolved; 784
-# oracle cases (N <= 5, gamma up to 600) and chains up to N = 7 took at most 11.
+# Aberth sweeps after which the secular equation counts as unsolved.  1,188
+# secular equations (chains 2-5, the 2x2 and 2x3 squares, star:4, K4 and 12
+# random graphs of 3-5 qubits at 8 fields h from 0 to 2 and gamma from 0.05 to
+# 600, plus chains 6 and 7) took at most 27 sweeps, at the double root of one
+# edge at h = 0, gamma = 8, and at most 19 on chains 6 and 7.
 ABERTH_MAX_SWEEPS = 100
+# Sweeps after which ``_secular_roots`` frees the held unknowns still moving.
+# Held to the end, 70 of 720 of the cases above (h != 0) never converge, where
+# a pair of roots must split into two real ones or the reverse, and 539 of
+# the other 650 stop within 8 sweeps.
+ABERTH_STALL_SWEEPS = 8
 # Rows of every k x n array the secular-equation solver forms at once; whole
 # n x n temporaries raised a scaling study's peak memory by 12%.
 SECULAR_BLOCK = 64
@@ -269,23 +279,40 @@ def _groups(z: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
     return order, starts
 
 
-def _secular_roots(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The n roots of ``f(z) = 1 + sum_m w_m / (mu_m - z)`` for n distinct poles
-    ``mu`` with nonzero weights ``w``, by Aberth-Ehrlich iteration (Aberth,
+def _secular_roots(mu: np.ndarray, w: np.ndarray, r: int) -> np.ndarray:
+    """All roots of ``f(z) = 1 + sum_m w_m / (mu_m - z)`` for a set of distinct
+    poles with nonzero weights that is closed under conjugation, given as its
+    r real poles ``mu[:r]`` (real weights) and one pole of each conjugate
+    pair, ``mu[r:]`` with Im > 0, whose partner ``conj(mu)`` has the weight
+    ``conj(w)``: r + 2u roots for u pairs, by Aberth-Ehrlich iteration (Aberth,
     Math. Comp. 27, 339, 1973; the secular mode of MPSolve, Bini and Robol,
     J. Comput. Appl. Math. 272, 276, 2014).
 
+    f is real on the real axis, so its roots are closed under conjugation
+    too.  The iteration holds one unknown per real pole, kept real (it takes
+    the real part of its step), and one per pair, standing for a root z and
+    its partner ``conj(z)``, reflected back when its step crosses the real
+    axis: about n / 2 unknowns for n = r + 2u, each evaluated against all n
+    poles and deflated against all n current roots, so a sweep costs about
+    half of one over every root.  A held pair cannot become two real roots,
+    nor two held real unknowns a pair, so every unknown still moving after
+    ``ABERTH_STALL_SWEEPS`` sweeps is freed, a pair as two unknowns, z and
+    its partner.  A freed real unknown and a freed partner are turned by
+    0.01 rad about their poles, off the real axis and its mirror symmetry,
+    and each free unknown iterates as a complex root of its own.
+
     The Newton ratio is that of the polynomial ``p = f prod_m (mu_m - z)``,
     ``f / (f' - f sum_m 1 / (mu_m - z))``, so an exact root takes a zero step.
-    Root m starts at the first-order estimate
-    ``mu_m + w_m / (1 + sum_{k != m} w_k / (mu_k - mu_m))``, or at half the
-    distance to the nearest other pole (in the direction of w_m) when that
-    estimate is not finite or lies farther out; one pole gives ``mu + w``.
-    Each start is then turned by 0.01 rad about its pole.
-    A root stops when its step is at most ``1e-13 max(1, |z|)``, and only
-    the others are recomputed.  Every k x n array is formed ``SECULAR_BLOCK``
-    rows at a time.  Raises NumericalError when roots are still moving after
-    ``ABERTH_MAX_SWEEPS`` sweeps.
+    Unknown m starts at the first-order estimate
+    ``mu_m + w_m / (1 + sum_{k != m} w_k / (mu_k - mu_m))``, or a third of the
+    distance to the nearest other pole away (in the direction of w_m) when
+    that estimate is not finite or lies farther out; one pole gives
+    ``mu + w``.  (Half the distance would start two neighbouring real poles'
+    unknowns, or a pair and its partner, on one point, whose deflation
+    divides by zero.)  An unknown stops when its step is at most
+    ``1e-13 max(1, |z|)``, and only the others are recomputed.  Every k x n
+    array is formed ``SECULAR_BLOCK`` rows at a time.  Raises NumericalError
+    when roots are still moving after ``ABERTH_MAX_SWEEPS`` sweeps.
 
     Near a multiple root f is flat to rounding over a disc of radius about
     sqrt(eps), where Aberth's roots land anywhere, their mean too.  So each
@@ -293,23 +320,35 @@ def _secular_roots(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
     nearest its mean of f's Taylor polynomial of degree k + 2 there, unless
     a pole lies within 100 diameters: the mean is then O(eps)-accurate.
     """
-    n = mu.size
+    u = mu.size - r
+    n = r + 2 * u
+    # every pole and every root: the real ones, one of each pair, the partners
+    poles = np.concatenate([mu, mu[r:].conj()])
+    weights = np.concatenate([w, w[r:].conj()])
     z = np.empty(n, dtype=complex)
-    for s in range(0, n, SECULAR_BLOCK):
-        rows = slice(s, s + SECULAR_BLOCK)
-        spread = mu - mu[rows, None]
+    for s in range(0, r + u, SECULAR_BLOCK):
+        rows = slice(s, min(s + SECULAR_BLOCK, r + u))
+        spread = poles - poles[rows, None]
         spread[np.arange(spread.shape[0]), np.arange(s, s + spread.shape[0])] = np.inf
         with np.errstate(all="ignore"):
-            shift = w[rows] / (1.0 + (w / spread).sum(axis=1))
-        reach = 0.5 * np.abs(spread).min(axis=1)
+            shift = w[rows] / (1.0 + (weights / spread).sum(axis=1))
+        reach = np.abs(spread).min(axis=1) / 3.0
         far = ~(np.abs(shift) <= reach)
         shift[far] = reach[far] * w[rows][far] / np.abs(w[rows][far])
-        # f is real on the real axis, so conjugate start points would stay
-        # conjugate and could not reach two real roots: turn every shift by
-        # 0.01 rad (without it a 4-qubit star at h = 2, gamma = 600 took 79 sweeps)
-        z[rows] = mu[rows] + shift * np.exp(0.01j)
-    active = np.arange(n)
-    for _ in range(ABERTH_MAX_SWEEPS):
+        z[rows] = mu[rows] + shift
+        del spread  # else the last block stays alive through every sweep
+    z[:r] = z[:r].real
+    z[r : r + u] = z[r : r + u].real + 1j * np.abs(z[r : r + u].imag)
+    z[r + u :] = z[r : r + u].conj()
+    free = np.zeros(n, dtype=bool)
+    active = np.arange(r + u)
+    for sweep in range(ABERTH_MAX_SWEEPS):
+        if sweep == ABERTH_STALL_SWEEPS:
+            stalled = active[~free[active]]
+            turned = np.concatenate([stalled[stalled < r], stalled[stalled >= r] + u])
+            free[stalled] = free[turned] = True
+            z[turned] = poles[turned] + (z[turned] - poles[turned]) * np.exp(0.01j)
+            active = np.union1d(active, turned)
         if active.size == 0:
             break
         step = np.empty(active.size, dtype=complex)
@@ -317,20 +356,26 @@ def _secular_roots(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
             roots = active[s : s + SECULAR_BLOCK]
             zk = z[roots, None]
             with np.errstate(all="ignore"):
-                inverse = 1.0 / (mu - zk)
-                f = 1.0 + inverse @ w
-                newton = f / ((inverse * inverse) @ w - f * inverse.sum(axis=1))
+                inverse = 1.0 / (poles - zk)
+                f = 1.0 + inverse @ weights
+                newton = f / ((inverse * inverse) @ weights - f * inverse.sum(axis=1))
             # a root that rounds onto its pole (f or f' overflows there) is
             # that pole to working precision
             newton[~np.isfinite(newton)] = 0.0
             separation = zk - z
             separation[np.arange(roots.size), roots] = np.inf
             step[s : s + roots.size] = newton / (1.0 - newton * (1.0 / separation).sum(axis=1))
+        held = ~free[active]
+        step.imag[held & (active < r)] = 0.0
         z[active] -= step
+        pairs = active[held & (active >= r)]
+        z[pairs] = z[pairs].real + 1j * np.abs(z[pairs].imag)
+        z[pairs + u] = z[pairs].conj()
         active = active[~(np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(z[active])))]
     if active.size:
+        moving = active.size + np.count_nonzero((active >= r) & ~free[active])
         raise NumericalError(
-            f"secular equation unsolved: {active.size} of {n} roots still moving "
+            f"secular equation unsolved: {moving} of {n} roots still moving "
             f"after {ABERTH_MAX_SWEEPS} Aberth sweeps"
         )
     order, starts = _groups(z, ROOT_CLUSTER_TOL)
@@ -339,11 +384,11 @@ def _secular_roots(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
         group = order[start : start + k]
         center = z[group].mean()
         # within 100 diameters of a pole the polynomial would not hold
-        if not np.abs(mu - center).min() > 200.0 * np.abs(z[group] - center).max():
+        if not np.abs(poles - center).min() > 200.0 * np.abs(z[group] - center).max():
             continue
         # f(center + t) = 1 + sum_j t^j sum_i w_i / (mu_i - center)^(j+1)
-        inverse = 1.0 / (mu - center)
-        taylor = [inverse ** (j + 1) @ w for j in range(k + 3)]
+        inverse = 1.0 / (poles - center)
+        taylor = [inverse ** (j + 1) @ weights for j in range(k + 3)]
         taylor[0] += 1.0
         t = np.roots(taylor[::-1])
         z[group] = center + t[np.argsort(np.abs(t))[:k]]
@@ -517,12 +562,18 @@ class PumpModel:
             f(lam) = 1 + gamma sum_ij W_ij / (kappa_i + conj(kappa_j) - lam) = 0,
             W_ij = a_i conj(a_j) (R^+ Q R)_ji,  i, j in J
 
-        (Golub, SIAM Rev. 15, 318, 1973).  Every pole that touches O, and
-        every JJ pole whose weight is at most ``HIDDEN_TOL`` of the largest, is
-        an eigenvalue; coincident poles are merged by summing their weights,
-        and their extra copies are eigenvalues too.  One root of f per
-        remaining pole comes from ``_secular_roots``.  The cost is one |J| x |J|
-        eigendecomposition and O(n^2) per Aberth sweep for n visible poles.
+        (Golub, SIAM Rev. 15, 318, 1973).  A preserves Hermiticity, so the
+        (j, i) pole and weight are the conjugates of the (i, j) ones, and the
+        diagonal ones are real: the JJ poles are formed on i <= j only, each
+        pair turned to Im >= 0.  Every pole that touches O, and every JJ pole
+        whose weight is at most ``HIDDEN_TOL`` of the largest, is an
+        eigenvalue; coincident poles are merged by summing their weights, a
+        group within ``COINCIDENT_TOL`` of its mirror image into one real
+        pole, and their extra copies are eigenvalues too, so the visible poles
+        stay closed under conjugation.  One root of f per remaining pole comes
+        from ``_secular_roots``, which iterates one unknown per real pole or
+        pair.  The cost is one |J| x |J| eigendecomposition and about n^2 / 2
+        evaluations per Aberth sweep for n visible poles.
         Near an exceptional point of K_J, where ``_kernel_factors`` gives no
         singular value, the weights are lost to cancellation and the JJ
         sector's |J|^2 eigenvalues come from its dense generator.
@@ -543,12 +594,35 @@ class PumpModel:
             # R^+ Q R = R^+ R - (R^+ c_J)(R^+ c_J)^+, and R^+ c_J = R^+ R a
             ra = gram @ a
             weights = gamma * np.outer(a, a.conj()) * (gram - np.outer(ra, ra.conj())).T
-            # coincident poles merge, their weights summed; the copies are eigenvalues
-            mu, weights = poles[:m, :m].ravel(), weights.ravel()
+            # the (j, i) pole and weight are the conjugates of the (i, j) ones:
+            # the real diagonal, and the upper triangle turned to Im >= 0
+            rows, cols = np.triu_indices(m)
+            mu, weights = poles[rows, cols], weights[rows, cols]
+            lower = mu.imag < 0
+            mu[lower], weights[lower] = mu[lower].conj(), weights[lower].conj()
+            diagonal = rows == cols
+            # coincident poles merge, their weights summed; the copies are
+            # eigenvalues.  A group within reach of its mirror image is one
+            # real pole with it, where each member off the diagonal adds
+            # w + conj(w), and a copy at the group's real part stands for the
+            # mirror of a first member off the diagonal
             order, starts = _groups(mu, COINCIDENT_TOL)
-            mu, w, copies = mu[order[starts]], np.add.reduceat(weights[order], starts), mu[np.delete(order, starts)]
+            first, rest = order[starts], np.delete(order, starts)
+            real = mu.imag[first] <= 0.5 * COINCIDENT_TOL * max(1.0, float(np.abs(mu).max()))
+            mirrored = ~diagonal[order] & np.repeat(real, np.diff(np.append(starts, mu.size)))
+            summed = weights[order]
+            summed[mirrored] = 2.0 * summed[mirrored].real
+            copies, mu, w = mu[rest], mu[first], np.add.reduceat(summed, starts)
             visible = np.abs(w) > HIDDEN_TOL * np.abs(w).max(initial=0.0)
-            jj = [copies, mu[~visible], _secular_roots(mu[visible], w[visible])]
+            pairs = np.concatenate([copies[~diagonal[rest]], mu[~real & ~visible]])
+            reals = np.concatenate([copies[diagonal[rest]], mu[real & ~diagonal[first]], mu[real & ~visible]])
+            on_axis = real & visible
+            roots = _secular_roots(
+                np.concatenate([mu[on_axis].real, mu[~real & visible]]),
+                np.concatenate([w[on_axis].real, w[~real & visible]]),
+                int(np.count_nonzero(on_axis)),
+            )
+            jj = [reals.real, pairs, pairs.conj(), roots]
         else:
             # near an exceptional point of K_J the weights cancel to no digits;
             # the JJ sector is the dense generator of H = diag(E_J) and c_J

@@ -647,6 +647,53 @@ def test_pump_model_eigenvalues_at_defective_generators(n, gamma):
     assert_same_spectrum(vals, L)
 
 
+@pytest.mark.parametrize(
+    "graph, h, gamma",
+    [(GraphSpec.chain(2), 0.5, 10.0), (STAR, 0.922211, 30.0), (GraphSpec.chain(3), 0.7, 10.0)],
+    ids=["chain2_5_real_roots", "star4_10_real_roots", "chain3_stalled_pair"],
+)
+def test_pump_model_eigenvalues_past_the_held_iteration(graph, h, gamma):
+    # the secular equation of chain:2 has 5 real roots from 3 real poles and
+    # that of star:4 10 from 8, so a held pair must split into two real
+    # roots; on chain:3 held unknowns are still moving when they are freed
+    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
+    vals, L = model.eigenvalues(gamma), model.liouvillian(gamma)
+    assert_same_spectrum(vals, L)
+    oracle = np.linalg.eigvals(L)
+    scale = max(1.0, float(np.abs(oracle).max()))
+    assert np.count_nonzero(np.abs(vals.imag) <= 1e-10 * scale) == np.count_nonzero(
+        np.abs(oracle.imag) <= 1e-10 * scale
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    graph=random_graphs(),
+    h=st.floats(min_value=-2.0, max_value=2.0),
+    gamma=st.floats(min_value=0.0, max_value=1e3),
+)
+def test_pump_model_eigenvalues_are_closed_under_conjugation(graph, h, gamma):
+    # the generator preserves Hermiticity, so its spectrum is its own conjugate
+    vals = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0)).eigenvalues(gamma)
+    distance = np.abs(vals[:, None] - vals.conj()[None, :])
+    rows, cols = linear_sum_assignment(distance)
+    assert distance[rows, cols].max() <= 1e-12 * max(1.0, float(np.abs(vals).max()))
+
+
+def test_secular_roots_on_random_conjugate_pole_sets():
+    # real poles with weights of either sign leave real roots missing or
+    # extra, which held unknowns cannot reach; the roots are the eigenvalues
+    # of diag(poles) + weights 1^T by the matrix determinant lemma
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        r, u = rng.integers(1, 7), rng.integers(0, 5)
+        mu = np.concatenate([rng.normal(size=r), rng.normal(size=u) + 1j * np.abs(rng.normal(size=u))])
+        w = np.concatenate([rng.normal(size=r), rng.normal(size=u) + 1j * rng.normal(size=u)])
+        poles, weights = np.concatenate([mu, mu[r:].conj()]), np.concatenate([w, w[r:].conj()])
+        oracle = np.linalg.eigvals(np.diag(poles) + np.outer(weights, np.ones(poles.size)))
+        assert_same_eigenvalues(lindblad._secular_roots(mu, w, r), oracle)
+
+
 def test_pump_model_gap_strong_dissipation():
     # the gap tends to gamma / 2 as the pumping dominates
     for n in (3, 4):
