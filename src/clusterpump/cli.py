@@ -269,7 +269,7 @@ def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
     kernel = model.kernel_step(gamma)
     if kernel is not None:
         # step in the eigenbasis of K and read the observables there
-        traj = evolve_rk4(rho0, kernel, cfg["t_final"], dt, sample_every=cfg["sample_every"])
+        traj = kernel.evolve(rho0, cfg["t_final"], dt, sample_every=cfg["sample_every"])
         observables = kernel_observables(traj.states, kernel, eta=cfg["eta"])
     else:
         # at an exceptional point of K_J: four stages of the generator's action

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cluster import GraphSpec
 from .errors import NumericalError
-from .lindblad import ModelParams, PumpModel, check_dense_size
+from .lindblad import ModelParams, PumpModel, check_spectrum_size
 from .observables import support_metrics
 
 
@@ -116,7 +116,7 @@ def gamma_sweep(
     gap = np.full(n_pts, np.nan)
     status = ["ok"] * n_pts
     if compute_gap:
-        # the gaps first: they carry the dense guard and the kernel_dim
+        # the gaps first: they carry the spectrum guard and the kernel_dim
         for i, gamma in enumerate(scaled):
             try:
                 gap[i] = model.gap(gamma)
@@ -257,13 +257,13 @@ def size_scaling_study(
     dissipation strengths common to all sizes: ``weak_gamma``, and
     ``strong_gamma`` which defaults to the largest detected gamma_sat (the
     saturated regime).  Before any work, every N is checked against the
-    dense guard and the sizes for the two distinct values a fit needs.
+    spectrum guard and the sizes for the two distinct values a fit needs.
     """
     gammas = parse_gamma_policy(gamma_policy)
     if len(set(n_values)) < 2:
         raise ValueError(f"a scaling study needs at least 2 distinct sizes, got {list(n_values)}")
     for n in n_values:
-        check_dense_size(n)
+        check_spectrum_size(n)
     params = ModelParams(g=1.0, h=h_g, gamma=0.0)
     models = [PumpModel(GraphSpec.chain(n), params) for n in n_values]
 

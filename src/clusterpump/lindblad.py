@@ -1,11 +1,12 @@
 """Model Hamiltonian, jump operators, and the vectorized Liouvillian.
 
-Vectorization is column-stacking throughout: ``vec(rho) = rho.flatten(order="F")``,
-for which ``vec(A X B) = (B.T kron A) vec(X)``.  The generator of
+Density matrices are vectorized by column stacking, the convention of
+``operators`` (whose ``vectorize``, ``devectorize`` and ``Superoperator``
+this module re-exports), so the generator of
 
     drho/dt = -i[H, rho] + gamma * sum_m (L_m rho L_m^+ - {L_m^+ L_m, rho} / 2)
 
-is therefore assembled as
+is assembled as
 
     -i (I kron H - H.T kron I)
     + gamma * sum_m [ conj(L_m) kron L_m
@@ -13,24 +14,27 @@ is therefore assembled as
 
 A single decay rate ``gamma`` multiplies every jump term.  For the projection
 jumps ``|C><phi_m|`` the sum collapses to ``P Tr(Q rho) - {Q, rho} / 2`` with
-``P = |C><C|`` and ``Q = I - P``.  ``PumpModel`` therefore writes the whole
-generator into one buffer as a recycling term plus an effective
+``P = |C><C|`` and ``Q = I - P``.  ``PumpModel.liouvillian`` therefore writes
+the whole generator into one buffer as a recycling term plus an effective
 non-Hermitian Hamiltonian ``K = -i H - (gamma / 2) Q``:
 
     gamma * vec(P) vec(Q.T)^T + I kron K + conj(K) kron I,
 
 instead of summing the 2^N - 1 explicit jumps.  That d^2 x d^2 array
 (d = 2^N) is the dense reference in tests only; no command builds it.
-``PumpModel.apply`` is the generator's action on one d x d matrix in the
-computational basis, with H applied as its ZZ diagonal and bit flips, at
-O(N d^2) per call: the reference the structured routes are checked against,
-and the ``evolve`` command's step at an exceptional point of K_J.  The rest
-works in one eigenbasis W of H, ``PumpModel.eigenbasis``, J first (below):
-``PumpModel.support_steady_states`` solves 2|J| real equations per rate on
-the target's support J, at O(|J|^3) work past the eigendecomposition of H,
-a whole grid of rates in batches; sweeps read fidelity and witness off
-those states on J, and ``PumpModel.steady_state`` is the one-point case
-transformed back to the computational basis.
+The generator's action on a matrix, in any eigenbasis of a diagonal H, is
+one rule, ``_eigenbasis_rhs``.  ``PumpModel.apply`` is that rule on the ZZ
+diagonal of H plus its bit flips, the action on one d x d matrix in the
+computational basis at O(N d^2) per call: the reference the structured
+routes are checked against, and the ``evolve`` command's step at an
+exceptional point of K_J.  The rest works in one eigenbasis W of H,
+``PumpModel.eigenbasis``, J first (below): ``PumpModel.support_steady_states``
+solves 2|J| real equations per rate on the target's support J, at O(|J|^3)
+work past the eigendecomposition of H, a whole grid of rates in batches;
+sweeps read fidelity and witness off those states on J, and
+``PumpModel.steady_state`` is the one-point case transformed back to the
+computational basis.  Linear solves and the ranking of a spectrum are
+``solver``'s, which imports nothing from this module.
 
 The structure: ``rho -> K rho + rho K^+`` is a Kronecker sum and the
 recycling term has rank one.  One factorisation of K on the target's
@@ -39,25 +43,26 @@ support J, a |J| x |J| matrix, diagonalises the sum.
 eigenvalues of the generator: the sum's eigenvalues (poles), and the roots
 of a secular equation with one pole per visible pair, found by Aberth
 iteration with one unknown per real pole or conjugate pair of poles.
-``PumpModel.kernel_step`` (``KernelStep``) steps dynamics in the
-eigenbasis of K, where one RK4 step is an elementwise product plus a rank-4
-update of the state's upper triangle, O(d^2).
+``PumpModel.kernel_step`` (``KernelStep``) runs dynamics in the eigenbasis
+of K, where one RK4 step is an elementwise product plus a rank-4 update of
+the state's upper triangle, O(d^2); ``KernelStep.evolve`` drives those
+steps on ``solver.rk4`` with their own state check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import solver
 from .cluster import GraphSpec, cluster_state, orthogonal_basis, stabilizers
 from .errors import NumericalError
-from .operators import DenseOperator, StateVector, pauli_to_dense
-
-Superoperator = np.ndarray
+# vectorize, devectorize and Superoperator are re-exported: callers and tests import them from here
+from .operators import DenseOperator, StateVector, Superoperator, devectorize, pauli_to_dense, vectorize
 
 # Dense generators above this register size are refused (the superoperator
 # for N qubits holds 16^N complex entries), and so are Liouvillian
@@ -190,26 +195,23 @@ def stabilizer_jumps(g_spec: GraphSpec) -> list[DenseOperator]:
     return [(eye - pauli_to_dense(s)) / 2.0 for s in stabilizers(g_spec)]
 
 
-def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Column-stacking vec: stack the columns of rho into one vector."""
-    return rho.flatten(order="F")
-
-
-def devectorize(v: np.ndarray) -> np.ndarray:
-    """Inverse of ``vectorize``."""
-    d = int(round(np.sqrt(v.shape[0])))
-    if d * d != v.shape[0]:
-        raise ValueError(f"vector of length {v.shape[0]} is not a vectorized square matrix")
-    return v.reshape((d, d), order="F")
-
-
 def check_dense_size(n_qubits: int) -> None:
     """Refuse, with ValueError naming the memory, registers above
-    ``MAX_DENSE_QUBITS``: the dense generator and the Liouvillian spectrum."""
+    ``MAX_DENSE_QUBITS`` for the dense generator."""
     if n_qubits > MAX_DENSE_QUBITS:
         raise ValueError(
             f"N = {n_qubits} exceeds the dense-solver guard ({MAX_DENSE_QUBITS}); "
             f"the superoperator alone would need {16.0 ** (n_qubits + 1) / 2.0**30:.1f} GiB"
+        )
+
+
+def check_spectrum_size(n_qubits: int) -> None:
+    """Refuse, with ValueError naming the secular equation's work, registers
+    above ``MAX_DENSE_QUBITS`` for the Liouvillian spectrum."""
+    if n_qubits > MAX_DENSE_QUBITS:
+        raise ValueError(
+            f"N = {n_qubits} exceeds the spectrum guard ({MAX_DENSE_QUBITS}); its secular equation has up to "
+            f"4^N = {4**n_qubits:,} poles, and an Aberth sweep about {16.0**n_qubits / 2.0:.2g} evaluations"
         )
 
 
@@ -241,24 +243,6 @@ def liouvillian(
     _require_nonnegative(gamma)
     unitary, dissipator = liouvillian_parts(H, jumps)
     return unitary + gamma * dissipator
-
-
-def _pump_generator(H: DenseOperator, target: StateVector, gamma: float) -> Superoperator:
-    """``gamma vec(P) vec(Q.T)^T + I kron K + conj(K) kron I`` with
-    ``P = |target><target|``, ``Q = I - P`` and ``K = -i H - (gamma / 2) Q``,
-    built in a single d^2 x d^2 array."""
-    d = H.shape[0]
-    P = np.outer(target, target.conj())
-    Q = np.eye(d, dtype=complex) - P
-    L = np.multiply.outer(gamma * vectorize(P), vectorize(Q.T))
-    K = -1j * H - (0.5 * gamma) * Q
-    # Row (i, k) and column (j, l) of L are entries i*d + k and j*d + l,
-    # so I kron K fills blocks[a, :, a, :] and conj(K) kron I blocks[:, a, :, a].
-    blocks = L.reshape(d, d, d, d)
-    diag = np.arange(d)
-    blocks[diag, :, diag, :] += K
-    blocks[:, diag, :, diag] += K.conj()
-    return L
 
 
 def _groups(z: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -404,9 +388,11 @@ def _eigenbasis_rhs(energies: np.ndarray, c: np.ndarray, gamma, rho: np.ndarray)
 
     with ``Lam_ab = -i (E_a - E_b) - gamma``: one elementwise product, two
     matrix-vector products and rank-one updates, O(d^2).  ``rho`` may be a
-    stack (k, n, n) of matrices with one rate each in ``gamma`` (k,).  With
-    ``E_J, c_J`` of ``PumpModel.eigenbasis`` it acts on the J x J block; the
-    steady states' residual check is its one use."""
+    stack (k, n, n) of matrices with one rate each in ``gamma`` (k,), or with
+    one rate for all.  With ``E_J, c_J`` of ``PumpModel.eigenbasis`` it acts
+    on the J x J block (the steady states' residual check, the JJ sector at
+    an exceptional point); with H's ZZ diagonal and the target it is
+    ``PumpModel.apply`` without the bit flips."""
     gamma = np.asarray(gamma)[..., None, None]
     c_conj = c.conj()
     rho_c = rho @ c
@@ -448,17 +434,31 @@ class PumpModel:
 
     def liouvillian(self, gamma: float) -> Superoperator:
         """Dense generator ``gamma vec(P) vec(Q.T)^T + I kron K + conj(K) kron I``
-        with ``K = -i H - (gamma / 2) Q``, built in a single d^2 x d^2 array."""
+        with ``P = |C><C|``, ``Q = I - P`` and ``K = -i H - (gamma / 2) Q``,
+        built in a single d^2 x d^2 array: the tests' oracle."""
         _require_nonnegative(gamma)
         check_dense_size(self.graph.n_qubits)
-        return _pump_generator(hamiltonian(self.graph, self.params), self.target, gamma)
+        d = self.target.size
+        P = np.outer(self.target, self.target.conj())
+        Q = np.eye(d, dtype=complex) - P
+        L = np.multiply.outer(gamma * vectorize(P), vectorize(Q.T))
+        K = -1j * hamiltonian(self.graph, self.params) - (0.5 * gamma) * Q
+        # Row (i, k) and column (j, l) of L are entries i*d + k and j*d + l,
+        # so I kron K fills blocks[a, :, a, :] and conj(K) kron I blocks[:, a, :, a].
+        blocks = L.reshape(d, d, d, d)
+        diag = np.arange(d)
+        blocks[diag, :, diag, :] += K
+        blocks[:, diag, :, diag] += K.conj()
+        return L
 
     def apply(self, rho: np.ndarray, gamma: float) -> np.ndarray:
         """Matrix-free generator action ``-i[H, rho] + gamma (P Tr(Q rho) - {Q, rho} / 2)``.
 
-        H acts as ``hamiltonian`` builds it: its ZZ diagonal, plus h times one
-        index-permuted view of rho per site (X_k flips bit k of a row or
-        column index), so the cost is O(N d^2) rather than two d x d products.
+        H acts as ``hamiltonian`` builds it: h times one index-permuted view
+        of rho per site (X_k flips bit k of a row or column index), plus
+        ``_eigenbasis_rhs`` on its ZZ diagonal, in which the computational
+        basis is an eigenbasis, and the target; the cost is O(N d^2) rather
+        than two d x d products.
         """
         _require_nonnegative(gamma)
         n = self.graph.n_qubits
@@ -473,14 +473,7 @@ class PumpModel:
             columns = out.reshape(d * high, 2, low)
             columns -= rho.reshape(d * high, 2, low)[:, ::-1]
         out *= -1j * self.params.h
-        out += (-1j * np.subtract.outer(self.zz, self.zz) - gamma) * rho
-        C = self.target
-        rho_c = rho @ C
-        c_rho = C.conj() @ rho
-        recycled = np.trace(rho) - np.vdot(C, rho_c)
-        # (Tr rho - <C|rho|C>) P + (P rho + rho P) / 2 as two rank-one updates
-        out += np.outer(gamma * C, recycled * C.conj() + 0.5 * c_rho)
-        out += np.outer((0.5 * gamma) * rho_c, C.conj())
+        out += _eigenbasis_rhs(self.zz, self.target, gamma, rho)
         return out
 
     @cached_property
@@ -576,16 +569,18 @@ class PumpModel:
         evaluations per Aberth sweep for n visible poles.
         Near an exceptional point of K_J, where ``_kernel_factors`` gives no
         singular value, the weights are lost to cancellation and the JJ
-        sector's |J|^2 eigenvalues come from its dense generator.
+        sector's |J|^2 eigenvalues come from its dense generator, as a real
+        matrix on Hermitian |J| x |J| matrices, so they too come in exact
+        conjugate pairs.
 
-        The register is refused above ``MAX_DENSE_QUBITS`` before H is
-        diagonalized.  Raises NumericalError when the secular equation is not
-        solved within ``ABERTH_MAX_SWEEPS`` sweeps, or when the eigenvalues
-        do not sum to ``Tr L = -gamma d (d - 1)`` within
-        ``1e-10 max(1, sum |lam|)``.
+        The register is refused above ``MAX_DENSE_QUBITS`` by
+        ``check_spectrum_size`` before H is diagonalized.  Raises
+        NumericalError when the secular equation is not solved within
+        ``ABERTH_MAX_SWEEPS`` sweeps, or when the eigenvalues do not sum to
+        ``Tr L = -gamma d (d - 1)`` within ``1e-10 max(1, sum |lam|)``.
         """
         _require_nonnegative(gamma)
-        check_dense_size(self.graph.n_qubits)
+        check_spectrum_size(self.graph.n_qubits)
         kappa, R, a, smallest = self._kernel_factors(gamma)
         m = a.size
         poles = np.add.outer(kappa, kappa.conj())
@@ -624,10 +619,17 @@ class PumpModel:
             )
             jj = [reals.real, pairs, pairs.conj(), roots]
         else:
-            # near an exceptional point of K_J the weights cancel to no digits;
-            # the JJ sector is the dense generator of H = diag(E_J) and c_J
+            # near an exceptional point of K_J the weights cancel to no digits.
+            # The JJ sector's generator L is real-linear on Hermitian matrices,
+            # so its eigenvalues are those of its real matrix, which has exact
+            # conjugate pairs, in the orthonormal basis
+            # B_ab = ((1 + i) E_ab + (1 - i) E_ba) / 2 of them.  There a
+            # Hermitian Y has the coordinates Re Y + Im Y, and L(B_ab) has
+            # Re L(E_ab) + Im L(E_ba), from L on the units E_ab alone
             energies, _, c, _ = self.eigenbasis
-            jj = [np.linalg.eigvals(_pump_generator(np.diag(energies[:m]), c[:m], gamma))]
+            image = _eigenbasis_rhs(energies[:m], c[:m], gamma, np.eye(m * m).reshape(m * m, m, m))
+            image = image.reshape(m, m, m * m)
+            jj = [np.linalg.eigvals((image.real + image.imag.transpose(1, 0, 2)).reshape(m * m, m * m).T)]
         vals = np.concatenate([poles[:m, m:].ravel(), poles[m:].ravel(), *jj])
         d = kappa.size
         trace = -gamma * d * (d - 1)
@@ -641,10 +643,7 @@ class PumpModel:
         """Liouvillian gap at ``gamma``: ``eigenvalues(gamma)`` ranked by
         ``rank_spectrum``, the rule of ``full_spectrum``.  gamma = 0 raises
         the "degenerate kernel" NumericalError."""
-        # solver imports this module, so its helpers are imported on use
-        from .solver import rank_spectrum
-
-        return rank_spectrum(self.eigenvalues(gamma))[1]
+        return solver.rank_spectrum(self.eigenvalues(gamma))[1]
 
     def steady_state(self, gamma: float) -> tuple[DenseOperator, float]:
         """Steady state at dissipation rate ``gamma`` without the superoperator,
@@ -713,9 +712,6 @@ class PumpModel:
         """``support_steady_states`` on one batch of rates: a function of its
         own, so that the batch's temporaries are freed before its points are
         yielded."""
-        # solver imports this module, so its helpers are imported on use
-        from .solver import _solve_nonsingular, _unit_trace_hermitian
-
         out = [None] * gammas.size
         for point in np.flatnonzero(gammas == 0):
             out[point] = (None, math.nan, NumericalError(
@@ -745,7 +741,7 @@ class PumpModel:
         rhs = np.concatenate([cw.real, cw.imag], axis=1)
         for k, point in enumerate(positive):
             try:
-                rhs[k] = _solve_nonsingular(system[k], rhs[k])
+                rhs[k] = solver._solve_nonsingular(system[k], rhs[k])
             except NumericalError as exc:
                 # the point's state is formed from u = 0, and dropped
                 out[point], rhs[k] = (None, math.nan, exc), 0.0
@@ -755,7 +751,7 @@ class PumpModel:
         rho = M * ((1.0 - kappa)[:, None, None] * np.outer(c, c)
                    + 0.5 * (c[:, None] * u.conj()[:, None, :] + u[:, :, None] * c))
         del M
-        rho, antihermitian = _unit_trace_hermitian(rho)
+        rho, antihermitian = solver._unit_trace_hermitian(rho)
 
         # The largest modulus of the dense generator's diagonal,
         # gamma P_ab Q_ba + K_aa + conj(K_bb), bounds its infinity norm from
@@ -810,10 +806,11 @@ class KernelStep:
 
     where w, and the trace of the step's output, are five real functionals
     of x on the J x J triangle and the O diagonal, from a 4 x 4 forward
-    substitution over ``q((h Lam)^m o a a^+)``.  ``tables(h)`` builds them, and
-    refuses an h at which ``|P4| > 1 + 1e-12`` on a pair that touches O: such
-    a pair is an eigenvalue of L, so the run would grow.  A step is then one
-    elementwise product and two real matrix-vector products.
+    substitution over ``q((h Lam)^m o a a^+)``.  ``_tables(h)`` builds them,
+    once per run of ``evolve``, and refuses an h at which
+    ``|P4| > 1 + 1e-12`` on a pair that touches O: such a pair is an
+    eigenvalue of L, so the run would grow.  A step is then one elementwise
+    product and two real matrix-vector products.
     """
 
     gamma: float
@@ -824,9 +821,6 @@ class KernelStep:
     W: np.ndarray
     # ||R^-1||_2^2, which bounds ||X||_F / ||rho||_F
     inverse_norm2: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tables", lru_cache(maxsize=1)(self._tables))
 
     @staticmethod
     def _pack(JJ: np.ndarray, JO: np.ndarray, OO: np.ndarray) -> np.ndarray:
@@ -901,9 +895,41 @@ class KernelStep:
         functionals = np.vstack([update, trace * P4[:n].conj() + tau @ update])
         return P4, functionals.view(float), B.view(float)
 
-    def step(self, x: np.ndarray, h: float) -> np.ndarray:
-        """The state one RK4 step of length h after x."""
-        P4, weights, B = self.tables(h)
+    def evolve(self, rho0: np.ndarray, t_final: float, dt: float, sample_every: int = 1) -> solver.Trajectory:
+        """RK4 on the master equation from the density matrix ``rho0``, given in
+        the computational basis, stepped by ``solver.rk4``: each step is one
+        ``step`` with the tables of its length, and the samples are states
+        (``density`` reads one back).
+
+        An h at which a pole on a pair that touches O leaves RK4's stability
+        region is refused before the first step, with NumericalError
+        "integration unstable, reduce dt".  The state check, with the same
+        message, reads the state's own trace, which may drift by 1e-6, and
+        bounds ``||X||_2 <= ||R^-1||_2^2 d (|Tr rho0| + 1e-6)`` for the
+        entries X of the state: ``||X||_F <= ||R^-1||_2^2 ||rho||_F``, and
+        ``||rho||_F <= d max |rho_ab|``, so every state the four-stage check
+        of ``solver.evolve_rk4`` accepts passes, and a growing run is
+        refused.  The factor d is needed: RK4 at a stable dt leaves
+        positivity, and at N = 1, h = 1, gamma = 2, dt at 0.875 of the
+        stability edge, ``||rho||_F`` reached 1.0013 at trace 1.
+        """
+        n_steps = solver.step_count(t_final, dt)
+        x0 = self.start(rho0)
+        tables = self._tables(t_final / n_steps) if n_steps else None
+        trace0 = x0[-1]
+        bound = (self.inverse_norm2 * self.kappa.size * (abs(trace0) + 1e-6)) ** 2
+
+        def check(x: np.ndarray) -> None:
+            # written so that NaN fails too
+            if not (abs(x[-1] - trace0) <= 1e-6 and np.vdot(x[:-1], x[:-1]).real <= bound):
+                raise NumericalError("integration unstable, reduce dt")
+
+        return solver.rk4(lambda x, h: self.step(x, tables), x0, t_final, dt, sample_every, check)
+
+    def step(self, x: np.ndarray, tables: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """The state one RK4 step after x, of the length ``tables = _tables(h)``
+        were built for."""
+        P4, weights, B = tables
         # np.dot rather than @: half the call overhead at N = 5
         w = np.dot(weights, x[: weights.shape[1] // 2].view(float))
         out = P4 * x

@@ -5,7 +5,11 @@ Conventions used throughout the package:
 * site 0 is the leftmost Kronecker factor, so a computational basis index
   ``x`` reads as the bitstring ``x_0 x_1 ... x_{N-1}`` with ``x_0`` the most
   significant bit;
-* all operators are dense ``numpy`` arrays with ``complex128`` entries.
+* all operators are dense ``numpy`` arrays with ``complex128`` entries;
+* density matrices are vectorized by column stacking,
+  ``vec(rho) = rho.flatten(order="F")``, for which
+  ``vec(A X B) = (B.T kron A) vec(X)``; a superoperator is a d^2 x d^2
+  array acting on such vectors.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 # Aliases for readability of signatures; the data is a plain ndarray.
 DenseOperator = np.ndarray
 StateVector = np.ndarray
+Superoperator = np.ndarray
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -70,3 +75,16 @@ def pauli_to_dense(p: PauliString) -> DenseOperator:
 def dagger(a: DenseOperator) -> DenseOperator:
     """Conjugate transpose."""
     return a.conj().T
+
+
+def vectorize(rho: np.ndarray) -> np.ndarray:
+    """Column-stacking vec: stack the columns of rho into one vector."""
+    return rho.flatten(order="F")
+
+
+def devectorize(v: np.ndarray) -> np.ndarray:
+    """Inverse of ``vectorize``."""
+    d = int(round(np.sqrt(v.shape[0])))
+    if d * d != v.shape[0]:
+        raise ValueError(f"vector of length {v.shape[0]} is not a vectorized square matrix")
+    return v.reshape((d, d), order="F")

@@ -4,24 +4,25 @@
 kernel; the ``steady`` and ``spectrum`` commands, sweeps and scaling studies
 apply it to ``PumpModel.eigenvalues``, the poles of a Kronecker sum and the
 roots of a rank-one secular equation from one |J| x |J| factorisation, so no
-command builds a 4^N x 4^N array.  The dense routes take that array and are the tests'
-reference only: a full eigendecomposition (``full_spectrum``, ranked by the
-same rule, with the steady state and gap) and one bordered linear solve
-(``steady_state_direct``).  Two independent
-evolution routes are provided: ``evolve_rk4`` runs the package's one
-fixed-step driver, ``rk4``, on density matrices, either with a four-stage RK4
-step from a dense superoperator or a matrix-free generator such as
-``PumpModel.apply`` (the reference, and the ``evolve`` command's step at an
-exceptional point of K_J), or with a whole RK4 step as one map, given
-``PumpModel.kernel_step`` as the generator (the route of the ``evolve``
-command: an elementwise product and two real matrix-vector products per
-step, against four generator calls);
-``evolve_expm`` applies the exact propagator
-``exp(L t)`` of a dense L computed by scaling and squaring, the oracle the
-RK4 route is tested against.  ``rk4`` owns the step count, the sample
-budget, the state checks and the sampling, and takes the step itself as a
-map, so the mean-field ODEs run the same driver with their RK4 step written
-on three floats, which are also the state between their steps.
+command builds a 4^N x 4^N array.  The dense routes take that array and are
+the tests' reference only: a full eigendecomposition (``full_spectrum``,
+ranked by the same rule, with the steady state and gap) and one bordered
+linear solve (``steady_state_direct``); ``_solve_nonsingular`` is every
+steady-state solve's, ``PumpModel.support_steady_states`` included.
+
+``rk4`` is the package's one fixed-step driver.  It owns the step count,
+the sample budget, the state checks and the sampling, and takes the step
+itself as a map, so ``evolve_rk4`` runs it with a four-stage RK4 step on
+density matrices, from a dense superoperator or a matrix-free generator
+such as ``PumpModel.apply`` (the reference, and the ``evolve`` command's
+step at an exceptional point of K_J); ``KernelStep.evolve`` runs it with a
+whole RK4 step as one map in the eigenbasis of K (the ``evolve`` command's
+route); and the mean-field ODEs run it with their RK4 step written on three
+floats, which are also the state between their steps.  ``evolve_expm``
+applies the exact propagator ``exp(L t)`` of a dense L computed by scaling
+and squaring, the oracle the RK4 routes are tested against.
+
+This module imports nothing from ``lindblad``, which imports it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import scipy.linalg
 from numpy.typing import ArrayLike
 
 from .errors import NumericalError
-from .lindblad import KernelStep, Superoperator, devectorize, vectorize
+from .operators import Superoperator, devectorize, vectorize
 
 # Relative factor for deciding which eigenvalues count as the kernel; the
 # absolute tolerance is scaled by the spectral radius so that strong
@@ -295,52 +296,24 @@ def rk4(
 
 def evolve_rk4(
     rho0: np.ndarray,
-    L: Superoperator | Callable[[np.ndarray], np.ndarray] | KernelStep,
+    L: Superoperator | Callable[[np.ndarray], np.ndarray],
     t_final: float,
     dt: float,
     sample_every: int = 1,
 ) -> Trajectory:
-    """Classical RK4 on ``d rho/dt = L(rho)``, stepped by ``rk4``.
+    """Classical RK4 on ``d rho/dt = L(rho)``, four stages a step, stepped by
+    ``rk4``.
 
-    ``L`` is a dense superoperator acting on ``vec(rho)``, a callable on
-    d x d matrices, such as ``lambda rho: model.apply(rho, gamma)``, or a
-    ``PumpModel.kernel_step`` (below).  The first two take four stages a
-    step, write ``rho0`` and the (n, d, d) states in one basis, the
-    computational basis for ``apply``, and ``rho0`` must be a density matrix:
-    the run aborts with NumericalError "integration unstable, reduce dt"
-    once the trace drifts by more than 1e-6 or an entry exceeds
-    ``|Tr rho0| + 1e-6`` in modulus, which no positive semidefinite matrix
-    does.  The trace alone would miss an unstable step, since the generator
-    preserves it.
-
-    With a kernel step, each RK4 step is one map on its states, ``rho0`` is
-    given in the computational basis, and the samples are its states
-    (``L.density`` reads one back).  An h at which a pole on a pair that
-    touches O leaves RK4's stability region is refused before the first
-    step, with the same message.  The check then reads the state's own
-    trace, and bounds ``||X||_2 <= ||R^-1||_2^2 d (|Tr rho0| + 1e-6)`` for
-    the entries X of the state: ``||X||_F <= ||R^-1||_2^2 ||rho||_F``, and
-    ``||rho||_F <= d max |rho_ab|``, so every state the four-stage check
-    accepts passes, and a growing run is refused.  The factor d is needed:
-    RK4 at a stable dt leaves positivity, and at N = 1, h = 1, gamma = 2, dt
-    at 0.875 of the stability edge, ``||rho||_F`` reached 1.0013 at trace 1.
+    ``L`` is a dense superoperator acting on ``vec(rho)``, or a callable on
+    d x d matrices, such as ``lambda rho: model.apply(rho, gamma)``.
+    ``rho0`` and the (n, d, d) states are in one basis, the computational
+    basis for ``apply``, and ``rho0`` must be a density matrix: the run
+    aborts with NumericalError "integration unstable, reduce dt" once the
+    trace drifts by more than 1e-6 or an entry exceeds ``|Tr rho0| + 1e-6``
+    in modulus, which no positive semidefinite matrix does.  The trace alone
+    would miss an unstable step, since the generator preserves it.
+    ``KernelStep.evolve`` is the route with a whole step as one map.
     """
-    if isinstance(L, KernelStep):
-        n_steps = step_count(t_final, dt)
-        x0 = L.start(rho0)
-        if n_steps:
-            L.tables(t_final / n_steps)
-        trace0 = x0[-1]
-        bound = (L.inverse_norm2 * L.kappa.size * (abs(trace0) + 1e-6)) ** 2
-
-        def check_kernel(x: np.ndarray) -> None:
-            entries = x[:-1]
-            # written so that NaN fails too
-            if not (abs(x[-1] - trace0) <= 1e-6 and np.vdot(entries, entries).real <= bound):
-                raise NumericalError("integration unstable, reduce dt")
-
-        return rk4(L.step, x0, t_final, dt, sample_every, check_kernel)
-
     rhs = L if callable(L) else lambda rho: devectorize(L @ vectorize(rho))
 
     def four_stages(rho: np.ndarray, h: float) -> np.ndarray:

@@ -350,17 +350,19 @@ def test_bad_flag_exits_one(tmp_path, capsys):
 
 
 def test_oversize_graph_exits_one(tmp_path, capsys, monkeypatch):
-    # every command that needs the dense generator stops at its guard (N = 8
-    # and above), evolve at its sample-memory guard; a sweep without gaps
-    # stops at the model's guard before H
-    for args in (
-        ["steady", "--graph", "chain:9"],
-        ["evolve", "--graph", "chain:8", "--t-final", "10000", "--dt", "0.01", "--sample-every", "1"],
-        ["sweep", "--graph", "square:2x4"],
-        ["scaling", "--n-values", "2,8"],
+    # every command that needs Liouvillian eigenvalues stops at the spectrum
+    # guard (N = 8 and above), naming the secular equation's work, evolve at
+    # its sample-memory guard; a sweep without gaps stops at the model's
+    # guard before H
+    spectrum = "poles, and an Aberth sweep about"
+    for args, refusal in (
+        (["steady", "--graph", "chain:9"], spectrum),
+        (["evolve", "--graph", "chain:8", "--t-final", "10000", "--dt", "0.01", "--sample-every", "1"], "GiB"),
+        (["sweep", "--graph", "square:2x4"], spectrum),
+        (["scaling", "--n-values", "2,8"], spectrum),
     ):
         assert run([*args, "--out", str(tmp_path)]) == 1
-        assert "GiB" in capsys.readouterr().err
+        assert refusal in capsys.readouterr().err
 
     def unbuilt(*args):
         raise AssertionError("the Hamiltonian was built")
@@ -370,7 +372,8 @@ def test_oversize_graph_exits_one(tmp_path, capsys, monkeypatch):
     assert "model guard" in capsys.readouterr().err
     # N = 7 is allowed, N = 8 is not: a scaling study stops before the N = 7 work
     assert run(["scaling", "--n-values", "7,8", "--out", str(tmp_path)]) == 1
-    assert "dense-solver guard" in capsys.readouterr().err
+    assert ("spectrum guard (7); its secular equation has up to 4^N = 65,536 poles, "
+            "and an Aberth sweep about 2.1e+09 evaluations") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_values", ["3", "3,3"])
@@ -463,7 +466,7 @@ def test_evolve_observables_match_the_back_transformed_samples(tmp_path, graph_a
     model = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=2.0))
     kernel = model.kernel_step(2.0)
     rho0 = cli._initial_density("random", graph.n_qubits, np.random.default_rng(5))
-    traj = evolve_rk4(rho0, kernel, 0.3, 0.005)
+    traj = kernel.evolve(rho0, 0.3, 0.005)
     expected = []
     for t, sample in zip(traj.times, traj.states):
         rho = kernel.density(sample)

@@ -230,20 +230,21 @@ def test_gamma_sweep_rejects_unsorted():
 
 
 def test_size_guard():
-    # the dense generator refuses N > MAX_DENSE_QUBITS; the model, whose
-    # steady states need no generator, refuses N > MAX_MODEL_QUBITS before
-    # building anything
+    # the dense generator refuses N > MAX_DENSE_QUBITS, and so do gaps, by
+    # the work of their secular equation; the model, whose steady states
+    # need no generator, refuses N > MAX_MODEL_QUBITS before building
+    # anything
     params = ModelParams(g=1.0, h=1.0, gamma=0.0)
     model = PumpModel(GraphSpec.chain(MAX_DENSE_QUBITS + 1), params)
     with pytest.raises(ValueError, match="dense-solver guard .*GiB"):
         model.liouvillian(1.0)
     with pytest.raises(ValueError, match="model guard .*GiB"):
         PumpModel(GraphSpec.chain(MAX_MODEL_QUBITS + 1), params)
-    with pytest.raises(ValueError, match="GiB"):
+    with pytest.raises(ValueError, match="spectrum guard .*poles.*Aberth sweep"):
         gamma_sweep(GraphSpec.chain(8), 1.0, [1.0])
     with pytest.raises(ValueError, match="GiB"):
         gamma_sweep(GraphSpec.chain(MAX_MODEL_QUBITS + 1), 1.0, [1.0], compute_gap=False)
-    with pytest.raises(ValueError, match="GiB"):
+    with pytest.raises(ValueError, match="spectrum guard .*poles.*Aberth sweep"):
         size_scaling_study([2, 8], h_g=1.0)
 
 

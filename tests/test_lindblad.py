@@ -731,6 +731,19 @@ def test_pump_model_gap_at_exceptional_point():
     assert rank_spectrum(model.eigenvalues(4.0))[3] == 1
 
 
+@pytest.mark.parametrize("graph", [GraphSpec.chain(2), GraphSpec(3, ((0, 1),))], ids=["chain:2", "isolated:3"])
+def test_pump_model_eigenvalues_at_exceptional_point_are_conjugate_closed(graph):
+    # near the exceptional point at h = 0, gamma = 4 the JJ sector is taken
+    # densely as a real matrix on Hermitian matrices, whose eigenvalues come
+    # in exact conjugate pairs, as do the poles; the complex generator's
+    # eigenvalues left pairs 2.9e-13 and 2.2e-13 of the scale apart here
+    model = PumpModel(graph, ModelParams(g=1.0, h=0.001, gamma=0.0))
+    assert model._kernel_factors(4.0)[3] is None
+    vals = model.eigenvalues(4.0)
+    assert np.array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
+    assert_same_spectrum(vals, model.liouvillian(4.0))
+
+
 def test_pump_model_eigenvalues_fail_loudly(monkeypatch):
     model = PumpModel(GraphSpec.chain(3), ModelParams(g=1.0, h=0.7, gamma=0.0))
     assert rank_spectrum(model.eigenvalues(5.0))[3] == 1
@@ -757,9 +770,9 @@ def test_pump_model_gap_failures():
     assert exc.value.kernel_dim >= 8
     with pytest.raises(ValueError, match="gamma"):
         model.gap(-1.0)
-    # the dense guard comes before H is diagonalized
+    # the spectrum guard comes before H is diagonalized
     large = PumpModel(GraphSpec.chain(MAX_DENSE_QUBITS + 1), ModelParams(g=1.0, h=1.0, gamma=0.0))
-    with pytest.raises(ValueError, match="dense-solver guard .*GiB"):
+    with pytest.raises(ValueError, match="spectrum guard .*poles.*Aberth sweep"):
         large.gap(1.0)
     assert "eigenbasis" not in vars(large)
 

@@ -229,7 +229,7 @@ def one_map_vs_four_stages(model, gamma, rho0, dt, n_steps):
     the computational basis."""
     kernel = model.kernel_step(gamma)
     four = evolve_rk4(rho0, lambda rho: model.apply(rho, gamma), n_steps * dt, dt, sample_every=3)
-    one = evolve_rk4(rho0, kernel, n_steps * dt, dt, sample_every=3)
+    one = kernel.evolve(rho0, n_steps * dt, dt, sample_every=3)
     assert np.array_equal(four.times, one.times)
     return max(float(np.abs(kernel.density(x) - rho).max()) for x, rho in zip(one.states, four.states))
 
@@ -285,7 +285,7 @@ def test_rk4_step_output_is_exactly_hermitian(rng, graph, gamma):
     assert np.array_equal(hermitian, hermitian.conj().T)
     dt = 0.01 / max(1.0, gamma)
     for rho in (hermitian, a):
-        out = kernel.matrix(kernel.step(kernel.start(rho), dt))
+        out = kernel.matrix(kernel.step(kernel.start(rho), kernel._tables(dt)))
         assert np.array_equal(out, out.conj().T)
 
 
@@ -308,7 +308,8 @@ def test_rk4_step_reads_a_start_as_its_hermitian_part(rng, graph, gamma):
     X[:, :m] = X[:, :m] @ R_inv.conj().T
     assert np.abs(kernel.matrix(kernel.start(rho)) - 0.5 * (X + X.conj().T)).max() <= 1e-15
     dt = 0.01 / max(1.0, gamma)
-    stepped = [kernel.density(kernel.step(kernel.start(r), dt)) for r in (rho, 0.5 * (rho + rho.conj().T))]
+    tables = kernel._tables(dt)
+    stepped = [kernel.density(kernel.step(kernel.start(r), tables)) for r in (rho, 0.5 * (rho + rho.conj().T))]
     assert np.abs(stepped[0] - stepped[1]).max() <= 1e-15
 
 
@@ -324,7 +325,7 @@ def test_kernel_step_refuses_no_stable_run(graph, gamma):
               random_density_matrix(np.random.default_rng(7), 2**n)]
     for dt in (0.01 / max(1.0, gamma), 0.95 * rk4_stability_edge(model, gamma)):
         for rho0 in starts:
-            traj = evolve_rk4(rho0, kernel, 200 * dt, dt, sample_every=200)
+            traj = kernel.evolve(rho0, 200 * dt, dt, sample_every=200)
             assert np.isfinite(traj.states).all()
 
 
@@ -347,9 +348,9 @@ def test_kernel_step_refuses_a_growing_run_on_the_support(rng, monkeypatch):
     model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=1.0, gamma=50.0))
     kernel = model.kernel_step(50.0)
     assert kernel.c.size == kernel.kappa.size
-    kernel.tables(0.07)  # the pre-step refusal lets this dt through
+    kernel._tables(0.07)  # the pre-step refusal lets this dt through
     with pytest.raises(NumericalError, match="integration unstable, reduce dt"):
-        evolve_rk4(random_density_matrix(rng, 4), kernel, 7.0, 0.07)
+        kernel.evolve(random_density_matrix(rng, 4), 7.0, 0.07)
 
 
 def test_kernel_step_refuses_an_unstable_dt_before_stepping(rng, monkeypatch):
@@ -362,12 +363,12 @@ def test_kernel_step_refuses_an_unstable_dt_before_stepping(rng, monkeypatch):
     growth = np.abs(1.0 + lam * (1.0 + lam * (0.5 + lam * (1.0 / 6.0 + lam / 24.0))))
     assert 0 < m < d and growth[:, m:].max() == pytest.approx(2.75, abs=5e-3)
 
-    def never(self, x, h):
+    def never(self, x, tables):
         raise AssertionError("stepped")
 
     monkeypatch.setattr(KernelStep, "step", never)
     with pytest.raises(NumericalError, match="integration unstable, reduce dt"):
-        evolve_rk4(random_density_matrix(rng, 4), kernel, 0.7, 0.07)
+        kernel.evolve(random_density_matrix(rng, 4), 0.7, 0.07)
 
 
 def test_rk4_matches_expm(rng):
