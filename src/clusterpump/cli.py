@@ -36,7 +36,6 @@ from .lindblad import ModelParams, PumpModel
 from .meanfield import MeanFieldState, fixed_points, mean_field_evolve
 from .meanfield import default_dt as mf_default_dt
 from .observables import (
-    _site_flips,
     fidelity,
     kernel_observables,
     pure_state_spins,
@@ -44,6 +43,7 @@ from .observables import (
     support_metrics,
     witness_expectation,
 )
+from .operators import site_flips
 from .solver import evolve_rk4, pure_state_density, rank_spectrum
 
 
@@ -69,12 +69,13 @@ def _finite(text: str) -> float:
     return value
 
 
+# a command's result: its summary's own fields, its CSV tables by file name
+# as (header, rows), and its text for stdout
+_Output = tuple[dict, dict[str, tuple[list[str], list]], str]
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -152,7 +153,7 @@ def _bitstring(index: int, n: int) -> str:
 def _stabilizer_deviation(graph: GraphSpec, state: np.ndarray) -> float:
     """max_j |S_j psi - psi|_inf for S_j = X_j prod_{k in N(j)} Z_k, without matrices:
     (S_j psi)[x] = s(y) psi[y] at y = x xor (bit j), s the neighbours' Z signs."""
-    sites = _site_flips(state.size)
+    sites = site_flips(state.size)
     deviation = 0.0
     for j in range(graph.n_qubits):
         signed = state.copy()
@@ -163,9 +164,12 @@ def _stabilizer_deviation(graph: GraphSpec, state: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------- commands
+# Each handler is a function of the resolved config alone and returns an
+# ``_Output``; ``main`` writes it once the handler has returned, so a failed
+# command writes no file.
 
 
-def _cmd_cluster(cfg: dict, out_dir: Path) -> int:
+def _cmd_cluster(cfg: dict) -> _Output:
     """Build a cluster state and print its amplitudes."""
     graph = parse_graph(cfg["graph"])
     state = cluster_state(graph)
@@ -178,23 +182,19 @@ def _cmd_cluster(cfg: dict, out_dir: Path) -> int:
         if abs(a) > 1e-14
     ]
     summary = {
-        "config": cfg,
-        "version": __version__,
         "n_qubits": n,
         "edges": [list(e) for e in graph.edges],
         "amplitudes": amplitudes,
         "stabilizer_max_deviation": stab_dev,
         "local_spin_expectations": [spins.jx, spins.jy, spins.jz],
     }
-    _write_json(out_dir / "cluster.json", summary)
-    print(f"cluster state on {n} qubits, {len(graph.edges)} edges")
-    for bits, re, im in amplitudes:
-        print(f"  |{bits}>  {re:+.6f}{im:+.6f}j")
-    print(f"stabilizer max deviation: {stab_dev:.3e}")
-    return 0
+    lines = [f"cluster state on {n} qubits, {len(graph.edges)} edges"]
+    lines += [f"  |{bits}>  {re:+.6f}{im:+.6f}j" for bits, re, im in amplitudes]
+    lines.append(f"stabilizer max deviation: {stab_dev:.3e}")
+    return summary, {}, "\n".join(lines)
 
 
-def _cmd_steady(cfg: dict, out_dir: Path) -> int:
+def _cmd_steady(cfg: dict) -> _Output:
     """Steady state and Liouvillian gap, in the eigenbasis of H without the
     4^N x 4^N superoperator (N <= 7, for the eigenvalues)."""
     model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
@@ -207,8 +207,6 @@ def _cmd_steady(cfg: dict, out_dir: Path) -> int:
     fid, witness = support_metrics(c[:m], rho, eta=cfg["eta"])
     rho = model.density(rho)
     summary = {
-        "config": cfg,
-        "version": __version__,
         "n_qubits": model.graph.n_qubits,
         "fidelity": fid,
         "witness": witness,
@@ -217,31 +215,26 @@ def _cmd_steady(cfg: dict, out_dir: Path) -> int:
         "steady_state_residual": float(np.abs(model.apply(rho, gamma)).max()),
         "antihermitian_residual": antihermitian,
     }
-    _write_json(out_dir / "steady.json", summary)
-    print(json.dumps({k: summary[k] for k in ("fidelity", "witness", "gap", "kernel_dim")}, sort_keys=True))
-    return 0
+    message = json.dumps({k: summary[k] for k in ("fidelity", "witness", "gap", "kernel_dim")}, sort_keys=True)
+    return summary, {}, message
 
 
-def _cmd_spectrum(cfg: dict, out_dir: Path) -> int:
+def _cmd_spectrum(cfg: dict) -> _Output:
     """Write the full Liouvillian spectrum, from the eigenbasis of H without
     the 4^N x 4^N superoperator (N <= 7)."""
     model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
     vals = model.eigenvalues(model.params.gamma)
     order, gap, _, kernel_dim = rank_spectrum(vals)
     vals = vals[order]
-    _write_csv(out_dir / "spectrum.csv", ["re", "im"], [[lam.real, lam.imag] for lam in vals])
     summary = {
-        "config": cfg,
-        "version": __version__,
         "n_qubits": model.graph.n_qubits,
         "n_eigenvalues": int(vals.size),
         "gap": gap,
         "kernel_dim": kernel_dim,
         "max_real_part": float(vals.real.max()),
     }
-    _write_json(out_dir / "spectrum.json", summary)
-    print(f"wrote {vals.size} eigenvalues; gap = {gap:.6g}")
-    return 0
+    tables = {"spectrum.csv": (["re", "im"], [[lam.real, lam.imag] for lam in vals])}
+    return summary, tables, f"wrote {vals.size} eigenvalues; gap = {gap:.6g}"
 
 
 def _initial_density(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -259,7 +252,7 @@ def _initial_density(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     raise ConfigError(f"unknown initial state {kind!r}")
 
 
-def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
+def _cmd_evolve(cfg: dict) -> _Output:
     """Integrate the master equation and record observables."""
     model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
     rng = np.random.default_rng(cfg["seed"])
@@ -282,22 +275,13 @@ def _cmd_evolve(cfg: dict, out_dir: Path) -> int:
         ]
     rows = np.column_stack([traj.times, observables]).tolist()
     header = ["t", "jx", "jy", "jz", "fidelity", "witness"]
-    _write_csv(out_dir / "evolve.csv", header, rows)
     final = dict(zip(header, rows[-1]))
-    summary = {
-        "config": cfg,
-        "version": __version__,
-        "n_qubits": model.graph.n_qubits,
-        "dt": dt,
-        "n_samples": len(rows),
-        "final": final,
-    }
-    _write_json(out_dir / "evolve.json", summary)
-    print(f"evolved to t = {final['t']:g}; final fidelity = {final['fidelity']:.6f}")
-    return 0
+    summary = {"n_qubits": model.graph.n_qubits, "dt": dt, "n_samples": len(rows), "final": final}
+    message = f"evolved to t = {final['t']:g}; final fidelity = {final['fidelity']:.6f}"
+    return summary, {"evolve.csv": (header, rows)}, message
 
 
-def _cmd_meanfield(cfg: dict, out_dir: Path) -> int:
+def _cmd_meanfield(cfg: dict) -> _Output:
     """Mean-field trajectory and fixed-point table."""
     params = _model(cfg)
     points = fixed_points(params)
@@ -318,23 +302,21 @@ def _cmd_meanfield(cfg: dict, out_dir: Path) -> int:
         s0 = MeanFieldState.from_array(center + rng.normal(0.0, 0.05, 3))
     dt = cfg["dt"] if cfg["dt"] is not None else mf_default_dt(params)
     traj = mean_field_evolve(s0, params, cfg["t_final"], dt, sample_every=cfg["sample_every"])
-    _write_csv(
-        out_dir / "meanfield.csv",
-        ["t", "jx", "jy", "jz"],
-        [[t, s[0], s[1], s[2]] for t, s in zip(traj.times, traj.states)],
-    )
-    _write_csv(
-        out_dir / "meanfield_fixed_points.csv",
-        ["label", "jx", "jy", "jz", "stable", "classification"],
-        [
-            [fp.label, fp.state.jx, fp.state.jy, fp.state.jz, str(fp.stable), fp.classification]
-            for fp in points
-        ],
-    )
+    tables = {
+        "meanfield.csv": (
+            ["t", "jx", "jy", "jz"],
+            [[t, s[0], s[1], s[2]] for t, s in zip(traj.times, traj.states)],
+        ),
+        "meanfield_fixed_points.csv": (
+            ["label", "jx", "jy", "jz", "stable", "classification"],
+            [
+                [fp.label, fp.state.jx, fp.state.jy, fp.state.jz, str(fp.stable), fp.classification]
+                for fp in points
+            ],
+        ),
+    }
     final = traj.states[-1]
     summary = {
-        "config": cfg,
-        "version": __version__,
         "dt": dt,
         "s0": [s0.jx, s0.jy, s0.jz],
         "final_state": [float(final[0]), float(final[1]), float(final[2])],
@@ -348,24 +330,16 @@ def _cmd_meanfield(cfg: dict, out_dir: Path) -> int:
             for fp in points
         ],
     }
-    _write_json(out_dir / "meanfield.json", summary)
-    print(f"final mean-field state: ({final[0]:.6f}, {final[1]:.6f}, {final[2]:.6f})")
-    return 0
+    return summary, tables, f"final mean-field state: ({final[0]:.6f}, {final[1]:.6f}, {final[2]:.6f})"
 
 
-def _cmd_sweep(cfg: dict, out_dir: Path) -> int:
+def _cmd_sweep(cfg: dict) -> _Output:
     """Gamma sweep of steady-state metrics."""
     graph = parse_graph(cfg["graph"])
     grid = parse_gamma_policy(cfg["gamma_grid"])
     sweep = gamma_sweep(graph, cfg["h_g"], grid, compute_gap=not cfg["skip_gap"], eta=cfg["eta"],
                         g=float(cfg["sign_g"]))
-    rows = [
-        [g_, f, w, gp, st]
-        for g_, f, w, gp, st in zip(
-            sweep.axis_values, sweep.fidelity, sweep.witness, sweep.gap, sweep.status
-        )
-    ]
-    _write_csv(out_dir / "sweep.csv", ["gamma_g", "fidelity", "witness", "gap", "status"], rows)
+    rows = list(zip(sweep.axis_values, sweep.fidelity, sweep.witness, sweep.gap, sweep.status))
     gamma_sat = None
     note = None
     try:
@@ -374,8 +348,6 @@ def _cmd_sweep(cfg: dict, out_dir: Path) -> int:
         note = str(exc)
     finite = np.isfinite(sweep.fidelity)
     summary = {
-        "config": cfg,
-        "version": __version__,
         "n_qubits": graph.n_qubits,
         "n_points": int(grid.size),
         "n_failed": int(np.count_nonzero(~finite)),
@@ -384,12 +356,11 @@ def _cmd_sweep(cfg: dict, out_dir: Path) -> int:
         "max_fidelity": float(np.nanmax(sweep.fidelity)) if finite.any() else None,
         "min_witness": float(np.nanmin(sweep.witness)) if finite.any() else None,
     }
-    _write_json(out_dir / "sweep.json", summary)
-    print(f"sweep over {grid.size} points; gamma_sat = {gamma_sat}")
-    return 0
+    tables = {"sweep.csv": (["gamma_g", "fidelity", "witness", "gap", "status"], rows)}
+    return summary, tables, f"sweep over {grid.size} points; gamma_sat = {gamma_sat}"
 
 
-def _cmd_scaling(cfg: dict, out_dir: Path) -> int:
+def _cmd_scaling(cfg: dict) -> _Output:
     """Size-scaling study with fits."""
     try:
         n_values = [int(v) for v in cfg["n_values"].split(",")]
@@ -404,35 +375,31 @@ def _cmd_scaling(cfg: dict, out_dir: Path) -> int:
         strong_gamma=cfg["strong_gamma"],
     )
     rows = [dataclasses.asdict(r) for r in study.rows]
-    _write_csv(out_dir / "scaling.csv", list(rows[0]), [list(r.values()) for r in rows])
     summary = {
-        "config": cfg,
-        "version": __version__,
         "weak_gamma": study.weak_gamma,
         "strong_gamma": study.strong_gamma,
         "rows": rows,
         "fits": {name: dataclasses.asdict(fit) for name, fit in study.fits.items()},
     }
-    _write_json(out_dir / "scaling.json", summary)
-    for r in study.rows:
-        print(
-            f"N={r.n}: gamma_sat={r.gamma_sat:.4g} f_sat={r.f_sat:.6f} "
-            f"gap_weak={r.gap_weak:.4g} gap_strong={r.gap_strong:.4g}"
-        )
-    return 0
+    message = "\n".join(
+        f"N={r.n}: gamma_sat={r.gamma_sat:.4g} f_sat={r.f_sat:.6f} "
+        f"gap_weak={r.gap_weak:.4g} gap_strong={r.gap_strong:.4g}"
+        for r in study.rows
+    )
+    return summary, {"scaling.csv": (list(rows[0]), [list(r.values()) for r in rows])}, message
 
 
 # ---------------------------------------------------------------- wiring
 
 _MODEL_DEFAULTS = {"h_g": 1.0, "gamma_g": 1.0, "sign_g": 1}
 
-# Each command's settable values; every key is both a config-file key and a flag.
-_DEFAULTS = {
-    "cluster": {"out": ".", "graph": "chain:4"},
-    "steady": {"out": ".", **_MODEL_DEFAULTS, "eta": 0.5, "graph": "chain:4"},
-    "spectrum": {"out": ".", **_MODEL_DEFAULTS, "graph": "chain:4"},
-    "evolve": {
-        "out": ".",
+# Each command's handler and settable values; every key is both a config-file
+# key and a flag, as is ``out``, which every command takes.
+_COMMANDS = {
+    "cluster": (_cmd_cluster, {"graph": "chain:4"}),
+    "steady": (_cmd_steady, {**_MODEL_DEFAULTS, "eta": 0.5, "graph": "chain:4"}),
+    "spectrum": (_cmd_spectrum, {**_MODEL_DEFAULTS, "graph": "chain:4"}),
+    "evolve": (_cmd_evolve, {
         "seed": 0,
         **_MODEL_DEFAULTS,
         "eta": 0.5,
@@ -441,18 +408,16 @@ _DEFAULTS = {
         "dt": None,
         "rho0": "plus",
         "sample_every": 10,
-    },
-    "meanfield": {
-        "out": ".",
+    }),
+    "meanfield": (_cmd_meanfield, {
         "seed": 0,
         **_MODEL_DEFAULTS,
         "s0": None,
         "t_final": 20.0,
         "dt": None,
         "sample_every": 10,
-    },
-    "sweep": {
-        "out": ".",
+    }),
+    "sweep": (_cmd_sweep, {
         "h_g": 1.0,
         "sign_g": 1,
         "eta": 0.5,
@@ -460,21 +425,19 @@ _DEFAULTS = {
         "gamma_grid": "log:0.1:500:31",
         "skip_gap": False,
         "epsilon": 1e-3,
-    },
-    "scaling": {
-        "out": ".",
+    }),
+    "scaling": (_cmd_scaling, {
         "h_g": 1.0,
         "n_values": "2,3,4",
         "gamma_policy": DEFAULT_GAMMA_POLICY,
         "epsilon": 1e-3,
         "weak_gamma": 1.0,
         "strong_gamma": None,
-    },
+    }),
 }
 
 # add_argument keywords of the flag for each key
 _OPTIONS = {
-    "out": {"help": "output directory (default: current directory)"},
     "seed": {"type": int, "help": "seed for randomized initial states"},
     "h_g": {"type": _finite, "help": "transverse field h/g"},
     "gamma_g": {"type": _finite, "help": "dissipation rate gamma/g"},
@@ -497,43 +460,44 @@ _OPTIONS = {
                      "help": "fixed strong dissipation for the gap fit (default: largest gamma_sat)"},
 }
 
-_HANDLERS = {
-    "cluster": _cmd_cluster,
-    "steady": _cmd_steady,
-    "spectrum": _cmd_spectrum,
-    "evolve": _cmd_evolve,
-    "meanfield": _cmd_meanfield,
-    "sweep": _cmd_sweep,
-    "scaling": _cmd_scaling,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="clusterpump", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in _HANDLERS.items():
+    for name, (handler, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
-        for key in _DEFAULTS[name]:
+        p.add_argument("--out", default=".", help="output directory (default: current directory)")
+        for key in defaults:
             p.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key])
-        p.set_defaults(**_DEFAULTS[name])
+        p.set_defaults(**defaults)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: its handler computes, then this writes each of its
+    tables and ``<command>.json``, the summary with the resolved config and
+    the version, and prints its message."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        handler, defaults = _COMMANDS[args.command]
         if args.config:
             # argv[0] is the command; the file's flags go before the command line's
-            flags = _config_flags(args.config, _DEFAULTS[args.command])
+            flags = _config_flags(args.config, ("out", *defaults))
             args = parser.parse_args([argv[0], *flags, *argv[1:]])
         cfg = {k: v for k, v in vars(args).items() if k != "config"}
         out_dir = Path(cfg["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[args.command](cfg, out_dir)
+        summary, tables, message = handler(cfg)
+        for name, (header, rows) in tables.items():
+            _write_csv(out_dir / name, header, rows)
+        doc = {"config": cfg, "version": __version__, **summary}
+        (out_dir / f"{args.command}.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        print(message)
+        return 0
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

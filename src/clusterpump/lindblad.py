@@ -62,7 +62,7 @@ from . import solver
 from .cluster import GraphSpec, cluster_state, orthogonal_basis, stabilizers
 from .errors import NumericalError
 # vectorize, devectorize and Superoperator are re-exported: callers and tests import them from here
-from .operators import DenseOperator, StateVector, Superoperator, devectorize, pauli_to_dense, vectorize
+from .operators import DenseOperator, StateVector, Superoperator, devectorize, pauli_to_dense, site_flips, vectorize
 
 # Dense generators above this register size are refused (the superoperator
 # for N qubits holds 16^N complex entries), and so are Liouvillian
@@ -166,19 +166,17 @@ def hamiltonian(g_spec: GraphSpec, p: ModelParams) -> DenseOperator:
     the most significant bit).  The edge terms are accumulated in edge order,
     so the result equals the sum of the dense Pauli strings exactly.
     """
-    n = g_spec.n_qubits
-    index = np.arange(2**n)
+    index = np.arange(2**g_spec.n_qubits)
     ham = np.diag(_zz_diagonal(g_spec, p.g).astype(complex))
-    for k in range(n):
-        ham[index, index ^ (1 << (n - 1 - k))] += p.h
+    for flip, _ in site_flips(index.size):
+        ham[index, flip] += p.h
     return ham
 
 
 def _zz_diagonal(g_spec: GraphSpec, g: float) -> np.ndarray:
     """The diagonal of ``hamiltonian``, its edge terms accumulated in edge order."""
-    n = g_spec.n_qubits
-    bits = [(np.arange(2**n) >> (n - 1 - k)) & 1 for k in range(n)]
-    return sum((g * (1.0 - 2.0 * (bits[j] ^ bits[k])) for j, k in g_spec.edges), np.zeros(2**n))
+    signs = [sign for _, sign in site_flips(2**g_spec.n_qubits)]
+    return sum((g * (signs[j] * signs[k]) for j, k in g_spec.edges), np.zeros(signs[0].size))
 
 
 def projection_jumps(g_spec: GraphSpec) -> list[DenseOperator]:
@@ -756,14 +754,15 @@ class PumpModel:
         # The largest modulus of the dense generator's diagonal,
         # gamma P_ab Q_ba + K_aa + conj(K_bb), bounds its infinity norm from
         # below.  A graph state has |C_a|^2 = p for every a, so the entries
-        # off the diagonal share one real part and have imaginary parts up to
-        # ptp(zz), and those on it are real: two moduli, each formed in the
-        # order of operations of the elementwise expression
+        # off the diagonal share one real part, formed in the order of
+        # operations of the elementwise expression, and have imaginary parts up
+        # to ptp(zz).  Those on it are the real gamma (p - p^2) + 2 r; as p >= 0,
+        # off <= on <= 0 survives every rounding step, each operation being
+        # monotone, so the largest modulus is off's.
         p = np.abs(self.target[:1]) ** 2
         r = -(0.5 * gamma * (1.0 - p))
         off = gamma * (0.0 - p * p) + r + r
-        on = gamma * (p - p * p) + r + r
-        tol = 1e-8 * np.maximum(1.0, np.maximum(np.abs(off + 1j * np.ptp(self.zz)), np.abs(on)))
+        tol = 1e-8 * np.maximum(1.0, np.abs(off + 1j * np.ptp(self.zz)))
         # W is orthogonal, so this is |L rho|_F >= max |L rho| in any basis
         residual = np.linalg.norm(_eigenbasis_rhs(energies, c, gamma, rho).reshape(gamma.size, -1), axis=1)
         for k, point in enumerate(positive):

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import NumericalError
 from .lindblad import KernelStep
 from .meanfield import MeanFieldState
-from .operators import StateVector
+from .operators import StateVector, site_flips
 
 
 def fidelity_from_overlap(overlap: np.ndarray, trace: np.ndarray) -> np.ndarray:
@@ -69,16 +69,6 @@ def witness_expectation(rho: np.ndarray, target: StateVector, eta: float = 0.5) 
     return float(witness_from_overlap(np.vdot(target, rho @ target), np.trace(rho), eta))
 
 
-def _site_flips(dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per site k, the basis index x xor 2^(N-1-k) (X_k flips bit k; site 0 is
-    the most significant bit) and s_x = 1 - 2 x_k (Z_k's diagonal)."""
-    n = dim.bit_length() - 1
-    if 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    index = np.arange(dim)
-    return [(index ^ (1 << (n - 1 - k)), 1.0 - 2.0 * ((index >> (n - 1 - k)) & 1)) for k in range(n)]
-
-
 def spin_expectations(rho: np.ndarray) -> MeanFieldState:
     """Site-averaged Pauli expectations of a density matrix, the exact
     counterpart of the mean-field state.
@@ -100,7 +90,7 @@ def pure_state_spins(psi: StateVector) -> MeanFieldState:
 def _site_averages(coherences: Callable[[np.ndarray], np.ndarray], populations: np.ndarray) -> MeanFieldState:
     """The rule of ``spin_expectations`` from ``coherences(flip) = rho[x, flip[x]]``
     and the populations ``rho[x, x]``."""
-    sites = _site_flips(populations.size)
+    sites = site_flips(populations.size)
     jx = jy = jz = 0.0
     for flip, sign in sites:
         flipped = coherences(flip)
@@ -116,7 +106,7 @@ def _spin_operators(V: np.ndarray) -> Iterator[np.ndarray]:
     at a time, for the site sums ``Sigma_a = sum_k a_k`` and a real orthogonal
     V: Sigma_x V and Sigma_y V are sums of row-flipped copies of V and
     Sigma_z is diagonal, so they cost three real d x d products."""
-    sites = _site_flips(V.shape[0])
+    sites = site_flips(V.shape[0])
     total = np.zeros(V.shape)
     for flip, _ in sites:
         total += V[flip]

@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 * site 0 is the leftmost Kronecker factor, so a computational basis index
   ``x`` reads as the bitstring ``x_0 x_1 ... x_{N-1}`` with ``x_0`` the most
-  significant bit;
+  significant bit; X_k maps ``x`` to ``x ^ 2^(N-1-k)`` and Z_k's diagonal is
+  ``1 - 2 x_k`` (``site_flips``);
 * all operators are dense ``numpy`` arrays with ``complex128`` entries;
 * density matrices are vectorized by column stacking,
   ``vec(rho) = rho.flatten(order="F")``, for which
@@ -70,6 +71,16 @@ def pauli_to_dense(p: PauliString) -> DenseOperator:
     for site in range(p.n_qubits):
         op = np.kron(op, _LETTERS.get(p.letters.get(site), PAULI_I))
     return op
+
+
+def site_flips(dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per site k, the basis index x xor 2^(N-1-k) (X_k flips bit k; site 0 is
+    the most significant bit) and s_x = 1 - 2 x_k (Z_k's diagonal)."""
+    n = dim.bit_length() - 1
+    if 2**n != dim:
+        raise ValueError(f"dimension {dim} is not a power of two")
+    index = np.arange(dim)
+    return [(index ^ (1 << (n - 1 - k)), 1.0 - 2.0 * ((index >> (n - 1 - k)) & 1)) for k in range(n)]
 
 
 def dagger(a: DenseOperator) -> DenseOperator:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clusterpump import cli, lindblad, solver
+from clusterpump import __version__, cli, lindblad, solver
 from clusterpump.cli import main, parse_graph
 from clusterpump.cluster import GraphSpec, cluster_state, plus_state, stabilizers
 from clusterpump.lindblad import KernelStep, ModelParams, PumpModel
@@ -195,6 +195,32 @@ def test_scaling_command(tmp_path):
     assert doc["fits"]["gamma_sat_linear"]["coefficients"][0] > 0
 
 
+@pytest.mark.parametrize(
+    "command, args, tables",
+    [
+        ("cluster", ["--graph", "chain:2"], []),
+        ("steady", ["--graph", "chain:2", "--gamma-g", "3"], []),
+        ("spectrum", ["--graph", "chain:2"], ["spectrum.csv"]),
+        ("evolve", ["--graph", "chain:2", "--t-final", "0.1"], ["evolve.csv"]),
+        ("meanfield", ["--t-final", "1"], ["meanfield.csv", "meanfield_fixed_points.csv"]),
+        ("sweep", ["--graph", "chain:2", "--gamma-grid", "lin:1:5:3"], ["sweep.csv"]),
+        ("scaling", ["--n-values", "2,3", "--gamma-policy", "log:0.5:600:8"], ["scaling.csv"]),
+    ],
+    ids=["cluster", "steady", "spectrum", "evolve", "meanfield", "sweep", "scaling"],
+)
+def test_every_command_writes_its_summary_and_tables(tmp_path, command, args, tables):
+    # one writer for every command: exactly <command>.json and the command's
+    # CSVs, the summary embedding the resolved options and the version
+    out = tmp_path / "out"
+    argv = [command, *args, "--out", str(out)]
+    assert run(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([f"{command}.json", *tables])
+    doc = json.loads((out / f"{command}.json").read_text())
+    resolved = {k: v for k, v in vars(cli.build_parser().parse_args(argv)).items() if k != "config"}
+    assert doc["config"] == resolved and set(resolved) == CONFIG_KEYS[command]
+    assert doc["version"] == __version__
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"graph": "chain:2", "h_g": 1.0, "gamma_g": 1.0}))
@@ -243,11 +269,11 @@ def test_sign_g_is_checked(tmp_path, capsys, command):
 
 
 def assert_refused(capsys, args, out):
-    # exit 1 with a single "error:" line, and no summary written
+    # exit 1 with a single "error:" line, and no file written
     assert run([*args, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert not list(out.glob("*.json"))
+    assert not list(out.glob("*"))
 
 
 @pytest.mark.parametrize(

@@ -62,6 +62,16 @@ def test_no_function_imports_from_the_package():
                 assert not package_imports(node, ""), f"{module}.{node.name} imports from the package"
 
 
+def test_no_module_imports_a_private_name_from_another():
+    # an underscore name is its module's own; a rule another module needs is public
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not package_imports(node, module):
+                continue
+            private = [a.name for a in node.names if a.name.startswith("_") and not a.name.endswith("__")]
+            assert not private, f"{module} imports {private} from {node.module or 'the package'}"
+
+
 def test_solver_knows_nothing_of_lindblad():
     # the kernel step runs its own RK4 (KernelStep.evolve); solver's driver
     # takes only a dense L or a callable
