@@ -27,6 +27,7 @@ from .cluster import GraphSpec, cluster_state, plus_state, state_from_bits
 from .errors import ConfigError, NumericalError
 from .experiments import (
     DEFAULT_GAMMA_POLICY,
+    check_epsilon,
     detect_gamma_sat,
     gamma_sweep,
     parse_gamma_policy,
@@ -200,7 +201,7 @@ def _cmd_steady(cfg: dict) -> _Output:
     model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
     gamma = model.params.gamma
     # ranked first, so that gamma = 0 fails as a degenerate kernel with its dimension
-    _, gap, _, kernel_dim = rank_spectrum(model.eigenvalues(gamma))
+    _, gap, kernel_dim = rank_spectrum(model.eigenvalues(gamma))
     # read off the support as a sweep point is, and transformed back for the residual
     rho, antihermitian = model.support_steady_state(gamma)
     _, _, c, m = model.eigenbasis
@@ -224,7 +225,7 @@ def _cmd_spectrum(cfg: dict) -> _Output:
     the 4^N x 4^N superoperator (N <= 7)."""
     model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
     vals = model.eigenvalues(model.params.gamma)
-    order, gap, _, kernel_dim = rank_spectrum(vals)
+    order, gap, kernel_dim = rank_spectrum(vals)
     vals = vals[order]
     summary = {
         "n_qubits": model.graph.n_qubits,
@@ -335,6 +336,7 @@ def _cmd_meanfield(cfg: dict) -> _Output:
 
 def _cmd_sweep(cfg: dict) -> _Output:
     """Gamma sweep of steady-state metrics."""
+    check_epsilon(cfg["epsilon"])
     graph = parse_graph(cfg["graph"])
     grid = parse_gamma_policy(cfg["gamma_grid"])
     sweep = gamma_sweep(graph, cfg["h_g"], grid, compute_gap=not cfg["skip_gap"], eta=cfg["eta"],

@@ -10,9 +10,11 @@ d x d density matrix; gaps from the Liouvillian's eigenvalues without the
 ``rho -> K rho + rho K^+`` and the roots of the secular equation its rank-one
 recycling term adds.  The saturation point
 gamma_sat is the smallest gamma whose fidelity comes within a factor
-(1 - epsilon) of the sweep maximum.  Scaling studies repeat the
-sweep over system sizes and fit the trends (linear gamma_sat growth, the
-offset-inverse fidelity law, and power laws for the gap).
+(1 - epsilon) of the sweep maximum, for epsilon in (0, 1).  Scaling studies
+repeat the sweep over system sizes and fit the trends, each as one
+least-squares line (``fit_linear``): linear gamma_sat growth, the
+offset-inverse fidelity law f0 + c / N as a line in 1 / N, and power laws
+for the gap as lines in log-log.
 """
 
 from __future__ import annotations
@@ -135,17 +137,28 @@ def gamma_sweep(
     return SweepResult(axis_values=gammas.copy(), fidelity=fid, witness=wit, gap=gap, status=status)
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Refuse a saturation criterion outside (0, 1) with ValueError."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon:g}")
+
+
 def detect_gamma_sat(sweep: SweepResult, epsilon: float = 1e-3) -> float:
     """Smallest axis value whose fidelity reaches (1 - epsilon) of the sweep max.
 
     The crossing is refined by linear interpolation between the bracketing
-    grid points.  If the maximum sits at the last grid point and the series
-    is still rising there by more than epsilon per grid step, the sweep has
-    not plateaued and a NumericalError("sweep range too small") is raised.
+    grid points.  An epsilon outside (0, 1) and an empty series raise
+    ValueError.  A series whose points all failed raises NumericalError, as
+    does one whose maximum sits at the last grid point while it is still
+    rising there by more than epsilon per grid step: the sweep has not
+    plateaued ("sweep range too small").
     """
+    check_epsilon(epsilon)
     finite = np.isfinite(sweep.fidelity)
+    if not finite.size:
+        raise ValueError("fidelity series is empty")
     if not np.any(finite):
-        raise ValueError("fidelity series is empty or all-failed")
+        raise NumericalError("fidelity series is all-failed")
     x = np.asarray(sweep.axis_values, dtype=float)[finite]
     f = np.asarray(sweep.fidelity, dtype=float)[finite]
 
@@ -203,21 +216,13 @@ def fit_power_law(x: Sequence[float], y: Sequence[float]) -> FitResult:
 
 
 def fit_offset_inverse(n: Sequence[float], f: Sequence[float]) -> FitResult:
-    """Least squares for f = f0 + c / n; coefficients are (f0, c)."""
+    """Least squares for f = f0 + c / n, a line in 1 / n; coefficients are (f0, c)."""
     n = np.asarray(n, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if n.size < 2:
-        raise ValueError("offset-inverse fit needs at least 2 points")
     if np.any(n <= 0):
         raise ValueError("offset-inverse fit requires positive n")
-    design = np.column_stack([np.ones_like(n), 1.0 / n])
-    coef, *_ = np.linalg.lstsq(design, f, rcond=None)
-    f0, c = float(coef[0]), float(coef[1])
-    return FitResult(
-        model="offset_inverse",
-        coefficients=(f0, c),
-        r_squared=_r_squared(f, design @ coef),
-    )
+    line = fit_linear(1.0 / n, f)
+    c, f0 = line.coefficients
+    return FitResult(model="offset_inverse", coefficients=(f0, c), r_squared=line.r_squared)
 
 
 def parse_gamma_policy(text: str) -> np.ndarray:
@@ -257,8 +262,10 @@ def size_scaling_study(
     dissipation strengths common to all sizes: ``weak_gamma``, and
     ``strong_gamma`` which defaults to the largest detected gamma_sat (the
     saturated regime).  Before any work, every N is checked against the
-    spectrum guard and the sizes for the two distinct values a fit needs.
+    spectrum guard, the sizes for the two distinct values a fit needs, and
+    epsilon for (0, 1).
     """
+    check_epsilon(epsilon)
     gammas = parse_gamma_policy(gamma_policy)
     if len(set(n_values)) < 2:
         raise ValueError(f"a scaling study needs at least 2 distinct sizes, got {list(n_values)}")

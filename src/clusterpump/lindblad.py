@@ -686,7 +686,7 @@ class PumpModel:
 
         for ``u = rho~ c``.  Substituting gives a system linear in u and its
         conjugate, 2|J| real equations at O(|J|^3) cost, each solved by
-        ``_solve_nonsingular``.  The grid runs in batches of at most
+        ``solve_nonsingular``.  The grid runs in batches of at most
         ``STEADY_BATCH_BYTES`` of such systems, each batch built, normalized
         as in ``steady_state_direct`` and checked as a stack.  A rate that is
         negative or not finite raises ValueError before any work.  A point
@@ -739,7 +739,7 @@ class PumpModel:
         rhs = np.concatenate([cw.real, cw.imag], axis=1)
         for k, point in enumerate(positive):
             try:
-                rhs[k] = solver._solve_nonsingular(system[k], rhs[k])
+                rhs[k] = solver.solve_nonsingular(system[k], rhs[k])
             except NumericalError as exc:
                 # the point's state is formed from u = 0, and dropped
                 out[point], rhs[k] = (None, math.nan, exc), 0.0
@@ -749,7 +749,7 @@ class PumpModel:
         rho = M * ((1.0 - kappa)[:, None, None] * np.outer(c, c)
                    + 0.5 * (c[:, None] * u.conj()[:, None, :] + u[:, :, None] * c))
         del M
-        rho, antihermitian = solver._unit_trace_hermitian(rho)
+        rho, antihermitian = solver.unit_trace_hermitian(rho)
 
         # The largest modulus of the dense generator's diagonal,
         # gamma P_ab Q_ba + K_aa + conj(K_bb), bounds its infinity norm from
@@ -835,7 +835,7 @@ class KernelStep:
         return np.concatenate([np.cumsum(lengths) - lengths, np.arange(m * (m + 1) // 2, m * (m + 1) // 2 + d - m)])
 
     @cached_property
-    def _support_weights(self) -> tuple[np.ndarray, np.ndarray]:
+    def support_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """q = Tr(Q rho) and Tr rho as the complex weights u of ``functional``,
         on the J x J triangle and the O diagonal, the only entries where
         ``R^+ Q R = R^+ R - (R^+ c_J)(R^+ c_J)^+`` and ``R^+ R`` are nonzero (on O
@@ -856,7 +856,7 @@ class KernelStep:
         support, and the float view of the rows ``(h Lam)^m o a a^+``."""
         m = self.c.size
         jj = m * (m + 1) // 2
-        q, trace = self._support_weights
+        q, trace = self.support_weights
         n = q.size
         k = h * self.kappa
         kj, ko = k[:m], k[m:]
@@ -945,7 +945,7 @@ class KernelStep:
         R_inv = np.linalg.inv(self.R)
         x = self._pack(R_inv @ X[:m, :m] @ R_inv.conj().T, R_inv @ X[:m, m:], X[m:, m:])
         x.imag[self._diagonal()] = 0.0
-        trace = self._support_weights[1]
+        trace = self.support_weights[1]
         x[-1] = x[: trace.size].view(float) @ trace.view(float)
         return x
 

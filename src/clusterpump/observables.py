@@ -1,4 +1,12 @@
-"""State metrics: target fidelity, entanglement witness, averaged spins."""
+"""State metrics: target fidelity, entanglement witness, averaged spins.
+
+Each metric has one rule, read off whatever form the state takes: a d x d
+density matrix (``fidelity``, ``witness_expectation``,
+``spin_expectations``), a pure state (``pure_state_spins``), a steady state
+on the target's support in the eigenbasis of H (``support_metrics``), or the
+states of a ``KernelStep`` run (``kernel_observables``), whose overlap is
+their carried trace minus the step's own ``Tr(Q rho)``.
+"""
 
 from __future__ import annotations
 
@@ -126,11 +134,13 @@ def kernel_observables(states: np.ndarray, step: KernelStep, eta: float = 0.5) -
     to round-off to ``spin_expectations``, ``fidelity`` and
     ``witness_expectation`` of each ``step.density(x)``.
 
-    Each spin sum and the target's projector is one functional
-    ``step.functional`` of the states, built once from ``_spin_operators``
-    of the step's basis; the trace is the states' last entry.  Each costs
-    one real matrix-vector product over the samples, O(d^2) per sample.
-    Fidelity and witness follow ``fidelity_from_overlap`` and
+    Each spin sum is one functional ``step.functional`` of the states, built
+    once from ``_spin_operators`` of the step's basis, at one real
+    matrix-vector product over the samples, O(d^2) per sample.  The overlap
+    is ``Tr rho - Tr(Q rho)``, as ``Q = I - |C><C|``: the trace is the
+    states' last entry, and ``Tr(Q rho)`` the step's own q weights
+    (``KernelStep.support_weights``) on the J x J triangle and the O
+    diagonal.  Fidelity and witness follow ``fidelity_from_overlap`` and
     ``witness_from_overlap``.
     """
     d = step.W.shape[0]
@@ -143,11 +153,9 @@ def kernel_observables(states: np.ndarray, step: KernelStep, eta: float = 0.5) -
             weights.view(complex)[...] *= -1j
         rows[:, column] = samples @ weights
     rows[:, :3] /= d.bit_length() - 1
-    projector = np.zeros((d, d))
-    m = step.c.size
-    projector[:m, :m] = np.outer(step.c, step.c)
-    overlap = samples @ step.functional(projector)
+    q = step.support_weights[0].view(float)
     trace = states[:, -1].real
+    overlap = trace - samples[:, : q.size] @ q
     rows[:, 3] = fidelity_from_overlap(overlap, trace)
     rows[:, 4] = witness_from_overlap(overlap, trace, eta)
     return rows

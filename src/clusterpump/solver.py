@@ -7,8 +7,9 @@ roots of a rank-one secular equation from one |J| x |J| factorisation, so no
 command builds a 4^N x 4^N array.  The dense routes take that array and are
 the tests' reference only: a full eigendecomposition (``full_spectrum``,
 ranked by the same rule, with the steady state and gap) and one bordered
-linear solve (``steady_state_direct``); ``_solve_nonsingular`` is every
-steady-state solve's, ``PumpModel.support_steady_states`` included.
+linear solve (``steady_state_direct``); ``solve_nonsingular`` is every
+steady-state solve's, and ``unit_trace_hermitian`` every steady state's
+normalization, ``PumpModel.support_steady_states`` included.
 
 ``rk4`` is the package's one fixed-step driver.  It owns the step count,
 the sample budget, the state checks and the sampling, and takes the step
@@ -50,19 +51,18 @@ SAMPLE_BUDGET_BYTES = 3 * 2**28
 class SpectrumResult:
     """Full eigendata of a Liouvillian.
 
-    ``eigenvalues`` with ``|lambda| <= kernel_tol`` come first; within and
-    after that group they are sorted by descending real part, ties by
-    descending absolute imaginary part, so round-off on the imaginary axis
-    cannot rank an oscillating mode above the kernel.  ``gap`` is
-    |Re lambda_1| - |Re lambda_0| where lambda_1 is the first eigenvalue
-    lying outside ``kernel_tol`` of lambda_0.
+    ``eigenvalues`` within the kernel tolerance of ``rank_spectrum`` come
+    first; within and after that group they are sorted by descending real
+    part, ties by descending absolute imaginary part, so round-off on the
+    imaginary axis cannot rank an oscillating mode above the kernel.
+    ``gap`` is |Re lambda_1| - |Re lambda_0| where lambda_1 is the first
+    eigenvalue lying outside that tolerance of lambda_0.
     """
 
     eigenvalues: np.ndarray
     steady_state: np.ndarray
     gap: float
     kernel_dim: int
-    kernel_tol: float
 
 
 @dataclass
@@ -97,10 +97,9 @@ def pure_state_density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def rank_spectrum(vals: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+def rank_spectrum(vals: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Order a Liouvillian spectrum and read off its gap: ``(order, gap,
-    kernel_tol, kernel_dim)``, with the ordering and gap rule of
-    ``SpectrumResult``.
+    kernel_dim)``, with the ordering and gap rule of ``SpectrumResult``.
 
     The kernel tolerance is ``KERNEL_TOL_FACTOR * max(1, max |lambda|)``.
     Raises NumericalError when no eigenvalue lies within it, and the
@@ -130,7 +129,7 @@ def rank_spectrum(vals: np.ndarray) -> tuple[np.ndarray, float, float, int]:
         if abs(lam - lam0) > kernel_tol:
             gap = abs(lam.real) - abs(lam0.real)
             break
-    return order, float(gap), float(kernel_tol), kernel_dim
+    return order, float(gap), kernel_dim
 
 
 def full_spectrum(L: Superoperator) -> SpectrumResult:
@@ -138,12 +137,12 @@ def full_spectrum(L: Superoperator) -> SpectrumResult:
 
     The steady state is recovered from the eigenvector of the kernel
     eigenvalue, normalized to unit trace and projected onto its Hermitian
-    part.  ``kernel_dim`` counts eigenvalues with ``|lambda| <= kernel_tol``;
+    part.  ``kernel_dim`` counts eigenvalues within the kernel tolerance;
     a kernel of dimension above one (e.g. gamma = 0) has no unique steady
     state and raises ``NumericalError`` carrying ``kernel_dim``.
     """
     vals, vecs = np.linalg.eig(L)
-    order, gap, kernel_tol, kernel_dim = rank_spectrum(vals)
+    order, gap, kernel_dim = rank_spectrum(vals)
     vals = vals[order]
     rho = devectorize(vecs[:, order[0]])
     trace = np.trace(rho)
@@ -151,17 +150,16 @@ def full_spectrum(L: Superoperator) -> SpectrumResult:
         err = NumericalError("traceless kernel vector (kernel_dim = 1)")
         err.kernel_dim = kernel_dim
         raise err
-    rho, _ = _unit_trace_hermitian(rho)
+    rho, _ = unit_trace_hermitian(rho)
     return SpectrumResult(
         eigenvalues=vals,
         steady_state=rho,
         gap=gap,
         kernel_dim=kernel_dim,
-        kernel_tol=kernel_tol,
     )
 
 
-def _solve_nonsingular(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+def solve_nonsingular(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` by LU, factorizing ``A`` in place; pass a private,
     Fortran-ordered array.
 
@@ -191,7 +189,7 @@ def _solve_nonsingular(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _unit_trace_hermitian(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def unit_trace_hermitian(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale to unit trace, keep the Hermitian part, and rescale its trace to 1;
     also returns the Frobenius norm of the anti-Hermitian part dropped.  For
     a stack of matrices (..., n, n), each is treated so, with one norm each."""
@@ -221,7 +219,7 @@ def steady_state_direct(L: Superoperator) -> np.ndarray:
     A[0, :] = vectorize(np.eye(d, dtype=complex))
     b = np.zeros(d2, dtype=complex)
     b[0] = 1.0
-    rho, _ = _unit_trace_hermitian(devectorize(_solve_nonsingular(A, b)))
+    rho, _ = unit_trace_hermitian(devectorize(solve_nonsingular(A, b)))
     residual = float(np.linalg.norm(L @ vectorize(rho), np.inf))
     if not residual <= residual_tol:
         raise NumericalError(

@@ -8,6 +8,7 @@ import pytest
 from clusterpump import __version__, cli, lindblad, solver
 from clusterpump.cli import main, parse_graph
 from clusterpump.cluster import GraphSpec, cluster_state, plus_state, stabilizers
+from clusterpump.errors import NumericalError
 from clusterpump.lindblad import KernelStep, ModelParams, PumpModel
 from clusterpump.observables import fidelity, spin_expectations, witness_expectation
 from clusterpump.operators import pauli_to_dense
@@ -412,6 +413,42 @@ def test_scaling_refuses_fewer_than_two_sizes_before_any_work(tmp_path, capsys, 
     assert run(["scaling", "--n-values", n_values, "--out", str(tmp_path)]) == 1
     assert "at least 2 distinct sizes" in capsys.readouterr().err
     assert not (tmp_path / "scaling.csv").exists()
+
+
+def test_sweep_whose_points_all_fail_writes_its_table(tmp_path, capsys):
+    # every point fails at the gap; the table keeps each point's reason and
+    # the summary has no gamma_sat, as a partly failed sweep's would
+    args = ["sweep", "--graph", "chain:3", "--gamma-grid", "log:1e-12:1e-10:3", "--out", str(tmp_path)]
+    assert run(args) == 0
+    doc = json.loads((tmp_path / "sweep.json").read_text())
+    assert (doc["n_failed"], doc["gamma_sat"], doc["max_fidelity"], doc["min_witness"]) == (3, None, None, None)
+    assert doc["gamma_sat_note"] == "fidelity series is all-failed"
+    rows = list(csv.DictReader((tmp_path / "sweep.csv").open()))
+    assert [row["status"] for row in rows] == ["degenerate kernel (kernel_dim = 8): the steady state is not unique"] * 3
+    assert capsys.readouterr().err == ""
+
+
+def test_scaling_whose_sweep_points_all_fail_exits_two(tmp_path, capsys, monkeypatch):
+    def failing(self, gammas):
+        for _ in gammas:
+            yield None, float("nan"), NumericalError("structured steady-state residual 1 exceeds tolerance 0")
+
+    monkeypatch.setattr(PumpModel, "support_steady_states", failing)
+    assert run(["scaling", "--n-values", "2,3", "--out", str(tmp_path)]) == 2
+    assert "numerical failure: fidelity series is all-failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "scaling"])
+@pytest.mark.parametrize("epsilon", ["-1", "0", "1", "1.5"])
+def test_epsilon_outside_the_unit_interval_exits_one_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                                      epsilon):
+    def unbuilt(*args):
+        raise AssertionError("the Hamiltonian was built")
+
+    monkeypatch.setattr("clusterpump.lindblad.hamiltonian", unbuilt)
+    assert run([command, "--epsilon", epsilon, "--out", str(tmp_path)]) == 1
+    assert f"epsilon must lie in (0, 1), got {float(epsilon):g}" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
 
 
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "seed_0.json"

@@ -78,6 +78,21 @@ def test_detect_gamma_sat_skips_failed_points():
     assert 1.0 < value <= 3.0
 
 
+def test_detect_gamma_sat_empty_and_all_failed_series():
+    # no point is a bad input; points that all failed are a numerical failure
+    with pytest.raises(ValueError, match="fidelity series is empty"):
+        detect_gamma_sat(synthetic_sweep([], []))
+    with pytest.raises(NumericalError, match="fidelity series is all-failed"):
+        detect_gamma_sat(synthetic_sweep([1.0, 2.0, 3.0], [np.nan] * 3))
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, 0.0, 1.0, 1.5, np.nan])
+def test_detect_gamma_sat_refuses_epsilon_outside_the_unit_interval(epsilon):
+    sweep = synthetic_sweep(np.linspace(1.0, 5.0, 5), [0.2, 0.6, 0.9, 0.9, 0.9])
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+        detect_gamma_sat(sweep, epsilon=epsilon)
+
+
 # ----------------------------------------------------------------- fits
 
 
@@ -135,6 +150,19 @@ def test_fit_offset_inverse_flat():
 def test_fit_offset_inverse_needs_two_points():
     with pytest.raises(ValueError):
         fit_offset_inverse([2.0], [0.5])
+
+
+def test_fit_offset_inverse_is_least_squares_in_one_over_n(rng):
+    n = np.array([2.0, 3.0, 4.0, 5.0, 7.0])
+    f = 0.99 + 0.02 / n + 1e-3 * rng.standard_normal(n.size)
+    fit = fit_offset_inverse(n, f)
+    design = np.column_stack([np.ones_like(n), 1.0 / n])
+    coef, *_ = np.linalg.lstsq(design, f, rcond=None)
+    assert np.abs(np.array(fit.coefficients) - coef).max() <= 1e-12
+    residual = f - design @ coef
+    assert fit.r_squared == pytest.approx(1.0 - residual @ residual / np.sum((f - f.mean()) ** 2), abs=1e-12)
+    with pytest.raises(ValueError, match="degenerate x"):
+        fit_offset_inverse([3.0, 3.0, 3.0], [0.9, 0.91, 0.92])
 
 
 def test_fits_invariant_under_reordering(rng):

@@ -62,14 +62,34 @@ def test_no_function_imports_from_the_package():
                 assert not package_imports(node, ""), f"{module}.{node.name} imports from the package"
 
 
+def imported_modules(tree: ast.AST) -> set[str]:
+    """The names a module binds to package modules (``from . import solver``)."""
+    return {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 and not node.module or node.module == "clusterpump")
+        for a in node.names
+        if a.name in MODULES
+    }
+
+
 def test_no_module_imports_a_private_name_from_another():
-    # an underscore name is its module's own; a rule another module needs is public
+    # an underscore name is its module's own; a rule another module needs is
+    # public, whether imported by name or read through the imported module
     for module, tree in MODULES.items():
         for node in ast.walk(tree):
             if not isinstance(node, ast.ImportFrom) or not package_imports(node, module):
                 continue
             private = [a.name for a in node.names if a.name.startswith("_") and not a.name.endswith("__")]
             assert not private, f"{module} imports {private} from {node.module or 'the package'}"
+        aliases = imported_modules(tree)
+        read = sorted(
+            f"{node.value.id}.{node.attr} (line {node.lineno})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases
+            and node.attr.startswith("_") and not node.attr.endswith("__")
+        )
+        assert not read, f"{module} reads {read}"
 
 
 def test_solver_knows_nothing_of_lindblad():

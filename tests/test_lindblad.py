@@ -417,13 +417,13 @@ def test_pump_model_steady_state_solves_on_the_support(monkeypatch):
     from clusterpump import solver
 
     shapes = []
-    solve = solver._solve_nonsingular
+    solve = solver.solve_nonsingular
 
     def recording(A, b):
         shapes.append(A.shape)
         return solve(A, b)
 
-    monkeypatch.setattr(solver, "_solve_nonsingular", recording)
+    monkeypatch.setattr(solver, "solve_nonsingular", recording)
     model = PumpModel(GraphSpec.chain(5), ModelParams(g=1.0, h=0.7, gamma=0.0))
     model.steady_state(5.0)
     assert model.eigenbasis[3] == 20
@@ -488,7 +488,7 @@ def test_support_steady_states_keep_a_failed_solve_to_its_point(monkeypatch):
     model = PumpModel(GraphSpec.chain(4), ModelParams(g=1.0, h=0.7, gamma=0.0))
     gammas = [0.5, 5.0, 50.0]
     clean = list(model.support_steady_states(gammas))
-    solve = solver._solve_nonsingular
+    solve = solver.solve_nonsingular
     calls = []
 
     def refusing_the_second(A, b):
@@ -497,7 +497,7 @@ def test_support_steady_states_keep_a_failed_solve_to_its_point(monkeypatch):
             raise NumericalError("degenerate kernel: refused")
         return solve(A, b)
 
-    monkeypatch.setattr(solver, "_solve_nonsingular", refusing_the_second)
+    monkeypatch.setattr(solver, "solve_nonsingular", refusing_the_second)
     points = list(model.support_steady_states(gammas))
     assert len(calls) == 3
     assert points[1][0] is None and str(points[1][2]) == "degenerate kernel: refused"
@@ -728,7 +728,7 @@ def test_pump_model_gap_at_exceptional_point():
     _, R, _, smallest = model._kernel_factors(4.0)
     assert smallest is None and np.linalg.cond(R) > lindblad.EIGENVECTOR_COND_MAX
     assert_gap_matches_spectrum(model, 4.0)
-    assert rank_spectrum(model.eigenvalues(4.0))[3] == 1
+    assert rank_spectrum(model.eigenvalues(4.0))[2] == 1
 
 
 @pytest.mark.parametrize("graph", [GraphSpec.chain(2), GraphSpec(3, ((0, 1),))], ids=["chain:2", "isolated:3"])
@@ -746,7 +746,7 @@ def test_pump_model_eigenvalues_at_exceptional_point_are_conjugate_closed(graph)
 
 def test_pump_model_eigenvalues_fail_loudly(monkeypatch):
     model = PumpModel(GraphSpec.chain(3), ModelParams(g=1.0, h=0.7, gamma=0.0))
-    assert rank_spectrum(model.eigenvalues(5.0))[3] == 1
+    assert rank_spectrum(model.eigenvalues(5.0))[2] == 1
     with monkeypatch.context() as patch:
         patch.setattr(lindblad, "ABERTH_MAX_SWEEPS", 1)
         with pytest.raises(NumericalError, match="secular equation unsolved: .* after 1 Aberth sweeps"):

@@ -139,13 +139,21 @@ def test_pure_state_spins_equal_those_of_the_density_matrix(rng, graph):
         assert pure_state_spins(state) == spin_expectations(pure_state_density(state))
 
 
-@pytest.mark.parametrize("gamma", [0.0, 5.0])
-@pytest.mark.parametrize("graph", [GraphSpec.chain(3), GraphSpec.grid(2, 2), GraphSpec(3, ((0, 1),))],
-                         ids=["chain:3", "square:2x2", "isolated:3"])
+@pytest.mark.parametrize("gamma", [0.0, 5.0, 600.0])
+@pytest.mark.parametrize(
+    "graph",
+    [GraphSpec.chain(3), GraphSpec.grid(2, 2), GraphSpec(3, ((0, 1),)), GraphSpec.chain(5)],
+    ids=["chain:3", "square:2x2", "isolated:3", "chain:5"],
+)
 def test_kernel_observables_match_the_transformed_back_matrices(rng, graph, gamma):
+    # the overlap is Tr rho - Tr(Q rho) from the step's own q weights, which
+    # read the O diagonal too (|O| = 12 at chain:5); the target itself and a
+    # state near it put the fidelity at and near 1
     kernel = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=gamma)).kernel_step(gamma)
     target = cluster_state(graph)
-    rhos = [random_density_matrix(rng, 2**graph.n_qubits) for _ in range(4)]
+    d = 2**graph.n_qubits
+    rhos = [random_density_matrix(rng, d) for _ in range(4)]
+    rhos += [pure_state_density(target), 0.999 * pure_state_density(target) + 0.001 * rhos[0]]
     states = np.array([kernel.start(rho) for rho in rhos])
     rows = kernel_observables(states, kernel, eta=0.3)
     expected = [
