@@ -258,7 +258,7 @@ def _cmd_evolve(cfg: dict) -> _Output:
     model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
     rng = np.random.default_rng(cfg["seed"])
     rho0 = _initial_density(cfg["rho0"], model.graph.n_qubits, rng)
-    dt = cfg["dt"] if cfg["dt"] is not None else 0.01 / max(1.0, abs(model.params.gamma_g))
+    dt = cfg["dt"] if cfg["dt"] is not None else 0.01 / max(1.0, abs(cfg["gamma_g"]))
     gamma = model.params.gamma
     kernel = model.kernel_step(gamma)
     if kernel is not None:
@@ -298,9 +298,8 @@ def _cmd_meanfield(cfg: dict) -> _Output:
     else:
         # Default: a small seeded perturbation of the first stable branch
         # (or of the first branch when none is stable).
-        base = next((fp for fp in points if fp.stable), points[0] if points else None)
-        center = base.state.as_array() if base else np.zeros(3)
-        s0 = MeanFieldState.from_array(center + rng.normal(0.0, 0.05, 3))
+        base = next((fp for fp in points if fp.stable), points[0])
+        s0 = MeanFieldState.from_array(base.state.as_array() + rng.normal(0.0, 0.05, 3))
     dt = cfg["dt"] if cfg["dt"] is not None else mf_default_dt(params)
     traj = mean_field_evolve(s0, params, cfg["t_final"], dt, sample_every=cfg["sample_every"])
     tables = {
@@ -441,8 +440,8 @@ _COMMANDS = {
 # add_argument keywords of the flag for each key
 _OPTIONS = {
     "seed": {"type": int, "help": "seed for randomized initial states"},
-    "h_g": {"type": _finite, "help": "transverse field h/g"},
-    "gamma_g": {"type": _finite, "help": "dissipation rate gamma/g"},
+    "h_g": {"type": _finite, "help": "transverse field h/|g|"},
+    "gamma_g": {"type": _finite, "help": "dissipation rate gamma/|g|"},
     "sign_g": {"type": int, "choices": (1, -1), "help": "sign of the Ising coupling"},
     "eta": {"type": _finite, "help": "witness offset (default 1/2)"},
     "graph": {"help": 'graph preset ("chain:N", "square:RxC"), JSON file, or inline JSON'},

@@ -71,8 +71,21 @@ class GraphSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "GraphSpec":
+        """Parse ``{"n": N, "edges": [[j, k], ...]}``.  Raises ValueError,
+        naming the key, unless n and every endpoint are JSON integers (not
+        booleans) and edges is a list of pairs; KeyError for a missing key."""
         doc = json.loads(text)
-        return cls(int(doc["n"]), tuple((int(j), int(k)) for j, k in doc["edges"]))
+        if not isinstance(doc, dict):
+            raise ValueError(f"a graph is a JSON object, not {type(doc).__name__}")
+        n, edges = doc["n"], doc["edges"]
+        if type(n) is not int:  # bool is a subclass of int, and is refused
+            raise ValueError(f"graph key 'n' must be an integer, got {n!r}")
+        if not isinstance(edges, list):
+            raise ValueError(f"graph key 'edges' must be a list of pairs, got {edges!r}")
+        for edge in edges:
+            if not (isinstance(edge, list) and len(edge) == 2 and all(type(v) is int for v in edge)):
+                raise ValueError(f"graph key 'edges' must hold pairs of integers, got {edge!r}")
+        return cls(n, tuple(map(tuple, edges)))
 
 
 @dataclass(frozen=True)

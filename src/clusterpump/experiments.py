@@ -172,9 +172,8 @@ def detect_gamma_sat(sweep: SweepResult, epsilon: float = 1e-3) -> float:
     if i_hit == 0:
         return float(x[0])
     x0, x1 = x[i_hit - 1], x[i_hit]
+    # f0 < threshold <= f1: i_hit is the first point at or above it
     f0, f1 = f[i_hit - 1], f[i_hit]
-    if f1 == f0:
-        return float(x1)
     frac = (threshold - f0) / (f1 - f0)
     return float(x0 + frac * (x1 - x0))
 

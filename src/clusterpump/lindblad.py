@@ -138,25 +138,6 @@ class ModelParams:
     def __post_init__(self) -> None:
         _require_nonnegative(self.gamma)
 
-    @classmethod
-    def from_ratios(cls, h_g: float, gamma_g: float, g: float = 1.0) -> "ModelParams":
-        """Build from the dimensionless knobs h/g and gamma/g at a given g > 0."""
-        if g <= 0:
-            raise ValueError("from_ratios requires g > 0; construct directly for g < 0")
-        return cls(g=g, h=h_g * g, gamma=gamma_g * g)
-
-    @property
-    def h_g(self) -> float:
-        if self.g == 0:
-            raise ValueError("h/g undefined for g = 0")
-        return self.h / self.g
-
-    @property
-    def gamma_g(self) -> float:
-        if self.g == 0:
-            raise ValueError("gamma/g undefined for g = 0")
-        return self.gamma / self.g
-
 
 def hamiltonian(g_spec: GraphSpec, p: ModelParams) -> DenseOperator:
     """g * sum_edges Z_j Z_k + h * sum_k X_k on the graph's register.
@@ -690,8 +671,10 @@ class PumpModel:
         ``STEADY_BATCH_BYTES`` of such systems, each batch built, normalized
         as in ``steady_state_direct`` and checked as a stack.  A rate that is
         negative or not finite raises ValueError before any work.  A point
-        fails with "degenerate kernel: ..." at gamma = 0 (it never enters a
-        batch) or on a singular system, and when the Frobenius norm of
+        fails with "degenerate kernel: ..." at gamma = 0, with "degenerate
+        kernel (kernel_dim >= 1 + |O|): ..." at a gamma so small that
+        ``PumpModel.gap`` would count the O diagonal poles as kernel (neither
+        enters a batch), or on a singular system, and when the Frobenius norm of
         ``_eigenbasis_rhs(E_J, c_J, gamma, rho~)`` for the normalized
         ``rho~`` (equal to that of ``apply(rho, gamma)``) exceeds
         ``1e-8 max(1, s)``, where s is the largest diagonal entry of the
@@ -714,11 +697,20 @@ class PumpModel:
         for point in np.flatnonzero(gammas == 0):
             out[point] = (None, math.nan, NumericalError(
                 "degenerate kernel: without dissipation (gamma = 0) the steady state is not unique"))
-        positive = np.flatnonzero(gammas > 0)
+        energies, _, c, m = self.eigenbasis
+        if m < energies.size:
+            # Each O diagonal pole -gamma is an eigenvalue, and each OO pole
+            # -gamma - i (E_a - E_b), formed as ``eigenvalues`` forms it, bounds
+            # max |lambda| from below.  So at or below this reach
+            # ``rank_spectrum`` counts all |O| of them and lambda = 0 as kernel.
+            reach = solver.KERNEL_TOL_FACTOR * np.maximum(1.0, np.abs(gammas + 1j * np.ptp(energies[m:])))
+            for point in np.flatnonzero((gammas > 0) & (gammas <= reach)):
+                out[point] = (None, math.nan, NumericalError(
+                    f"degenerate kernel (kernel_dim >= {1 + energies.size - m}): the steady state is not unique"))
+        positive = np.flatnonzero([entry is None for entry in out])
         if not positive.size:
             return out
         gamma = gammas[positive]
-        energies, _, c, m = self.eigenbasis
         energies, c = energies[:m], c[:m]
         G = gamma[:, None, None]
         M = G / (G + 1j * np.subtract.outer(energies, energies))

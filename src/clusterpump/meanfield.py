@@ -8,13 +8,18 @@ Factorizing two-site correlators turns the master equation into a closed
     dJy/dt =  4 g Jx Jz - 2 h Jz - gamma Jy
     dJz/dt = -2 h Jy - gamma Jz
 
-whose equilibria fall into four closed-form families:
+whose equilibria, for g > 0 and h >= 0, fall into four closed-form
+families in the ratios h_g = h/g and gamma_g = gamma/g:
 
 * s1 = (+-1, 0, 0)                         at gamma = 0 (field-dominated),
-* s2 = (h_g/2, 0, +-sqrt(1 - (h_g/2)^2))   at gamma = 0, |h_g| <= 2,
+* s2 = (h_g/2, 0, +-sqrt(1 - (h_g/2)^2))   at gamma = 0, h_g <= 2,
 * s3 = (0, 0, 0)                           for gamma_g >= 2 h_g,
 * s4 = q/(8 h_g) * (q, +-gamma_g, -+2 h_g) for gamma_g < 2 h_g,
        with q = sqrt(4 h_g^2 - gamma_g^2).
+
+The equations have two exact sign symmetries: g -> -g with Jx -> -Jx, and
+h -> -h with (Jx, Jz) -> (-Jx, -Jz).  Every other sign of g and h reads the
+families at h/|g| and gamma/|g| through them.
 
 ``mean_field_evolve`` integrates the ODEs with the same fixed-step driver
 (``solver.rk4``) that integrates the exact master equation, and returns the
@@ -118,46 +123,48 @@ def _classify(s: MeanFieldState, p: ModelParams) -> tuple[bool, str]:
 def fixed_points(p: ModelParams) -> list[FixedPoint]:
     """Enumerate the applicable closed-form equilibrium branches.
 
-    At gamma = 0 these are the polarized branches s1 and (for |h_g| <= 2)
+    At gamma = 0 these are the polarized branches s1 and (for |h|/|g| <= 2)
     the ordered branches s2; for gamma > 0 the origin s3 applies when
-    gamma_g >= 2 h_g and the s4 pair when gamma_g < 2 h_g.
+    gamma >= 2 |h| and the s4 pair when gamma < 2 |h|.  The families are
+    built at g > 0, h >= 0 from h/|g| and gamma/|g|, and each point is
+    mapped through the sign symmetries to the signs of ``p``; its label
+    names the branch it is the image of, and its stability is classified
+    where it lands.
     """
     if p.g == 0:
-        raise ValueError("fixed points are parameterized by h/g and gamma/g; g must be nonzero")
-    h_g = p.h_g
-    gamma_g = p.gamma_g
+        raise ValueError("fixed points are parameterized by h/|g| and gamma/|g|; g must be nonzero")
+    h_g = abs(p.h) / abs(p.g)
+    gamma_g = p.gamma / abs(p.g)
+    # g -> -g negates Jx; h -> -h negates Jx and Jz
+    sign_x = -1.0 if (p.g < 0) != (p.h < 0) else 1.0
+    sign_z = -1.0 if p.h < 0 else 1.0
     out: list[FixedPoint] = []
 
     def add(label: str, jx: float, jy: float, jz: float) -> None:
-        state = MeanFieldState(jx, jy, jz)
+        state = MeanFieldState(sign_x * jx, jy, sign_z * jz)
         stable, cls = _classify(state, p)
         out.append(FixedPoint(label=label, state=state, stable=stable, classification=cls))
 
     if p.gamma == 0:
         add("s1_plus", 1.0, 0.0, 0.0)
         add("s1_minus", -1.0, 0.0, 0.0)
-        if abs(h_g) <= 2.0:
+        if h_g <= 2.0:
             jz = math.sqrt(max(0.0, 1.0 - (h_g / 2.0) ** 2))
             add("s2_plus", h_g / 2.0, 0.0, jz)
             add("s2_minus", h_g / 2.0, 0.0, -jz)
+    elif gamma_g >= 2.0 * h_g:
+        add("s3", 0.0, 0.0, 0.0)
     else:
-        if gamma_g >= 2.0 * h_g:
-            add("s3", 0.0, 0.0, 0.0)
-        else:
-            q = math.sqrt(4.0 * h_g**2 - gamma_g**2)
-            pref = q / (8.0 * h_g)
-            add("s4_plus", pref * q, pref * gamma_g, pref * (-2.0 * h_g))
-            add("s4_minus", pref * q, pref * (-gamma_g), pref * (2.0 * h_g))
+        q = math.sqrt(4.0 * h_g**2 - gamma_g**2)
+        pref = q / (8.0 * h_g)
+        add("s4_plus", pref * q, pref * gamma_g, pref * (-2.0 * h_g))
+        add("s4_minus", pref * q, pref * (-gamma_g), pref * (2.0 * h_g))
     return out
 
 
 def default_dt(p: ModelParams) -> float:
     """Integrator step scaled to the fastest model rate."""
-    if p.g != 0:
-        scale = max(1.0, abs(p.gamma_g), abs(p.h_g))
-    else:
-        scale = max(1.0, abs(p.gamma), abs(p.h))
-    return 0.005 / scale
+    return 0.005 / max(1.0, abs(p.g), abs(p.h), abs(p.gamma))
 
 
 def mean_field_evolve(

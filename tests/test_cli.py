@@ -59,6 +59,32 @@ def test_parse_graph_rejects_garbage():
             parse_graph(bad)
 
 
+@pytest.mark.parametrize("source", ["inline", "file"])
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"n": 2, "edges": 5}', "'edges'"),
+        ('{"n": 2, "edges": [0, 1]}', "'edges'"),
+        ('{"n": 2, "edges": [[0, 1.5]]}', "'edges'"),
+        ('{"n": null, "edges": []}', "'n'"),
+        ('{"n": 2.5, "edges": []}', "'n'"),
+        ('{"n": true, "edges": []}', "'n'"),
+    ],
+    ids=["edges_number", "edges_flat", "endpoint_float", "n_null", "n_float", "n_bool"],
+)
+def test_malformed_graph_json_exits_one(tmp_path, capsys, source, text, key):
+    # n and every endpoint must be JSON integers, and edges a list of pairs:
+    # nothing is truncated to an integer, and nothing fails with a traceback
+    if source == "file":
+        path = tmp_path / "graph.json"
+        path.write_text(text)
+        graph, label = str(path), "bad graph file"
+    else:
+        graph, label = text, "bad inline graph JSON"
+    err = assert_refused(capsys, ["cluster", "--graph", graph], tmp_path / "out")
+    assert label in err and f"graph key {key}" in err
+
+
 # ----------------------------------------------------------------- commands
 
 
@@ -163,6 +189,25 @@ def test_meanfield_command(tmp_path):
     assert labels == ["s3"]
     table = (tmp_path / "meanfield_fixed_points.csv").read_text().splitlines()
     assert table[0] == "label,jx,jy,jz,stable,classification"
+
+
+def test_meanfield_with_a_negative_coupling(tmp_path, capsys):
+    # h and gamma are ratios to |g|: the table lists the origin at gamma >= 2 h
+    # and the stable s4 pair, with Jx negated, below it
+    out = tmp_path / "strong"
+    assert run(["meanfield", "--sign-g", "-1", "--h-g", "1", "--gamma-g", "3", "--out", str(out)]) == 0
+    doc = json.loads((out / "meanfield.json").read_text())
+    assert [(fp["label"], fp["stable"]) for fp in doc["fixed_points"]] == [("s3", True)]
+    out = tmp_path / "weak"
+    assert run(["meanfield", "--sign-g", "-1", "--h-g", "1", "--gamma-g", "0.5", "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "meanfield_fixed_points.csv").open()))
+    assert [(row["label"], row["stable"]) for row in rows] == [("s4_plus", "True"), ("s4_minus", "True")]
+    states = np.array([[float(row[k]) for k in ("jx", "jy", "jz")] for row in rows])
+    assert np.abs(states - [[-0.46875, 0.12103, -0.48412], [-0.46875, -0.12103, 0.48412]]).max() <= 1e-5
+    # the default start perturbs the first stable point, and the run ends on it
+    final = json.loads((out / "meanfield.json").read_text())["final_state"]
+    assert np.abs(np.array(final) - states[0]).max() <= 1e-3
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_command(tmp_path):
@@ -275,6 +320,7 @@ def assert_refused(capsys, args, out):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not list(out.glob("*"))
+    return err
 
 
 @pytest.mark.parametrize(
@@ -426,6 +472,20 @@ def test_sweep_whose_points_all_fail_writes_its_table(tmp_path, capsys):
     rows = list(csv.DictReader((tmp_path / "sweep.csv").open()))
     assert [row["status"] for row in rows] == ["degenerate kernel (kernel_dim = 8): the steady state is not unique"] * 3
     assert capsys.readouterr().err == ""
+
+
+def test_sweep_without_gaps_refuses_a_degenerate_kernel(tmp_path):
+    # gamma = 1e-12 and 1e-9 lie within the kernel tolerance of the O
+    # diagonal poles -gamma, so the gap route counts kernel_dim = 8 there;
+    # a sweep without gaps fails them too, and gamma_sat is not the first point
+    for skip_gap in (["--skip-gap"], []):
+        out = tmp_path / str(len(skip_gap))
+        args = ["sweep", "--graph", "chain:3", "--gamma-grid", "log:1e-12:1e-6:3", *skip_gap, "--out", str(out)]
+        assert run(args) == 0
+        doc = json.loads((out / "sweep.json").read_text())
+        assert (doc["n_failed"], doc["gamma_sat"]) == (2, 1e-6)
+        statuses = [row["status"] for row in csv.DictReader((out / "sweep.csv").open())]
+        assert [status.startswith("degenerate kernel") for status in statuses] == [True, True, False]
 
 
 def test_scaling_whose_sweep_points_all_fail_exits_two(tmp_path, capsys, monkeypatch):

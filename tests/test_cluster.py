@@ -192,3 +192,10 @@ def test_orthogonal_basis_is_z_string_ordered():
         letters = {m: "Z" for m in range(3) if (s >> (2 - m)) & 1}
         expected = pauli_to_dense(PauliString(3, letters)) @ target
         assert np.abs(basis.states[s - 1] - expected).max() <= 1e-12
+
+
+def test_graph_json_must_be_an_object():
+    # a JSON file may hold any value; only an object is a graph
+    for text in ("[[0, 1]]", "3", "null"):
+        with pytest.raises(ValueError, match="a graph is a JSON object"):
+            GraphSpec.from_json(text)

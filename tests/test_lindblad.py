@@ -65,19 +65,6 @@ def test_non_finite_gamma_is_refused(gamma):
             call(gamma)
 
 
-def test_params_ratios():
-    p = ModelParams.from_ratios(h_g=2.0, gamma_g=3.0, g=0.5)
-    assert p.h == 1.0 and p.gamma == 1.5
-    assert p.h_g == 2.0 and p.gamma_g == 3.0
-
-
-def test_params_ratios_need_nonzero_g():
-    with pytest.raises(ValueError):
-        ModelParams.from_ratios(1.0, 1.0, g=0.0)
-    with pytest.raises(ValueError):
-        ModelParams(g=0.0, h=1.0, gamma=1.0).h_g
-
-
 # ----------------------------------------------------------------- hamiltonian
 
 
@@ -451,6 +438,27 @@ def test_pump_model_steady_state_rejects_gamma_zero():
         model.steady_state(0.0)
     with pytest.raises(ValueError, match="gamma"):
         model.steady_state(-1.0)
+
+
+@pytest.mark.parametrize("h", [0.7, 1.0])
+@pytest.mark.parametrize("graph", MODEL_GRAPHS, ids=["chain:2", "chain:3", "chain:4", "chain:5", "square:2x2"])
+def test_support_steady_states_refuse_only_kernels_the_gap_route_refuses(graph, h):
+    # at a gamma within the kernel tolerance of the O diagonal poles -gamma a
+    # steady state fails as a degenerate kernel, and the gap route refuses the
+    # same point, with at least 1 + |O| eigenvalues in its kernel
+    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
+    gammas = np.geomspace(1e-12, 1e-4, 17)
+    size = model.eigenbasis[0].size - model.eigenbasis[3]
+    flagged = []
+    for gamma, (_, _, error) in zip(gammas, model.support_steady_states(gammas)):
+        if error is not None:
+            assert str(error) == f"degenerate kernel (kernel_dim >= {1 + size}): the steady state is not unique"
+            with pytest.raises(NumericalError, match="degenerate kernel") as exc:
+                model.gap(gamma)
+            assert exc.value.kernel_dim >= 1 + size
+            flagged.append(gamma)
+    # the rule reaches up to 1e-8 max(1, |gamma + i ptp(E_O)|), past 1e-8
+    assert flagged == list(gammas[:len(flagged)]) and len(flagged) >= 9
 
 
 def test_support_steady_states_fail_point_by_point(monkeypatch):

@@ -10,6 +10,7 @@ from clusterpump.lindblad import ModelParams
 from clusterpump.meanfield import (
     MeanFieldState,
     _rhs,
+    default_dt,
     fixed_points,
     jacobian,
     mean_field_evolve,
@@ -133,6 +134,75 @@ def test_stability_transition_at_twice_the_field():
 def test_fixed_points_requires_nonzero_g():
     with pytest.raises(ValueError):
         fixed_points(ModelParams(g=0.0, h=1.0, gamma=1.0))
+
+
+SIGNED_GRID = [
+    (g, h, gamma)
+    for g in (1.0, -1.0, 2.5, -2.5)
+    for h in (0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0)
+    for gamma in (0.0, 0.5, 3.0, 7.0)
+]
+
+
+@pytest.mark.parametrize("g, h, gamma", SIGNED_GRID)
+def test_fixed_points_at_every_sign(g, h, gamma):
+    # the families at g > 0, h >= 0, read through g -> -g (Jx -> -Jx) and
+    # h -> -h ((Jx, Jz) -> (-Jx, -Jz)), are equilibria at every sign
+    p = ModelParams(g=g, h=h, gamma=gamma)
+    points = fixed_points(p)
+    for fp in points:
+        assert residual(fp.state, p) <= 1e-12, fp
+        norm = np.linalg.norm(fp.state.as_array())
+        if fp.label.startswith("s4"):
+            # |s4| = q / (2 sqrt 2), which leaves the unit ball for q^2 > 8
+            q2 = (4.0 * h**2 - gamma**2) / g**2
+            assert norm == pytest.approx(math.sqrt(q2 / 8.0), rel=1e-12), fp
+            if q2 <= 8.0:
+                assert norm <= 1.0 + 1e-12, fp
+        else:
+            assert norm <= 1.0 + 1e-12, fp
+    labels = [fp.label for fp in points]
+    if gamma == 0:
+        # without dissipation the branches are those of the signed ratio h/g
+        expected = {(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)}
+        if abs(h / g) <= 2.0:
+            jz = math.sqrt(1.0 - (h / g / 2.0) ** 2)
+            expected |= {(h / g / 2.0, 0.0, jz), (h / g / 2.0, 0.0, -jz)}
+        listed = {tuple(fp.state.as_array()) for fp in points}
+        assert len(listed) == len(expected)
+        for state in expected:
+            assert min(np.abs(np.subtract(state, other)).max() for other in listed) <= 1e-15
+    elif gamma >= 2.0 * abs(h):
+        assert labels == ["s3"]
+    else:
+        assert labels == ["s4_plus", "s4_minus"]
+    # a stable point holds a trajectory started next to it
+    for fp in points:
+        if fp.stable:
+            start = MeanFieldState.from_array(fp.state.as_array() + 1e-3)
+            traj = mean_field_evolve(start, p, t_final=5.0)
+            dist = np.linalg.norm(traj.states - fp.state.as_array(), axis=1)
+            assert dist.max() <= 1e-2 and dist[-1] <= 1e-3, fp
+
+
+def test_default_dt_is_one_scale_of_every_rate():
+    # at |g| = 1 and at g = 0 the step is 0.005 / max(1, |gamma|, |h|), as it
+    # was when it read h and gamma relative to g; it is continuous at g = 0
+    for g in (1.0, -1.0, 0.0):
+        for h, gamma in ((0.5, 5.0), (-3.0, 0.2), (0.0, 0.0), (0.7, 1.0)):
+            assert default_dt(ModelParams(g=g, h=h, gamma=gamma)) == 0.005 / max(1.0, abs(gamma), abs(h))
+    assert default_dt(ModelParams(g=0.01, h=0.5, gamma=0.5)) == default_dt(ModelParams(g=0.0, h=0.5, gamma=0.5))
+    assert default_dt(ModelParams(g=-100.0, h=1.0, gamma=1.0)) == 0.005 / 100.0
+
+
+@pytest.mark.parametrize("g", [100.0, -100.0])
+def test_default_dt_resolves_a_strong_coupling(g):
+    # at h = gamma = 0 the flow keeps |s|; the default step must resolve the
+    # coupling's rate 4 |g| |s| to keep it
+    p = ModelParams(g=g, h=0.0, gamma=0.0)
+    traj = mean_field_evolve(MeanFieldState(0.3, -0.4, 0.5), p, t_final=1.0)
+    norms = np.linalg.norm(traj.states, axis=1)
+    assert np.abs(norms - math.sqrt(0.5)).max() <= 1e-9
 
 
 # ----------------------------------------------------------------- evolution
