@@ -8,7 +8,7 @@ exact and mean-field time evolution, and size-scaling experiments.
 
 __version__ = "0.1.0"
 
-from .cluster import GraphSpec, OrthogonalBasis, cluster_state, orthogonal_basis, plus_state, stabilizers
+from .cluster import GraphSpec, cluster_state, orthogonal_basis, plus_state, stabilizers
 from .errors import ConfigError, NumericalError
 from .experiments import (
     FitResult,
@@ -34,7 +34,7 @@ from .lindblad import (
 )
 from .meanfield import FixedPoint, MeanFieldState, fixed_points, mean_field_evolve, mean_field_rhs
 from .observables import fidelity, spin_expectations, witness_expectation
-from .operators import PauliString, dagger, pauli_to_dense
+from .operators import PauliString, pauli_to_dense
 from .solver import (
     SpectrumResult,
     Trajectory,
@@ -53,7 +53,6 @@ __all__ = [
     "MeanFieldState",
     "ModelParams",
     "NumericalError",
-    "OrthogonalBasis",
     "PauliString",
     "PumpModel",
     "ScalingStudy",
@@ -61,7 +60,6 @@ __all__ = [
     "SweepResult",
     "Trajectory",
     "cluster_state",
-    "dagger",
     "detect_gamma_sat",
     "devectorize",
     "evolve_expm",

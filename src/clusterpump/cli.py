@@ -147,6 +147,13 @@ def _model(cfg: dict) -> ModelParams:
     return ModelParams(g=float(cfg["sign_g"]), h=cfg["h_g"], gamma=cfg["gamma_g"])
 
 
+def _pump(cfg: dict) -> tuple[PumpModel, float]:
+    """The model on the config's graph, and the rate ``_model`` checks: the
+    graph is read first, the model's size guard last."""
+    graph, p = parse_graph(cfg["graph"]), _model(cfg)
+    return PumpModel(graph, p.g, p.h), p.gamma
+
+
 def _bitstring(index: int, n: int) -> str:
     return format(index, f"0{n}b")
 
@@ -198,8 +205,7 @@ def _cmd_cluster(cfg: dict) -> _Output:
 def _cmd_steady(cfg: dict) -> _Output:
     """Steady state and Liouvillian gap, in the eigenbasis of H without the
     4^N x 4^N superoperator (N <= 7, for the eigenvalues)."""
-    model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
-    gamma = model.params.gamma
+    model, gamma = _pump(cfg)
     # ranked first, so that gamma = 0 fails as a degenerate kernel with its dimension
     _, gap, kernel_dim = rank_spectrum(model.eigenvalues(gamma))
     # read off the support as a sweep point is, and transformed back for the residual
@@ -223,8 +229,8 @@ def _cmd_steady(cfg: dict) -> _Output:
 def _cmd_spectrum(cfg: dict) -> _Output:
     """Write the full Liouvillian spectrum, from the eigenbasis of H without
     the 4^N x 4^N superoperator (N <= 7)."""
-    model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
-    vals = model.eigenvalues(model.params.gamma)
+    model, gamma = _pump(cfg)
+    vals = model.eigenvalues(gamma)
     order, gap, kernel_dim = rank_spectrum(vals)
     vals = vals[order]
     summary = {
@@ -255,11 +261,10 @@ def _initial_density(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _cmd_evolve(cfg: dict) -> _Output:
     """Integrate the master equation and record observables."""
-    model = PumpModel(parse_graph(cfg["graph"]), _model(cfg))
+    model, gamma = _pump(cfg)
     rng = np.random.default_rng(cfg["seed"])
     rho0 = _initial_density(cfg["rho0"], model.graph.n_qubits, rng)
     dt = cfg["dt"] if cfg["dt"] is not None else 0.01 / max(1.0, abs(cfg["gamma_g"]))
-    gamma = model.params.gamma
     kernel = model.kernel_step(gamma)
     if kernel is not None:
         # step in the eigenbasis of K and read the observables there
@@ -446,7 +451,8 @@ _OPTIONS = {
     "eta": {"type": _finite, "help": "witness offset (default 1/2)"},
     "graph": {"help": 'graph preset ("chain:N", "square:RxC"), JSON file, or inline JSON'},
     "t_final": {"type": _finite},
-    "dt": {"type": _finite, "help": "RK4 step (default: scaled to the fastest rate)"},
+    "dt": {"type": _finite, "help": "RK4 step (default: 0.01/max(1, gamma/|g|) for evolve, "
+                                    "0.005/max(1, |h|/|g|, gamma/|g|) for meanfield)"},
     "rho0": {"choices": ("plus", "zero", "mixed", "random"), "help": "initial state"},
     "sample_every": {"type": int},
     "s0": {"help": "initial (jx,jy,jz) as x,y,z; default perturbs a stable branch"},

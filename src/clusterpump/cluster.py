@@ -66,9 +66,6 @@ class GraphSpec:
         out = [k if v == j else v for v, k in self.edges if j in (v, k)]
         return tuple(sorted(out))
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n_qubits, "edges": [list(e) for e in self.edges]})
-
     @classmethod
     def from_json(cls, text: str) -> "GraphSpec":
         """Parse ``{"n": N, "edges": [[j, k], ...]}``.  Raises ValueError,
@@ -86,19 +83,6 @@ class GraphSpec:
             if not (isinstance(edge, list) and len(edge) == 2 and all(type(v) is int for v in edge)):
                 raise ValueError(f"graph key 'edges' must hold pairs of integers, got {edge!r}")
         return cls(n, tuple(map(tuple, edges)))
-
-
-@dataclass(frozen=True)
-class OrthogonalBasis:
-    """Orthonormal basis of the complement of the target state.
-
-    ``states[m]`` is the m-th basis vector; there are ``2**N - 1`` of them,
-    ordered by the Z-string pattern read as an integer (site 0 = most
-    significant bit), ascending.
-    """
-
-    states: np.ndarray  # shape (2**N - 1, 2**N)
-    target: StateVector
 
 
 def plus_state(n: int) -> StateVector:
@@ -144,10 +128,12 @@ def stabilizers(g: GraphSpec) -> list[PauliString]:
     return out
 
 
-def orthogonal_basis(g: GraphSpec) -> OrthogonalBasis:
-    """Z-string basis of the subspace orthogonal to the cluster state.
+def orthogonal_basis(g: GraphSpec) -> np.ndarray:
+    """Z-string basis of the subspace orthogonal to the cluster state, as the
+    rows of a (2^N - 1) x 2^N array.
 
-    For every nonzero pattern ``s`` the vector is ``prod_m Z_m^{s_m} |C>``.
+    Row ``s - 1`` is ``prod_m Z_m^{s_m} |C>`` for the nonzero pattern ``s``
+    read as an integer (site 0 the most significant bit), ascending.
     These are exactly orthonormal: every amplitude of ``|C>`` has modulus
     ``2^{-N/2}``, so the overlap of patterns ``s`` and ``t`` is the mean of
     the sign ``(-1)^{popcount(x & (s ^ t))}`` over all ``x``, which vanishes
@@ -160,7 +146,7 @@ def orthogonal_basis(g: GraphSpec) -> OrthogonalBasis:
     for s in range(1, dim):
         signs = 1.0 - 2.0 * (np.bitwise_count(idx & s) & 1)
         states[s - 1] = signs * target
-    return OrthogonalBasis(states=states, target=target)
+    return states
 
 
 def state_from_bits(bits: Sequence[int] | Iterable[int]) -> StateVector:

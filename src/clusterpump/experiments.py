@@ -26,7 +26,7 @@ import numpy as np
 
 from .cluster import GraphSpec
 from .errors import NumericalError
-from .lindblad import ModelParams, PumpModel, check_spectrum_size
+from .lindblad import PumpModel, check_spectrum_size
 from .observables import support_metrics
 
 
@@ -101,16 +101,13 @@ def gamma_sweep(
     if g == 0:
         raise ValueError("sweeps are parameterized by h/g and gamma/g; g must be nonzero")
     # h and gamma scale with |g| so that a sign flip of g only flips the coupling.
-    params = ModelParams(g=g, h=h_g * abs(g), gamma=0.0)
+    h = h_g * abs(g)
     if isinstance(system, PumpModel):
-        if (system.params.g, system.params.h) != (params.g, params.h):
-            raise ValueError(
-                f"model has g = {system.params.g}, h = {system.params.h}; "
-                f"the sweep asks for g = {params.g}, h = {params.h}"
-            )
+        if (system.g, system.h) != (g, h):
+            raise ValueError(f"model has g = {system.g}, h = {system.h}; the sweep asks for g = {g}, h = {h}")
         model = system
     else:
-        model = PumpModel(system, params)
+        model = PumpModel(system, g, h)
     scaled = gammas * abs(g)
     n_pts = gammas.size
     fid = np.full(n_pts, np.nan)
@@ -270,8 +267,7 @@ def size_scaling_study(
         raise ValueError(f"a scaling study needs at least 2 distinct sizes, got {list(n_values)}")
     for n in n_values:
         check_spectrum_size(n)
-    params = ModelParams(g=1.0, h=h_g, gamma=0.0)
-    models = [PumpModel(GraphSpec.chain(n), params) for n in n_values]
+    models = [PumpModel(GraphSpec.chain(n), 1.0, h_g) for n in n_values]
 
     partial = []
     for model in models:

@@ -139,8 +139,9 @@ class ModelParams:
         _require_nonnegative(self.gamma)
 
 
-def hamiltonian(g_spec: GraphSpec, p: ModelParams) -> DenseOperator:
-    """g * sum_edges Z_j Z_k + h * sum_k X_k on the graph's register.
+def hamiltonian(g_spec: GraphSpec, p: ModelParams | PumpModel) -> DenseOperator:
+    """g * sum_edges Z_j Z_k + h * sum_k X_k on the graph's register, for the
+    coupling ``p.g`` and field ``p.h`` of a ``ModelParams`` or a ``PumpModel``.
 
     Built from basis indices rather than Kronecker products: Z_j Z_k is the
     diagonal (-1)^(x_j xor x_k) and X_k maps x to x xor 2^(N-1-k) (site 0 is
@@ -163,8 +164,8 @@ def _zz_diagonal(g_spec: GraphSpec, g: float) -> np.ndarray:
 def projection_jumps(g_spec: GraphSpec) -> list[DenseOperator]:
     """Rank-one jump operators |C><phi_m| pumping each orthogonal basis state
     into the cluster state; ordering follows ``orthogonal_basis``."""
-    basis = orthogonal_basis(g_spec)
-    return [np.outer(basis.target, phi.conj()) for phi in basis.states]
+    target = cluster_state(g_spec)
+    return [np.outer(target, phi.conj()) for phi in orthogonal_basis(g_spec)]
 
 
 def stabilizer_jumps(g_spec: GraphSpec) -> list[DenseOperator]:
@@ -386,7 +387,9 @@ def _eigenbasis_rhs(energies: np.ndarray, c: np.ndarray, gamma, rho: np.ndarray)
 
 @dataclass(frozen=True, eq=False)
 class PumpModel:
-    """The cluster-state pump on one graph: target state and H's ZZ diagonal.
+    """The cluster-state pump on one graph with Ising coupling g and field h:
+    target state and H's ZZ diagonal.  The model holds no dissipation rate;
+    every method that needs one takes it as ``gamma``.
 
     Refuses registers above ``MAX_MODEL_QUBITS`` before building anything;
     the dense ``liouvillian`` and ``eigenvalues`` refuse registers above
@@ -397,7 +400,8 @@ class PumpModel:
     """
 
     graph: GraphSpec
-    params: ModelParams
+    g: float
+    h: float
     target: StateVector = field(init=False, repr=False)
     zz: np.ndarray = field(init=False, repr=False)
 
@@ -409,7 +413,7 @@ class PumpModel:
                 f"the work on it would need about {MODEL_ARRAYS * 16.0 * 4.0**n / 2.0**30:.1f} GiB"
             )
         object.__setattr__(self, "target", cluster_state(self.graph))
-        object.__setattr__(self, "zz", _zz_diagonal(self.graph, self.params.g))
+        object.__setattr__(self, "zz", _zz_diagonal(self.graph, self.g))
 
     def liouvillian(self, gamma: float) -> Superoperator:
         """Dense generator ``gamma vec(P) vec(Q.T)^T + I kron K + conj(K) kron I``
@@ -421,7 +425,7 @@ class PumpModel:
         P = np.outer(self.target, self.target.conj())
         Q = np.eye(d, dtype=complex) - P
         L = np.multiply.outer(gamma * vectorize(P), vectorize(Q.T))
-        K = -1j * hamiltonian(self.graph, self.params) - (0.5 * gamma) * Q
+        K = -1j * hamiltonian(self.graph, self) - (0.5 * gamma) * Q
         # Row (i, k) and column (j, l) of L are entries i*d + k and j*d + l,
         # so I kron K fills blocks[a, :, a, :] and conj(K) kron I blocks[:, a, :, a].
         blocks = L.reshape(d, d, d, d)
@@ -451,7 +455,7 @@ class PumpModel:
             rows += rho.reshape(high, 2, low * d)[:, ::-1]
             columns = out.reshape(d * high, 2, low)
             columns -= rho.reshape(d * high, 2, low)[:, ::-1]
-        out *= -1j * self.params.h
+        out *= -1j * self.h
         out += _eigenbasis_rhs(self.zz, self.target, gamma, rho)
         return out
 
@@ -467,7 +471,7 @@ class PumpModel:
         most one nonzero component there, the norm over the eigenspace, on its
         first index; J holds the indices with ``|c_b| > SUPPORT_TOL``.
         """
-        energies, V = np.linalg.eigh(hamiltonian(self.graph, self.params).real)
+        energies, V = np.linalg.eigh(hamiltonian(self.graph, self).real)
         c = (V.T @ self.target).real  # the target, a graph state, is real
         scale = max(1.0, float(np.abs(energies).max()))
         first = np.diff(energies, prepend=-np.inf) > COINCIDENT_TOL * scale
@@ -755,8 +759,13 @@ class PumpModel:
         r = -(0.5 * gamma * (1.0 - p))
         off = gamma * (0.0 - p * p) + r + r
         tol = 1e-8 * np.maximum(1.0, np.abs(off + 1j * np.ptp(self.zz)))
-        # W is orthogonal, so this is |L rho|_F >= max |L rho| in any basis
-        residual = np.linalg.norm(_eigenbasis_rhs(energies, c, gamma, rho).reshape(gamma.size, -1), axis=1)
+        # W is orthogonal, so this is |L rho|_F >= max |L rho| in any basis;
+        # each point's entries are scaled by their largest modulus first, as
+        # their squares overflow from about 1e154 on (gamma >~ 1e170)
+        residual = _eigenbasis_rhs(energies, c, gamma, rho).reshape(gamma.size, -1)
+        largest = np.abs(residual).max(axis=1)
+        residual /= np.where(largest > 0, largest, 1.0)[:, None]
+        residual = largest * np.linalg.norm(residual, axis=1)
         for k, point in enumerate(positive):
             if out[point] is not None:
                 continue

@@ -130,6 +130,10 @@ def fixed_points(p: ModelParams) -> list[FixedPoint]:
     mapped through the sign symmetries to the signs of ``p``; its label
     names the branch it is the image of, and its stability is classified
     where it lands.
+
+    These are equilibria of the factorized ODEs, not all of them states of
+    spins-1/2: ``|s4| = q / (2 sqrt 2)`` with q of the module docstring, so
+    the s4 pair lies outside the unit ball when ``4 h^2 - gamma^2 > 8 g^2``.
     """
     if p.g == 0:
         raise ValueError("fixed points are parameterized by h/|g| and gamma/|g|; g must be nonzero")
@@ -171,16 +175,15 @@ def mean_field_evolve(
     s0: MeanFieldState,
     p: ModelParams,
     t_final: float,
-    dt: float | None = None,
+    dt: float,
     sample_every: int = 1,
 ) -> Trajectory:
-    """RK4 integration (``solver.rk4``) of the mean-field equations.
+    """RK4 integration (``solver.rk4``) of the mean-field equations in steps of
+    ``dt`` (``default_dt`` scales one to the fastest model rate).
 
     Raises NumericalError("mean-field blow-up") if the state norm exceeds 10
     or is NaN, the initial state included.
     """
-    if dt is None:
-        dt = default_dt(p)
     # The coefficients of ``_rhs``, folded as its left-to-right products fold them.
     a, b, c, gamma = -4.0 * p.g, 4.0 * p.g, 2.0 * p.h, p.gamma
 

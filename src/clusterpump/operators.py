@@ -35,7 +35,7 @@ _LETTERS = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 @dataclass(frozen=True)
 class PauliString:
-    """A unit-phase scalar times a product of single-site Pauli letters.
+    """A product of single-site Pauli letters.
 
     ``letters`` maps site index to one of ``"X"``, ``"Y"``, ``"Z"``; sites not
     present act as the identity.
@@ -43,7 +43,6 @@ class PauliString:
 
     n_qubits: int
     letters: Mapping[int, str]
-    phase: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
@@ -56,18 +55,12 @@ class PauliString:
                 )
             if letter not in _LETTERS:
                 raise ValueError(f"unknown Pauli letter {letter!r} at site {site}")
-        if abs(abs(complex(self.phase)) - 1.0) > 1e-12:
-            raise ValueError(f"phase must have unit modulus, got {self.phase!r}")
         object.__setattr__(self, "letters", letters)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
 
 
 def pauli_to_dense(p: PauliString) -> DenseOperator:
-    """Dense matrix of a Pauli string: ``phase * (sigma_0 x ... x sigma_{N-1})``."""
-    op = np.array([[complex(p.phase)]])
+    """Dense matrix of a Pauli string: ``sigma_0 x ... x sigma_{N-1}``."""
+    op = np.ones((1, 1), dtype=complex)
     for site in range(p.n_qubits):
         op = np.kron(op, _LETTERS.get(p.letters.get(site), PAULI_I))
     return op
@@ -81,11 +74,6 @@ def site_flips(dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
         raise ValueError(f"dimension {dim} is not a power of two")
     index = np.arange(dim)
     return [(index ^ (1 << (n - 1 - k)), 1.0 - 2.0 * ((index >> (n - 1 - k)) & 1)) for k in range(n)]
-
-
-def dagger(a: DenseOperator) -> DenseOperator:
-    """Conjugate transpose."""
-    return a.conj().T
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:

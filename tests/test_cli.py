@@ -9,7 +9,7 @@ from clusterpump import __version__, cli, lindblad, solver
 from clusterpump.cli import main, parse_graph
 from clusterpump.cluster import GraphSpec, cluster_state, plus_state, stabilizers
 from clusterpump.errors import NumericalError
-from clusterpump.lindblad import KernelStep, ModelParams, PumpModel
+from clusterpump.lindblad import KernelStep, PumpModel
 from clusterpump.observables import fidelity, spin_expectations, witness_expectation
 from clusterpump.operators import pauli_to_dense
 from clusterpump.solver import evolve_rk4, pure_state_density
@@ -172,6 +172,18 @@ def test_evolve_command(tmp_path):
     assert set(doc["config"]) == CONFIG_KEYS["evolve"]
     assert doc["final"]["fidelity"] > 0.95
     assert doc["final"]["t"] == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("rho0, spins", [("zero", (0.0, 0.0, 1.0)), ("mixed", (0.0, 0.0, 0.0))])
+def test_evolve_starts_from_the_named_state(tmp_path, rho0, spins):
+    # |0...0> and I / d both have fidelity 2^-N with a graph state, whose
+    # every amplitude has modulus 2^(-N/2); |0...0> has jz = 1, I / d no spin
+    args = ["evolve", "--graph", "chain:3", "--rho0", rho0, "--t-final", "1", "--out", str(tmp_path)]
+    assert run(args) == 0
+    first = next(csv.DictReader((tmp_path / "evolve.csv").read_text().splitlines()))
+    assert float(first["t"]) == 0.0
+    assert [float(first[k]) for k in ("jx", "jy", "jz")] == pytest.approx(spins, abs=1e-12)
+    assert float(first["fidelity"]) == pytest.approx(2.0**-3, abs=1e-12)
 
 
 def test_meanfield_command(tmp_path):
@@ -356,6 +368,23 @@ def test_non_finite_flag_exits_one(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        (["cluster", "--graph", "chain:0"], "chain length must be positive, got 0"),
+        (["steady", "--config", "{config}"], "config file is not valid JSON"),
+        (["meanfield", "--s0", "1,2"], "bad s0 '1,2'; expected x,y,z"),
+        (["scaling", "--n-values", "2,x"], "bad n_values '2,x'"),
+    ],
+    ids=["chain_0", "config_not_json", "s0_two_components", "n_values_not_integers"],
+)
+def test_bad_inputs_exit_one_with_their_message(tmp_path, capsys, args, message):
+    config = tmp_path / "run.json"
+    config.write_text("{not json")
+    err = assert_refused(capsys, [a.format(config=config) for a in args], tmp_path / "out")
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "command, config, flags",
     [
         ("cluster", {"graph": "square:2x2"}, ["--graph", "square:2x2"]),
@@ -488,6 +517,20 @@ def test_sweep_without_gaps_refuses_a_degenerate_kernel(tmp_path):
         assert [status.startswith("degenerate kernel") for status in statuses] == [True, True, False]
 
 
+def test_steady_states_at_huge_dissipation_pass_their_residual_check(tmp_path, capsys):
+    # the residual's entries reach about 1e154 from gamma ~ 1e170 on, where
+    # their squares would overflow (a RuntimeWarning, an error in this suite);
+    # the check must still read a finite norm
+    args = ["sweep", "--graph", "chain:3", "--gamma-grid", "log:1e150:1e200:6", "--skip-gap", "--out", str(tmp_path)]
+    assert run(args) == 0
+    rows = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
+    assert [row["status"] for row in rows] == ["ok"] * 6
+    assert [float(row["fidelity"]) for row in rows] == pytest.approx([1.0] * 6, abs=1e-12)
+    assert run(["steady", "--graph", "chain:3", "--gamma-g", "1e200", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "steady.json").read_text())["fidelity"] == pytest.approx(1.0, abs=1e-12)
+    assert capsys.readouterr().err == ""
+
+
 def test_scaling_whose_sweep_points_all_fail_exits_two(tmp_path, capsys, monkeypatch):
     def failing(self, gammas):
         for _ in gammas:
@@ -560,7 +603,7 @@ def test_evolve_beyond_dense_guard(tmp_path):
             "--dt", "0.01", "--sample-every", "1", "--out", str(tmp_path)]
     assert run(args) == 0
     rows = np.loadtxt(tmp_path / "evolve.csv", delimiter=",", skiprows=1)
-    model = PumpModel(GraphSpec.chain(8), ModelParams(g=1.0, h=0.7, gamma=3.0))
+    model = PumpModel(GraphSpec.chain(8), 1.0, 0.7)
     rho0 = pure_state_density(plus_state(8))
     traj = evolve_rk4(rho0, lambda rho: model.apply(rho, 3.0), 0.05, 0.01)
     expected = [
@@ -586,7 +629,7 @@ def test_evolve_observables_match_the_back_transformed_samples(tmp_path, graph_a
             "--out", str(tmp_path)]
     assert run(args) == 0
     rows = np.loadtxt(tmp_path / "evolve.csv", delimiter=",", skiprows=1)
-    model = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=2.0))
+    model = PumpModel(graph, 1.0, 0.9)
     kernel = model.kernel_step(2.0)
     rho0 = cli._initial_density("random", graph.n_qubits, np.random.default_rng(5))
     traj = kernel.evolve(rho0, 0.3, 0.005)
@@ -657,7 +700,7 @@ def test_evolve_at_an_exceptional_point_takes_four_stages(tmp_path):
             "--rho0", "random", "--seed", "3", "--sample-every", "5", "--out", str(tmp_path)]
     assert run(args) == 0
     rows = np.loadtxt(tmp_path / "evolve.csv", delimiter=",", skiprows=1)
-    model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=0.0, gamma=4.0))
+    model = PumpModel(GraphSpec.chain(2), 1.0, 0.0)
     assert model.kernel_step(4.0) is None
     rho0 = cli._initial_density("random", 2, np.random.default_rng(3))
     traj = evolve_rk4(rho0, model.liouvillian(4.0), 0.5, 0.0025, sample_every=5)

@@ -19,7 +19,7 @@ from clusterpump.experiments import (
     parse_gamma_policy,
     size_scaling_study,
 )
-from clusterpump.lindblad import MAX_DENSE_QUBITS, MAX_MODEL_QUBITS, ModelParams, PumpModel
+from clusterpump.lindblad import MAX_DENSE_QUBITS, MAX_MODEL_QUBITS, PumpModel
 
 
 def synthetic_sweep(gammas, fid):
@@ -196,7 +196,7 @@ def test_gamma_sweep_without_gap_matches():
     fast = gamma_sweep(GraphSpec.chain(2), 1.0, grid, compute_gap=False)
     assert np.abs(full.fidelity - fast.fidelity).max() <= 1e-9
     assert np.all(np.isnan(fast.gap))
-    model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=1.0, gamma=0.0))
+    model = PumpModel(GraphSpec.chain(2), 1.0, 1.0)
     for gamma, gap in zip(grid, full.gap):
         assert gap == pytest.approx(solver.full_spectrum(model.liouvillian(gamma)).gap, rel=1e-10)
 
@@ -262,12 +262,11 @@ def test_size_guard():
     # the work of their secular equation; the model, whose steady states
     # need no generator, refuses N > MAX_MODEL_QUBITS before building
     # anything
-    params = ModelParams(g=1.0, h=1.0, gamma=0.0)
-    model = PumpModel(GraphSpec.chain(MAX_DENSE_QUBITS + 1), params)
+    model = PumpModel(GraphSpec.chain(MAX_DENSE_QUBITS + 1), 1.0, 1.0)
     with pytest.raises(ValueError, match="dense-solver guard .*GiB"):
         model.liouvillian(1.0)
     with pytest.raises(ValueError, match="model guard .*GiB"):
-        PumpModel(GraphSpec.chain(MAX_MODEL_QUBITS + 1), params)
+        PumpModel(GraphSpec.chain(MAX_MODEL_QUBITS + 1), 1.0, 1.0)
     with pytest.raises(ValueError, match="spectrum guard .*poles.*Aberth sweep"):
         gamma_sweep(GraphSpec.chain(8), 1.0, [1.0])
     with pytest.raises(ValueError, match="GiB"):
@@ -343,7 +342,7 @@ def test_gaps_need_no_superoperator(monkeypatch):
 
 
 def test_gamma_sweep_reuses_a_matching_model():
-    model = PumpModel(GraphSpec.chain(3), ModelParams(g=-1.0, h=0.5, gamma=0.0))
+    model = PumpModel(GraphSpec.chain(3), -1.0, 0.5)
     grid = [1.0, 10.0]
     from_model = gamma_sweep(model, 0.5, grid, compute_gap=False, g=-1.0)
     from_graph = gamma_sweep(GraphSpec.chain(3), 0.5, grid, compute_gap=False, g=-1.0)
@@ -357,7 +356,7 @@ def test_gamma_sweep_forms_no_dense_state():
     # support: a chain:10 sweep traces less than one complex d x d array
     # (16 MiB) beyond the cached eigenbasis, which forming each point's
     # d x d state exceeds (53 MiB)
-    model = PumpModel(GraphSpec.chain(10), ModelParams(g=1.0, h=1.0, gamma=0.0))
+    model = PumpModel(GraphSpec.chain(10), 1.0, 1.0)
     model.eigenbasis
     tracemalloc.start()
     try:

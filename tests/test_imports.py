@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 
 from clusterpump.cluster import GraphSpec
-from clusterpump.lindblad import KernelStep, ModelParams, PumpModel
+from clusterpump.lindblad import KernelStep, PumpModel
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "clusterpump"
 MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE.glob("*.py")}
@@ -104,5 +104,5 @@ def test_kernel_step_keeps_no_cache():
     # the step's tables are built once per run by evolve and passed to step
     assert "lru_cache" not in {node.id for node in ast.walk(MODULES["lindblad"]) if isinstance(node, ast.Name)}
     assert not hasattr(KernelStep, "tables")
-    kernel = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=0.5, gamma=1.0)).kernel_step(1.0)
+    kernel = PumpModel(GraphSpec.chain(2), 1.0, 0.5).kernel_step(1.0)
     assert not hasattr(kernel, "tables")

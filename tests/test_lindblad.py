@@ -57,7 +57,7 @@ def test_non_finite_gamma_is_refused(gamma):
     # NaN and inf fail where gamma enters, not as an all-NaN steady state
     with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
         ModelParams(g=1.0, h=1.0, gamma=gamma)
-    model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=1.0, gamma=1.0))
+    model = PumpModel(GraphSpec.chain(2), 1.0, 1.0)
     rho = np.eye(4, dtype=complex) / 4
     for call in (model.steady_state, model.eigenvalues, model.gap, model.kernel_step,
                  model.liouvillian, lambda g: model.apply(rho, g)):
@@ -120,8 +120,7 @@ def test_projection_jumps_shapes_and_action():
     assert len(jumps) == 3
     from clusterpump.cluster import orthogonal_basis
 
-    basis = orthogonal_basis(g)
-    for L, phi in zip(jumps, basis.states):
+    for L, phi in zip(jumps, orthogonal_basis(g)):
         # L+L is the projector onto the source state
         assert np.abs(L.conj().T @ L - np.outer(phi, phi.conj())).max() <= 1e-12
         # the target is annihilated
@@ -213,10 +212,9 @@ def test_liouvillian_parts_recombine():
 
 @pytest.mark.parametrize("graph", MODEL_GRAPHS)
 def test_pump_model_liouvillian_matches_explicit_jumps(graph):
-    params = ModelParams(g=-1.0, h=0.7, gamma=0.0)
-    model = PumpModel(graph, params)
+    model = PumpModel(graph, -1.0, 0.7)
     assert np.array_equal(model.target, cluster_state(graph))
-    H = hamiltonian(graph, params)
+    H = hamiltonian(graph, ModelParams(g=-1.0, h=0.7, gamma=0.0))
     assert np.array_equal(model.zz, H.diagonal().real)
     jumps = projection_jumps(graph)
     # gamma = 0 checks the unitary part alone
@@ -234,15 +232,14 @@ def test_pump_model_liouvillian_matches_explicit_jumps(graph):
     gamma=st.floats(min_value=0.0, max_value=1e3),
 )
 def test_pump_model_liouvillian_matches_explicit_jumps_on_random_graphs(graph, h, gamma):
-    params = ModelParams(g=1.0, h=h, gamma=0.0)
-    model = PumpModel(graph, params)
-    oracle = liouvillian(hamiltonian(graph, params), projection_jumps(graph), gamma)
+    model = PumpModel(graph, 1.0, h)
+    oracle = liouvillian(hamiltonian(graph, ModelParams(g=1.0, h=h, gamma=0.0)), projection_jumps(graph), gamma)
     assert np.abs(model.liouvillian(gamma) - oracle).max() <= 1e-12 * max(1.0, gamma)
 
 
 @pytest.mark.parametrize("graph", MODEL_GRAPHS)
 def test_pump_model_apply_matches_liouvillian(graph, rng):
-    model = PumpModel(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
+    model = PumpModel(graph, 1.0, 0.7)
     d = 2**graph.n_qubits
     rho = random_density_matrix(rng, d)
     for gamma in (0.0, 3.5, 500.0):
@@ -256,7 +253,7 @@ STEADY_GAMMAS = [0.5, 5.0, 200.0, 5000.0]
 @pytest.mark.parametrize("graph", MODEL_GRAPHS + [SQUARE_2X3, GraphSpec.chain(1), STAR])
 def test_pump_model_steady_state_matches_direct_solve(graph):
     # point by point, and the whole grid as one batch on the target's support
-    model = PumpModel(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
+    model = PumpModel(graph, 1.0, 0.7)
     batch = list(model.support_steady_states(STEADY_GAMMAS))
     assert len(batch) == len(STEADY_GAMMAS)
     for gamma, (rho_j, norm, error) in zip(STEADY_GAMMAS, batch):
@@ -275,7 +272,7 @@ def test_pump_model_steady_state_matches_direct_solve(graph):
     gamma=st.floats(min_value=0.1, max_value=1e3),
 )
 def test_pump_model_steady_state_on_random_graphs(graph, h, gamma):
-    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
+    model = PumpModel(graph, 1.0, h)
     rho, _ = model.steady_state(gamma)
     check_density_matrix(rho)
     assert np.abs(rho - steady_state_direct(model.liouvillian(gamma))).max() <= 1e-10
@@ -289,7 +286,7 @@ def test_pump_model_steady_state_of_a_dark_target(gamma):
     # N = 1 at h = 0: H = 0, so |C> is an eigenvector of H and the target is
     # dark; K . + . K^+ is singular there, yet the steady state is unique,
     # alone and as a point of one batch
-    model = PumpModel(GraphSpec(1, ()), ModelParams(g=1.0, h=0.0, gamma=0.0))
+    model = PumpModel(GraphSpec(1, ()), 1.0, 0.0)
     target = np.outer(model.target, model.target.conj())
     rho, _ = model.steady_state(gamma)
     assert np.abs(rho - target).max() <= 1e-12
@@ -299,7 +296,7 @@ def test_pump_model_steady_state_of_a_dark_target(gamma):
 
 def test_pump_model_steady_state_checks_its_residual_in_the_eigenbasis(monkeypatch):
     # the residual is the generator's Frobenius norm on rho~, not apply(rho)
-    model = PumpModel(GraphSpec.chain(4), ModelParams(g=1.0, h=0.7, gamma=0.0))
+    model = PumpModel(GraphSpec.chain(4), 1.0, 0.7)
     oracle = steady_state_direct(model.liouvillian(5.0))
 
     def refuse(*args, **kwargs):
@@ -343,7 +340,7 @@ def dense_diagonal_tolerance(model, gamma):
 def test_pump_model_steady_state_tolerance_is_that_of_the_dense_diagonal(monkeypatch, graph, g):
     # a residual of exactly the elementwise tolerance passes and one ulp more
     # fails, so the tolerance is that of the dense diagonal to the bit
-    model = PumpModel(graph, ModelParams(g=g, h=0.7, gamma=0.0))
+    model = PumpModel(graph, g, 0.7)
     residual = np.zeros((1, 1))
     monkeypatch.setattr(lindblad, "_eigenbasis_rhs", lambda energies, c, gamma, rho: residual)
     for gamma in np.geomspace(1e-3, 600.0, 7):
@@ -360,7 +357,7 @@ def eigenbasis_rhs_vs_dense(graph, h, gamma, rho):
     """Largest deviation of ``_eigenbasis_rhs`` on ``rho~`` from
     ``W^T L(W rho~ W^T) W`` with the dense generator L, relative to
     max(1, max |dense|)."""
-    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=gamma))
+    model = PumpModel(graph, 1.0, h)
     energies, W, c, _ = model.eigenbasis
     dense = W.T @ devectorize(model.liouvillian(gamma) @ vectorize(W @ rho @ W.T)) @ W
     error = np.abs(lindblad._eigenbasis_rhs(energies, c, gamma, rho) - dense).max()
@@ -389,7 +386,7 @@ def test_eigenbasis_rhs_matches_dense_on_random_graphs(graph, h, gamma, seed):
 @pytest.mark.parametrize("graph", MODEL_GRAPHS, ids=["chain:2", "chain:3", "chain:4", "chain:5", "square:2x2"])
 def test_eigenbasis_rhs_keeps_the_support(rng, graph):
     # c is exactly 0 on O, so a state on J x J maps to exactly 0 outside it
-    energies, _, c, m = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=0.0)).eigenbasis
+    energies, _, c, m = PumpModel(graph, 1.0, 0.9).eigenbasis
     d = 2**graph.n_qubits
     assert 0 < m < d
     rho = np.zeros((d, d), dtype=complex)
@@ -411,7 +408,7 @@ def test_pump_model_steady_state_solves_on_the_support(monkeypatch):
         return solve(A, b)
 
     monkeypatch.setattr(solver, "solve_nonsingular", recording)
-    model = PumpModel(GraphSpec.chain(5), ModelParams(g=1.0, h=0.7, gamma=0.0))
+    model = PumpModel(GraphSpec.chain(5), 1.0, 0.7)
     model.steady_state(5.0)
     assert model.eigenbasis[3] == 20
     assert shapes == [(40, 40)]
@@ -421,7 +418,7 @@ def test_pump_model_holds_one_basis():
     # H's eigendecomposition is kept once, as the real basis W: after every
     # structured route has run, the model holds no d x d array but W (no
     # complex H, no eigenvectors V beside W), only vectors of length d
-    model = PumpModel(GraphSpec.chain(5), ModelParams(g=1.0, h=0.7, gamma=0.0))
+    model = PumpModel(GraphSpec.chain(5), 1.0, 0.7)
     model.steady_state(5.0)
     model.kernel_step(5.0)
     model.eigenvalues(5.0)
@@ -432,8 +429,27 @@ def test_pump_model_holds_one_basis():
     assert np.shares_memory(large[0], model.eigenbasis[1])
 
 
+def test_pump_model_builds_h_through_hamiltonian_once(monkeypatch):
+    # the benchmark traces lindblad.hamiltonian as the H build, and the CLI's
+    # "before any work" tests patch it to fail: the model must build H there,
+    # once, from its own g and h
+    calls = []
+
+    def counted(g_spec, p):
+        calls.append((g_spec, p.g, p.h))
+        return hamiltonian(g_spec, p)
+
+    monkeypatch.setattr(lindblad, "hamiltonian", counted)
+    model = PumpModel(GraphSpec.chain(3), -1.0, 0.7)
+    energies = model.eigenbasis[0]
+    model.eigenbasis  # cached: a second read builds nothing
+    assert calls == [(GraphSpec.chain(3), -1.0, 0.7)]
+    H = hamiltonian(GraphSpec.chain(3), ModelParams(g=-1.0, h=0.7, gamma=0.0))
+    assert np.allclose(np.sort(energies), np.linalg.eigvalsh(H), atol=1e-12)
+
+
 def test_pump_model_steady_state_rejects_gamma_zero():
-    model = PumpModel(GraphSpec.chain(3), ModelParams(g=1.0, h=1.0, gamma=0.0))
+    model = PumpModel(GraphSpec.chain(3), 1.0, 1.0)
     with pytest.raises(NumericalError, match="degenerate kernel"):
         model.steady_state(0.0)
     with pytest.raises(ValueError, match="gamma"):
@@ -446,7 +462,7 @@ def test_support_steady_states_refuse_only_kernels_the_gap_route_refuses(graph, 
     # at a gamma within the kernel tolerance of the O diagonal poles -gamma a
     # steady state fails as a degenerate kernel, and the gap route refuses the
     # same point, with at least 1 + |O| eigenvalues in its kernel
-    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
+    model = PumpModel(graph, 1.0, h)
     gammas = np.geomspace(1e-12, 1e-4, 17)
     size = model.eigenbasis[0].size - model.eigenbasis[3]
     flagged = []
@@ -464,7 +480,7 @@ def test_support_steady_states_refuse_only_kernels_the_gap_route_refuses(graph, 
 def test_support_steady_states_fail_point_by_point(monkeypatch):
     # gamma = 0 and a point whose residual check fails fail alone, with the
     # messages a one-point solve raises; the other points are unchanged
-    model = PumpModel(GraphSpec.chain(4), ModelParams(g=1.0, h=0.7, gamma=0.0))
+    model = PumpModel(GraphSpec.chain(4), 1.0, 0.7)
     gammas = [0.0, 0.5, 5.0, 50.0]
     clean = list(model.support_steady_states(gammas))
     generator = lindblad._eigenbasis_rhs
@@ -493,7 +509,7 @@ def test_support_steady_states_keep_a_failed_solve_to_its_point(monkeypatch):
     # message; the batch's other points are unchanged
     from clusterpump import solver
 
-    model = PumpModel(GraphSpec.chain(4), ModelParams(g=1.0, h=0.7, gamma=0.0))
+    model = PumpModel(GraphSpec.chain(4), 1.0, 0.7)
     gammas = [0.5, 5.0, 50.0]
     clean = list(model.support_steady_states(gammas))
     solve = solver.solve_nonsingular
@@ -515,7 +531,7 @@ def test_support_steady_states_keep_a_failed_solve_to_its_point(monkeypatch):
 
 def test_support_steady_states_do_not_depend_on_the_batch(monkeypatch):
     # a grid solved one point per batch equals the grid solved as one batch
-    model = PumpModel(GraphSpec.chain(5), ModelParams(g=1.0, h=0.7, gamma=0.0))
+    model = PumpModel(GraphSpec.chain(5), 1.0, 0.7)
     gammas = np.geomspace(0.05, 1e4, 40)
     sizes = []
     batch = PumpModel._steady_batch
@@ -544,7 +560,7 @@ def assert_gap_matches_spectrum(model, gamma, abs_tol=0.0):
 
 @pytest.mark.parametrize("graph", MODEL_GRAPHS)
 def test_pump_model_gap_matches_full_spectrum(graph):
-    model = PumpModel(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
+    model = PumpModel(graph, 1.0, 0.7)
     for gamma in (0.5, 5.0, 50.0, 600.0):
         assert_gap_matches_spectrum(model, gamma)
 
@@ -552,7 +568,7 @@ def test_pump_model_gap_matches_full_spectrum(graph):
 def test_pump_model_gap_splits_chain5():
     # 12 of the 32 eigenvectors of H are orthogonal to the chain:5 target, so
     # the oracle cases above run the split into J and O
-    _, _, c, m = PumpModel(GraphSpec.chain(5), ModelParams(g=1.0, h=0.7, gamma=0.0)).eigenbasis
+    _, _, c, m = PumpModel(GraphSpec.chain(5), 1.0, 0.7).eigenbasis
     assert c.size - m == 12
     assert np.abs(c[:m]).min() > SUPPORT_TOL and not c[m:].any()
 
@@ -562,7 +578,7 @@ def test_pump_model_gap_with_empty_complement(graph, monkeypatch):
     # every graph up to N = 5 has eigenvectors of H orthogonal to its target;
     # a negative cutoff empties O, leaving the unsplit real map on all of X
     monkeypatch.setattr(lindblad, "SUPPORT_TOL", -1.0)
-    model = PumpModel(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
+    model = PumpModel(graph, 1.0, 0.7)
     for gamma in (0.5, 50.0):
         assert_gap_matches_spectrum(model, gamma)
         oracle = steady_state_direct(model.liouvillian(gamma))
@@ -577,7 +593,7 @@ def test_pump_model_gap_with_empty_complement(graph, monkeypatch):
 )
 def test_pump_model_gap_on_random_graphs(graph, h, gamma):
     # relative 1e-10, or the eigenvalues' round-off when the gap is tiny
-    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
+    model = PumpModel(graph, 1.0, h)
     assert_gap_matches_spectrum(model, gamma, abs_tol=1e-12 * max(1.0, gamma))
 
 
@@ -594,7 +610,7 @@ def assert_same_eigenvalues(vals, oracle, scale=None):
 
 @pytest.mark.parametrize("graph", MODEL_GRAPHS)
 def test_pump_model_eigenvalues_match_dense(graph):
-    model = PumpModel(graph, ModelParams(g=1.0, h=0.7, gamma=0.0))
+    model = PumpModel(graph, 1.0, 0.7)
     for gamma in (0.5, 5.0, 50.0, 600.0):
         oracle = np.linalg.eigvals(model.liouvillian(gamma))
         assert_same_eigenvalues(model.eigenvalues(gamma), oracle)
@@ -637,7 +653,7 @@ def assert_same_spectrum(vals, L):
     gamma=st.floats(min_value=0.0, max_value=1e3),
 )
 def test_pump_model_eigenvalues_on_random_graphs(graph, h, gamma):
-    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
+    model = PumpModel(graph, 1.0, h)
     assert_same_spectrum(model.eigenvalues(gamma), model.liouvillian(gamma))
 
 
@@ -648,7 +664,7 @@ def test_pump_model_eigenvalues_at_defective_generators(n, gamma):
     # point of K_J (the dense JJ sector), at gamma = 8 a double root of the
     # secular equation, whose pair each route splits by about 1e-7; the
     # eigenvalues match to 1e-10 only as cluster means
-    model = PumpModel(GraphSpec(n, ((0, 1),)), ModelParams(g=1.0, h=0.0, gamma=0.0))
+    model = PumpModel(GraphSpec(n, ((0, 1),)), 1.0, 0.0)
     vals, L = model.eigenvalues(gamma), model.liouvillian(gamma)
     with pytest.raises(AssertionError):
         assert_same_eigenvalues(vals, np.linalg.eigvals(L))
@@ -664,7 +680,7 @@ def test_pump_model_eigenvalues_past_the_held_iteration(graph, h, gamma):
     # the secular equation of chain:2 has 5 real roots from 3 real poles and
     # that of star:4 10 from 8, so a held pair must split into two real
     # roots; on chain:3 held unknowns are still moving when they are freed
-    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
+    model = PumpModel(graph, 1.0, h)
     vals, L = model.eigenvalues(gamma), model.liouvillian(gamma)
     assert_same_spectrum(vals, L)
     oracle = np.linalg.eigvals(L)
@@ -682,7 +698,7 @@ def test_pump_model_eigenvalues_past_the_held_iteration(graph, h, gamma):
 )
 def test_pump_model_eigenvalues_are_closed_under_conjugation(graph, h, gamma):
     # the generator preserves Hermiticity, so its spectrum is its own conjugate
-    vals = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0)).eigenvalues(gamma)
+    vals = PumpModel(graph, 1.0, h).eigenvalues(gamma)
     distance = np.abs(vals[:, None] - vals.conj()[None, :])
     rows, cols = linear_sum_assignment(distance)
     assert distance[rows, cols].max() <= 1e-12 * max(1.0, float(np.abs(vals).max()))
@@ -705,9 +721,9 @@ def test_secular_roots_on_random_conjugate_pole_sets():
 def test_pump_model_gap_strong_dissipation():
     # the gap tends to gamma / 2 as the pumping dominates
     for n in (3, 4):
-        model = PumpModel(GraphSpec.chain(n), ModelParams(g=1.0, h=0.5, gamma=0.0))
+        model = PumpModel(GraphSpec.chain(n), 1.0, 0.5)
         assert model.gap(100.0) == pytest.approx(50.07, abs=0.015)
-    model = PumpModel(GraphSpec.chain(6), ModelParams(g=1.0, h=0.5, gamma=0.0))
+    model = PumpModel(GraphSpec.chain(6), 1.0, 0.5)
     assert model.gap(600.0) == pytest.approx(300.0, abs=0.03)
 
 
@@ -722,7 +738,7 @@ def test_pump_model_eigenvalues_on_degenerate_spectra(graph, h):
     # h = 0 makes H diagonal with highly degenerate levels, so every eigenspace
     # of H is rotated before the split; the empty graph's target is an
     # eigenvector of H, leaving one index in J
-    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0))
+    model = PumpModel(graph, 1.0, h)
     for gamma in (0.0, 0.1, 3.0, 600.0):
         oracle = np.linalg.eigvals(model.liouvillian(gamma))
         assert_same_eigenvalues(model.eigenvalues(gamma), oracle)
@@ -732,7 +748,7 @@ def test_pump_model_gap_at_exceptional_point():
     # at h = 0, gamma = 4 the two J levels of chain:2 meet in an exceptional
     # point of K_J, where the secular weights lose every digit and the JJ
     # sector is taken densely
-    model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=0.0, gamma=0.0))
+    model = PumpModel(GraphSpec.chain(2), 1.0, 0.0)
     _, R, _, smallest = model._kernel_factors(4.0)
     assert smallest is None and np.linalg.cond(R) > lindblad.EIGENVECTOR_COND_MAX
     assert_gap_matches_spectrum(model, 4.0)
@@ -745,7 +761,7 @@ def test_pump_model_eigenvalues_at_exceptional_point_are_conjugate_closed(graph)
     # densely as a real matrix on Hermitian matrices, whose eigenvalues come
     # in exact conjugate pairs, as do the poles; the complex generator's
     # eigenvalues left pairs 2.9e-13 and 2.2e-13 of the scale apart here
-    model = PumpModel(graph, ModelParams(g=1.0, h=0.001, gamma=0.0))
+    model = PumpModel(graph, 1.0, 0.001)
     assert model._kernel_factors(4.0)[3] is None
     vals = model.eigenvalues(4.0)
     assert np.array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
@@ -753,7 +769,7 @@ def test_pump_model_eigenvalues_at_exceptional_point_are_conjugate_closed(graph)
 
 
 def test_pump_model_eigenvalues_fail_loudly(monkeypatch):
-    model = PumpModel(GraphSpec.chain(3), ModelParams(g=1.0, h=0.7, gamma=0.0))
+    model = PumpModel(GraphSpec.chain(3), 1.0, 0.7)
     assert rank_spectrum(model.eigenvalues(5.0))[2] == 1
     with monkeypatch.context() as patch:
         patch.setattr(lindblad, "ABERTH_MAX_SWEEPS", 1)
@@ -772,14 +788,14 @@ def test_pump_model_eigenvalues_fail_loudly(monkeypatch):
 
 
 def test_pump_model_gap_failures():
-    model = PumpModel(GraphSpec.chain(3), ModelParams(g=1.0, h=1.0, gamma=0.0))
+    model = PumpModel(GraphSpec.chain(3), 1.0, 1.0)
     with pytest.raises(NumericalError, match="degenerate kernel") as exc:
         model.gap(0.0)
     assert exc.value.kernel_dim >= 8
     with pytest.raises(ValueError, match="gamma"):
         model.gap(-1.0)
     # the spectrum guard comes before H is diagonalized
-    large = PumpModel(GraphSpec.chain(MAX_DENSE_QUBITS + 1), ModelParams(g=1.0, h=1.0, gamma=0.0))
+    large = PumpModel(GraphSpec.chain(MAX_DENSE_QUBITS + 1), 1.0, 1.0)
     with pytest.raises(ValueError, match="spectrum guard .*poles.*Aberth sweep"):
         large.gap(1.0)
     assert "eigenbasis" not in vars(large)

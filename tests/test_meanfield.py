@@ -180,7 +180,7 @@ def test_fixed_points_at_every_sign(g, h, gamma):
     for fp in points:
         if fp.stable:
             start = MeanFieldState.from_array(fp.state.as_array() + 1e-3)
-            traj = mean_field_evolve(start, p, t_final=5.0)
+            traj = mean_field_evolve(start, p, t_final=5.0, dt=default_dt(p))
             dist = np.linalg.norm(traj.states - fp.state.as_array(), axis=1)
             assert dist.max() <= 1e-2 and dist[-1] <= 1e-3, fp
 
@@ -200,7 +200,7 @@ def test_default_dt_resolves_a_strong_coupling(g):
     # at h = gamma = 0 the flow keeps |s|; the default step must resolve the
     # coupling's rate 4 |g| |s| to keep it
     p = ModelParams(g=g, h=0.0, gamma=0.0)
-    traj = mean_field_evolve(MeanFieldState(0.3, -0.4, 0.5), p, t_final=1.0)
+    traj = mean_field_evolve(MeanFieldState(0.3, -0.4, 0.5), p, t_final=1.0, dt=default_dt(p))
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.abs(norms - math.sqrt(0.5)).max() <= 1e-9
 
@@ -210,13 +210,13 @@ def test_default_dt_resolves_a_strong_coupling(g):
 
 def test_strong_dissipation_converges_to_origin():
     p = ModelParams(g=1.0, h=1.0, gamma=5.0)
-    traj = mean_field_evolve(MeanFieldState(0.9, 0.1, 0.1), p, t_final=20.0)
+    traj = mean_field_evolve(MeanFieldState(0.9, 0.1, 0.1), p, t_final=20.0, dt=default_dt(p))
     assert np.abs(traj.states[-1]).max() <= 1e-6
 
 
 def test_equilibrium_stays_put():
     p = ModelParams(g=1.0, h=1.0, gamma=3.0)
-    traj = mean_field_evolve(MeanFieldState(0.0, 0.0, 0.0), p, t_final=5.0)
+    traj = mean_field_evolve(MeanFieldState(0.0, 0.0, 0.0), p, t_final=5.0, dt=default_dt(p))
     assert np.abs(traj.states).max() == 0.0
 
 

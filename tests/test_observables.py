@@ -3,7 +3,7 @@ import pytest
 
 from clusterpump.cluster import GraphSpec, cluster_state, orthogonal_basis, plus_state, state_from_bits
 from clusterpump.errors import NumericalError
-from clusterpump.lindblad import ModelParams, PumpModel
+from clusterpump.lindblad import PumpModel
 from clusterpump.observables import (
     fidelity,
     kernel_observables,
@@ -23,9 +23,8 @@ def test_fidelity_of_target_is_one():
 
 def test_fidelity_of_orthogonal_state_is_zero():
     g = GraphSpec.chain(2)
-    basis = orthogonal_basis(g)
-    rho = pure_state_density(basis.states[0])
-    assert fidelity(rho, basis.target) == pytest.approx(0.0, abs=1e-12)
+    rho = pure_state_density(orthogonal_basis(g)[0])
+    assert fidelity(rho, cluster_state(g)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fidelity_of_maximally_mixed():
@@ -149,7 +148,7 @@ def test_kernel_observables_match_the_transformed_back_matrices(rng, graph, gamm
     # the overlap is Tr rho - Tr(Q rho) from the step's own q weights, which
     # read the O diagonal too (|O| = 12 at chain:5); the target itself and a
     # state near it put the fidelity at and near 1
-    kernel = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=gamma)).kernel_step(gamma)
+    kernel = PumpModel(graph, 1.0, 0.9).kernel_step(gamma)
     target = cluster_state(graph)
     d = 2**graph.n_qubits
     rhos = [random_density_matrix(rng, d) for _ in range(4)]

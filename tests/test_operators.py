@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from clusterpump.operators import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    PauliString,
-    dagger,
-    pauli_to_dense,
-)
+from clusterpump.operators import PauliString, pauli_to_dense
 
 
 def test_single_site_z():
@@ -38,11 +31,6 @@ def test_site_zero_is_most_significant():
     assert np.array_equal(np.diag(dense), np.array([1, 1, -1, -1], dtype=complex))
 
 
-def test_phase_multiplies():
-    p = PauliString(1, {0: "X"}, phase=1j)
-    assert np.allclose(pauli_to_dense(p), 1j * PAULI_X, atol=0)
-
-
 def test_site_out_of_range_rejected():
     with pytest.raises(ValueError, match="out of range"):
         PauliString(2, {2: "X"})
@@ -53,11 +41,6 @@ def test_bad_letter_rejected():
         PauliString(1, {0: "W"})
 
 
-def test_nonunit_phase_rejected():
-    with pytest.raises(ValueError, match="phase"):
-        PauliString(1, {0: "X"}, phase=2.0)
-
-
 @pytest.mark.parametrize("letter", ["X", "Y", "Z"])
 def test_pauli_squares_to_identity(letter):
     dense = pauli_to_dense(PauliString(3, {1: letter}))
@@ -66,25 +49,10 @@ def test_pauli_squares_to_identity(letter):
 
 def test_disjoint_support_multiplicativity(rng):
     # dense(p*q) = dense(p) dense(q) when supports do not overlap
-    p = PauliString(4, {0: "X", 2: "Y"}, phase=1j)
-    q = PauliString(4, {1: "Z", 3: "X"}, phase=-1.0)
-    merged = PauliString(4, {**p.letters, **q.letters}, phase=p.phase * q.phase)
+    p = PauliString(4, {0: "X", 2: "Y"})
+    q = PauliString(4, {1: "Z", 3: "X"})
+    merged = PauliString(4, {**p.letters, **q.letters})
     assert np.allclose(
         pauli_to_dense(merged), pauli_to_dense(p) @ pauli_to_dense(q), atol=1e-14
     )
 
-
-def test_dagger():
-    assert np.array_equal(dagger(PAULI_Z), PAULI_Z)
-    ket01 = np.zeros((2, 2), dtype=complex)
-    ket01[0, 1] = 1.0  # |0><1|
-    assert np.array_equal(dagger(ket01), ket01.T)
-
-
-def test_dagger_involution(rng):
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.array_equal(dagger(dagger(a)), a)
-
-
-def test_dagger_of_y():
-    assert np.allclose(dagger(PAULI_Y), PAULI_Y, atol=0)

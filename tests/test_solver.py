@@ -67,7 +67,7 @@ def test_stabilizer_jumps_have_degenerate_kernel():
         (liouvillian(np.zeros((8, 8), dtype=complex), stabilizer_jumps(g), 1.0), 2),
         # without dissipation every diagonal of H's eigenbasis is stationary;
         # round-off must not rank an oscillating mode above the kernel
-        (PumpModel(g, ModelParams(g=1.0, h=1.0, gamma=0.0)).liouvillian(0.0), 8),
+        (PumpModel(g, 1.0, 1.0).liouvillian(0.0), 8),
     ]
     for L, min_dim in cases:
         # a degenerate kernel has no unique steady state; the error names it
@@ -95,8 +95,7 @@ def test_no_population_in_orthogonal_states():
     g = GraphSpec.chain(3)
     L = dissipation_only_liouvillian(3, gamma=2.0)
     spec = full_spectrum(L)
-    basis = orthogonal_basis(g)
-    for phi in basis.states:
+    for phi in orthogonal_basis(g):
         assert abs(np.vdot(phi, spec.steady_state @ phi)) <= 1e-10
 
 
@@ -143,7 +142,7 @@ def test_direct_steady_state_matches_spectrum(gamma):
 def test_direct_steady_state_on_random_graphs(graph, h, gamma):
     # any gamma > 0 has a unique steady state: no false degeneracy alarm, a
     # valid density matrix, and agreement with the eigendecomposition
-    L = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=0.0)).liouvillian(gamma)
+    L = PumpModel(graph, 1.0, h).liouvillian(gamma)
     rho = steady_state_direct(L)
     check_density_matrix(rho)
     assert np.abs(rho - full_spectrum(L).steady_state).max() <= 1e-8
@@ -245,7 +244,7 @@ GRAPH_IDS = ["chain:2", "chain:3", "chain:4", "chain:5", "square:2x2", "isolated
 def test_rk4_step_matches_four_stages(rng, graph, gamma, edge):
     # the evolve command's default dt, and 0.95 of the largest stable one; an
     # isolated vertex gives the target a nonzero energy <C|H|C> = h
-    model = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=gamma))
+    model = PumpModel(graph, 1.0, 0.9)
     dt = 0.95 * rk4_stability_edge(model, gamma) if edge else 0.01 / max(1.0, gamma)
     rho0 = random_density_matrix(rng, 2**graph.n_qubits)
     assert one_map_vs_four_stages(model, gamma, rho0, dt, n_steps=40) <= 1e-12
@@ -260,7 +259,7 @@ def test_rk4_step_matches_four_stages(rng, graph, gamma, edge):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_rk4_step_matches_four_stages_on_random_graphs(graph, h, gamma, fraction, seed):
-    model = PumpModel(graph, ModelParams(g=1.0, h=h, gamma=gamma))
+    model = PumpModel(graph, 1.0, h)
     # exceptional points of K_J (h = 0 at special gamma) step by four stages
     assume(model.kernel_step(gamma) is not None)
     dt = fraction * rk4_stability_edge(model, gamma)
@@ -277,7 +276,7 @@ def test_rk4_step_output_is_exactly_hermitian(rng, graph, gamma):
     # a state holds the upper triangle of X and a real diagonal, which the
     # step keeps real, so the X of every state is Hermitian to the bit, and
     # a non-Hermitian matrix is read through its upper triangle
-    model = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=gamma))
+    model = PumpModel(graph, 1.0, 0.9)
     kernel = model.kernel_step(gamma)
     d = 2**graph.n_qubits
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -298,7 +297,7 @@ def test_rk4_step_reads_a_start_as_its_hermitian_part(rng, graph, gamma):
     # R^-1 W^T rho W R^-+ is Hermitian only to round-off, and the start keeps
     # its upper triangle: it is the Hermitian part to round-off, and rho
     # steps as its Hermitian part to round-off
-    model = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=gamma))
+    model = PumpModel(graph, 1.0, 0.9)
     kernel = model.kernel_step(gamma)
     rho = random_density_matrix(rng, 2**graph.n_qubits)
     m = kernel.c.size
@@ -318,7 +317,7 @@ def test_rk4_step_reads_a_start_as_its_hermitian_part(rng, graph, gamma):
 def test_kernel_step_refuses_no_stable_run(graph, gamma):
     # plus, zero and random starts at the default dt and at 0.95 of the
     # stability edge pass the pre-step refusal and every state check
-    model = PumpModel(graph, ModelParams(g=1.0, h=0.9, gamma=gamma))
+    model = PumpModel(graph, 1.0, 0.9)
     kernel = model.kernel_step(gamma)
     n = graph.n_qubits
     starts = [pure_state_density(plus_state(n)), pure_state_density(np.eye(2**n)[0]),
@@ -332,7 +331,7 @@ def test_kernel_step_refuses_no_stable_run(graph, gamma):
 def test_kernel_step_accepts_a_stable_run_that_leaves_positivity():
     # at a stable dt RK4 leaves positivity, so ||rho||_F can exceed Tr rho;
     # the one-map route's state check still accepts what four stages accept
-    model = PumpModel(GraphSpec(1, ()), ModelParams(g=1.0, h=1.0, gamma=2.0))
+    model = PumpModel(GraphSpec(1, ()), 1.0, 1.0)
     dt = 0.875 * rk4_stability_edge(model, 2.0)
     rho0 = random_density_matrix(np.random.default_rng(0), 2)
     four = evolve_rk4(rho0, lambda rho: model.apply(rho, 2.0), 12 * dt, dt)
@@ -345,7 +344,7 @@ def test_kernel_step_refuses_a_growing_run_on_the_support(rng, monkeypatch):
     # with O empty no pole touches O, so nothing is refused before the first
     # step; the state check refuses the run as it grows
     monkeypatch.setattr(lindblad, "SUPPORT_TOL", -1.0)
-    model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=1.0, gamma=50.0))
+    model = PumpModel(GraphSpec.chain(2), 1.0, 1.0)
     kernel = model.kernel_step(50.0)
     assert kernel.c.size == kernel.kappa.size
     kernel._tables(0.07)  # the pre-step refusal lets this dt through
@@ -356,7 +355,7 @@ def test_kernel_step_refuses_a_growing_run_on_the_support(rng, monkeypatch):
 def test_kernel_step_refuses_an_unstable_dt_before_stepping(rng, monkeypatch):
     # at gamma = 50, dt = 0.07 puts a pole on a pair that touches O outside
     # RK4's stability region: |p(dt lam)| = 2.75 there, an eigenvalue of L
-    model = PumpModel(GraphSpec.chain(2), ModelParams(g=1.0, h=1.0, gamma=50.0))
+    model = PumpModel(GraphSpec.chain(2), 1.0, 1.0)
     kernel = model.kernel_step(50.0)
     m, d = kernel.c.size, kernel.kappa.size
     lam = 0.07 * np.add.outer(kernel.kappa, kernel.kappa.conj())
