@@ -72,8 +72,8 @@ from .operators import DenseOperator, StateVector, Superoperator, devectorize, p
 MAX_DENSE_QUBITS = 7
 # Models above this register size are refused.  A command peaks at about
 # MODEL_ARRAYS complex d x d arrays (d = 2^N) above the interpreter's 61 MB:
-# by getrusage on chains, 5-step ``evolve`` 7.4, 7.0, 9.7 and 2-point
-# ``sweep --skip-gap`` 5.8, 4.6, 7.2 at N = 11, 10, 9 (the largest N sets it).
+# by getrusage on chains, 5-step ``evolve`` 6.5, 5.7, 9.1 and 2-point
+# ``sweep --skip-gap`` 2.1, 1.4, 4.6 at N = 11, 10, 9 (the largest N sets it).
 MAX_MODEL_QUBITS = 11
 MODEL_ARRAYS = 7.5
 # Levels of H on which the norm of the target's components (eigh's V^T |C>)
@@ -153,6 +153,15 @@ def hamiltonian(g_spec: GraphSpec, p: ModelParams | PumpModel) -> DenseOperator:
     for flip, _ in site_flips(index.size):
         ham[index, flip] += p.h
     return ham
+
+
+def _parity_blocks(ham: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The real blocks ``H[x, y] + H[x, y']`` and ``H[x, y] - H[x, y']`` (x, y <
+    d / 2, y' the all-bit flip of y) of a real H that commutes with
+    ``prod_k X_k``: H on the sectors ``(|x> +- |x'>) / sqrt(2)``."""
+    half = ham.shape[0] // 2
+    same, flip = ham.real[:half, :half], ham.real[:half, : half - 1 : -1]
+    return same + flip, same - flip
 
 
 def _zz_diagonal(g_spec: GraphSpec, g: float) -> np.ndarray:
@@ -465,14 +474,35 @@ class PumpModel:
         first m columns are the target's support J, with ``c = W^T |C>`` up to
         round-off, and exactly 0 on the rest, O.
 
-        H is real symmetric (Z Z and X are real), so the real eigensolver
-        applies, several times faster than the complex one.  Each degenerate
-        eigenspace of its eigenvectors V is rotated so that ``V^T |C>`` has at
+        H is real symmetric (Z Z and X are real) and commutes with the spin
+        flip ``P = prod_k X_k``, which maps x to its all-bit flip x'.  So the
+        real eigensolver runs on H's two parity sectors, spanned by
+        ``(|x> +- |x'>) / sqrt(2)`` for x < d / 2: on the blocks
+        ``H[x, y] +- H[x, y']`` (``_parity_blocks``), each d/2 x d/2, at a
+        quarter of the work of one d x d ``eigh``.  A block's eigenvector v is
+        the column ``(v, +-v reversed) / sqrt(2)`` of V, and the columns of
+        both blocks are merged in stable-sorted energy order.  Each
+        degenerate eigenspace of V is rotated so that ``V^T |C>`` has at
         most one nonzero component there, the norm over the eigenspace, on its
-        first index; J holds the indices with ``|c_b| > SUPPORT_TOL``.
+        first index; J holds the indices with ``|c_b| > SUPPORT_TOL``.  Each
+        column is written once, straight to its place in W, held as the rows
+        of ``W^T``.
         """
-        energies, V = np.linalg.eigh(hamiltonian(self.graph, self).real)
-        c = (V.T @ self.target).real  # the target, a graph state, is real
+        half = self.target.size // 2
+        top = self.target.real[:half]  # the target, a graph state, is real
+        flipped = self.target.real[: half - 1 : -1]  # the target at x' for x < d / 2
+        sectors = [
+            (*np.linalg.eigh(block), sign)
+            for block, sign in zip(_parity_blocks(hamiltonian(self.graph, self)), (1.0, -1.0))
+        ]
+        energies = np.concatenate([e for e, _, _ in sectors])
+        c = np.concatenate([math.sqrt(0.5) * ((top + sign * flipped) @ v) for _, v, sign in sectors])
+        # every column is flipped to c_b >= 0; a singleton level keeps it so, a
+        # larger one gets the Householder reflection that maps its part of c
+        # onto its first index
+        flips = np.where(c < 0, -1.0, 1.0)
+        order = np.argsort(energies, kind="stable")
+        energies, c, signs = energies[order], c[order], flips[order]
         scale = max(1.0, float(np.abs(energies).max()))
         first = np.diff(energies, prepend=-np.inf) > COINCIDENT_TOL * scale
         level = np.cumsum(first) - 1
@@ -480,20 +510,28 @@ class PumpModel:
         rotated = np.zeros(energies.size)
         rotated[starts] = np.sqrt(np.bincount(level, weights=c**2))
         J = np.abs(rotated) > SUPPORT_TOL
-        # a singleton keeps its column up to sign; a larger level gets the
-        # Householder reflection that maps its part of c onto its first index
-        signs = np.where(c < 0, -1.0, 1.0)
-        V *= signs
+        final = np.concatenate([np.flatnonzero(J), np.flatnonzero(~J)])
+        row = np.empty_like(final)  # the row of W^T that each sorted index fills
+        row[final] = np.arange(final.size)
+        WT = np.empty((row.size, row.size))
+        # row[np.argsort(order)]: the row of W^T that each sector column fills
+        for (_, v, sign), rows, flip in zip(sectors, np.split(row[np.argsort(order)], 2), np.split(flips, 2)):
+            v *= math.sqrt(0.5) * flip
+            WT[rows, :half] = v.T
+            v *= sign
+            WT[rows, half:] = v.T[:, ::-1]
         for s, stop in zip(starts, np.append(starts[1:], energies.size)):
-            if stop - s > 1 and J[s]:
+            # a level orthogonal to the target (kept in J only when SUPPORT_TOL
+            # <= 0) has nothing to rotate
+            if stop - s > 1 and J[s] and rotated[s] > 0:
                 u = c[s:stop] / rotated[s]
                 sign = 1.0 if u[0] >= 0 else -1.0
                 u[0] += sign
-                block = V[:, s:stop] * signs[s:stop]  # the sign flip undone
-                V[:, s:stop] = block - np.outer(block @ u, u / (0.5 * (u @ u)))
-                V[:, s] *= -sign
-        order = np.concatenate([np.flatnonzero(J), np.flatnonzero(~J)])
-        return energies[order], V[:, order], np.where(J, rotated, 0.0)[order], int(np.count_nonzero(J))
+                rows = row[s:stop]
+                block = WT[rows] * signs[s:stop, None]  # the sign flip undone
+                WT[rows] = block - np.outer(u / (0.5 * (u @ u)), u @ block)
+                WT[rows[0]] *= -sign
+        return energies[final], WT.T, np.where(J, rotated, 0.0)[final], int(np.count_nonzero(J))
 
     def _kernel_factors(self, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None]:
         """``(kappa, R, a, s)`` at ``gamma``: the eigenvalues of the effective
@@ -741,7 +779,8 @@ class PumpModel:
                 out[point], rhs[k] = (None, math.nan, exc), 0.0
         del system
         u = rhs[:, :m] + 1j * rhs[:, m:]
-        kappa = u @ c
+        # a row sum, not a product with the stack: its bits must not depend on the batch
+        kappa = (u * c).sum(axis=1)
         rho = M * ((1.0 - kappa)[:, None, None] * np.outer(c, c)
                    + 0.5 * (c[:, None] * u.conj()[:, None, :] + u[:, :, None] * c))
         del M

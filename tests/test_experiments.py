@@ -318,7 +318,8 @@ def test_size_scaling_study_diagonalizes_each_hamiltonian_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     size_scaling_study([2, 3, 4], h_g=0.5, gamma_policy="log:0.5:600:24")
-    assert calls == [(4, 4), (8, 8), (16, 16)]
+    # each H once, as its two parity-sector blocks
+    assert calls == [(2, 2), (2, 2), (4, 4), (4, 4), (8, 8), (8, 8)]
 
 
 def test_gaps_need_no_superoperator(monkeypatch):

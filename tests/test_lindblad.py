@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
@@ -427,6 +427,27 @@ def test_pump_model_holds_one_basis():
     large = [a for a in owners.values() if a.size > 32]
     assert [(a.shape, a.dtype) for a in large] == [((32, 32), np.float64)]
     assert np.shares_memory(large[0], model.eigenbasis[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=random_graphs(),
+    h=st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(min_value=-2.0, max_value=2.0)),
+)
+# 1 x 1 sector blocks, and the accidental degeneracy of chain:4 at h = g
+@example(graph=GraphSpec.chain(1), h=1.0)
+@example(graph=GraphSpec.chain(4), h=1.0)
+def test_pump_model_eigenbasis_from_parity_sectors(graph, h):
+    # the basis assembled from the two sector blocks is an orthonormal
+    # eigenbasis of H with H's spectrum, J first and the target exactly 0 on O
+    energies, W, c, m = PumpModel(graph, 1.0, h).eigenbasis
+    H = hamiltonian(graph, ModelParams(g=1.0, h=h, gamma=0.0)).real
+    scale = max(1.0, float(np.abs(energies).max()))
+    assert np.abs(H @ W - W * energies).max() <= 1e-12 * scale
+    assert np.abs(W.T @ W - np.eye(energies.size)).max() <= 1e-13
+    assert np.abs(W.T @ cluster_state(graph).real - c).max() <= 1e-13
+    assert np.all(np.abs(c[:m]) > SUPPORT_TOL) and np.all(c[m:] == 0.0)
+    assert np.abs(np.sort(energies) - np.linalg.eigvalsh(H)).max() <= 1e-13 * scale
 
 
 def test_pump_model_builds_h_through_hamiltonian_once(monkeypatch):
