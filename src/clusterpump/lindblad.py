@@ -283,7 +283,10 @@ def _secular_roots(mu: np.ndarray, w: np.ndarray, r: int) -> np.ndarray:
     ``mu + w``.  (Half the distance would start two neighbouring real poles'
     unknowns, or a pair and its partner, on one point, whose deflation
     divides by zero.)  An unknown stops when its step is at most
-    ``1e-13 max(1, |z|)``, and only the others are recomputed.  Every k x n
+    ``1e-13 max(1, |z|)``, or, once freed, when ``|f(z)|`` is at most
+    ``n eps (1 + sum_m |w_m / (mu_m - z)|)``, a bound on f's rounding error:
+    near a multiple root the steps are noise that need not fall that low.
+    Only the moving unknowns are recomputed.  Every k x n
     array is formed ``SECULAR_BLOCK`` rows at a time.  Raises NumericalError
     when roots are still moving after ``ABERTH_MAX_SWEEPS`` sweeps.
 
@@ -335,6 +338,10 @@ def _secular_roots(mu: np.ndarray, w: np.ndarray, r: int) -> np.ndarray:
             # a root that rounds onto its pole (f or f' overflows there) is
             # that pole to working precision
             newton[~np.isfinite(newton)] = 0.0
+            if sweep >= ABERTH_STALL_SWEEPS:
+                # every unknown is free: one where f vanishes to rounding stops
+                flat = np.abs(f) <= n * np.finfo(float).eps * (1.0 + np.abs(inverse) @ np.abs(weights))
+                newton[flat] = 0.0
             separation = zk - z
             separation[np.arange(roots.size), roots] = np.inf
             step[s : s + roots.size] = newton / (1.0 - newton * (1.0 / separation).sum(axis=1))

@@ -439,14 +439,17 @@ def test_pump_model_holds_one_basis():
 @example(graph=GraphSpec.chain(4), h=1.0)
 def test_pump_model_eigenbasis_from_parity_sectors(graph, h):
     # the basis assembled from the two sector blocks is an orthonormal
-    # eigenbasis of H with H's spectrum, J first and the target exactly 0 on O
+    # eigenbasis of H with H's spectrum, J first; c is the target's
+    # components on J and exactly 0 on O, where they are at most SUPPORT_TOL
     energies, W, c, m = PumpModel(graph, 1.0, h).eigenbasis
     H = hamiltonian(graph, ModelParams(g=1.0, h=h, gamma=0.0)).real
     scale = max(1.0, float(np.abs(energies).max()))
     assert np.abs(H @ W - W * energies).max() <= 1e-12 * scale
     assert np.abs(W.T @ W - np.eye(energies.size)).max() <= 1e-13
-    assert np.abs(W.T @ cluster_state(graph).real - c).max() <= 1e-13
+    overlaps = W.T @ cluster_state(graph).real
+    assert np.abs(overlaps[:m] - c[:m]).max() <= 1e-13
     assert np.all(np.abs(c[:m]) > SUPPORT_TOL) and np.all(c[m:] == 0.0)
+    assert np.abs(overlaps[m:]).max(initial=0.0) <= SUPPORT_TOL
     assert np.abs(np.sort(energies) - np.linalg.eigvalsh(H)).max() <= 1e-13 * scale
 
 
@@ -678,13 +681,15 @@ def test_pump_model_eigenvalues_on_random_graphs(graph, h, gamma):
     assert_same_spectrum(model.eigenvalues(gamma), model.liouvillian(gamma))
 
 
-@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("gamma", [4.0, 8.0])
 def test_pump_model_eigenvalues_at_defective_generators(n, gamma):
     # one ZZ edge at h = 0 has Jordan blocks: at gamma = 4 an exceptional
     # point of K_J (the dense JJ sector), at gamma = 8 a double root of the
     # secular equation, whose pair each route splits by about 1e-7; the
-    # eigenvalues match to 1e-10 only as cluster means
+    # eigenvalues match to 1e-10 only as cluster means.  At n = 3 rounding
+    # splits the double root into a complex pair, whose Aberth steps stay
+    # noise: only the stop on f's rounding bound ends them
     model = PumpModel(GraphSpec(n, ((0, 1),)), 1.0, 0.0)
     vals, L = model.eigenvalues(gamma), model.liouvillian(gamma)
     with pytest.raises(AssertionError):
