@@ -33,16 +33,17 @@ solves 2|J| real equations per rate on the target's support J, at O(|J|^3)
 work past the eigendecomposition of H, a whole grid of rates in batches;
 sweeps read fidelity and witness off those states on J, and
 ``PumpModel.steady_state`` is the one-point case transformed back to the
-computational basis.  Linear solves and the ranking of a spectrum are
-``solver``'s, which imports nothing from this module.
+computational basis.  Linear solves, the ranking of a spectrum and the
+secular equation's builder and solver are ``solver``'s, which imports
+nothing from this module.
 
 The structure: ``rho -> K rho + rho K^+`` is a Kronecker sum and the
 recycling term has rank one.  One factorisation of K on the target's
 support J, a |J| x |J| matrix, diagonalises the sum.
 ``PumpModel.eigenvalues`` (and ``PumpModel.gap``) take from it all d^2
 eigenvalues of the generator: the sum's eigenvalues (poles), and the roots
-of a secular equation with one pole per visible pair, found by Aberth
-iteration with one unknown per real pole or conjugate pair of poles.
+of a secular equation with one pole per visible pair, which
+``solver.secular_roots`` finds by Aberth iteration.
 ``PumpModel.kernel_step`` (``KernelStep``) runs dynamics in the eigenbasis
 of K, where one RK4 step is an elementwise product plus a rank-4 update of
 the state's upper triangle, O(d^2); ``KernelStep.evolve`` drives those
@@ -85,35 +86,11 @@ MODEL_ARRAYS = 7.5
 # the generator's largest entry: below 1e-12 at this tolerance, but up to
 # 1.7e-12 at 1e-12 (4-qubit graphs, h = -3e-4 to 0.09).
 SUPPORT_TOL = 4e-13
-# Secular-equation poles whose weight is at most this fraction of the largest
-# are hidden: they are eigenvalues of the generator as they stand.
-HIDDEN_TOL = 1e-13
-# Energies of H, or secular-equation poles, closer than this relative to
-# max(1, their largest modulus) are one degenerate level, or one pole.
-COINCIDENT_TOL = 1e-12
 # Above this condition number of K_J's eigenvectors (at most 4.3 over 784
 # oracle cases; 1e8 at the exceptional point of chain:2 at h = 0, gamma = 4)
 # ``PumpModel.eigenvalues`` takes the JJ sector densely instead, and
 # ``PumpModel.kernel_step`` leaves dynamics to the four-stage step.
 EIGENVECTOR_COND_MAX = 1e3
-# Secular-equation roots closer than this relative to max(1, their largest
-# modulus) are one cluster, re-centred by ``_secular_roots``: the roots that
-# split from a double root at a defective eigenvalue lie ~1e-7 apart.
-ROOT_CLUSTER_TOL = 1e-6
-# Aberth sweeps after which the secular equation counts as unsolved.  1,188
-# secular equations (chains 2-5, the 2x2 and 2x3 squares, star:4, K4 and 12
-# random graphs of 3-5 qubits at 8 fields h from 0 to 2 and gamma from 0.05 to
-# 600, plus chains 6 and 7) took at most 27 sweeps, at the double root of one
-# edge at h = 0, gamma = 8, and at most 19 on chains 6 and 7.
-ABERTH_MAX_SWEEPS = 100
-# Sweeps after which ``_secular_roots`` frees the held unknowns still moving.
-# Held to the end, 70 of 720 of the cases above (h != 0) never converge, where
-# a pair of roots must split into two real ones or the reverse, and 539 of
-# the other 650 stop within 8 sweeps.
-ABERTH_STALL_SWEEPS = 8
-# Rows of every k x n array the secular-equation solver forms at once; whole
-# n x n temporaries raised a scaling study's peak memory by 12%.
-SECULAR_BLOCK = 64
 # Bytes of the stacked 2|J| x 2|J| real systems that one batch of
 # ``PumpModel.support_steady_states`` forms at once; its complex |J| x |J|
 # stacks are half as large each.  A chain:11 point (|J| = 925 at h = g) is a
@@ -234,147 +211,6 @@ def liouvillian(
     return unitary + gamma * dissipator
 
 
-def _groups(z: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, starts)``: ``z[order]`` lists the groups of points closer than
-    ``rtol max(1, max |z|)`` one after another, each from an index in ``starts``.
-
-    Single linkage on the real parts, then on the imaginary parts within
-    each run, so each pass is one stable sort.
-    """
-    tol = rtol * max(1.0, float(np.abs(z).max(initial=0.0)))
-    order = np.argsort(z.real, kind="stable")
-    run = np.cumsum(np.diff(z.real[order], prepend=-np.inf) > tol)
-    within = np.lexsort((z.imag[order], run))
-    order, run = order[within], run[within]
-    starts = np.flatnonzero(
-        (np.diff(z.imag[order], prepend=-np.inf) > tol) | (np.diff(run, prepend=-1) != 0)
-    )
-    return order, starts
-
-
-def _secular_roots(mu: np.ndarray, w: np.ndarray, r: int) -> np.ndarray:
-    """All roots of ``f(z) = 1 + sum_m w_m / (mu_m - z)`` for a set of distinct
-    poles with nonzero weights that is closed under conjugation, given as its
-    r real poles ``mu[:r]`` (real weights) and one pole of each conjugate
-    pair, ``mu[r:]`` with Im > 0, whose partner ``conj(mu)`` has the weight
-    ``conj(w)``: r + 2u roots for u pairs, by Aberth-Ehrlich iteration (Aberth,
-    Math. Comp. 27, 339, 1973; the secular mode of MPSolve, Bini and Robol,
-    J. Comput. Appl. Math. 272, 276, 2014).
-
-    f is real on the real axis, so its roots are closed under conjugation
-    too.  The iteration holds one unknown per real pole, kept real (it takes
-    the real part of its step), and one per pair, standing for a root z and
-    its partner ``conj(z)``, reflected back when its step crosses the real
-    axis: about n / 2 unknowns for n = r + 2u, each evaluated against all n
-    poles and deflated against all n current roots, so a sweep costs about
-    half of one over every root.  A held pair cannot become two real roots,
-    nor two held real unknowns a pair, so every unknown still moving after
-    ``ABERTH_STALL_SWEEPS`` sweeps is freed, a pair as two unknowns, z and
-    its partner.  A freed real unknown and a freed partner are turned by
-    0.01 rad about their poles, off the real axis and its mirror symmetry,
-    and each free unknown iterates as a complex root of its own.
-
-    The Newton ratio is that of the polynomial ``p = f prod_m (mu_m - z)``,
-    ``f / (f' - f sum_m 1 / (mu_m - z))``, so an exact root takes a zero step.
-    Unknown m starts at the first-order estimate
-    ``mu_m + w_m / (1 + sum_{k != m} w_k / (mu_k - mu_m))``, or a third of the
-    distance to the nearest other pole away (in the direction of w_m) when
-    that estimate is not finite or lies farther out; one pole gives
-    ``mu + w``.  (Half the distance would start two neighbouring real poles'
-    unknowns, or a pair and its partner, on one point, whose deflation
-    divides by zero.)  An unknown stops when its step is at most
-    ``1e-13 max(1, |z|)``, or, once freed, when ``|f(z)|`` is at most
-    ``n eps (1 + sum_m |w_m / (mu_m - z)|)``, a bound on f's rounding error:
-    near a multiple root the steps are noise that need not fall that low.
-    Only the moving unknowns are recomputed.  Every k x n
-    array is formed ``SECULAR_BLOCK`` rows at a time.  Raises NumericalError
-    when roots are still moving after ``ABERTH_MAX_SWEEPS`` sweeps.
-
-    Near a multiple root f is flat to rounding over a disc of radius about
-    sqrt(eps), where Aberth's roots land anywhere, their mean too.  So each
-    group of k roots closer than ``ROOT_CLUSTER_TOL`` becomes the k roots
-    nearest its mean of f's Taylor polynomial of degree k + 2 there, unless
-    a pole lies within 100 diameters: the mean is then O(eps)-accurate.
-    """
-    u = mu.size - r
-    n = r + 2 * u
-    # every pole and every root: the real ones, one of each pair, the partners
-    poles = np.concatenate([mu, mu[r:].conj()])
-    weights = np.concatenate([w, w[r:].conj()])
-    z = np.empty(n, dtype=complex)
-    for s in range(0, r + u, SECULAR_BLOCK):
-        rows = slice(s, min(s + SECULAR_BLOCK, r + u))
-        spread = poles - poles[rows, None]
-        spread[np.arange(spread.shape[0]), np.arange(s, s + spread.shape[0])] = np.inf
-        with np.errstate(all="ignore"):
-            shift = w[rows] / (1.0 + (weights / spread).sum(axis=1))
-        reach = np.abs(spread).min(axis=1) / 3.0
-        far = ~(np.abs(shift) <= reach)
-        shift[far] = reach[far] * w[rows][far] / np.abs(w[rows][far])
-        z[rows] = mu[rows] + shift
-        del spread  # else the last block stays alive through every sweep
-    z[:r] = z[:r].real
-    z[r : r + u] = z[r : r + u].real + 1j * np.abs(z[r : r + u].imag)
-    z[r + u :] = z[r : r + u].conj()
-    free = np.zeros(n, dtype=bool)
-    active = np.arange(r + u)
-    for sweep in range(ABERTH_MAX_SWEEPS):
-        if sweep == ABERTH_STALL_SWEEPS:
-            stalled = active[~free[active]]
-            turned = np.concatenate([stalled[stalled < r], stalled[stalled >= r] + u])
-            free[stalled] = free[turned] = True
-            z[turned] = poles[turned] + (z[turned] - poles[turned]) * np.exp(0.01j)
-            active = np.union1d(active, turned)
-        if active.size == 0:
-            break
-        step = np.empty(active.size, dtype=complex)
-        for s in range(0, active.size, SECULAR_BLOCK):
-            roots = active[s : s + SECULAR_BLOCK]
-            zk = z[roots, None]
-            with np.errstate(all="ignore"):
-                inverse = 1.0 / (poles - zk)
-                f = 1.0 + inverse @ weights
-                newton = f / ((inverse * inverse) @ weights - f * inverse.sum(axis=1))
-            # a root that rounds onto its pole (f or f' overflows there) is
-            # that pole to working precision
-            newton[~np.isfinite(newton)] = 0.0
-            if sweep >= ABERTH_STALL_SWEEPS:
-                # every unknown is free: one where f vanishes to rounding stops
-                flat = np.abs(f) <= n * np.finfo(float).eps * (1.0 + np.abs(inverse) @ np.abs(weights))
-                newton[flat] = 0.0
-            separation = zk - z
-            separation[np.arange(roots.size), roots] = np.inf
-            step[s : s + roots.size] = newton / (1.0 - newton * (1.0 / separation).sum(axis=1))
-        held = ~free[active]
-        step.imag[held & (active < r)] = 0.0
-        z[active] -= step
-        pairs = active[held & (active >= r)]
-        z[pairs] = z[pairs].real + 1j * np.abs(z[pairs].imag)
-        z[pairs + u] = z[pairs].conj()
-        active = active[~(np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(z[active])))]
-    if active.size:
-        moving = active.size + np.count_nonzero((active >= r) & ~free[active])
-        raise NumericalError(
-            f"secular equation unsolved: {moving} of {n} roots still moving "
-            f"after {ABERTH_MAX_SWEEPS} Aberth sweeps"
-        )
-    order, starts = _groups(z, ROOT_CLUSTER_TOL)
-    sizes = np.diff(np.append(starts, n))
-    for start, k in zip(starts[sizes > 1], sizes[sizes > 1]):
-        group = order[start : start + k]
-        center = z[group].mean()
-        # within 100 diameters of a pole the polynomial would not hold
-        if not np.abs(poles - center).min() > 200.0 * np.abs(z[group] - center).max():
-            continue
-        # f(center + t) = 1 + sum_j t^j sum_i w_i / (mu_i - center)^(j+1)
-        inverse = 1.0 / (poles - center)
-        taylor = [inverse ** (j + 1) @ weights for j in range(k + 3)]
-        taylor[0] += 1.0
-        t = np.roots(taylor[::-1])
-        z[group] = center + t[np.argsort(np.abs(t))[:k]]
-    return z
-
-
 def _eigenbasis_rhs(energies: np.ndarray, c: np.ndarray, gamma, rho: np.ndarray) -> np.ndarray:
     """The generator's action on ``rho~`` in an eigenbasis of H with energies
     ``E`` and target components ``c``,
@@ -488,8 +324,9 @@ class PumpModel:
         ``H[x, y] +- H[x, y']`` (``_parity_blocks``), each d/2 x d/2, at a
         quarter of the work of one d x d ``eigh``.  A block's eigenvector v is
         the column ``(v, +-v reversed) / sqrt(2)`` of V, and the columns of
-        both blocks are merged in stable-sorted energy order.  Each
-        degenerate eigenspace of V is rotated so that ``V^T |C>`` has at
+        both blocks are merged in stable-sorted energy order, in levels of
+        ``solver.groups`` at ``solver.COINCIDENT_TOL``.  Each degenerate
+        eigenspace of V is rotated so that ``V^T |C>`` has at
         most one nonzero component there, the norm over the eigenspace, on its
         first index; J holds the indices with ``|c_b| > SUPPORT_TOL``.  Each
         column is written once, straight to its place in W, held as the rows
@@ -508,12 +345,10 @@ class PumpModel:
         # larger one gets the Householder reflection that maps its part of c
         # onto its first index
         flips = np.where(c < 0, -1.0, 1.0)
-        order = np.argsort(energies, kind="stable")
+        order, starts = solver.groups(energies, solver.COINCIDENT_TOL)
         energies, c, signs = energies[order], c[order], flips[order]
-        scale = max(1.0, float(np.abs(energies).max()))
-        first = np.diff(energies, prepend=-np.inf) > COINCIDENT_TOL * scale
-        level = np.cumsum(first) - 1
-        starts = np.flatnonzero(first)
+        stops = np.append(starts[1:], energies.size)
+        level = np.repeat(np.arange(starts.size), stops - starts)
         rotated = np.zeros(energies.size)
         rotated[starts] = np.sqrt(np.bincount(level, weights=c**2))
         J = np.abs(rotated) > SUPPORT_TOL
@@ -527,7 +362,7 @@ class PumpModel:
             WT[rows, :half] = v.T
             v *= sign
             WT[rows, half:] = v.T[:, ::-1]
-        for s, stop in zip(starts, np.append(starts[1:], energies.size)):
+        for s, stop in zip(starts, stops):
             # a level orthogonal to the target (kept in J only when SUPPORT_TOL
             # <= 0) has nothing to rotate
             if stop - s > 1 and J[s] and rotated[s] > 0:
@@ -584,15 +419,11 @@ class PumpModel:
             W_ij = a_i conj(a_j) (R^+ Q R)_ji,  i, j in J
 
         (Golub, SIAM Rev. 15, 318, 1973).  A preserves Hermiticity, so the
-        (j, i) pole and weight are the conjugates of the (i, j) ones, and the
-        diagonal ones are real: the JJ poles are formed on i <= j only, each
-        pair turned to Im >= 0.  Every pole that touches O, and every JJ pole
-        whose weight is at most ``HIDDEN_TOL`` of the largest, is an
-        eigenvalue; coincident poles are merged by summing their weights, a
-        group within ``COINCIDENT_TOL`` of its mirror image into one real
-        pole, and their extra copies are eigenvalues too, so the visible poles
-        stay closed under conjugation.  One root of f per remaining pole comes
-        from ``_secular_roots``, which iterates one unknown per real pole or
+        (j, i) pole and weight are the conjugates of the (i, j) ones.  Every
+        pole that touches O is an eigenvalue; ``solver.secular_problem``
+        merges the JJ poles and hides the light ones, which are eigenvalues
+        too, and one root of f per remaining pole comes from
+        ``solver.secular_roots``, which iterates one unknown per real pole or
         pair.  The cost is one |J| x |J| eigendecomposition and about n^2 / 2
         evaluations per Aberth sweep for n visible poles.
         Near an exceptional point of K_J, where ``_kernel_factors`` gives no
@@ -604,7 +435,7 @@ class PumpModel:
         The register is refused above ``MAX_DENSE_QUBITS`` by
         ``check_spectrum_size`` before H is diagonalized.  Raises
         NumericalError when the secular equation is not solved within
-        ``ABERTH_MAX_SWEEPS`` sweeps, or when the eigenvalues do not sum to
+        ``solver.ABERTH_MAX_SWEEPS`` sweeps, or when the eigenvalues do not sum to
         ``Tr L = -gamma d (d - 1)`` within ``1e-10 max(1, sum |lam|)``.
         """
         _require_nonnegative(gamma)
@@ -617,35 +448,8 @@ class PumpModel:
             # R^+ Q R = R^+ R - (R^+ c_J)(R^+ c_J)^+, and R^+ c_J = R^+ R a
             ra = gram @ a
             weights = gamma * np.outer(a, a.conj()) * (gram - np.outer(ra, ra.conj())).T
-            # the (j, i) pole and weight are the conjugates of the (i, j) ones:
-            # the real diagonal, and the upper triangle turned to Im >= 0
-            rows, cols = np.triu_indices(m)
-            mu, weights = poles[rows, cols], weights[rows, cols]
-            lower = mu.imag < 0
-            mu[lower], weights[lower] = mu[lower].conj(), weights[lower].conj()
-            diagonal = rows == cols
-            # coincident poles merge, their weights summed; the copies are
-            # eigenvalues.  A group within reach of its mirror image is one
-            # real pole with it, where each member off the diagonal adds
-            # w + conj(w), and a copy at the group's real part stands for the
-            # mirror of a first member off the diagonal
-            order, starts = _groups(mu, COINCIDENT_TOL)
-            first, rest = order[starts], np.delete(order, starts)
-            real = mu.imag[first] <= 0.5 * COINCIDENT_TOL * max(1.0, float(np.abs(mu).max()))
-            mirrored = ~diagonal[order] & np.repeat(real, np.diff(np.append(starts, mu.size)))
-            summed = weights[order]
-            summed[mirrored] = 2.0 * summed[mirrored].real
-            copies, mu, w = mu[rest], mu[first], np.add.reduceat(summed, starts)
-            visible = np.abs(w) > HIDDEN_TOL * np.abs(w).max(initial=0.0)
-            pairs = np.concatenate([copies[~diagonal[rest]], mu[~real & ~visible]])
-            reals = np.concatenate([copies[diagonal[rest]], mu[real & ~diagonal[first]], mu[real & ~visible]])
-            on_axis = real & visible
-            roots = _secular_roots(
-                np.concatenate([mu[on_axis].real, mu[~real & visible]]),
-                np.concatenate([w[on_axis].real, w[~real & visible]]),
-                int(np.count_nonzero(on_axis)),
-            )
-            jj = [reals.real, pairs, pairs.conj(), roots]
+            known, mu, w, r = solver.secular_problem(poles[:m, :m], weights)
+            jj = [known, solver.secular_roots(mu, w, r)]
         else:
             # near an exceptional point of K_J the weights cancel to no digits.
             # The JJ sector's generator L is real-linear on Hermitian matrices,

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clusterpump import __version__, cli, lindblad, solver
+from clusterpump import __version__, cli, solver
 from clusterpump.cli import main, parse_graph
 from clusterpump.cluster import GraphSpec, cluster_state, plus_state, stabilizers
 from clusterpump.errors import NumericalError
@@ -758,7 +758,7 @@ def _skew_weights(monkeypatch):
 @pytest.mark.parametrize(
     "break_eigenvalues, label",
     [
-        (lambda patch: patch.setattr(lindblad, "ABERTH_MAX_SWEEPS", 1), "secular equation unsolved"),
+        (lambda patch: patch.setattr(solver, "ABERTH_MAX_SWEEPS", 1), "secular equation unsolved"),
         (_skew_weights, "not to the trace"),
     ],
     ids=["sweep_limit", "trace"],

@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
-from clusterpump import lindblad
+from clusterpump import lindblad, solver
 from clusterpump.cluster import GraphSpec, cluster_state
 from clusterpump.errors import NumericalError
 from clusterpump.experiments import gamma_sweep
@@ -324,8 +324,8 @@ def dense_diagonal_tolerance(model, gamma):
     p = np.abs(model.target) ** 2
     k = -1j * model.zz - 0.5 * gamma * (1.0 - p)
     largest = 0.0
-    for s in range(0, p.size, lindblad.SECULAR_BLOCK):
-        p_s, k_s = p[s : s + lindblad.SECULAR_BLOCK], k[s : s + lindblad.SECULAR_BLOCK]
+    for s in range(0, p.size, solver.SECULAR_BLOCK):
+        p_s, k_s = p[s : s + solver.SECULAR_BLOCK], k[s : s + solver.SECULAR_BLOCK]
         diagonal = gamma * (np.eye(p_s.size, p.size, s) * p - np.outer(p_s, p)) + k_s[:, None] + k.conj()[None, :]
         largest = max(largest, float(np.abs(diagonal).max()))
     return 1e-8 * max(1.0, largest)
@@ -741,7 +741,7 @@ def test_secular_roots_on_random_conjugate_pole_sets():
         w = np.concatenate([rng.normal(size=r), rng.normal(size=u) + 1j * rng.normal(size=u)])
         poles, weights = np.concatenate([mu, mu[r:].conj()]), np.concatenate([w, w[r:].conj()])
         oracle = np.linalg.eigvals(np.diag(poles) + np.outer(weights, np.ones(poles.size)))
-        assert_same_eigenvalues(lindblad._secular_roots(mu, w, r), oracle)
+        assert_same_eigenvalues(solver.secular_roots(mu, w, r), oracle)
 
 
 def test_pump_model_gap_strong_dissipation():
@@ -798,7 +798,7 @@ def test_pump_model_eigenvalues_fail_loudly(monkeypatch):
     model = PumpModel(GraphSpec.chain(3), 1.0, 0.7)
     assert rank_spectrum(model.eigenvalues(5.0))[2] == 1
     with monkeypatch.context() as patch:
-        patch.setattr(lindblad, "ABERTH_MAX_SWEEPS", 1)
+        patch.setattr(solver, "ABERTH_MAX_SWEEPS", 1)
         with pytest.raises(NumericalError, match="secular equation unsolved: .* after 1 Aberth sweeps"):
             model.eigenvalues(5.0)
     # a wrong weight moves the roots off the trace of the generator
