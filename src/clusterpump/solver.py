@@ -4,7 +4,11 @@
 kernel; the ``steady`` and ``spectrum`` commands, sweeps and scaling studies
 apply it to ``PumpModel.eigenvalues``, the poles of a Kronecker sum and the
 roots of a rank-one secular equation from one |J| x |J| factorisation, so no
-command builds a 4^N x 4^N array.  The dense routes take that array and are
+command builds a 4^N x 4^N array.  The secular equation is this module's
+too: ``secular_problem`` merges and hides its poles and returns what is
+known in closed form, ``secular_roots`` finds the rest by Aberth iteration,
+and ``groups``, their rule for points equal up to round-off, also groups
+H's levels and ranks spectra.  The dense routes take that array and are
 the tests' reference only: a full eigendecomposition (``full_spectrum``,
 ranked by the same rule, with the steady state and gap) and one bordered
 linear solve (``steady_state_direct``); ``solve_nonsingular`` is every
@@ -77,11 +81,14 @@ class SpectrumResult:
     """Full eigendata of a Liouvillian.
 
     ``eigenvalues`` within the kernel tolerance of ``rank_spectrum`` come
-    first; within and after that group they are sorted by descending real
-    part, ties by descending absolute imaginary part, so round-off on the
-    imaginary axis cannot rank an oscillating mode above the kernel.
-    ``gap`` is |Re lambda_1| - |Re lambda_0| where lambda_1 is the first
-    eigenvalue lying outside that tolerance of lambda_0.
+    first, so round-off on the imaginary axis cannot rank an oscillating
+    mode above the kernel.  Within and after that group they are ranked by
+    descending real part, then descending absolute imaginary part, then
+    descending imaginary part, where real parts, and then absolute imaginary
+    parts, that ``groups`` puts in one group at ``COINCIDENT_TOL`` count as
+    equal: the rows do not depend on round-off or on the input's order.
+    ``gap`` is |Re lambda_1| - |Re lambda_0| where lambda_1 has the largest
+    real part of the eigenvalues outside that tolerance of lambda_0.
     """
 
     eigenvalues: np.ndarray
@@ -125,6 +132,8 @@ def pure_state_density(psi: np.ndarray) -> np.ndarray:
 def rank_spectrum(vals: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Order a Liouvillian spectrum and read off its gap: ``(order, gap,
     kernel_dim)``, with the ordering and gap rule of ``SpectrumResult``.
+    Real parts equal up to round-off are found by single linkage, so the
+    order may put a real part up to one group's spread above the one before.
 
     The kernel tolerance is ``KERNEL_TOL_FACTOR * max(1, max |lambda|)``.
     Raises NumericalError when no eigenvalue lies within it, and the
@@ -136,9 +145,11 @@ def rank_spectrum(vals: np.ndarray) -> tuple[np.ndarray, float, int]:
     kernel_tol = KERNEL_TOL_FACTOR * max(1.0, float(np.abs(vals).max(initial=0.0)))
     outside = np.abs(vals) > kernel_tol
     kernel_dim = int(np.count_nonzero(~outside))
-    order = np.lexsort((-np.abs(vals.imag), -vals.real, outside))
-    ranked = vals[order]
-    lam0 = ranked[0]
+    # groups of -Re and, within them, of -|Im|, in ascending order
+    order, starts = groups(-(vals.real + 1j * np.abs(vals.imag)), COINCIDENT_TOL)
+    rank = np.repeat(np.arange(starts.size), np.diff(np.append(starts, vals.size)))
+    order = order[np.lexsort((-vals.imag[order], rank, outside[order]))]
+    lam0 = vals[order[0]]
     if abs(lam0) > kernel_tol:
         raise NumericalError(
             f"no steady state found: leading eigenvalue {lam0} exceeds kernel tolerance {kernel_tol:g}"
@@ -149,11 +160,8 @@ def rank_spectrum(vals: np.ndarray) -> tuple[np.ndarray, float, int]:
         )
         err.kernel_dim = kernel_dim
         raise err
-    gap = 0.0
-    for lam in ranked[1:]:
-        if abs(lam - lam0) > kernel_tol:
-            gap = abs(lam.real) - abs(lam0.real)
-            break
+    far = np.abs(vals - lam0) > kernel_tol
+    gap = abs(vals.real[far].max()) - abs(lam0.real) if far.any() else 0.0
     return order, float(gap), kernel_dim
 
 

@@ -790,13 +790,14 @@ def test_outputs_are_bit_identical_across_runs(tmp_path):
                    "--out", str(tmp_path)]
     args_sweep = ["sweep", "--graph", "chain:2", "--gamma-grid", "log:1:100:6",
                   "--out", str(tmp_path)]
+    args_spectrum = ["spectrum", "--graph", "square:2x2", "--gamma-g", "5", "--out", str(tmp_path)]
+    args_scaling = ["scaling", "--n-values", "2,3", "--out", str(tmp_path)]
+    names = ("steady.json", "sweep.csv", "sweep.json", "spectrum.csv", "spectrum.json", "scaling.csv", "scaling.json")
     snapshots = []
     for _ in range(2):
-        assert run(args_steady) == 0
-        assert run(args_sweep) == 0
-        snapshots.append(
-            {name: (tmp_path / name).read_bytes() for name in ("steady.json", "sweep.csv", "sweep.json")}
-        )
+        for args in (args_steady, args_sweep, args_spectrum, args_scaling):
+            assert run(args) == 0
+        snapshots.append({name: (tmp_path / name).read_bytes() for name in names})
     assert snapshots[0] == snapshots[1]
 
 

@@ -106,3 +106,28 @@ def test_kernel_step_keeps_no_cache():
     assert not hasattr(KernelStep, "tables")
     kernel = PumpModel(GraphSpec.chain(2), 1.0, 0.5).kernel_step(1.0)
     assert not hasattr(kernel, "tables")
+
+
+SECULAR_NAMES = {
+    "groups", "secular_problem", "secular_roots", "HIDDEN_TOL", "COINCIDENT_TOL", "ROOT_CLUSTER_TOL",
+    "ABERTH_MAX_SWEEPS", "ABERTH_STALL_SWEEPS", "SECULAR_BLOCK",
+}
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """The functions a module defines anywhere, and the names it assigns at its top."""
+    found = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+    return found
+
+
+def test_secular_solver_has_one_home():
+    # the secular equation's builder, solver and tolerances live in solver
+    # alone; a second copy, under these names or the old private ones, fails
+    assert SECULAR_NAMES <= defined_names(MODULES["solver"])
+    for module, tree in MODULES.items():
+        copies = defined_names(tree) & (SECULAR_NAMES | {"_groups", "_secular_roots"})
+        assert module == "solver" or not copies, f"{module} defines {sorted(copies)}"

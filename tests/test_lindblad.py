@@ -744,6 +744,34 @@ def test_secular_roots_on_random_conjugate_pole_sets():
         assert_same_eigenvalues(solver.secular_roots(mu, w, r), oracle)
 
 
+def test_secular_problem_on_synthetic_pole_sets():
+    # poles kappa_i + conj(kappa_j) with Hermitian-paired weights, forced to
+    # coincide: a repeated kappa, kappa with equal imaginary parts (real
+    # poles off the diagonal) or equal real parts, and weights at or below
+    # HIDDEN_TOL of the largest.  The known values and the roots are the
+    # eigenvalues of diag(poles) + weights 1^T
+    rng = np.random.default_rng(11)
+    for m in range(2, 7):
+        for _ in range(40):
+            kappa = rng.normal(size=m) + 1j * rng.normal(size=m)
+            for i, j, kind in zip(range(1, m), rng.integers(0, np.arange(1, m)), rng.integers(0, 4, m - 1)):
+                if kind == 1:
+                    kappa[i] = kappa[j]
+                elif kind == 2:
+                    kappa[i] = kappa[i].real + 1j * kappa[j].imag
+                elif kind == 3:
+                    kappa[i] = kappa[j].real + 1j * kappa[i].imag
+            poles = np.add.outer(kappa, kappa.conj())
+            weights = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            weights += weights.conj().T
+            light = rng.random((m, m)) < 0.2
+            weights[light | light.T] *= rng.choice([0.0, 0.5, 1.0]) * solver.HIDDEN_TOL
+            known, mu, w, r = solver.secular_problem(poles, weights)
+            assert known.size + r + 2 * (mu.size - r) == m * m
+            oracle = np.linalg.eigvals(np.diag(poles.ravel()) + np.outer(weights.ravel(), np.ones(m * m)))
+            assert_same_eigenvalues(np.concatenate([known, solver.secular_roots(mu, w, r)]), oracle)
+
+
 def test_pump_model_gap_strong_dissipation():
     # the gap tends to gamma / 2 as the pumping dominates
     for n in (3, 4):

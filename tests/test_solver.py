@@ -24,6 +24,7 @@ from clusterpump.solver import (
     evolve_rk4,
     full_spectrum,
     pure_state_density,
+    rank_spectrum,
     steady_state_direct,
 )
 from conftest import random_density_matrix, random_graphs
@@ -83,6 +84,22 @@ def test_eigenvalue_ordering():
     L = chain_liouvillian(2, h_g=1.0, gamma_g=2.0)
     vals = full_spectrum(L).eigenvalues
     assert np.all(np.diff(vals.real) <= 1e-12)
+
+
+@pytest.mark.parametrize("graph", [GraphSpec.grid(2, 2), GraphSpec.chain(5), GraphSpec.grid(2, 3)],
+                         ids=["square:2x2", "chain:5", "square:2x3"])
+@pytest.mark.parametrize("h", [0.5, 0.922211])
+def test_ranked_rows_do_not_depend_on_round_off_or_input_order(graph, h):
+    # eigenvalues equal up to round-off rank as one, so a permuted copy of a
+    # spectrum, or the spectrum of a field moved in its last bits, ranks to
+    # the same rows within round-off, with the same gap and kernel
+    vals = PumpModel(graph, 1.0, h).eigenvalues(5.0)
+    order, gap, kernel_dim = rank_spectrum(vals)
+    shuffled = vals[np.random.default_rng(7).permutation(vals.size)]
+    assert rank_spectrum(shuffled)[1:] == (gap, kernel_dim)
+    moved = [PumpModel(graph, 1.0, h * (1.0 + delta)).eigenvalues(5.0) for delta in (1e-15, 4e-15, -3e-15)]
+    for other in [shuffled, *moved]:
+        assert np.abs(other[rank_spectrum(other)[0]] - vals[order]).max() <= 1e-10
 
 
 def test_steady_state_residual_invariant():
