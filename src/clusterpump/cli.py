@@ -210,8 +210,7 @@ def _cmd_steady(cfg: dict) -> _Output:
     _, gap, kernel_dim = rank_spectrum(model.eigenvalues(gamma))
     # read off the support as a sweep point is, and transformed back for the residual
     rho, antihermitian = model.support_steady_state(gamma)
-    _, _, c, m = model.eigenbasis
-    fid, witness = support_metrics(c[:m], rho, eta=cfg["eta"])
+    fid, witness = support_metrics(model.eigenbasis[2], rho, eta=cfg["eta"])
     rho = model.density(rho)
     summary = {
         "n_qubits": model.graph.n_qubits,
@@ -252,11 +251,20 @@ def _initial_density(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
         return pure_state_density(state_from_bits([0] * n))
     if kind == "mixed":
         return np.eye(dim, dtype=complex) / dim
-    if kind == "random":
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rho = a @ a.conj().T
-        return rho / np.trace(rho)
-    raise ConfigError(f"unknown initial state {kind!r}")
+    # "random", the last of the --rho0 choices, which config files also go through
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def _evolve_dt(graph: GraphSpec, h_g: float, gamma_g: float) -> float:
+    """``evolve``'s default RK4 step, ``0.01 / max(1, gamma/|g|, (|E| + N |h|/|g|
+    + gamma/|g|) / 100)`` for the |E| edges of the graph.  Every generator
+    eigenvalue met on random graphs had ``|lambda| <= gamma + 2 (|E| |g| +
+    N |h|)``, so ``dt |lambda| <= 2``: inside RK4's stability region, which
+    holds the left half-disc of radius 2.6156."""
+    gamma_g = abs(gamma_g)
+    return 0.01 / max(1.0, gamma_g, (len(graph.edges) + graph.n_qubits * abs(h_g) + gamma_g) / 100.0)
 
 
 def _cmd_evolve(cfg: dict) -> _Output:
@@ -264,7 +272,7 @@ def _cmd_evolve(cfg: dict) -> _Output:
     model, gamma = _pump(cfg)
     rng = np.random.default_rng(cfg["seed"])
     rho0 = _initial_density(cfg["rho0"], model.graph.n_qubits, rng)
-    dt = cfg["dt"] if cfg["dt"] is not None else 0.01 / max(1.0, abs(cfg["gamma_g"]))
+    dt = cfg["dt"] if cfg["dt"] is not None else _evolve_dt(model.graph, cfg["h_g"], cfg["gamma_g"])
     kernel = model.kernel_step(gamma)
     if kernel is not None:
         # step in the eigenbasis of K and read the observables there
@@ -451,8 +459,8 @@ _OPTIONS = {
     "eta": {"type": _finite, "help": "witness offset (default 1/2)"},
     "graph": {"help": 'graph preset ("chain:N", "square:RxC"), JSON file, or inline JSON'},
     "t_final": {"type": _finite},
-    "dt": {"type": _finite, "help": "RK4 step (default: 0.01/max(1, gamma/|g|) for evolve, "
-                                    "0.005/max(1, |h|/|g|, gamma/|g|) for meanfield)"},
+    "dt": {"type": _finite, "help": "RK4 step (default: 0.01/max(1, gamma/|g|, (edges + N |h|/|g| + "
+                                    "gamma/|g|)/100) for evolve, 0.005/max(1, |h|/|g|, gamma/|g|) for meanfield)"},
     "rho0": {"choices": ("plus", "zero", "mixed", "random"), "help": "initial state"},
     "sample_every": {"type": int},
     "s0": {"help": "initial (jx,jy,jz) as x,y,z; default perturbs a stable branch"},

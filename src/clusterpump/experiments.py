@@ -122,11 +122,11 @@ def gamma_sweep(
             except NumericalError as exc:
                 status[i] = str(exc)
     todo = [i for i, s in enumerate(status) if s == "ok"]
-    _, _, c, m = model.eigenbasis
+    c = model.eigenbasis[2]
     for i, (rho, _, error) in zip(todo, model.support_steady_states(scaled[todo])):
         if error is None:
             try:
-                fid[i], wit[i] = support_metrics(c[:m], rho, eta)
+                fid[i], wit[i] = support_metrics(c, rho, eta)
                 continue
             except NumericalError as exc:
                 error = exc
@@ -257,7 +257,8 @@ def size_scaling_study(
     (``PumpModel.gap``, N <= 7) is fitted against N at two fixed
     dissipation strengths common to all sizes: ``weak_gamma``, and
     ``strong_gamma`` which defaults to the largest detected gamma_sat (the
-    saturated regime).  Before any work, every N is checked against the
+    saturated regime).  Each N's ``ScalingRow`` is built once, with a NaN
+    ``gap_strong`` until ``strong_gamma`` is known.  Before any work, every N is checked against the
     spectrum guard, the sizes for the two distinct values a fit needs, and
     epsilon for (0, 1).
     """
@@ -269,28 +270,17 @@ def size_scaling_study(
         check_spectrum_size(n)
     models = [PumpModel(GraphSpec.chain(n), 1.0, h_g) for n in n_values]
 
-    partial = []
+    rows = []
     for model in models:
         gap_weak = model.gap(weak_gamma)
         sweep = gamma_sweep(model, h_g, gammas, compute_gap=False)
         gamma_sat = detect_gamma_sat(sweep, epsilon=epsilon)
-        _, _, c, m = model.eigenbasis
-        f_sat = support_metrics(c[:m], model.support_steady_state(gamma_sat)[0])[0]
-        partial.append((gamma_sat, f_sat, gap_weak))
+        f_sat = support_metrics(model.eigenbasis[2], model.support_steady_state(gamma_sat)[0])[0]
+        rows.append(ScalingRow(model.graph.n_qubits, gamma_sat, f_sat, gap_weak, gap_strong=np.nan))
 
     if strong_gamma is None:
-        strong_gamma = max(p[0] for p in partial)
-
-    rows = [
-        ScalingRow(
-            n=model.graph.n_qubits,
-            gamma_sat=gamma_sat,
-            f_sat=f_sat,
-            gap_weak=gap_weak,
-            gap_strong=model.gap(strong_gamma),
-        )
-        for model, (gamma_sat, f_sat, gap_weak) in zip(models, partial)
-    ]
+        strong_gamma = max(r.gamma_sat for r in rows)
+    rows = [replace(r, gap_strong=model.gap(strong_gamma)) for model, r in zip(models, rows)]
 
     ns = [float(r.n) for r in rows]
     fits = {

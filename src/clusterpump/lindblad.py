@@ -312,10 +312,11 @@ class PumpModel:
         return out
 
     @cached_property
-    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """``(E, W, c, m)``: an eigenbasis W of H, ``H = W diag(E) W^T``, whose
-        first m columns are the target's support J, with ``c = W^T |C>`` up to
-        round-off, and exactly 0 on the rest, O.
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(E, W, c)``: an eigenbasis W of H, ``H = W diag(E) W^T``, whose
+        first ``c.size`` columns are the target's support J, with
+        ``c = c_J = W_J^T |C>`` up to round-off; on the rest, O, ``W_O^T |C>``
+        is 0 up to round-off.
 
         H is real symmetric (Z Z and X are real) and commutes with the spin
         flip ``P = prod_k X_k``, which maps x to its all-bit flip x'.  So the
@@ -325,12 +326,14 @@ class PumpModel:
         quarter of the work of one d x d ``eigh``.  A block's eigenvector v is
         the column ``(v, +-v reversed) / sqrt(2)`` of V, and the columns of
         both blocks are merged in stable-sorted energy order, in levels of
-        ``solver.groups`` at ``solver.COINCIDENT_TOL``.  Each degenerate
-        eigenspace of V is rotated so that ``V^T |C>`` has at
+        ``solver.groups`` at ``solver.COINCIDENT_TOL``.  Every column is
+        written with the sign that makes its target component ``|c_b|``; each
+        degenerate eigenspace is then reflected so that the target has at
         most one nonzero component there, the norm over the eigenspace, on its
-        first index; J holds the indices with ``|c_b| > SUPPORT_TOL``.  Each
-        column is written once, straight to its place in W, held as the rows
-        of ``W^T``.
+        first index.  J holds the levels whose norm exceeds ``SUPPORT_TOL``,
+        in energy order, and c is those norms.  Each column is written once,
+        straight to its place in W, held as the rows of ``W^T``; the signs of
+        the O columns of a reflected level are a free choice.
         """
         half = self.target.size // 2
         top = self.target.real[:half]  # the target, a graph state, is real
@@ -346,12 +349,12 @@ class PumpModel:
         # onto its first index
         flips = np.where(c < 0, -1.0, 1.0)
         order, starts = solver.groups(energies, solver.COINCIDENT_TOL)
-        energies, c, signs = energies[order], c[order], flips[order]
+        energies, c = energies[order], np.abs(c[order])
         stops = np.append(starts[1:], energies.size)
         level = np.repeat(np.arange(starts.size), stops - starts)
         rotated = np.zeros(energies.size)
         rotated[starts] = np.sqrt(np.bincount(level, weights=c**2))
-        J = np.abs(rotated) > SUPPORT_TOL
+        J = rotated > SUPPORT_TOL
         final = np.concatenate([np.flatnonzero(J), np.flatnonzero(~J)])
         row = np.empty_like(final)  # the row of W^T that each sorted index fills
         row[final] = np.arange(final.size)
@@ -367,13 +370,11 @@ class PumpModel:
             # <= 0) has nothing to rotate
             if stop - s > 1 and J[s] and rotated[s] > 0:
                 u = c[s:stop] / rotated[s]
-                sign = 1.0 if u[0] >= 0 else -1.0
-                u[0] += sign
+                u[0] += 1.0
                 rows = row[s:stop]
-                block = WT[rows] * signs[s:stop, None]  # the sign flip undone
-                WT[rows] = block - np.outer(u / (0.5 * (u @ u)), u @ block)
-                WT[rows[0]] *= -sign
-        return energies[final], WT.T, np.where(J, rotated, 0.0)[final], int(np.count_nonzero(J))
+                WT[rows] -= np.outer(u / (0.5 * (u @ u)), u @ WT[rows])
+                WT[rows[0]] *= -1.0
+        return energies[final], WT.T, rotated[J]
 
     def _kernel_factors(self, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None]:
         """``(kappa, R, a, s)`` at ``gamma``: the eigenvalues of the effective
@@ -386,12 +387,12 @@ class PumpModel:
         ``K_J = diag(-i E_J - gamma / 2) + (gamma / 2) c_J c_J^T`` is |J| x |J|;
         on O, K is diagonal: ``kappa_b = -i E_b - gamma / 2``.
         """
-        energies, _, c, m = self.eigenbasis
-        e_j, c_j = energies[:m], c[:m]
-        kappa_j, R = np.linalg.eig(np.diag(-1j * e_j - 0.5 * gamma) + np.outer(0.5 * gamma * c_j, c_j))
+        energies, _, c = self.eigenbasis
+        m = c.size
+        kappa_j, R = np.linalg.eig(np.diag(-1j * energies[:m] - 0.5 * gamma) + np.outer(0.5 * gamma * c, c))
         singular = np.linalg.svd(R, compute_uv=False)
         smallest = singular[-1] if singular[0] <= EIGENVECTOR_COND_MAX * singular[-1] else None
-        return np.concatenate([kappa_j, -1j * energies[m:] - 0.5 * gamma]), R, np.linalg.solve(R, c_j), smallest
+        return np.concatenate([kappa_j, -1j * energies[m:] - 0.5 * gamma]), R, np.linalg.solve(R, c), smallest
 
     def kernel_step(self, gamma: float) -> KernelStep | None:
         """RK4 for dynamics at ``gamma`` in the eigenbasis of K (``KernelStep``),
@@ -401,8 +402,8 @@ class PumpModel:
         kappa, R, a, smallest = self._kernel_factors(gamma)
         if smallest is None:
             return None
-        _, W, c, m = self.eigenbasis
-        return KernelStep(gamma, kappa, R, a, c[:m], W, 1.0 / smallest**2)
+        _, W, c = self.eigenbasis
+        return KernelStep(gamma, kappa, R, a, c, W, 1.0 / smallest**2)
 
     def eigenvalues(self, gamma: float) -> np.ndarray:
         """All 4^N eigenvalues of the generator at ``gamma``, unordered, without
@@ -458,8 +459,8 @@ class PumpModel:
             # B_ab = ((1 + i) E_ab + (1 - i) E_ba) / 2 of them.  There a
             # Hermitian Y has the coordinates Re Y + Im Y, and L(B_ab) has
             # Re L(E_ab) + Im L(E_ba), from L on the units E_ab alone
-            energies, _, c, _ = self.eigenbasis
-            image = _eigenbasis_rhs(energies[:m], c[:m], gamma, np.eye(m * m).reshape(m * m, m, m))
+            energies, _, c = self.eigenbasis
+            image = _eigenbasis_rhs(energies[:m], c, gamma, np.eye(m * m).reshape(m * m, m, m))
             image = image.reshape(m, m, m * m)
             jj = [np.linalg.eigvals((image.real + image.imag.transpose(1, 0, 2)).reshape(m * m, m * m).T)]
         vals = np.concatenate([poles[:m, m:].ravel(), poles[m:].ravel(), *jj])
@@ -498,8 +499,8 @@ class PumpModel:
     def density(self, rho: np.ndarray) -> DenseOperator:
         """``W_J rho~ W_J^T``: a matrix on the target's support J, given in the
         basis W of ``eigenbasis``, in the computational basis."""
-        _, W, _, m = self.eigenbasis
-        W_J = W[:, :m]
+        _, W, c = self.eigenbasis
+        W_J = W[:, : c.size]
         return W_J @ rho.real @ W_J.T + 1j * (W_J @ rho.imag @ W_J.T)
 
     def support_steady_states(
@@ -537,7 +538,7 @@ class PumpModel:
         gammas = np.asarray(gammas, dtype=float)
         for gamma in gammas:
             _require_nonnegative(gamma)
-        m = self.eigenbasis[3]
+        m = self.eigenbasis[2].size
         batch = max(1, STEADY_BATCH_BYTES // (32 * m * m))
         for s in range(0, gammas.size, batch):
             yield from self._steady_batch(gammas[s : s + batch])
@@ -550,7 +551,8 @@ class PumpModel:
         for point in np.flatnonzero(gammas == 0):
             out[point] = (None, math.nan, NumericalError(
                 "degenerate kernel: without dissipation (gamma = 0) the steady state is not unique"))
-        energies, _, c, m = self.eigenbasis
+        energies, _, c = self.eigenbasis
+        m = c.size
         if m < energies.size:
             # Each O diagonal pole -gamma is an eigenvalue, and each OO pole
             # -gamma - i (E_a - E_b), formed as ``eigenvalues`` forms it, bounds
@@ -564,7 +566,7 @@ class PumpModel:
         if not positive.size:
             return out
         gamma = gammas[positive]
-        energies, c = energies[:m], c[:m]
+        energies = energies[:m]
         G = gamma[:, None, None]
         M = G / (G + 1j * np.subtract.outer(energies, energies))
         w = M @ c**2

@@ -386,8 +386,8 @@ def solve_nonsingular(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     estimate of ``A`` is below machine epsilon or a pivot is exactly zero,
     since the solution would then be arbitrary.
     """
-    # Raw LAPACK rather than scipy.linalg.solve: the condition estimate is
-    # returned, not issued as a warning, so threaded sweeps can act on it.
+    # Raw LAPACK rather than scipy.linalg.solve: the condition estimate comes
+    # back as a value to test, not as a LinAlgWarning.
     lange, getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(
         ("lange", "getrf", "gecon", "getrs"), (A,)
     )

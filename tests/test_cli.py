@@ -174,6 +174,17 @@ def test_evolve_command(tmp_path):
     assert doc["final"]["t"] == pytest.approx(4.0)
 
 
+def test_evolve_default_dt_follows_the_field_and_the_graph(tmp_path):
+    # chain:4 at h/g 50: the step is 0.01 / ((3 edges + 4 * 50 + 1) / 100),
+    # inside RK4's stability region, not the 0.01 that gamma alone would set
+    args = ["evolve", "--graph", "chain:4", "--h-g", "50", "--gamma-g", "1", "--t-final", "1",
+            "--out", str(tmp_path)]
+    assert run(args) == 0
+    doc = json.loads((tmp_path / "evolve.json").read_text())
+    assert doc["dt"] == 0.01 / (204.0 / 100.0)
+    assert doc["final"]["t"] == pytest.approx(1.0)
+
+
 @pytest.mark.parametrize("rho0, spins", [("zero", (0.0, 0.0, 1.0)), ("mixed", (0.0, 0.0, 0.0))])
 def test_evolve_starts_from_the_named_state(tmp_path, rho0, spins):
     # |0...0> and I / d both have fidelity 2^-N with a graph state, whose

@@ -72,6 +72,22 @@ def test_plus_state_rejects_nonpositive():
         plus_state(0)
 
 
+def test_graph_spec_rejects_an_empty_register():
+    with pytest.raises(ValueError, match="n_qubits must be positive, got 0"):
+        GraphSpec(0, ())
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0), (-1, 3)])
+def test_grid_rejects_nonpositive_dimensions(rows, cols):
+    with pytest.raises(ValueError, match="grid dimensions must be positive"):
+        GraphSpec.grid(rows, cols)
+
+
+def test_state_from_bits_rejects_a_bit_other_than_0_or_1():
+    with pytest.raises(ValueError, match="bits must be 0 or 1, got 2"):
+        state_from_bits([0, 2, 1])
+
+
 def test_apply_cz_defining_action():
     # |11> picks up a sign, |10> does not
     assert np.allclose(apply_cz(state_from_bits([1, 1]), 0, 1), -state_from_bits([1, 1]), atol=0)

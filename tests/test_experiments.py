@@ -152,6 +152,12 @@ def test_fit_offset_inverse_needs_two_points():
         fit_offset_inverse([2.0], [0.5])
 
 
+@pytest.mark.parametrize("n", [[0.0, 2.0, 3.0], [-2.0, 3.0]])
+def test_fit_offset_inverse_rejects_nonpositive_n(n):
+    with pytest.raises(ValueError, match="offset-inverse fit requires positive n"):
+        fit_offset_inverse(n, [0.5] * len(n))
+
+
 def test_fit_offset_inverse_is_least_squares_in_one_over_n(rng):
     n = np.array([2.0, 3.0, 4.0, 5.0, 7.0])
     f = 0.99 + 0.02 / n + 1e-3 * rng.standard_normal(n.size)
@@ -255,6 +261,11 @@ def test_steady_state_fidelity_is_monotone_in_gamma(graph, h):
 def test_gamma_sweep_rejects_unsorted():
     with pytest.raises(ValueError):
         gamma_sweep(GraphSpec.chain(2), 1.0, [1.0, 0.5])
+
+
+def test_gamma_sweep_rejects_a_zero_coupling():
+    with pytest.raises(ValueError, match="sweeps are parameterized by h/g and gamma/g; g must be nonzero"):
+        gamma_sweep(GraphSpec.chain(2), 1.0, [0.5, 1.0], g=0.0)
 
 
 def test_size_guard():

@@ -210,6 +210,11 @@ def test_liouvillian_parts_recombine():
     assert np.abs(unitary + 2.5 * dissipator - liouvillian(ham, jumps, 2.5)).max() <= 1e-14
 
 
+def test_liouvillian_parts_rejects_a_non_square_hamiltonian():
+    with pytest.raises(ValueError, match=r"Hamiltonian must be square, got \(4, 2\)"):
+        liouvillian_parts(np.zeros((4, 2), dtype=complex), [])
+
+
 @pytest.mark.parametrize("graph", MODEL_GRAPHS)
 def test_pump_model_liouvillian_matches_explicit_jumps(graph):
     model = PumpModel(graph, -1.0, 0.7)
@@ -358,8 +363,10 @@ def eigenbasis_rhs_vs_dense(graph, h, gamma, rho):
     ``W^T L(W rho~ W^T) W`` with the dense generator L, relative to
     max(1, max |dense|)."""
     model = PumpModel(graph, 1.0, h)
-    energies, W, c, _ = model.eigenbasis
+    energies, W, c = model.eigenbasis
     dense = W.T @ devectorize(model.liouvillian(gamma) @ vectorize(W @ rho @ W.T)) @ W
+    # the target is c_J on J and taken as 0 on O
+    c = np.pad(c, (0, energies.size - c.size))
     error = np.abs(lindblad._eigenbasis_rhs(energies, c, gamma, rho) - dense).max()
     return float(error / max(1.0, np.abs(dense).max()))
 
@@ -385,10 +392,11 @@ def test_eigenbasis_rhs_matches_dense_on_random_graphs(graph, h, gamma, seed):
 
 @pytest.mark.parametrize("graph", MODEL_GRAPHS, ids=["chain:2", "chain:3", "chain:4", "chain:5", "square:2x2"])
 def test_eigenbasis_rhs_keeps_the_support(rng, graph):
-    # c is exactly 0 on O, so a state on J x J maps to exactly 0 outside it
-    energies, _, c, m = PumpModel(graph, 1.0, 0.9).eigenbasis
-    d = 2**graph.n_qubits
+    # with c_J on J and exactly 0 on O, a state on J x J maps to exactly 0 outside it
+    energies, _, c = PumpModel(graph, 1.0, 0.9).eigenbasis
+    d, m = 2**graph.n_qubits, c.size
     assert 0 < m < d
+    c = np.pad(c, (0, d - m))
     rho = np.zeros((d, d), dtype=complex)
     rho[:m, :m] = random_density_matrix(rng, m)
     out = lindblad._eigenbasis_rhs(energies, c, 5.0, rho)
@@ -410,7 +418,7 @@ def test_pump_model_steady_state_solves_on_the_support(monkeypatch):
     monkeypatch.setattr(solver, "solve_nonsingular", recording)
     model = PumpModel(GraphSpec.chain(5), 1.0, 0.7)
     model.steady_state(5.0)
-    assert model.eigenbasis[3] == 20
+    assert model.eigenbasis[2].size == 20
     assert shapes == [(40, 40)]
 
 
@@ -440,15 +448,16 @@ def test_pump_model_holds_one_basis():
 def test_pump_model_eigenbasis_from_parity_sectors(graph, h):
     # the basis assembled from the two sector blocks is an orthonormal
     # eigenbasis of H with H's spectrum, J first; c is the target's
-    # components on J and exactly 0 on O, where they are at most SUPPORT_TOL
-    energies, W, c, m = PumpModel(graph, 1.0, h).eigenbasis
+    # components on J, all positive, and on O they are at most SUPPORT_TOL
+    energies, W, c = PumpModel(graph, 1.0, h).eigenbasis
+    m = c.size
     H = hamiltonian(graph, ModelParams(g=1.0, h=h, gamma=0.0)).real
     scale = max(1.0, float(np.abs(energies).max()))
     assert np.abs(H @ W - W * energies).max() <= 1e-12 * scale
     assert np.abs(W.T @ W - np.eye(energies.size)).max() <= 1e-13
     overlaps = W.T @ cluster_state(graph).real
-    assert np.abs(overlaps[:m] - c[:m]).max() <= 1e-13
-    assert np.all(np.abs(c[:m]) > SUPPORT_TOL) and np.all(c[m:] == 0.0)
+    assert np.abs(overlaps[:m] - c).max() <= 1e-13
+    assert np.all(c > SUPPORT_TOL)
     assert np.abs(overlaps[m:]).max(initial=0.0) <= SUPPORT_TOL
     assert np.abs(np.sort(energies) - np.linalg.eigvalsh(H)).max() <= 1e-13 * scale
 
@@ -488,7 +497,7 @@ def test_support_steady_states_refuse_only_kernels_the_gap_route_refuses(graph, 
     # same point, with at least 1 + |O| eigenvalues in its kernel
     model = PumpModel(graph, 1.0, h)
     gammas = np.geomspace(1e-12, 1e-4, 17)
-    size = model.eigenbasis[0].size - model.eigenbasis[3]
+    size = model.eigenbasis[0].size - model.eigenbasis[2].size
     flagged = []
     for gamma, (_, _, error) in zip(gammas, model.support_steady_states(gammas)):
         if error is not None:
@@ -592,9 +601,9 @@ def test_pump_model_gap_matches_full_spectrum(graph):
 def test_pump_model_gap_splits_chain5():
     # 12 of the 32 eigenvectors of H are orthogonal to the chain:5 target, so
     # the oracle cases above run the split into J and O
-    _, _, c, m = PumpModel(GraphSpec.chain(5), 1.0, 0.7).eigenbasis
-    assert c.size - m == 12
-    assert np.abs(c[:m]).min() > SUPPORT_TOL and not c[m:].any()
+    energies, _, c = PumpModel(GraphSpec.chain(5), 1.0, 0.7).eigenbasis
+    assert energies.size - c.size == 12
+    assert c.min() > SUPPORT_TOL
 
 
 @pytest.mark.parametrize("graph", MODEL_GRAPHS[:3] + [SQUARE])

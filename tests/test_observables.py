@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,11 @@ def test_witness_eta_parameter():
     assert witness_expectation(rho, c, eta=1.0) == pytest.approx(0.75, abs=1e-12)
 
 
+def test_witness_rejects_dim_mismatch():
+    with pytest.raises(ValueError, match=r"dimension mismatch: rho \(4, 4\), target \(8,\)"):
+        witness_expectation(np.eye(4, dtype=complex) / 4, cluster_state(GraphSpec.chain(3)))
+
+
 def test_witness_equals_eta_minus_fidelity(rng):
     c = cluster_state(GraphSpec.chain(3))
     rho = random_density_matrix(rng, 8)
@@ -160,3 +167,23 @@ def test_kernel_observables_match_the_transformed_back_matrices(rng, graph, gamm
         for rho in rhos
     ]
     assert np.abs(rows - np.array(expected)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("graph", [GraphSpec.chain(5), GraphSpec.chain(7), GraphSpec.grid(2, 2)],
+                         ids=["chain:5", "chain:7", "square:2x2"])
+def test_kernel_observables_do_not_depend_on_the_signs_of_o_columns(rng, graph):
+    # W's O columns are eigenvectors of H orthogonal to the target, each
+    # fixed only up to sign; negating some flips the signs of whole entries of
+    # every state, exactly, and the rows and matrices read back are the same
+    # to the bit
+    kernel = PumpModel(graph, 1.0, 1.0).kernel_step(5.0)
+    m, d = kernel.c.size, kernel.W.shape[0]
+    signs = np.where(rng.random(d) < 0.5, -1.0, 1.0)
+    signs[:m] = 1.0
+    assert (signs < 0).any()
+    flipped = replace(kernel, W=kernel.W * signs)
+    rho0 = random_density_matrix(rng, d)
+    runs = [step.evolve(rho0, 0.05, 0.002, sample_every=5) for step in (kernel, flipped)]
+    assert np.array_equal(kernel_observables(runs[0].states, kernel), kernel_observables(runs[1].states, flipped))
+    for x, y in zip(runs[0].states, runs[1].states):
+        assert np.array_equal(kernel.density(x), flipped.density(y))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clusterpump.operators import PauliString, pauli_to_dense
+from clusterpump.operators import PauliString, pauli_to_dense, site_flips
 
 
 def test_single_site_z():
@@ -39,6 +39,17 @@ def test_site_out_of_range_rejected():
 def test_bad_letter_rejected():
     with pytest.raises(ValueError, match="letter"):
         PauliString(1, {0: "W"})
+
+
+def test_empty_register_rejected():
+    with pytest.raises(ValueError, match="n_qubits must be positive, got 0"):
+        PauliString(0, {})
+
+
+@pytest.mark.parametrize("dim", [3, 6, 12])
+def test_site_flips_rejects_a_dimension_not_a_power_of_two(dim):
+    with pytest.raises(ValueError, match=f"dimension {dim} is not a power of two"):
+        site_flips(dim)
 
 
 @pytest.mark.parametrize("letter", ["X", "Y", "Z"])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clusterpump import lindblad
+from clusterpump import cli, lindblad
 from clusterpump.cluster import GraphSpec, cluster_state, orthogonal_basis, plus_state
 from clusterpump.errors import NumericalError
 from clusterpump.lindblad import (
@@ -26,6 +26,7 @@ from clusterpump.solver import (
     pure_state_density,
     rank_spectrum,
     steady_state_direct,
+    step_count,
 )
 from conftest import random_density_matrix, random_graphs
 
@@ -262,7 +263,7 @@ def test_rk4_step_matches_four_stages(rng, graph, gamma, edge):
     # the evolve command's default dt, and 0.95 of the largest stable one; an
     # isolated vertex gives the target a nonzero energy <C|H|C> = h
     model = PumpModel(graph, 1.0, 0.9)
-    dt = 0.95 * rk4_stability_edge(model, gamma) if edge else 0.01 / max(1.0, gamma)
+    dt = 0.95 * rk4_stability_edge(model, gamma) if edge else cli._evolve_dt(graph, 0.9, gamma)
     rho0 = random_density_matrix(rng, 2**graph.n_qubits)
     assert one_map_vs_four_stages(model, gamma, rho0, dt, n_steps=40) <= 1e-12
 
@@ -282,6 +283,18 @@ def test_rk4_step_matches_four_stages_on_random_graphs(graph, h, gamma, fraction
     dt = fraction * rk4_stability_edge(model, gamma)
     rho0 = random_density_matrix(np.random.default_rng(seed), 2**graph.n_qubits)
     assert one_map_vs_four_stages(model, gamma, rho0, dt, n_steps=12) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=random_graphs(),
+    h=st.floats(min_value=-60.0, max_value=60.0),
+    gamma=st.floats(min_value=0.01, max_value=1e3),
+)
+def test_evolve_default_dt_is_stable_on_random_graphs(graph, h, gamma):
+    # the evolve command's default step, at g = 1, takes the field and the
+    # graph into account: it stays inside RK4's stability region
+    assert cli._evolve_dt(graph, h, gamma) <= rk4_stability_edge(PumpModel(graph, 1.0, h), gamma)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 5.0, 600.0])
@@ -456,3 +469,35 @@ def test_check_density_matrix_flags_bad_input():
         check_density_matrix(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
     with pytest.raises(ValueError):
         check_density_matrix(np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="density matrix has a significantly negative eigenvalue"):
+        check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+def test_rank_spectrum_needs_an_eigenvalue_near_zero():
+    with pytest.raises(NumericalError, match="no steady state found: leading eigenvalue"):
+        rank_spectrum(np.array([-1.0, -2.0], dtype=complex))
+
+
+def test_full_spectrum_refuses_a_traceless_kernel_vector():
+    # -(I - v v^+) has the single kernel vector v = vec(Z) / sqrt(2), whose trace is 0
+    v = vectorize(np.diag([1.0, -1.0]).astype(complex)) / np.sqrt(2.0)
+    with pytest.raises(NumericalError, match=r"traceless kernel vector \(kernel_dim = 1\)") as exc:
+        full_spectrum(np.outer(v, v.conj()) - np.eye(4))
+    assert exc.value.kernel_dim == 1
+
+
+def test_steady_state_direct_checks_its_residual():
+    # -I has no kernel: the unit-trace solve gives |0><0|, which L maps to -|0><0|
+    with pytest.raises(NumericalError, match="direct steady-state residual 1 exceeds tolerance 1e-08"):
+        steady_state_direct(-np.eye(4, dtype=complex))
+
+
+def test_step_count_rejects_a_negative_t_final():
+    with pytest.raises(ValueError, match="t_final must be nonnegative, got -1.0"):
+        step_count(-1.0, 0.1)
+
+
+def test_evolve_expm_rejects_a_negative_time():
+    rho0 = np.eye(2, dtype=complex) / 2
+    with pytest.raises(ValueError, match="t must be nonnegative, got -0.5"):
+        evolve_expm(rho0, -np.eye(4, dtype=complex), -0.5)
