@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +34,8 @@ from clusterpump.solver import (
     step_count,
 )
 from conftest import random_density_matrix, random_graphs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def chain_liouvillian(n, h_g, gamma_g):
@@ -135,6 +142,59 @@ def test_gap_nonnegative_and_monotone_in_gamma():
         assert spec.gap >= 0.0
         gaps.append(spec.gap)
     assert np.all(np.diff(gaps) > 0)
+
+
+# Run in a child whose OpenBLAS workers sleep as soon as they are idle
+# (OPENBLAS_THREAD_TIMEOUT=4), so their run time grows only while a call uses
+# them.  Prints the workers' run time before and after a secular solve of
+# m = 20 (n = 400 poles), or the reason the pool cannot be watched.
+POOL_PROBE = """
+import os, threading, time
+import numpy as np
+from clusterpump import solver
+
+def workers_ns():
+    me = threading.get_native_id()
+    return sum(int(open(f"/proc/self/task/{tid}/schedstat").read().split()[0])
+               for tid in os.listdir("/proc/self/task") if int(tid) != me)
+
+if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+    print("skip numpy's BLAS is not OpenBLAS")
+    raise SystemExit
+rng = np.random.default_rng(0)
+kappa = -rng.random(20) - 1j * rng.normal(size=20)
+weights = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+known, mu, w, r = solver.secular_problem(np.add.outer(kappa, kappa.conj()), weights + weights.conj().T)
+try:
+    asleep = workers_ns()
+except OSError as exc:
+    print("skip", exc)
+    raise SystemExit
+a = rng.random((300, 300))
+a @ a  # wakes the pool once
+time.sleep(0.1)
+before = workers_ns()
+if before == asleep:
+    print("skip no BLAS worker ran for a 300 x 300 product")
+    raise SystemExit
+roots = solver.secular_roots(mu, w, r)
+time.sleep(0.1)
+print(known.size + roots.size, before, workers_ns())
+"""
+
+
+def test_secular_roots_leaves_the_blas_pool_asleep():
+    # the solver's Cauchy sums are per-row dot products on the calling thread:
+    # handed to BLAS as k x n products, they woke OpenBLAS's second thread
+    env = dict(os.environ, OPENBLAS_THREAD_TIMEOUT="4")
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", POOL_PROBE], env=env, capture_output=True, text=True, check=True)
+    words = out.stdout.split()
+    if words[0] == "skip":
+        pytest.skip(out.stdout)
+    count, before, after = map(int, words)
+    assert count == 400
+    assert after == before
 
 
 # ----------------------------------------------------------------- direct solve
