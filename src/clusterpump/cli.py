@@ -75,16 +75,13 @@ def _finite(text: str) -> float:
 _Output = tuple[dict, dict[str, tuple[list[str], list]], str]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Strings as csv quotes them, numbers as ``format(float(x), ".17g")`` writes
+    them; handlers pass Python floats (``.tolist()``), the cheapest to format."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+        writer.writerows([c if isinstance(c, str) else "%.17g" % c for c in row] for row in rows)
 
 
 def parse_graph(text: str) -> GraphSpec:
@@ -239,7 +236,7 @@ def _cmd_spectrum(cfg: dict) -> _Output:
         "kernel_dim": kernel_dim,
         "max_real_part": float(vals.real.max()),
     }
-    tables = {"spectrum.csv": (["re", "im"], [[lam.real, lam.imag] for lam in vals])}
+    tables = {"spectrum.csv": (["re", "im"], np.column_stack([vals.real, vals.imag]).tolist())}
     return summary, tables, f"wrote {vals.size} eigenvalues; gap = {gap:.6g}"
 
 
@@ -318,7 +315,7 @@ def _cmd_meanfield(cfg: dict) -> _Output:
     tables = {
         "meanfield.csv": (
             ["t", "jx", "jy", "jz"],
-            [[t, s[0], s[1], s[2]] for t, s in zip(traj.times, traj.states)],
+            np.column_stack([traj.times, traj.states]).tolist(),
         ),
         "meanfield_fixed_points.csv": (
             ["label", "jx", "jy", "jz", "stable", "classification"],
@@ -353,7 +350,8 @@ def _cmd_sweep(cfg: dict) -> _Output:
     grid = parse_gamma_policy(cfg["gamma_grid"])
     sweep = gamma_sweep(graph, cfg["h_g"], grid, compute_gap=not cfg["skip_gap"], eta=cfg["eta"],
                         g=float(cfg["sign_g"]))
-    rows = list(zip(sweep.axis_values, sweep.fidelity, sweep.witness, sweep.gap, sweep.status))
+    values = np.column_stack([sweep.axis_values, sweep.fidelity, sweep.witness, sweep.gap]).tolist()
+    rows = [[*v, status] for v, status in zip(values, sweep.status)]
     gamma_sat = None
     note = None
     try:
@@ -476,11 +474,15 @@ _OPTIONS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names one:
+    a run then registers only its own flags and parses, helps and fails as
+    the full parser does."""
     parser = _Parser(prog="clusterpump", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, defaults) in _COMMANDS.items():
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        handler, defaults = _COMMANDS[name]
         p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--config", help="JSON config file; explicit flags override it")
         p.add_argument("--out", default=".", help="output directory (default: current directory)")
@@ -494,8 +496,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command: its handler computes, then this writes each of its
     tables and ``<command>.json``, the summary with the resolved config and
     the version, and prints its message."""
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         handler, defaults = _COMMANDS[args.command]

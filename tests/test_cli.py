@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -840,3 +842,91 @@ def test_seeded_random_state_is_reproducible(tmp_path):
             == 0
         )
     assert (out1 / "evolve.csv").read_bytes() == (out2 / "evolve.csv").read_bytes()
+
+
+# ----------------------------------------------------------------- parser and tables
+
+
+def _commands_of(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def _outcome(capsys, argv):
+    # exit code, stdout and stderr of one run; help and --version exit in argparse
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def _moved(key, value):
+    """A value of ``key``'s flag other than its default ``value``."""
+    choices = cli._OPTIONS[key].get("choices")
+    if choices:
+        return choices[-1]
+    if value is None:
+        return "0.5"
+    if isinstance(value, str):
+        return value + "0"
+    return not value if isinstance(value, bool) else value + 1
+
+
+def _recording(monkeypatch, command):
+    # the command's handler replaced by one that records its resolved config
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, (lambda cfg: seen.append(cfg) or ({}, {}, ""),
+                                                 cli._COMMANDS[command][1]))
+    return seen
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_run_builds_the_parser_of_its_own_command_alone(tmp_path, monkeypatch, command):
+    # a run registers only its own command's flags; the parser of no named
+    # command offers every command
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *args: built.append(build(*args)) or built[-1])
+    _recording(monkeypatch, command)
+    assert run([command, "--out", str(tmp_path)]) == 0
+    assert [_commands_of(parser) for parser in built] == [[command]]
+    assert _commands_of(build()) == list(cli._COMMANDS) and len(cli._COMMANDS) == 7
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_the_one_command_parser_resolves_helps_and_fails_as_the_full_one(tmp_path, monkeypatch, capsys, command):
+    # main's resolved config, stdout, stderr and exit code with the command's
+    # own parser equal those with every command's, on the defaults, a config
+    # file of every key, help and usage errors
+    seen = _recording(monkeypatch, command)
+    defaults = cli._COMMANDS[command][1]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: _moved(key, value) for key, value in defaults.items()}))
+    out = str(tmp_path / "out")
+    cases = [[command, "--out", out], [command, "--config", str(config), "--out", out], [command, "-h"],
+             [command, "--no-such-flag"], [command, "--version"], ["-h"], [], ["no-such-command"]]
+
+    def outcomes():
+        seen.clear()
+        return [_outcome(capsys, argv) for argv in cases], list(seen)
+
+    own = outcomes()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert own == outcomes()
+    (code, stdout, _), default_cfg, config_cfg = own[0][2], *own[1]
+    assert code == 0 and f"clusterpump {command}" in stdout
+    assert all(config_cfg[key] != default_cfg[key] for key in defaults)
+    assert [c for c, *_ in own[0]] == [0, 0, 0, 1, 1, 0, 1, 1]
+
+
+def test_tables_write_each_number_as_its_17_digit_float(tmp_path):
+    # every number cell is format(float(x), ".17g"), whatever the number's
+    # type; strings keep csv's quoting
+    numbers = [3, -7, 0.1, 1 / 3, np.float64(2.5), np.int64(-12), np.float64(0.1), 0.0, -0.0,
+               math.nan, math.inf, -math.inf, 5e-324, 1e-30]
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, ["x", "status"], [[x, "ok"] for x in numbers] + [[1.0, 'failed: "a", b']])
+    lines = ["x,status", *(f"{format(float(x), '.17g')},ok" for x in numbers), '1,"failed: ""a"", b"']
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
