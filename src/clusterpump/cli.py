@@ -75,13 +75,23 @@ def _finite(text: str) -> float:
 _Output = tuple[dict, dict[str, tuple[list[str], list]], str]
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     """Strings as csv quotes them, numbers as ``format(float(x), ".17g")`` writes
-    them; handlers pass Python floats (``.tolist()``), the cheapest to format."""
+    them; handlers pass Python floats (``.tolist()``), the cheapest to format.
+
+    A table of numbers alone is written with one format string a row; "%g"
+    of a string raises TypeError, and such a table goes through csv.
+    """
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([c if isinstance(c, str) else "%.17g" % c for c in row] for row in rows)
+        line = ",".join(["%.17g"] * len(header)) + "\n"
+        try:
+            text = "".join([line % tuple(row) for row in rows])
+        except TypeError:
+            writer.writerows([c if isinstance(c, str) else "%.17g" % c for c in row] for row in rows)
+        else:
+            fh.write(text)
 
 
 def parse_graph(text: str) -> GraphSpec:

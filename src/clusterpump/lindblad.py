@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -446,8 +446,10 @@ class PumpModel:
         poles = np.add.outer(kappa, kappa.conj())
         if smallest is not None:
             gram = R.conj().T @ R
-            # R^+ Q R = R^+ R - (R^+ c_J)(R^+ c_J)^+, and R^+ c_J = R^+ R a
-            ra = gram @ a
+            # R^+ Q R = R^+ R - (R^+ c_J)(R^+ c_J)^+, and R^+ c_J = R^+ R a, taken
+            # by rows (np.vecdot conjugates its first argument) so that this
+            # |J|-vector product runs on the calling thread, not BLAS's pool
+            ra = np.vecdot(gram, a.conj()).conj()
             weights = gamma * np.outer(a, a.conj()) * (gram - np.outer(ra, ra.conj())).T
             known, mu, w, r = solver.secular_problem(poles[:m, :m], weights)
             jj = [known, solver.secular_roots(mu, w, r)]
@@ -662,7 +664,8 @@ class KernelStep:
     once per run of ``evolve``, and refuses an h at which
     ``|P4| > 1 + 1e-12`` on a pair that touches O: such a pair is an
     eigenvalue of L, so the run would grow.  A step is then one elementwise
-    product and two real matrix-vector products.
+    product and two real matrix-vector products, which ``step``'s
+    ``advance`` writes into two buffers made once per run.
     """
 
     gamma: float
@@ -697,7 +700,8 @@ class KernelStep:
         rows, cols = np.triu_indices(m)
         scale = np.where(rows == cols, 1.0, 2.0)
         gram = self.R.conj().T @ self.R
-        rc = self.R.conj().T @ self.c
+        # R^+ c_J by R's columns, on the calling thread (see ``PumpModel.eigenvalues``)
+        rc = np.vecdot(self.R.T, self.c)
         ones = np.ones(d - m)
         q = np.concatenate([scale * (gram - np.outer(rc, rc.conj()))[rows, cols], ones])
         trace = np.concatenate([scale * gram[rows, cols], ones])
@@ -749,15 +753,17 @@ class KernelStep:
 
     def evolve(self, rho0: np.ndarray, t_final: float, dt: float, sample_every: int = 1) -> solver.Trajectory:
         """RK4 on the master equation from the density matrix ``rho0``, given in
-        the computational basis, stepped by ``solver.rk4``: each step is one
-        ``step`` with the tables of its length, and the samples are states
-        (``density`` reads one back).
+        the computational basis, driven by ``solver.rk4``: each sample interval
+        is one call of the ``advance`` that ``step`` returns for the tables of
+        the run's step length, and the samples are states (``density`` reads
+        one back), copied out of its buffers.
 
         An h at which a pole on a pair that touches O leaves RK4's stability
         region is refused before the first step, with NumericalError
         "integration unstable, reduce dt".  The state check, with the same
-        message, reads the state's own trace, which may drift by 1e-6, and
-        bounds ``||X||_2 <= ||R^-1||_2^2 d (|Tr rho0| + 1e-6)`` for the
+        message, runs on every step's state.  It reads the state's own trace,
+        which may drift by 1e-6, and bounds
+        ``||X||_2 <= ||R^-1||_2^2 d (|Tr rho0| + 1e-6)`` for the
         entries X of the state: ``||X||_F <= ||R^-1||_2^2 ||rho||_F``, and
         ``||rho||_F <= d max |rho_ab|``, so every state the four-stage check
         of ``solver.evolve_rk4`` accepts passes, and a growing run is
@@ -767,7 +773,6 @@ class KernelStep:
         """
         n_steps = solver.step_count(t_final, dt)
         x0 = self.start(rho0)
-        tables = self._tables(t_final / n_steps) if n_steps else None
         trace0 = x0[-1]
         bound = (self.inverse_norm2 * self.kappa.size * (abs(trace0) + 1e-6)) ** 2
 
@@ -776,19 +781,49 @@ class KernelStep:
             if not (abs(x[-1] - trace0) <= 1e-6 and np.vdot(x[:-1], x[:-1]).real <= bound):
                 raise NumericalError("integration unstable, reduce dt")
 
-        return solver.rk4(lambda x, h: self.step(x, tables), x0, t_final, dt, sample_every, check)
+        advance = self.step(self._tables(t_final / n_steps), check) if n_steps else None
+        return solver.rk4(advance, x0, t_final, dt, sample_every, check)
 
-    def step(self, x: np.ndarray, tables: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-        """The state one RK4 step after x, of the length ``tables = _tables(h)``
-        were built for."""
+    def step(
+        self, tables: tuple[np.ndarray, np.ndarray, np.ndarray], check: Callable[[np.ndarray], None]
+    ) -> Callable[[np.ndarray, float, int], np.ndarray]:
+        """``advance(x, h, count)``, the ``solver.rk4`` map: the state ``count``
+        RK4 steps after x, of the length ``tables = _tables(h)`` were built
+        for (h itself is not read), with ``check`` called on each new state.
+
+        The steps alternate between two state buffers made here, once per
+        run, with their float views and the work arrays of w and the update, so
+        a step allocates nothing.  The state returned is one of the buffers,
+        which the next call overwrites; an x that is neither buffer is first
+        copied into one, so any state can be stepped.
+        """
         P4, weights, B = tables
-        # np.dot rather than @: half the call overhead at N = 5
-        w = np.dot(weights, x[: weights.shape[1] // 2].view(float))
-        out = P4 * x
-        block = out[: B.shape[1] // 2].view(float)
-        block += np.dot(w[:4], B)
-        out[-1] = w[4]
-        return out
+        buffers = (np.empty_like(P4), np.empty_like(P4))
+        # each buffer's support, where the functionals read, and its J x J
+        # triangle, where the update adds
+        support = [buf[: weights.shape[1] // 2].view(float) for buf in buffers]
+        block = [buf[: B.shape[1] // 2].view(float) for buf in buffers]
+        w = np.empty(weights.shape[0])
+        update = np.empty(B.shape[1])
+        w4 = w[:4]
+
+        def advance(x: np.ndarray, h: float, count: int) -> np.ndarray:
+            i = 0 if x is buffers[0] else 1
+            if x is not buffers[i]:
+                buffers[i][...] = x
+            for _ in range(count):
+                out = buffers[1 - i]
+                # np.dot rather than @: half the call overhead at N = 5
+                np.dot(weights, support[i], out=w)
+                np.multiply(P4, buffers[i], out=out)
+                np.dot(w4, B, out=update)
+                np.add(block[1 - i], update, out=block[1 - i])
+                out[-1] = w[4]
+                check(out)
+                i = 1 - i
+            return buffers[i]
+
+        return advance
 
     def start(self, rho: np.ndarray) -> np.ndarray:
         """The state of a density matrix given in the computational basis; a

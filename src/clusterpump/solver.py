@@ -16,14 +16,17 @@ steady-state solve's, and ``unit_trace_hermitian`` every steady state's
 normalization, ``PumpModel.support_steady_states`` included.
 
 ``rk4`` is the package's one fixed-step driver.  It owns the step count,
-the sample budget, the state checks and the sampling, and takes the step
-itself as a map, so ``evolve_rk4`` runs it with a four-stage RK4 step on
-density matrices, from a dense superoperator or a matrix-free generator
-such as ``PumpModel.apply`` (the reference, and the ``evolve`` command's
-step at an exceptional point of K_J); ``KernelStep.evolve`` runs it with a
-whole RK4 step as one map in the eigenbasis of K (the ``evolve`` command's
-route); and the mean-field ODEs run it with their RK4 step written on three
-floats, which are also the state between their steps.  ``evolve_expm``
+the sample budget, the check of the initial state and the sampling, and
+takes the stepping itself as a map ``advance(y, h, count)`` that runs one
+sample interval, with the caller's check on every new state, so the steps
+of an interval cost no call into the driver.  ``evolve_rk4`` runs it with
+four-stage RK4 steps on density matrices, from a dense superoperator or a
+matrix-free generator such as ``PumpModel.apply`` (the reference, and the
+``evolve`` command's step at an exceptional point of K_J);
+``KernelStep.evolve`` with whole RK4 steps as one map each in the eigenbasis
+of K, into two preallocated buffers (the ``evolve`` command's route); and
+the mean-field ODEs with their RK4 step written on three floats, which are
+also the state between their steps.  ``evolve_expm``
 applies the exact propagator ``exp(L t)`` of a dense L computed by scaling
 and squaring, the oracle the RK4 routes are tested against.
 
@@ -107,21 +110,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-
-
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    eig_floor: float = -1e-8,
-) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace, and PSD within tolerance."""
-    if np.linalg.norm(rho - rho.conj().T, np.inf) > herm_tol:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {np.trace(rho)} is not 1")
-    if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < eig_floor:
-        raise ValueError("density matrix has a significantly negative eigenvalue")
 
 
 def pure_state_density(psi: np.ndarray) -> np.ndarray:
@@ -470,26 +458,28 @@ def step_count(t_final: float, dt: float) -> int:
 
 
 def rk4(
-    step: Callable,
+    advance: Callable,
     y0: ArrayLike,
     t_final: float,
     dt: float,
     sample_every: int,
     check: Callable[[np.ndarray], None],
 ) -> Trajectory:
-    """Fixed-step driver: ``y <- step(y, h)`` from ``y0`` up to ``t_final``.
+    """Fixed-step driver: ``y <- advance(y, h, count)`` from ``y0`` up to
+    ``t_final``, one sample interval a call.
 
-    ``step(y, h)`` returns the state one step of length ``h`` after ``y``,
-    as a new object; callers pass a classical 4th-order Runge-Kutta step.
-    ``y0`` is an array, or anything ``np.asarray`` makes one (the mean-field
-    ODEs pass three floats); the state between steps is what ``step``
-    returns, and samples are stored as arrays of ``y0``'s shape and dtype.
-    Takes ``step_count(t_final, dt)`` equal steps of ``h = t_final / n``, and
-    samples every ``sample_every`` steps; t = 0 and t = t_final are always
-    included.  ``check`` is called on ``y0`` and on every new state; it
-    aborts the run by raising.  Bad times (see ``step_count``), or a run
-    whose samples would take more than ``SAMPLE_BUDGET_BYTES``, raise
-    ValueError before any step.
+    ``advance(y, h, count)`` returns the state ``count`` steps of length
+    ``h`` after ``y`` and calls the caller's check on every new state, which
+    aborts the run by raising; callers take classical 4th-order Runge-Kutta
+    steps.  The returned state may be a buffer that the next call
+    overwrites: each sample is copied out.  ``y0`` is an array, or anything
+    ``np.asarray`` makes one (the mean-field ODEs pass three floats); the
+    state between calls is what ``advance`` returns, and samples are stored
+    as arrays of ``y0``'s shape and dtype.  Takes ``step_count(t_final, dt)``
+    equal steps of ``h = t_final / n``, and samples every ``sample_every``
+    steps; t = 0 and t = t_final are always included.  ``check`` is called
+    on ``y0``.  Bad times (see ``step_count``), or a run whose samples would
+    take more than ``SAMPLE_BUDGET_BYTES``, raise ValueError before any step.
     """
     n_steps = step_count(t_final, dt)
     if sample_every < 1:
@@ -509,14 +499,13 @@ def rk4(
         return Trajectory(times, states)
     h = t_final / n_steps
     y = y0
-    i = 1
-    for k in range(1, n_steps + 1):
-        y = step(y, h)
-        check(y)
-        if k % sample_every == 0 or k == n_steps:
-            times[i] = k * h
-            states[i] = y
-            i += 1
+    k = 0
+    for i in range(1, n_samples):
+        count = min(sample_every, n_steps - k)
+        y = advance(y, h, count)
+        k += count
+        times[i] = k * h
+        states[i] = y
     return Trajectory(times, states)
 
 
@@ -527,7 +516,7 @@ def evolve_rk4(
     dt: float,
     sample_every: int = 1,
 ) -> Trajectory:
-    """Classical RK4 on ``d rho/dt = L(rho)``, four stages a step, stepped by
+    """Classical RK4 on ``d rho/dt = L(rho)``, four stages a step, driven by
     ``rk4``.
 
     ``L`` is a dense superoperator acting on ``vec(rho)``, or a callable on
@@ -537,18 +526,12 @@ def evolve_rk4(
     aborts with NumericalError "integration unstable, reduce dt" once the
     trace drifts by more than 1e-6 or an entry exceeds ``|Tr rho0| + 1e-6``
     in modulus, which no positive semidefinite matrix does.  The trace alone
-    would miss an unstable step, since the generator preserves it.
-    ``KernelStep.evolve`` is the route with a whole step as one map.
+    would miss an unstable step, since the generator preserves it.  Each
+    call of ``rk4``'s ``advance`` loops the four stages and this check over
+    its steps.  ``KernelStep.evolve`` is the route with a whole step as one
+    map.
     """
     rhs = L if callable(L) else lambda rho: devectorize(L @ vectorize(rho))
-
-    def four_stages(rho: np.ndarray, h: float) -> np.ndarray:
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * h * k1)
-        k3 = rhs(rho + 0.5 * h * k2)
-        k4 = rhs(rho + h * k3)
-        return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     rho0 = rho0.astype(complex)
     trace0 = np.trace(rho0)
     bound = abs(trace0) + 1e-6
@@ -558,7 +541,17 @@ def evolve_rk4(
         if not (abs(rho.trace() - trace0) <= 1e-6 and np.abs(rho).max() <= bound):
             raise NumericalError("integration unstable, reduce dt")
 
-    return rk4(four_stages, rho0, t_final, dt, sample_every, check_bounded)
+    def advance(rho: np.ndarray, h: float, count: int) -> np.ndarray:
+        for _ in range(count):
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * h * k1)
+            k3 = rhs(rho + 0.5 * h * k2)
+            k4 = rhs(rho + h * k3)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            check_bounded(rho)
+        return rho
+
+    return rk4(advance, rho0, t_final, dt, sample_every, check_bounded)
 
 
 def evolve_expm(rho0: np.ndarray, L: Superoperator, t: float) -> np.ndarray:

@@ -17,6 +17,21 @@ def random_density_matrix(rng, dim):
     return rho / np.trace(rho)
 
 
+def check_density_matrix(
+    rho: np.ndarray,
+    herm_tol: float = 1e-10,
+    trace_tol: float = 1e-10,
+    eig_floor: float = -1e-8,
+) -> None:
+    """Raise ValueError unless rho is Hermitian, unit-trace, and PSD within tolerance."""
+    if np.linalg.norm(rho - rho.conj().T, np.inf) > herm_tol:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    if abs(np.trace(rho) - 1.0) > trace_tol:
+        raise ValueError(f"density matrix trace {np.trace(rho)} is not 1")
+    if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < eig_floor:
+        raise ValueError("density matrix has a significantly negative eigenvalue")
+
+
 def random_hermitian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (a + a.conj().T) / 2

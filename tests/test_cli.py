@@ -661,8 +661,11 @@ def test_evolve_observables_match_the_back_transformed_samples(tmp_path, graph_a
 def test_evolve_refuses_oversized_samples(tmp_path, capsys, monkeypatch):
     # a million half-MiB samples (the upper triangle of a 256 x 256 matrix)
     # exceed the 0.75 GiB sample budget; the run stops before its first step
-    def never(self, x, h):
-        raise AssertionError("stepped")
+    def never(self, tables, check):
+        def advance(x, h, count):
+            raise AssertionError("stepped")
+
+        return advance
 
     monkeypatch.setattr(KernelStep, "step", never)
     args = ["evolve", "--graph", "chain:8", "--t-final", "10000", "--dt", "0.01",
@@ -694,7 +697,7 @@ def test_evolve_unstable_step_exits_two(tmp_path, capsys):
 def test_evolve_refuses_an_unstable_dt_before_stepping(tmp_path, capsys, monkeypatch):
     # the same run: dt = 0.07 puts a pole of L on a pair that touches O
     # outside RK4's stability region, so it is refused before any step
-    def never(self, x, h):
+    def never(self, tables, check):
         raise AssertionError("stepped")
 
     monkeypatch.setattr(KernelStep, "step", never)
@@ -930,3 +933,19 @@ def test_tables_write_each_number_as_its_17_digit_float(tmp_path):
     cli._write_csv(path, ["x", "status"], [[x, "ok"] for x in numbers] + [[1.0, 'failed: "a", b']])
     lines = ["x,status", *(f"{format(float(x), '.17g')},ok" for x in numbers), '1,"failed: ""a"", b"']
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("n_rows", [3, 0])
+def test_a_table_of_numbers_writes_the_bytes_of_csv_writer(tmp_path, n_rows):
+    # a table with no string cell takes one format string a row, and writes
+    # what csv.writer wrote of each number's 17-digit form
+    rows = [[3, -7, 0.1, 1 / 3], [np.float64(2.5), np.int64(-12), np.float64(-0.0), -0.0],
+            [math.nan, math.inf, -math.inf, 5e-324]][:n_rows]
+    header = ["a", "b", "c", "d"]
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, header, rows)
+    with (tmp_path / "expected.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(["%.17g" % c for c in row] for row in rows)
+    assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()

@@ -25,13 +25,12 @@ from clusterpump.lindblad import (
 )
 from clusterpump.operators import PauliString, pauli_to_dense
 from clusterpump.solver import (
-    check_density_matrix,
     full_spectrum,
     pure_state_density,
     rank_spectrum,
     steady_state_direct,
 )
-from conftest import random_density_matrix, random_graphs, random_hermitian
+from conftest import check_density_matrix, random_density_matrix, random_graphs, random_hermitian
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,10 +1,12 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterpump import meanfield
 from clusterpump.errors import NumericalError
 from clusterpump.lindblad import ModelParams
 from clusterpump.meanfield import (
@@ -243,6 +245,27 @@ def test_blowup_guard_catches_nan():
     p = ModelParams(g=1.0, h=1.0, gamma=0.0)
     with pytest.raises(NumericalError, match="blow-up"):
         mean_field_evolve(MeanFieldState(0.1, 0.1, 0.1), p, t_final=1e151, dt=1e150)
+
+
+def test_blowup_guard_raises_within_a_sample_interval(monkeypatch):
+    # with h = 0 and Jy = Jz = 0 the flow is dJx/dt = -gamma Jx, and RK4 at
+    # gamma dt = 3 multiplies Jx by p(-3) = 1.375 a step, so |s| first
+    # exceeds 10 at step 8; a run sampled every 15 steps stops there, after
+    # the guard has read s0 and eight states
+    p = ModelParams(g=1.0, h=0.0, gamma=5.0)
+    s0, dt = MeanFieldState(1.0, 0.0, 0.0), 0.6
+    _, states = array_rk4(s0, p, 20 * dt, dt, 1)
+    assert np.flatnonzero(np.linalg.norm(states, axis=1) > 10.0)[0] == 8
+    norms = []
+
+    def hypot(*s):
+        norms.append(math.hypot(*s))
+        return norms[-1]
+
+    monkeypatch.setattr(meanfield, "math", types.SimpleNamespace(hypot=hypot))
+    with pytest.raises(NumericalError, match="mean-field blow-up"):
+        mean_field_evolve(s0, p, 20 * dt, dt, sample_every=15)
+    assert norms == np.linalg.norm(states[:9], axis=1).tolist()
 
 
 def array_rk4(s0, p, t_final, dt, sample_every):

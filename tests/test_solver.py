@@ -24,7 +24,6 @@ from clusterpump.lindblad import (
 )
 from clusterpump.observables import fidelity, spin_expectations
 from clusterpump.solver import (
-    check_density_matrix,
     evolve_expm,
     evolve_rk4,
     full_spectrum,
@@ -33,7 +32,7 @@ from clusterpump.solver import (
     steady_state_direct,
     step_count,
 )
-from conftest import random_density_matrix, random_graphs
+from conftest import check_density_matrix, random_density_matrix, random_graphs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -374,7 +373,7 @@ def test_rk4_step_output_is_exactly_hermitian(rng, graph, gamma):
     assert np.array_equal(hermitian, hermitian.conj().T)
     dt = 0.01 / max(1.0, gamma)
     for rho in (hermitian, a):
-        out = kernel.matrix(kernel.step(kernel.start(rho), kernel._tables(dt)))
+        out = kernel.matrix(kernel.step(kernel._tables(dt), lambda x: None)(kernel.start(rho), dt, 1))
         assert np.array_equal(out, out.conj().T)
 
 
@@ -397,8 +396,8 @@ def test_rk4_step_reads_a_start_as_its_hermitian_part(rng, graph, gamma):
     X[:, :m] = X[:, :m] @ R_inv.conj().T
     assert np.abs(kernel.matrix(kernel.start(rho)) - 0.5 * (X + X.conj().T)).max() <= 1e-15
     dt = 0.01 / max(1.0, gamma)
-    tables = kernel._tables(dt)
-    stepped = [kernel.density(kernel.step(kernel.start(r), tables)) for r in (rho, 0.5 * (rho + rho.conj().T))]
+    advance = kernel.step(kernel._tables(dt), lambda x: None)
+    stepped = [kernel.density(advance(kernel.start(r), dt, 1)) for r in (rho, 0.5 * (rho + rho.conj().T))]
     assert np.abs(stepped[0] - stepped[1]).max() <= 1e-15
 
 
@@ -452,12 +451,113 @@ def test_kernel_step_refuses_an_unstable_dt_before_stepping(rng, monkeypatch):
     growth = np.abs(1.0 + lam * (1.0 + lam * (0.5 + lam * (1.0 / 6.0 + lam / 24.0))))
     assert 0 < m < d and growth[:, m:].max() == pytest.approx(2.75, abs=5e-3)
 
-    def never(self, x, tables):
+    def never(self, tables, check):
         raise AssertionError("stepped")
 
     monkeypatch.setattr(KernelStep, "step", never)
     with pytest.raises(NumericalError, match="integration unstable, reduce dt"):
         kernel.evolve(random_density_matrix(rng, 4), 0.7, 0.07)
+
+
+def recording_steps(monkeypatch):
+    """Patch ``KernelStep.step`` so that each ``advance`` it returns records the
+    states it returns in ``returned`` and each call of the state check in
+    ``checks``."""
+    returned, checks = [], []
+    step = KernelStep.step
+
+    def recording(self, tables, check):
+        def counted(x):
+            checks.append(x)
+            check(x)
+
+        advance = step(self, tables, counted)
+
+        def wrapped(x, h, count):
+            returned.append(advance(x, h, count))
+            return returned[-1]
+
+        return wrapped
+
+    monkeypatch.setattr(KernelStep, "step", recording)
+    return returned, checks
+
+
+def test_kernel_step_refuses_a_growing_run_within_a_sample_interval(rng, monkeypatch):
+    # the growing run above: the state check runs on every step, so a run
+    # whose one sample interval holds the whole run stops at the first state
+    # refused, which is no sample step
+    monkeypatch.setattr(lindblad, "SUPPORT_TOL", -1.0)
+    kernel = PumpModel(GraphSpec.chain(2), 1.0, 1.0).kernel_step(50.0)
+    rho0 = random_density_matrix(rng, 4)
+    dt = 0.0625
+
+    def refused(n_steps):
+        try:
+            kernel.evolve(rho0, n_steps * dt, dt)
+        except NumericalError:
+            return True
+        return False
+
+    first = next(n for n in range(1, 200) if refused(n))
+    assert first > 1
+    _, checks = recording_steps(monkeypatch)
+    with pytest.raises(NumericalError, match="integration unstable, reduce dt"):
+        kernel.evolve(rho0, (first + 10) * dt, dt, sample_every=first + 20)
+    assert len(checks) == first
+
+
+@pytest.mark.parametrize("sample_every", [1, 3, 7])
+def test_kernel_evolve_is_the_run_of_single_steps(rng, sample_every):
+    # one advance call a sample interval gives, to the bit, the states of one
+    # call a step, at a t_final no multiple of dt or of the interval, and
+    # stays within the one-map tolerance of four stages
+    model = PumpModel(GraphSpec.chain(4), 1.0, 0.7)
+    kernel = model.kernel_step(3.0)
+    rho0 = random_density_matrix(rng, 16)
+    t_final, dt = 0.1234, 0.01
+    traj = kernel.evolve(rho0, t_final, dt, sample_every)
+    n_steps = step_count(t_final, dt)
+    h = t_final / n_steps
+    advance = kernel.step(kernel._tables(h), lambda x: None)
+    x = kernel.start(rho0)
+    expected = [x.copy()]
+    for k in range(1, n_steps + 1):
+        x = advance(x, h, 1)
+        if k % sample_every == 0 or k == n_steps:
+            expected.append(x.copy())
+    assert n_steps == 13 and len(expected) == 1 + -(-n_steps // sample_every)
+    assert np.array_equal(traj.states, np.array(expected))
+    four = evolve_rk4(rho0, lambda rho: model.apply(rho, 3.0), t_final, dt, sample_every)
+    assert np.array_equal(four.times, traj.times)
+    assert max(float(np.abs(kernel.density(x) - rho).max()) for x, rho in zip(traj.states, four.states)) <= 1e-12
+
+
+def test_kernel_evolve_copies_its_samples_out_of_the_buffers(rng, monkeypatch):
+    # advance hands back one of two buffers it overwrites; every sample is
+    # its own copy, and any state, not only the one last returned, steps
+    kernel = PumpModel(GraphSpec.chain(3), 1.0, 0.9).kernel_step(5.0)
+    rho0 = random_density_matrix(rng, 8)
+    returned, _ = recording_steps(monkeypatch)
+    traj = kernel.evolve(rho0, 0.1, 0.01, sample_every=3)
+    assert len(returned) == 4 and len({id(x) for x in returned}) == 2
+    assert not any(np.shares_memory(traj.states, x) for x in returned)
+    assert all(not np.array_equal(traj.states[i], traj.states[i + 1]) for i in range(len(traj.states) - 1))
+    advance = KernelStep.step(kernel, kernel._tables(0.01), lambda x: None)
+    x0 = kernel.start(rho0)
+    start = x0.copy()
+    one = advance(x0, 0.01, 1).copy()
+    two = advance(x0, 0.01, 2).copy()
+    assert np.array_equal(x0, start)
+    assert np.array_equal(advance(one, 0.01, 1), two)
+
+
+def test_kernel_evolve_of_no_steps_is_its_start(rng):
+    kernel = PumpModel(GraphSpec.chain(3), 1.0, 0.9).kernel_step(5.0)
+    rho0 = random_density_matrix(rng, 8)
+    traj = kernel.evolve(rho0, 0.0, 0.01, sample_every=3)
+    assert np.array_equal(traj.times, [0.0])
+    assert np.array_equal(traj.states, [kernel.start(rho0)])
 
 
 def test_rk4_matches_expm(rng):
