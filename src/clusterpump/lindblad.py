@@ -28,12 +28,15 @@ diagonal of H plus its bit flips, the action on one d x d matrix in the
 computational basis at O(N d^2) per call: the reference the structured
 routes are checked against, and the ``evolve`` command's step at an
 exceptional point of K_J.  The rest works in one eigenbasis W of H,
-``PumpModel.eigenbasis``, J first (below): ``PumpModel.support_steady_states``
-solves 2|J| real equations per rate on the target's support J, at O(|J|^3)
-work past the eigendecomposition of H, a whole grid of rates in batches;
-sweeps read fidelity and witness off those states on J, and
-``PumpModel.steady_state`` is the one-point case transformed back to the
-computational basis.  Linear solves, the ranking of a spectrum and the
+``PumpModel.eigenbasis``, J first (below).  The steady state lives on the
+target's support J and depends only on the target's spectral measure, the
+levels E_J and weights c_J: ``measure_steady_states`` reads no model and
+solves 2|J| real equations per rate at O(|J|^3) work, and
+``PumpModel.support_steady_states`` hands it a whole grid of rates in
+batches, past the eigendecomposition of H and the model's refusals of a
+degenerate kernel.  Sweeps read fidelity and witness off those states on J,
+and ``PumpModel.steady_state`` is the one-point case transformed back to
+the computational basis.  Linear solves, the ranking of a spectrum and the
 secular equation's builder and solver are ``solver``'s, which imports
 nothing from this module.
 
@@ -234,6 +237,96 @@ def _eigenbasis_rhs(energies: np.ndarray, c: np.ndarray, gamma, rho: np.ndarray)
     # (Tr - c^+ rho c) c c^+ + c (c^+ rho) / 2 is c times one row vector
     out += (gamma * c[:, None]) * (recycled[..., None] * c_conj + 0.5 * c_rho)[..., None, :]
     out += ((0.5 * gamma[..., 0]) * rho_c)[..., :, None] * c_conj
+    return out
+
+
+def measure_steady_states(
+    energies: np.ndarray, c: np.ndarray, gammas: np.ndarray, p: float, spread: float
+) -> list[tuple[np.ndarray | None, float, NumericalError | None]]:
+    """``(rho~, antihermitian, error)`` at each rate of ``gammas`` (each > 0)
+    for the spectral measure of levels ``E = energies`` with weights
+    ``c > 0``, ``sum c^2 = 1``: the steady state on the measure's levels, the
+    Frobenius norm of the anti-Hermitian part of its unit-trace solution
+    before it is made Hermitian, and None; or, at a point that fails,
+    ``(None, nan, error)``.  It reads no model: with ``E_J, c_J`` of
+    ``PumpModel.eigenbasis`` it is the steady state on the target's support J
+    in the basis W, and ``p = |C_0|^2`` and ``spread = ptp(zz)`` of H's ZZ
+    diagonal set the residual tolerance.
+
+    With ``M_ab = gamma / (gamma + i (E_a - E_b))``, stationarity reads
+
+        rho~ = M o [(1 - kappa) c c^T + (c u^+ + u c^T) / 2],  kappa = c^T u,
+
+    for ``u = rho~ c``.  Substituting gives a system linear in u and its
+    conjugate, 2|J| real equations at O(|J|^3) cost, each solved by
+    ``solve_nonsingular``, whose refusal fails its point.  The states are
+    normalized as in ``steady_state_direct`` and checked as a stack: a point
+    fails when the Frobenius norm of ``_eigenbasis_rhs(E, c, gamma, rho~)``
+    for the normalized ``rho~`` (equal to that of ``PumpModel.apply``)
+    exceeds ``1e-8 max(1, s)``, where s is the largest diagonal entry of the
+    dense generator in modulus, read off p and spread since every |C_a|^2
+    equals p.
+    """
+    m = c.size
+    out = [None] * gammas.size
+    G = gammas[:, None, None]
+    M = G / (G + 1j * np.subtract.outer(energies, energies))
+    w = M @ c**2
+    # A u + B conj(u) = c o w
+    cw = c * w
+    A = cw[:, :, None] * c
+    diagonal = np.arange(m)
+    A[:, diagonal, diagonal] += 1.0 - 0.5 * w
+    B = -0.5 * (c[:, None] * M * c)
+    # with u = x + i y, a real system in [x; y]; each one Fortran-ordered
+    system = np.empty((gammas.size, 2 * m, 2 * m)).transpose(0, 2, 1)
+    system[:, :m, :m] = A.real + B.real
+    system[:, :m, m:] = B.imag - A.imag
+    system[:, m:, :m] = A.imag + B.imag
+    system[:, m:, m:] = A.real - B.real
+    del A, B
+    rhs = np.concatenate([cw.real, cw.imag], axis=1)
+    for k in range(gammas.size):
+        try:
+            rhs[k] = solver.solve_nonsingular(system[k], rhs[k])
+        except NumericalError as exc:
+            # the point's state is formed from u = 0, and dropped
+            out[k], rhs[k] = (None, math.nan, exc), 0.0
+    del system
+    u = rhs[:, :m] + 1j * rhs[:, m:]
+    # a row sum, not a product with the stack: its bits must not depend on the batch
+    kappa = (u * c).sum(axis=1)
+    rho = M * ((1.0 - kappa)[:, None, None] * np.outer(c, c)
+               + 0.5 * (c[:, None] * u.conj()[:, None, :] + u[:, :, None] * c))
+    del M
+    rho, antihermitian = solver.unit_trace_hermitian(rho)
+
+    # The largest modulus of the dense generator's diagonal,
+    # gamma P_ab Q_ba + K_aa + conj(K_bb), bounds its infinity norm from
+    # below.  A graph state has |C_a|^2 = p for every a, so the entries
+    # off the diagonal share one real part, formed in the order of
+    # operations of the elementwise expression, and have imaginary parts up
+    # to ptp(zz).  Those on it are the real gamma (p - p^2) + 2 r; as p >= 0,
+    # off <= on <= 0 survives every rounding step, each operation being
+    # monotone, so the largest modulus is off's.
+    r = -(0.5 * gammas * (1.0 - p))
+    off = gammas * (0.0 - p * p) + r + r
+    tol = 1e-8 * np.maximum(1.0, np.abs(off + 1j * spread))
+    # W is orthogonal, so this is |L rho|_F >= max |L rho| in any basis;
+    # each point's entries are scaled by their largest modulus first, as
+    # their squares overflow from about 1e154 on (gamma >~ 1e170)
+    residual = _eigenbasis_rhs(energies, c, gammas, rho).reshape(gammas.size, -1)
+    largest = np.abs(residual).max(axis=1)
+    residual /= np.where(largest > 0, largest, 1.0)[:, None]
+    residual = largest * np.linalg.norm(residual, axis=1)
+    for k in range(gammas.size):
+        if out[k] is not None:
+            continue
+        if residual[k] <= tol[k]:
+            out[k] = (rho[k], float(antihermitian[k]), None)
+        else:
+            out[k] = (None, math.nan, NumericalError(
+                f"structured steady-state residual {residual[k]:g} exceeds tolerance {tol[k]:g}"))
     return out
 
 
@@ -509,126 +602,46 @@ class PumpModel:
         self, gammas: Sequence[float]
     ) -> Iterator[tuple[np.ndarray | None, float, NumericalError | None]]:
         """``(rho~_J, antihermitian, error)`` at each rate of ``gammas``, in order:
-        the steady state on the target's support J, in the basis W of
-        ``eigenbasis``, the Frobenius norm of the anti-Hermitian part of its
-        unit-trace solution before it is made Hermitian, and None; or, at a
-        point that fails, ``(None, nan, error)`` with the NumericalError that
-        point alone raises.
+        ``measure_steady_states`` on the target's spectral measure ``(E_J, c_J)``
+        of ``eigenbasis``, the steady state on the target's support J in the
+        basis W; or, at a point that fails, ``(None, nan, error)`` with the
+        NumericalError that point alone raises.
 
-        In the basis W, where ``W^T |C> = (c, 0)`` with c = c_J real, the
-        steady state ``rho~`` lives on J x J.  With
-        ``M_ab = gamma / (gamma + i (E_a - E_b))`` on J, stationarity reads
-
-            rho~ = M o [(1 - kappa) c c^T + (c u^+ + u c^T) / 2],  kappa = c^T u,
-
-        for ``u = rho~ c``.  Substituting gives a system linear in u and its
-        conjugate, 2|J| real equations at O(|J|^3) cost, each solved by
-        ``solve_nonsingular``.  The grid runs in batches of at most
-        ``STEADY_BATCH_BYTES`` of such systems, each batch built, normalized
-        as in ``steady_state_direct`` and checked as a stack.  A rate that is
-        negative or not finite raises ValueError before any work.  A point
-        fails with "degenerate kernel: ..." at gamma = 0, with "degenerate
-        kernel (kernel_dim >= 1 + |O|): ..." at a gamma so small that
-        ``PumpModel.gap`` would count the O diagonal poles as kernel (neither
-        enters a batch), or on a singular system, and when the Frobenius norm of
-        ``_eigenbasis_rhs(E_J, c_J, gamma, rho~)`` for the normalized
-        ``rho~`` (equal to that of ``apply(rho, gamma)``) exceeds
-        ``1e-8 max(1, s)``, where s is the largest diagonal entry of the
-        dense generator in modulus, one of two values since every |C_a|^2 is
-        equal: O(d) work.
+        A rate that is negative or not finite raises ValueError before any
+        work.  The grid runs in batches of at most ``STEADY_BATCH_BYTES`` of
+        the solve's real systems.  A point fails with "degenerate kernel: ..."
+        at gamma = 0, and with "degenerate kernel (kernel_dim >= 1 + |O|): ..."
+        at a gamma so small that ``PumpModel.gap`` would count the O diagonal
+        poles as kernel; neither enters the solve, whose own failures are a
+        singular system and a residual above its tolerance.
         """
         gammas = np.asarray(gammas, dtype=float)
         for gamma in gammas:
             _require_nonnegative(gamma)
-        m = self.eigenbasis[2].size
-        batch = max(1, STEADY_BATCH_BYTES // (32 * m * m))
-        for s in range(0, gammas.size, batch):
-            yield from self._steady_batch(gammas[s : s + batch])
-
-    def _steady_batch(self, gammas: np.ndarray) -> list[tuple[np.ndarray | None, float, NumericalError | None]]:
-        """``support_steady_states`` on one batch of rates: a function of its
-        own, so that the batch's temporaries are freed before its points are
-        yielded."""
-        out = [None] * gammas.size
-        for point in np.flatnonzero(gammas == 0):
-            out[point] = (None, math.nan, NumericalError(
-                "degenerate kernel: without dissipation (gamma = 0) the steady state is not unique"))
         energies, _, c = self.eigenbasis
         m = c.size
-        if m < energies.size:
-            # Each O diagonal pole -gamma is an eigenvalue, and each OO pole
-            # -gamma - i (E_a - E_b), formed as ``eigenvalues`` forms it, bounds
-            # max |lambda| from below.  So at or below this reach
-            # ``rank_spectrum`` counts all |O| of them and lambda = 0 as kernel.
-            reach = solver.KERNEL_TOL_FACTOR * np.maximum(1.0, np.abs(gammas + 1j * np.ptp(energies[m:])))
-            for point in np.flatnonzero((gammas > 0) & (gammas <= reach)):
-                out[point] = (None, math.nan, NumericalError(
-                    f"degenerate kernel (kernel_dim >= {1 + energies.size - m}): the steady state is not unique"))
-        positive = np.flatnonzero([entry is None for entry in out])
-        if not positive.size:
-            return out
-        gamma = gammas[positive]
-        energies = energies[:m]
-        G = gamma[:, None, None]
-        M = G / (G + 1j * np.subtract.outer(energies, energies))
-        w = M @ c**2
-        # A u + B conj(u) = c o w
-        cw = c * w
-        A = cw[:, :, None] * c
-        diagonal = np.arange(m)
-        A[:, diagonal, diagonal] += 1.0 - 0.5 * w
-        B = -0.5 * (c[:, None] * M * c)
-        # with u = x + i y, a real system in [x; y]; each one Fortran-ordered
-        system = np.empty((gamma.size, 2 * m, 2 * m)).transpose(0, 2, 1)
-        system[:, :m, :m] = A.real + B.real
-        system[:, :m, m:] = B.imag - A.imag
-        system[:, m:, :m] = A.imag + B.imag
-        system[:, m:, m:] = A.real - B.real
-        del A, B
-        rhs = np.concatenate([cw.real, cw.imag], axis=1)
-        for k, point in enumerate(positive):
-            try:
-                rhs[k] = solver.solve_nonsingular(system[k], rhs[k])
-            except NumericalError as exc:
-                # the point's state is formed from u = 0, and dropped
-                out[point], rhs[k] = (None, math.nan, exc), 0.0
-        del system
-        u = rhs[:, :m] + 1j * rhs[:, m:]
-        # a row sum, not a product with the stack: its bits must not depend on the batch
-        kappa = (u * c).sum(axis=1)
-        rho = M * ((1.0 - kappa)[:, None, None] * np.outer(c, c)
-                   + 0.5 * (c[:, None] * u.conj()[:, None, :] + u[:, :, None] * c))
-        del M
-        rho, antihermitian = solver.unit_trace_hermitian(rho)
-
-        # The largest modulus of the dense generator's diagonal,
-        # gamma P_ab Q_ba + K_aa + conj(K_bb), bounds its infinity norm from
-        # below.  A graph state has |C_a|^2 = p for every a, so the entries
-        # off the diagonal share one real part, formed in the order of
-        # operations of the elementwise expression, and have imaginary parts up
-        # to ptp(zz).  Those on it are the real gamma (p - p^2) + 2 r; as p >= 0,
-        # off <= on <= 0 survives every rounding step, each operation being
-        # monotone, so the largest modulus is off's.
-        p = np.abs(self.target[:1]) ** 2
-        r = -(0.5 * gamma * (1.0 - p))
-        off = gamma * (0.0 - p * p) + r + r
-        tol = 1e-8 * np.maximum(1.0, np.abs(off + 1j * np.ptp(self.zz)))
-        # W is orthogonal, so this is |L rho|_F >= max |L rho| in any basis;
-        # each point's entries are scaled by their largest modulus first, as
-        # their squares overflow from about 1e154 on (gamma >~ 1e170)
-        residual = _eigenbasis_rhs(energies, c, gamma, rho).reshape(gamma.size, -1)
-        largest = np.abs(residual).max(axis=1)
-        residual /= np.where(largest > 0, largest, 1.0)[:, None]
-        residual = largest * np.linalg.norm(residual, axis=1)
-        for k, point in enumerate(positive):
-            if out[point] is not None:
-                continue
-            if residual[k] <= tol[k]:
-                out[point] = (rho[k], float(antihermitian[k]), None)
-            else:
-                out[point] = (None, math.nan, NumericalError(
-                    f"structured steady-state residual {residual[k]:g} exceeds tolerance {tol[k]:g}"))
-        return out
+        p, spread = float(np.abs(self.target[0]) ** 2), float(np.ptp(self.zz))
+        undamped = "degenerate kernel: without dissipation (gamma = 0) the steady state is not unique"
+        kernel = f"degenerate kernel (kernel_dim >= {1 + energies.size - m}): the steady state is not unique"
+        batch = max(1, STEADY_BATCH_BYTES // (32 * m * m))
+        for s in range(0, gammas.size, batch):
+            chunk = gammas[s : s + batch]
+            reach = np.zeros_like(chunk)
+            if m < energies.size:
+                # Each O diagonal pole -gamma is an eigenvalue, and each OO pole
+                # -gamma - i (E_a - E_b), formed as ``eigenvalues`` forms it, bounds
+                # max |lambda| from below.  So at or below this reach
+                # ``rank_spectrum`` counts all |O| of them and lambda = 0 as kernel.
+                reach = solver.KERNEL_TOL_FACTOR * np.maximum(1.0, np.abs(chunk + 1j * np.ptp(energies[m:])))
+            # reach >= 0, so gamma = 0 is refused too
+            errors = [
+                NumericalError(undamped if gamma == 0 else kernel) if gamma <= bound else None
+                for gamma, bound in zip(chunk, reach)
+            ]
+            todo = [k for k, error in enumerate(errors) if error is None]
+            # an empty batch is skipped: unit_trace_hermitian cannot reshape a (0, m, m) stack
+            solved = iter(measure_steady_states(energies[:m], c, chunk[todo], p, spread) if todo else ())
+            yield from ((None, math.nan, error) if error else next(solved) for error in errors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -746,17 +759,19 @@ class KernelStep:
         # w_i = g sum_(j <= 3-i) beta_j / (i+j+1)!
         C = np.array([[g / math.factorial(i + j + 1) if i + j <= 3 else 0.0 for j in range(4)] for i in range(4)])
         update = (C @ M) @ u
-        # Tr of the output: the trace weights through P4, plus those of the update rows
+        # Tr of the output: the trace weights through P4, plus those of the update
+        # rows, taken by update's columns so that this 4-vector product runs on
+        # the calling thread, not BLAS's pool
         tau = (B * trace[:jj].conj()).sum(axis=1).real
-        functionals = np.vstack([update, trace * P4[:n].conj() + tau @ update])
+        functionals = np.vstack([update, trace * P4[:n].conj() + np.vecdot(tau, update.T)])
         return P4, functionals.view(float), B.view(float)
 
     def evolve(self, rho0: np.ndarray, t_final: float, dt: float, sample_every: int = 1) -> solver.Trajectory:
         """RK4 on the master equation from the density matrix ``rho0``, given in
         the computational basis, driven by ``solver.rk4``: each sample interval
         is one call of the ``advance`` that ``step`` returns for the tables of
-        the run's step length, and the samples are states (``density`` reads
-        one back), copied out of its buffers.
+        the run's step length, and the samples are states, copied out of its
+        buffers (``observables.kernel_observables`` reads their rows).
 
         An h at which a pole on a pair that touches O leaves RK4's stability
         region is refused before the first step, with NumericalError
@@ -836,27 +851,6 @@ class KernelStep:
         trace = self.support_weights[1]
         x[-1] = x[: trace.size].view(float) @ trace.view(float)
         return x
-
-    def matrix(self, x: np.ndarray) -> np.ndarray:
-        """The Hermitian X that state x stands for."""
-        m, d = self.c.size, self.kappa.size
-        o, jj = d - m, m * (m + 1) // 2
-        U = np.zeros((d, d), dtype=complex)
-        U[:m, :m][np.triu_indices(m)] = x[:jj]
-        np.fill_diagonal(U[m:, m:], x[jj : jj + o])
-        U[:m, m:] = x[jj + o : jj + o + m * o].reshape(m, o)
-        U[m:, m:][np.triu(np.ones((o, o), dtype=bool), 1)] = x[jj + o + m * o : -1]
-        X = U + U.conj().T
-        np.fill_diagonal(X, U.diagonal())
-        return X
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        """``rho = W R X R^+ W^T``, state x in the computational basis."""
-        m = self.c.size
-        X = self.matrix(x)
-        X[:m] = self.R @ X[:m]
-        X[:, :m] = X[:, :m] @ self.R.conj().T
-        return self.W @ X @ self.W.T
 
     def functional(self, O: np.ndarray) -> np.ndarray:
         """Float weights w with ``x.view(float) @ w = Tr(rho O)`` for every state x,

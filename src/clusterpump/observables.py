@@ -132,7 +132,8 @@ def kernel_observables(states: np.ndarray, step: KernelStep, eta: float = 0.5) -
     """Rows ``(jx, jy, jz, fidelity, witness)`` of the states of a
     ``PumpModel.kernel_step`` run, without transforming them back; equal up
     to round-off to ``spin_expectations``, ``fidelity`` and
-    ``witness_expectation`` of each ``step.density(x)``.
+    ``witness_expectation`` of the density matrix ``W R X R^+ W^T`` of each
+    state, which stands for X (``KernelStep``).
 
     Each spin sum is one functional ``step.functional`` of the states, built
     once from ``_spin_operators`` of the step's basis, at one real

@@ -32,6 +32,29 @@ def check_density_matrix(
         raise ValueError("density matrix has a significantly negative eigenvalue")
 
 
+def kernel_matrix(kernel, x: np.ndarray) -> np.ndarray:
+    """The Hermitian X that state x of a ``KernelStep`` stands for."""
+    m, d = kernel.c.size, kernel.kappa.size
+    o, jj = d - m, m * (m + 1) // 2
+    U = np.zeros((d, d), dtype=complex)
+    U[:m, :m][np.triu_indices(m)] = x[:jj]
+    np.fill_diagonal(U[m:, m:], x[jj : jj + o])
+    U[:m, m:] = x[jj + o : jj + o + m * o].reshape(m, o)
+    U[m:, m:][np.triu(np.ones((o, o), dtype=bool), 1)] = x[jj + o + m * o : -1]
+    X = U + U.conj().T
+    np.fill_diagonal(X, U.diagonal())
+    return X
+
+
+def kernel_density(kernel, x: np.ndarray) -> np.ndarray:
+    """``rho = W R X R^+ W^T``: state x of a ``KernelStep`` in the computational basis."""
+    m = kernel.c.size
+    X = kernel_matrix(kernel, x)
+    X[:m] = kernel.R @ X[:m]
+    X[:, :m] = X[:, :m] @ kernel.R.conj().T
+    return kernel.W @ X @ kernel.W.T
+
+
 def random_hermitian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (a + a.conj().T) / 2

@@ -15,6 +15,7 @@ from clusterpump.lindblad import KernelStep, PumpModel
 from clusterpump.observables import fidelity, spin_expectations, witness_expectation
 from clusterpump.operators import pauli_to_dense
 from clusterpump.solver import evolve_rk4, pure_state_density
+from conftest import kernel_density
 
 
 def run(args):
@@ -648,7 +649,7 @@ def test_evolve_observables_match_the_back_transformed_samples(tmp_path, graph_a
     traj = kernel.evolve(rho0, 0.3, 0.005)
     expected = []
     for t, sample in zip(traj.times, traj.states):
-        rho = kernel.density(sample)
+        rho = kernel_density(kernel, sample)
         expected.append(
             [t, *spin_expectations(rho).as_array(), fidelity(rho, model.target),
              witness_expectation(rho, model.target, eta=0.4)]

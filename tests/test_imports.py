@@ -131,3 +131,32 @@ def test_secular_solver_has_one_home():
     for module, tree in MODULES.items():
         copies = defined_names(tree) & (SECULAR_NAMES | {"_groups", "_secular_roots"})
         assert module == "solver" or not copies, f"{module} defines {sorted(copies)}"
+
+
+def referrers(name: str) -> set[str]:
+    """The functions, as ``module.qualname``, whose bodies name ``name``, as a
+    bare name or as an attribute (``solver.name``)."""
+    found = set()
+
+    def visit(node: ast.AST, module: str, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, (*scope, child.name))
+                continue
+            named = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if named == name:
+                found.add(".".join((module, *scope)))
+            visit(child, module, scope)
+
+    for module, tree in MODULES.items():
+        visit(tree, module, ())
+    return found
+
+
+def test_structured_steady_state_solve_has_one_home():
+    # the 2|J| real system is solved in one function of the spectral measure,
+    # a module-level one that takes no model; the dense solve is the other
+    # caller of solve_nonsingular, and a second structured route would be a third
+    assert referrers("solve_nonsingular") == {"lindblad.measure_steady_states", "solver.steady_state_direct"}
+    top = {node.name for node in MODULES["lindblad"].body if isinstance(node, ast.FunctionDef)}
+    assert "measure_steady_states" in top

@@ -32,7 +32,7 @@ from clusterpump.solver import (
     steady_state_direct,
     step_count,
 )
-from conftest import check_density_matrix, random_density_matrix, random_graphs
+from conftest import check_density_matrix, kernel_density, kernel_matrix, random_density_matrix, random_graphs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -307,7 +307,7 @@ def one_map_vs_four_stages(model, gamma, rho0, dt, n_steps):
     four = evolve_rk4(rho0, lambda rho: model.apply(rho, gamma), n_steps * dt, dt, sample_every=3)
     one = kernel.evolve(rho0, n_steps * dt, dt, sample_every=3)
     assert np.array_equal(four.times, one.times)
-    return max(float(np.abs(kernel.density(x) - rho).max()) for x, rho in zip(one.states, four.states))
+    return max(float(np.abs(kernel_density(kernel, x) - rho).max()) for x, rho in zip(one.states, four.states))
 
 
 GRAPHS = [GraphSpec.chain(2), GraphSpec.chain(3), GraphSpec.chain(4), GraphSpec.chain(5), GraphSpec.grid(2, 2),
@@ -373,7 +373,7 @@ def test_rk4_step_output_is_exactly_hermitian(rng, graph, gamma):
     assert np.array_equal(hermitian, hermitian.conj().T)
     dt = 0.01 / max(1.0, gamma)
     for rho in (hermitian, a):
-        out = kernel.matrix(kernel.step(kernel._tables(dt), lambda x: None)(kernel.start(rho), dt, 1))
+        out = kernel_matrix(kernel, kernel.step(kernel._tables(dt), lambda x: None)(kernel.start(rho), dt, 1))
         assert np.array_equal(out, out.conj().T)
 
 
@@ -394,10 +394,10 @@ def test_rk4_step_reads_a_start_as_its_hermitian_part(rng, graph, gamma):
     X = kernel.W.T @ rho @ kernel.W
     X[:m] = R_inv @ X[:m]
     X[:, :m] = X[:, :m] @ R_inv.conj().T
-    assert np.abs(kernel.matrix(kernel.start(rho)) - 0.5 * (X + X.conj().T)).max() <= 1e-15
+    assert np.abs(kernel_matrix(kernel, kernel.start(rho)) - 0.5 * (X + X.conj().T)).max() <= 1e-15
     dt = 0.01 / max(1.0, gamma)
     advance = kernel.step(kernel._tables(dt), lambda x: None)
-    stepped = [kernel.density(advance(kernel.start(r), dt, 1)) for r in (rho, 0.5 * (rho + rho.conj().T))]
+    stepped = [kernel_density(kernel, advance(kernel.start(r), dt, 1)) for r in (rho, 0.5 * (rho + rho.conj().T))]
     assert np.abs(stepped[0] - stepped[1]).max() <= 1e-15
 
 
@@ -530,7 +530,8 @@ def test_kernel_evolve_is_the_run_of_single_steps(rng, sample_every):
     assert np.array_equal(traj.states, np.array(expected))
     four = evolve_rk4(rho0, lambda rho: model.apply(rho, 3.0), t_final, dt, sample_every)
     assert np.array_equal(four.times, traj.times)
-    assert max(float(np.abs(kernel.density(x) - rho).max()) for x, rho in zip(traj.states, four.states)) <= 1e-12
+    deviations = [np.abs(kernel_density(kernel, x) - rho).max() for x, rho in zip(traj.states, four.states)]
+    assert max(deviations) <= 1e-12
 
 
 def test_kernel_evolve_copies_its_samples_out_of_the_buffers(rng, monkeypatch):
