@@ -39,6 +39,7 @@ from .meanfield import default_dt as mf_default_dt
 from .observables import (
     fidelity,
     kernel_observables,
+    kernel_readout,
     pure_state_spins,
     spin_expectations,
     support_metrics,
@@ -72,26 +73,37 @@ def _finite(text: str) -> float:
 
 # a command's result: its summary's own fields, its CSV tables by file name
 # as (header, rows), and its text for stdout
-_Output = tuple[dict, dict[str, tuple[list[str], list]], str]
+_Output = tuple[dict, dict[str, tuple[list[str], list | np.ndarray]], str]
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+# rows of a table formatted at once: writing a table then takes one chunk's
+# Python floats and text beyond the table itself
+CSV_CHUNK_ROWS = 4096
+
+
+def _write_csv(path: Path, header: list[str], rows: list | np.ndarray) -> None:
     """Strings as csv quotes them, numbers as ``format(float(x), ".17g")`` writes
-    them; handlers pass Python floats (``.tolist()``), the cheapest to format.
+    them, ``CSV_CHUNK_ROWS`` rows at a time.  ``rows`` is a list of rows or,
+    for a table of numbers, a 2-D float array, whose chunks become Python
+    floats (``tolist``), the cheapest to format, one at a time.
 
-    A table of numbers alone is written with one format string a row; "%g"
-    of a string raises TypeError, and such a table goes through csv.
+    A chunk of numbers alone is written with one format string a row; "%g"
+    of a string raises TypeError, and such a chunk goes through csv.
     """
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        line = ",".join(["%.17g"] * len(header)) + "\n"
-        try:
-            text = "".join([line % tuple(row) for row in rows])
-        except TypeError:
-            writer.writerows([c if isinstance(c, str) else "%.17g" % c for c in row] for row in rows)
-        else:
-            fh.write(text)
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            chunk = rows[start : start + CSV_CHUNK_ROWS]
+            if isinstance(chunk, np.ndarray):
+                chunk = chunk.tolist()
+            try:
+                text = "".join([line % tuple(row) for row in chunk])
+            except TypeError:
+                writer.writerows([c if isinstance(c, str) else "%.17g" % c for c in row] for row in chunk)
+            else:
+                fh.write(text)
 
 
 def parse_graph(text: str) -> GraphSpec:
@@ -246,7 +258,7 @@ def _cmd_spectrum(cfg: dict) -> _Output:
         "kernel_dim": kernel_dim,
         "max_real_part": float(vals.real.max()),
     }
-    tables = {"spectrum.csv": (["re", "im"], np.column_stack([vals.real, vals.imag]).tolist())}
+    tables = {"spectrum.csv": (["re", "im"], np.column_stack([vals.real, vals.imag]))}
     return summary, tables, f"wrote {vals.size} eigenvalues; gap = {gap:.6g}"
 
 
@@ -282,9 +294,9 @@ def _cmd_evolve(cfg: dict) -> _Output:
     dt = cfg["dt"] if cfg["dt"] is not None else _evolve_dt(model.graph, cfg["h_g"], cfg["gamma_g"])
     kernel = model.kernel_step(gamma)
     if kernel is not None:
-        # step in the eigenbasis of K and read the observables there
-        traj = kernel.evolve(rho0, cfg["t_final"], dt, sample_every=cfg["sample_every"])
-        observables = kernel_observables(traj.states, kernel, eta=cfg["eta"])
+        # step in the eigenbasis of K, reading five functionals off each sample as it is taken
+        traj = kernel.evolve(rho0, cfg["t_final"], dt, cfg["sample_every"], kernel_readout(kernel))
+        observables = kernel_observables(traj.states, model.graph.n_qubits, eta=cfg["eta"])
     else:
         # at an exceptional point of K_J: four stages of the generator's action
         traj = evolve_rk4(rho0, lambda rho: model.apply(rho, gamma), cfg["t_final"], dt,
@@ -294,9 +306,9 @@ def _cmd_evolve(cfg: dict) -> _Output:
              witness_expectation(rho, model.target, eta=cfg["eta"])]
             for rho in traj.states
         ]
-    rows = np.column_stack([traj.times, observables]).tolist()
+    rows = np.column_stack([traj.times, observables])
     header = ["t", "jx", "jy", "jz", "fidelity", "witness"]
-    final = dict(zip(header, rows[-1]))
+    final = dict(zip(header, rows[-1].tolist()))
     summary = {"n_qubits": model.graph.n_qubits, "dt": dt, "n_samples": len(rows), "final": final}
     message = f"evolved to t = {final['t']:g}; final fidelity = {final['fidelity']:.6f}"
     return summary, {"evolve.csv": (header, rows)}, message
@@ -325,7 +337,7 @@ def _cmd_meanfield(cfg: dict) -> _Output:
     tables = {
         "meanfield.csv": (
             ["t", "jx", "jy", "jz"],
-            np.column_stack([traj.times, traj.states]).tolist(),
+            np.column_stack([traj.times, traj.states]),
         ),
         "meanfield_fixed_points.csv": (
             ["label", "jx", "jy", "jz", "stable", "classification"],

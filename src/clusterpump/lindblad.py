@@ -50,7 +50,8 @@ of a secular equation with one pole per visible pair, which
 ``PumpModel.kernel_step`` (``KernelStep``) runs dynamics in the eigenbasis
 of K, where one RK4 step is an elementwise product plus a rank-4 update of
 the state's upper triangle, O(d^2); ``KernelStep.evolve`` drives those
-steps on ``solver.rk4`` with their own state check.
+steps on ``solver.rk4`` with their own state check, and stores what its
+caller's ``sample`` reads off each sampled state.
 """
 
 from __future__ import annotations
@@ -766,12 +767,17 @@ class KernelStep:
         functionals = np.vstack([update, trace * P4[:n].conj() + np.vecdot(tau, update.T)])
         return P4, functionals.view(float), B.view(float)
 
-    def evolve(self, rho0: np.ndarray, t_final: float, dt: float, sample_every: int = 1) -> solver.Trajectory:
+    def evolve(
+        self, rho0: np.ndarray, t_final: float, dt: float, sample_every: int, sample: Callable
+    ) -> solver.Trajectory:
         """RK4 on the master equation from the density matrix ``rho0``, given in
         the computational basis, driven by ``solver.rk4``: each sample interval
         is one call of the ``advance`` that ``step`` returns for the tables of
-        the run's step length, and the samples are states, copied out of its
-        buffers (``observables.kernel_observables`` reads their rows).
+        the run's step length, and ``rk4`` stores ``sample(x)`` of the state x
+        at each sample time.  ``observables.kernel_readout`` reads the
+        ``evolve`` command's five functionals (``functional``,
+        ``overlap_weights``), so that run holds one state, in ``step``'s two
+        buffers, and its rows; the identity stores the states.
 
         An h at which a pole on a pair that touches O leaves RK4's stability
         region is refused before the first step, with NumericalError
@@ -797,7 +803,7 @@ class KernelStep:
                 raise NumericalError("integration unstable, reduce dt")
 
         advance = self.step(self._tables(t_final / n_steps), check) if n_steps else None
-        return solver.rk4(advance, x0, t_final, dt, sample_every, check)
+        return solver.rk4(advance, x0, t_final, dt, sample_every, check, sample)
 
     def step(
         self, tables: tuple[np.ndarray, np.ndarray, np.ndarray], check: Callable[[np.ndarray], None]
@@ -851,6 +857,17 @@ class KernelStep:
         trace = self.support_weights[1]
         x[-1] = x[: trace.size].view(float) @ trace.view(float)
         return x
+
+    def overlap_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Float weights, as ``functional``'s, of ``<C|rho|C> = Tr rho - Tr(Q rho)``
+        and of ``Tr rho``: the state carries Tr rho as its last entry, and
+        ``Tr(Q rho)`` is the q of ``support_weights``."""
+        q = self.support_weights[0].view(float)
+        trace = np.zeros(self.kappa.size * (self.kappa.size + 1) + 2)
+        trace[-2] = 1.0
+        overlap = trace.copy()
+        overlap[: q.size] = -q
+        return overlap, trace
 
     def functional(self, O: np.ndarray) -> np.ndarray:
         """Float weights w with ``x.view(float) @ w = Tr(rho O)`` for every state x,

@@ -218,4 +218,4 @@ def mean_field_evolve(
         return x, y, z
 
     # Python floats, not numpy scalars, from the first step on
-    return rk4(advance, tuple(s0.as_array().astype(float).tolist()), t_final, dt, sample_every, check_norm)
+    return rk4(advance, tuple(map(float, s0.as_array())), t_final, dt, sample_every, check_norm, lambda s: s)

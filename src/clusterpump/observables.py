@@ -4,8 +4,8 @@ Each metric has one rule, read off whatever form the state takes: a d x d
 density matrix (``fidelity``, ``witness_expectation``,
 ``spin_expectations``), a pure state (``pure_state_spins``), a steady state
 on the target's support in the eigenbasis of H (``support_metrics``), or the
-states of a ``KernelStep`` run (``kernel_observables``), whose overlap is
-their carried trace minus the step's own ``Tr(Q rho)``.
+functionals a ``KernelStep`` run reads off its states (``kernel_readout``,
+``kernel_observables``).
 """
 
 from __future__ import annotations
@@ -128,35 +128,36 @@ def _spin_operators(V: np.ndarray) -> Iterator[np.ndarray]:
     yield V.T @ (sum(sign for _, sign in sites)[:, None] * V)
 
 
-def kernel_observables(states: np.ndarray, step: KernelStep, eta: float = 0.5) -> np.ndarray:
-    """Rows ``(jx, jy, jz, fidelity, witness)`` of the states of a
-    ``PumpModel.kernel_step`` run, without transforming them back; equal up
-    to round-off to ``spin_expectations``, ``fidelity`` and
-    ``witness_expectation`` of the density matrix ``W R X R^+ W^T`` of each
-    state, which stands for X (``KernelStep``).
+def kernel_readout(step: KernelStep) -> Callable[[np.ndarray], np.ndarray]:
+    """The ``sample`` of a ``KernelStep.evolve`` run whose rows
+    ``kernel_observables`` reads: five functionals of each state, the site
+    sums of X, Y and Z, the overlap ``<C|rho|C>`` and ``Tr rho``, at one
+    float weight row each.
 
-    Each spin sum is one functional ``step.functional`` of the states, built
-    once from ``_spin_operators`` of the step's basis, at one real
-    matrix-vector product over the samples, O(d^2) per sample.  The overlap
-    is ``Tr rho - Tr(Q rho)``, as ``Q = I - |C><C|``: the trace is the
-    states' last entry, and ``Tr(Q rho)`` the step's own q weights
-    (``KernelStep.support_weights``) on the J x J triangle and the O
-    diagonal.  Fidelity and witness follow ``fidelity_from_overlap`` and
-    ``witness_from_overlap``.
+    Each spin sum is one ``step.functional``, built once from
+    ``_spin_operators`` of the step's basis, O(d^2) per sample; the overlap
+    and the trace are ``step.overlap_weights``.
     """
-    d = step.W.shape[0]
-    samples = states.view(float)
-    rows = np.empty((states.shape[0], 5))
-    for column, O in enumerate(_spin_operators(step.W)):
-        weights = step.functional(O)
-        if column == 1:
-            # the weights are linear in O, and Sigma_y's operator is -i O
-            weights.view(complex)[...] *= -1j
-        rows[:, column] = samples @ weights
-    rows[:, :3] /= d.bit_length() - 1
-    q = step.support_weights[0].view(float)
-    trace = states[:, -1].real
-    overlap = trace - samples[:, : q.size] @ q
+    spins = [step.functional(O) for O in _spin_operators(step.W)]
+    # the weights are linear in O, and Sigma_y's operator is -i O
+    spins[1].view(complex)[...] *= -1j
+    weights = np.vstack([*spins, *step.overlap_weights()])
+    # einsum, not BLAS: past about 10^4 entries OpenBLAS hands even a dot
+    # product to its thread pool, which would then wake at every sample
+    return lambda x: np.einsum("kj,j->k", weights, x.view(float))
+
+
+def kernel_observables(readout: np.ndarray, n_qubits: int, eta: float = 0.5) -> np.ndarray:
+    """Rows ``(jx, jy, jz, fidelity, witness)`` of the rows of a
+    ``KernelStep.evolve`` run sampled by ``kernel_readout``; equal up to
+    round-off to ``spin_expectations``, ``fidelity`` and
+    ``witness_expectation`` of the density matrix each state stands for.
+    The spin sums are averaged over the ``n_qubits`` sites, and fidelity and
+    witness follow ``fidelity_from_overlap`` and ``witness_from_overlap``.
+    """
+    overlap, trace = readout[:, 3], readout[:, 4]
+    rows = np.empty(readout.shape)
+    rows[:, :3] = readout[:, :3] / n_qubits
     rows[:, 3] = fidelity_from_overlap(overlap, trace)
     rows[:, 4] = witness_from_overlap(overlap, trace, eta)
     return rows

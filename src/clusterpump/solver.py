@@ -19,16 +19,19 @@ normalization, ``PumpModel.support_steady_states`` included.
 the sample budget, the check of the initial state and the sampling, and
 takes the stepping itself as a map ``advance(y, h, count)`` that runs one
 sample interval, with the caller's check on every new state, so the steps
-of an interval cost no call into the driver.  ``evolve_rk4`` runs it with
+of an interval cost no call into the driver, and what is stored of a
+sampled state as a map ``sample(y)``.  ``evolve_rk4`` runs it with
 four-stage RK4 steps on density matrices, from a dense superoperator or a
 matrix-free generator such as ``PumpModel.apply`` (the reference, and the
-``evolve`` command's step at an exceptional point of K_J);
-``KernelStep.evolve`` with whole RK4 steps as one map each in the eigenbasis
-of K, into two preallocated buffers (the ``evolve`` command's route); and
-the mean-field ODEs with their RK4 step written on three floats, which are
-also the state between their steps.  ``evolve_expm``
-applies the exact propagator ``exp(L t)`` of a dense L computed by scaling
-and squaring, the oracle the RK4 routes are tested against.
+``evolve`` command's step at an exceptional point of K_J), and stores the
+states; ``KernelStep.evolve`` with whole RK4 steps as one map each in the
+eigenbasis of K, into two preallocated buffers, storing its caller's
+``sample`` (the ``evolve`` command's route, which stores five functionals
+a sample); and the mean-field ODEs with their RK4 step written on three
+floats, which are also the state between their steps and what is stored.
+``evolve_expm`` applies the exact propagator ``exp(L t)`` of a dense L
+computed by scaling and squaring, the oracle the RK4 routes are tested
+against.
 
 This module imports nothing from ``lindblad``, which imports it.
 """
@@ -102,10 +105,13 @@ class SpectrumResult:
 
 @dataclass
 class Trajectory:
-    """Sampled evolution: times[i] goes with states[i].
+    """Sampled evolution: times[i] goes with states[i], what ``rk4``'s
+    ``sample`` returned for the state at that time.
 
-    ``states`` has shape (n_samples, d, d) for density matrices and
-    (n_samples, 3) for mean-field spin vectors.
+    ``states`` has shape (n_samples, d, d) for the density matrices of
+    ``evolve_rk4``, (n_samples, 3) for mean-field spin vectors, and
+    (n_samples, k) for the k functionals read off each state of a
+    ``KernelStep.evolve`` run.
     """
 
     times: np.ndarray
@@ -464,28 +470,32 @@ def rk4(
     dt: float,
     sample_every: int,
     check: Callable[[np.ndarray], None],
+    sample: Callable[[np.ndarray], ArrayLike],
 ) -> Trajectory:
     """Fixed-step driver: ``y <- advance(y, h, count)`` from ``y0`` up to
-    ``t_final``, one sample interval a call.
+    ``t_final``, one sample interval a call, storing ``sample(y)`` for ``y0``
+    and for the state at the end of each interval.
 
     ``advance(y, h, count)`` returns the state ``count`` steps of length
     ``h`` after ``y`` and calls the caller's check on every new state, which
     aborts the run by raising; callers take classical 4th-order Runge-Kutta
     steps.  The returned state may be a buffer that the next call
-    overwrites: each sample is copied out.  ``y0`` is an array, or anything
-    ``np.asarray`` makes one (the mean-field ODEs pass three floats); the
-    state between calls is what ``advance`` returns, and samples are stored
-    as arrays of ``y0``'s shape and dtype.  Takes ``step_count(t_final, dt)``
-    equal steps of ``h = t_final / n``, and samples every ``sample_every``
-    steps; t = 0 and t = t_final are always included.  ``check`` is called
-    on ``y0``.  Bad times (see ``step_count``), or a run whose samples would
-    take more than ``SAMPLE_BUDGET_BYTES``, raise ValueError before any step.
+    overwrites: what ``sample`` returns is copied out.  ``y0`` is the
+    initial state (the mean-field ODEs pass three floats), the state between
+    calls is what ``advance`` returns, and the samples are stored as arrays
+    of the shape and dtype of ``np.asarray(sample(y0))``: the identity
+    stores the states, and a reduction keeps one state in memory, not all
+    of them.  Takes ``step_count(t_final, dt)`` equal steps of
+    ``h = t_final / n``, and samples every ``sample_every`` steps; t = 0 and
+    t = t_final are always included.  ``check`` is called on ``y0``.  Bad
+    times (see ``step_count``), or a run whose samples would take more than
+    ``SAMPLE_BUDGET_BYTES``, raise ValueError before any step.
     """
     n_steps = step_count(t_final, dt)
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     n_samples = 1 + -(-n_steps // sample_every)
-    first = np.asarray(y0)
+    first = np.asarray(sample(y0))
     if n_samples * first.nbytes > SAMPLE_BUDGET_BYTES:
         raise ValueError(
             f"{n_samples} samples would need {n_samples * first.nbytes / 2.0**30:.1f} GiB, above "
@@ -505,7 +515,7 @@ def rk4(
         y = advance(y, h, count)
         k += count
         times[i] = k * h
-        states[i] = y
+        states[i] = sample(y)
     return Trajectory(times, states)
 
 
@@ -551,7 +561,7 @@ def evolve_rk4(
             check_bounded(rho)
         return rho
 
-    return rk4(advance, rho0, t_final, dt, sample_every, check_bounded)
+    return rk4(advance, rho0, t_final, dt, sample_every, check_bounded, lambda rho: rho)
 
 
 def evolve_expm(rho0: np.ndarray, L: Superoperator, t: float) -> np.ndarray:

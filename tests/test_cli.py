@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -468,12 +469,12 @@ def test_bad_flag_exits_one(tmp_path, capsys):
 def test_oversize_graph_exits_one(tmp_path, capsys, monkeypatch):
     # every command that needs Liouvillian eigenvalues stops at the spectrum
     # guard (N = 8 and above), naming the secular equation's work, evolve at
-    # its sample-memory guard; a sweep without gaps stops at the model's
-    # guard before H
+    # its sample-memory guard (10^8 samples of five floats); a sweep without
+    # gaps stops at the model's guard before H
     spectrum = "poles, and an Aberth sweep about"
     for args, refusal in (
         (["steady", "--graph", "chain:9"], spectrum),
-        (["evolve", "--graph", "chain:8", "--t-final", "10000", "--dt", "0.01", "--sample-every", "1"], "GiB"),
+        (["evolve", "--graph", "chain:8", "--t-final", "1000000", "--dt", "0.01", "--sample-every", "1"], "GiB"),
         (["sweep", "--graph", "square:2x4"], spectrum),
         (["scaling", "--n-values", "2,8"], spectrum),
     ):
@@ -646,7 +647,7 @@ def test_evolve_observables_match_the_back_transformed_samples(tmp_path, graph_a
     model = PumpModel(graph, 1.0, 0.9)
     kernel = model.kernel_step(2.0)
     rho0 = cli._initial_density("random", graph.n_qubits, np.random.default_rng(5))
-    traj = kernel.evolve(rho0, 0.3, 0.005)
+    traj = kernel.evolve(rho0, 0.3, 0.005, 1, lambda x: x)
     expected = []
     for t, sample in zip(traj.times, traj.states):
         rho = kernel_density(kernel, sample)
@@ -660,20 +661,42 @@ def test_evolve_observables_match_the_back_transformed_samples(tmp_path, graph_a
 
 
 def test_evolve_refuses_oversized_samples(tmp_path, capsys, monkeypatch):
-    # a million half-MiB samples (the upper triangle of a 256 x 256 matrix)
-    # exceed the 0.75 GiB sample budget; the run stops before its first step
+    # 10^8 samples of five floats exceed the 0.75 GiB sample budget, and so
+    # do 10^7 whole 4 x 4 density matrices at an exceptional point of K_J,
+    # where the four-stage route stores states; each run stops before its
+    # first step
     def never(self, tables, check):
         def advance(x, h, count):
             raise AssertionError("stepped")
 
         return advance
 
+    def unapplied(self, rho, gamma):
+        raise AssertionError("stepped")
+
     monkeypatch.setattr(KernelStep, "step", never)
-    args = ["evolve", "--graph", "chain:8", "--t-final", "10000", "--dt", "0.01",
-            "--sample-every", "1", "--out", str(tmp_path)]
+    monkeypatch.setattr(PumpModel, "apply", unapplied)
+    for args, refusal in (
+        (["--graph", "chain:8", "--t-final", "1000000"], "100000001 samples would need 3.7 GiB"),
+        (["--graph", "chain:2", "--h-g", "0", "--gamma-g", "4", "--t-final", "100000"],
+         "10000001 samples would need 2.4 GiB"),
+    ):
+        assert run(["evolve", *args, "--dt", "0.01", "--sample-every", "1", "--out", str(tmp_path)]) == 1
+        assert refusal in capsys.readouterr().err
+        assert not (tmp_path / "evolve.csv").exists()
+
+
+def test_meanfield_refuses_oversized_samples(tmp_path, capsys, monkeypatch):
+    # 4 x 10^7 samples of three floats exceed the sample budget; the run
+    # stops before its first step, whose blow-up guard reads math.hypot
+    def never(*s):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(math, "hypot", never)
+    args = ["meanfield", "--dt", "0.001", "--t-final", "40000", "--sample-every", "1", "--out", str(tmp_path)]
     assert run(args) == 1
-    assert "1000001 samples would need 490.2 GiB" in capsys.readouterr().err
-    assert not (tmp_path / "evolve.csv").exists()
+    assert "40000001 samples would need 0.9 GiB" in capsys.readouterr().err
+    assert not (tmp_path / "meanfield.csv").exists()
 
 
 def test_numerical_failure_exits_two(tmp_path):
@@ -934,6 +957,40 @@ def test_tables_write_each_number_as_its_17_digit_float(tmp_path):
     cli._write_csv(path, ["x", "status"], [[x, "ok"] for x in numbers] + [[1.0, 'failed: "a", b']])
     lines = ["x,status", *(f"{format(float(x), '.17g')},ok" for x in numbers), '1,"failed: ""a"", b"']
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_a_table_writes_the_same_bytes_in_chunks(tmp_path, monkeypatch, chunk):
+    # a float array, a list of numbers, and a list whose string cells fall
+    # in some chunks and not others give the bytes of the table written whole
+    numbers = [[3.0, -7.0], [0.1, 1 / 3], [2.5, -0.0], [math.nan, math.inf], [-math.inf, 5e-324], [1e-30, 0.0]]
+    tables = {
+        "array": np.array(numbers),
+        "list": numbers,
+        "mixed": [[1.0, 2.5], [3, "x"], [math.nan, 1e-30], [-0.0, 'a,"b"'], [5e-324, np.float64(7)]],
+    }
+    for name, rows in tables.items():
+        cli._write_csv(tmp_path / f"{name}.csv", ["a", "b"], rows)
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+    for name, rows in tables.items():
+        cli._write_csv(tmp_path / f"{name}-chunked.csv", ["a", "b"], rows)
+        assert (tmp_path / f"{name}-chunked.csv").read_bytes() == (tmp_path / f"{name}.csv").read_bytes()
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+
+def test_writing_a_table_takes_one_chunk_of_memory(tmp_path):
+    # a table's Python floats and text exist one chunk at a time, so writing
+    # five chunks of rows peaks about where writing one does
+    def peak(n_rows):
+        rows = np.random.default_rng(0).standard_normal((n_rows, 6))
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "table.csv", list("abcdef"), rows)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(5 * cli.CSV_CHUNK_ROWS) < 1.5 * peak(cli.CSV_CHUNK_ROWS)
 
 
 @pytest.mark.parametrize("n_rows", [3, 0])

@@ -160,3 +160,12 @@ def test_structured_steady_state_solve_has_one_home():
     assert referrers("solve_nonsingular") == {"lindblad.measure_steady_states", "solver.steady_state_direct"}
     top = {node.name for node in MODULES["lindblad"].body if isinstance(node, ast.FunctionDef)}
     assert "measure_steady_states" in top
+
+
+def test_kernel_state_layout_has_one_home():
+    # where an entry of a KernelStep state sits is read in KernelStep alone:
+    # the support weights, the packing and the diagonal's positions are
+    # named in its own methods and nowhere else
+    for name in ("support_weights", "_pack", "_diagonal"):
+        found = referrers(name)
+        assert found and all(f.startswith("lindblad.KernelStep.") for f in found), (name, found)

@@ -9,6 +9,7 @@ from clusterpump.lindblad import PumpModel
 from clusterpump.observables import (
     fidelity,
     kernel_observables,
+    kernel_readout,
     pure_state_spins,
     spin_expectations,
     witness_expectation,
@@ -161,7 +162,7 @@ def test_kernel_observables_match_the_transformed_back_matrices(rng, graph, gamm
     rhos = [random_density_matrix(rng, d) for _ in range(4)]
     rhos += [pure_state_density(target), 0.999 * pure_state_density(target) + 0.001 * rhos[0]]
     states = np.array([kernel.start(rho) for rho in rhos])
-    rows = kernel_observables(states, kernel, eta=0.3)
+    rows = kernel_observables(np.array([kernel_readout(kernel)(x) for x in states]), graph.n_qubits, eta=0.3)
     expected = [
         [*spin_expectations(rho).as_array(), fidelity(rho, target), witness_expectation(rho, target, eta=0.3)]
         for rho in rhos
@@ -183,7 +184,8 @@ def test_kernel_observables_do_not_depend_on_the_signs_of_o_columns(rng, graph):
     assert (signs < 0).any()
     flipped = replace(kernel, W=kernel.W * signs)
     rho0 = random_density_matrix(rng, d)
-    runs = [step.evolve(rho0, 0.05, 0.002, sample_every=5) for step in (kernel, flipped)]
-    assert np.array_equal(kernel_observables(runs[0].states, kernel), kernel_observables(runs[1].states, flipped))
+    rows = [step.evolve(rho0, 0.05, 0.002, 5, kernel_readout(step)).states for step in (kernel, flipped)]
+    assert np.array_equal(kernel_observables(rows[0], graph.n_qubits), kernel_observables(rows[1], graph.n_qubits))
+    runs = [step.evolve(rho0, 0.05, 0.002, 5, lambda x: x) for step in (kernel, flipped)]
     for x, y in zip(runs[0].states, runs[1].states):
         assert np.array_equal(kernel_density(kernel, x), kernel_density(flipped, y))

@@ -22,8 +22,9 @@ from clusterpump.lindblad import (
     stabilizer_jumps,
     vectorize,
 )
-from clusterpump.observables import fidelity, spin_expectations
+from clusterpump.observables import fidelity, kernel_readout, spin_expectations
 from clusterpump.solver import (
+    SAMPLE_BUDGET_BYTES,
     evolve_expm,
     evolve_rk4,
     full_spectrum,
@@ -305,7 +306,7 @@ def one_map_vs_four_stages(model, gamma, rho0, dt, n_steps):
     the computational basis."""
     kernel = model.kernel_step(gamma)
     four = evolve_rk4(rho0, lambda rho: model.apply(rho, gamma), n_steps * dt, dt, sample_every=3)
-    one = kernel.evolve(rho0, n_steps * dt, dt, sample_every=3)
+    one = kernel.evolve(rho0, n_steps * dt, dt, 3, lambda x: x)
     assert np.array_equal(four.times, one.times)
     return max(float(np.abs(kernel_density(kernel, x) - rho).max()) for x, rho in zip(one.states, four.states))
 
@@ -413,7 +414,7 @@ def test_kernel_step_refuses_no_stable_run(graph, gamma):
               random_density_matrix(np.random.default_rng(7), 2**n)]
     for dt in (0.01 / max(1.0, gamma), 0.95 * rk4_stability_edge(model, gamma)):
         for rho0 in starts:
-            traj = kernel.evolve(rho0, 200 * dt, dt, sample_every=200)
+            traj = kernel.evolve(rho0, 200 * dt, dt, 200, lambda x: x)
             assert np.isfinite(traj.states).all()
 
 
@@ -438,7 +439,7 @@ def test_kernel_step_refuses_a_growing_run_on_the_support(rng, monkeypatch):
     assert kernel.c.size == kernel.kappa.size
     kernel._tables(0.07)  # the pre-step refusal lets this dt through
     with pytest.raises(NumericalError, match="integration unstable, reduce dt"):
-        kernel.evolve(random_density_matrix(rng, 4), 7.0, 0.07)
+        kernel.evolve(random_density_matrix(rng, 4), 7.0, 0.07, 1, lambda x: x)
 
 
 def test_kernel_step_refuses_an_unstable_dt_before_stepping(rng, monkeypatch):
@@ -456,7 +457,7 @@ def test_kernel_step_refuses_an_unstable_dt_before_stepping(rng, monkeypatch):
 
     monkeypatch.setattr(KernelStep, "step", never)
     with pytest.raises(NumericalError, match="integration unstable, reduce dt"):
-        kernel.evolve(random_density_matrix(rng, 4), 0.7, 0.07)
+        kernel.evolve(random_density_matrix(rng, 4), 0.7, 0.07, 1, lambda x: x)
 
 
 def recording_steps(monkeypatch):
@@ -494,7 +495,7 @@ def test_kernel_step_refuses_a_growing_run_within_a_sample_interval(rng, monkeyp
 
     def refused(n_steps):
         try:
-            kernel.evolve(rho0, n_steps * dt, dt)
+            kernel.evolve(rho0, n_steps * dt, dt, 1, lambda x: x)
         except NumericalError:
             return True
         return False
@@ -503,7 +504,7 @@ def test_kernel_step_refuses_a_growing_run_within_a_sample_interval(rng, monkeyp
     assert first > 1
     _, checks = recording_steps(monkeypatch)
     with pytest.raises(NumericalError, match="integration unstable, reduce dt"):
-        kernel.evolve(rho0, (first + 10) * dt, dt, sample_every=first + 20)
+        kernel.evolve(rho0, (first + 10) * dt, dt, first + 20, lambda x: x)
     assert len(checks) == first
 
 
@@ -516,7 +517,7 @@ def test_kernel_evolve_is_the_run_of_single_steps(rng, sample_every):
     kernel = model.kernel_step(3.0)
     rho0 = random_density_matrix(rng, 16)
     t_final, dt = 0.1234, 0.01
-    traj = kernel.evolve(rho0, t_final, dt, sample_every)
+    traj = kernel.evolve(rho0, t_final, dt, sample_every, lambda x: x)
     n_steps = step_count(t_final, dt)
     h = t_final / n_steps
     advance = kernel.step(kernel._tables(h), lambda x: None)
@@ -540,7 +541,7 @@ def test_kernel_evolve_copies_its_samples_out_of_the_buffers(rng, monkeypatch):
     kernel = PumpModel(GraphSpec.chain(3), 1.0, 0.9).kernel_step(5.0)
     rho0 = random_density_matrix(rng, 8)
     returned, _ = recording_steps(monkeypatch)
-    traj = kernel.evolve(rho0, 0.1, 0.01, sample_every=3)
+    traj = kernel.evolve(rho0, 0.1, 0.01, 3, lambda x: x)
     assert len(returned) == 4 and len({id(x) for x in returned}) == 2
     assert not any(np.shares_memory(traj.states, x) for x in returned)
     assert all(not np.array_equal(traj.states[i], traj.states[i + 1]) for i in range(len(traj.states) - 1))
@@ -556,9 +557,23 @@ def test_kernel_evolve_copies_its_samples_out_of_the_buffers(rng, monkeypatch):
 def test_kernel_evolve_of_no_steps_is_its_start(rng):
     kernel = PumpModel(GraphSpec.chain(3), 1.0, 0.9).kernel_step(5.0)
     rho0 = random_density_matrix(rng, 8)
-    traj = kernel.evolve(rho0, 0.0, 0.01, sample_every=3)
+    traj = kernel.evolve(rho0, 0.0, 0.01, 3, lambda x: x)
     assert np.array_equal(traj.times, [0.0])
     assert np.array_equal(traj.states, [kernel.start(rho0)])
+
+
+def test_kernel_evolve_reads_its_rows_past_the_state_budget(rng):
+    # chain:9 with 401 samples: stored as states they would pass the sample
+    # budget, but the evolve command's readout stores five floats a sample,
+    # and its first rows are the readout of the states the run steps through
+    kernel = PumpModel(GraphSpec.chain(9), 1.0, 0.75).kernel_step(5.0)
+    rho0 = random_density_matrix(rng, 512)
+    readout = kernel_readout(kernel)
+    traj = kernel.evolve(rho0, 0.8, 0.002, 1, readout)
+    assert traj.states.shape == (401, 5) and np.isfinite(traj.states).all()
+    states = kernel.evolve(rho0, 0.006, 0.002, 1, lambda x: x).states
+    assert 401 * states[0].nbytes > SAMPLE_BUDGET_BYTES
+    assert np.abs(np.array([readout(x) for x in states]) - traj.states[:4]).max() <= 1e-13
 
 
 def test_rk4_matches_expm(rng):
