@@ -73,7 +73,7 @@ def _finite(text: str) -> float:
 
 # a command's result: its summary's own fields, its CSV tables by file name
 # as (header, rows), and its text for stdout
-_Output = tuple[dict, dict[str, tuple[list[str], list | np.ndarray]], str]
+_Output = tuple[dict, dict[str, tuple[list[str], list | tuple[np.ndarray, ...]]], str]
 
 
 # rows of a table formatted at once: writing a table then takes one chunk's
@@ -81,11 +81,13 @@ _Output = tuple[dict, dict[str, tuple[list[str], list | np.ndarray]], str]
 CSV_CHUNK_ROWS = 4096
 
 
-def _write_csv(path: Path, header: list[str], rows: list | np.ndarray) -> None:
+def _write_csv(path: Path, header: list[str], rows: list | tuple[np.ndarray, ...]) -> None:
     """Strings as csv quotes them, numbers as ``format(float(x), ".17g")`` writes
     them, ``CSV_CHUNK_ROWS`` rows at a time.  ``rows`` is a list of rows or,
-    for a table of numbers, a 2-D float array, whose chunks become Python
-    floats (``tolist``), the cheapest to format, one at a time.
+    for a table of numbers, a tuple of its columns, 1-D float arrays of one
+    length, so that no array of the whole table is made: each chunk's rows
+    become Python floats (``tolist``), the cheapest to format, one chunk at a
+    time.
 
     A chunk of numbers alone is written with one format string a row; "%g"
     of a string raises TypeError, and such a chunk goes through csv.
@@ -94,10 +96,12 @@ def _write_csv(path: Path, header: list[str], rows: list | np.ndarray) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for start in range(0, len(rows), CSV_CHUNK_ROWS):
-            chunk = rows[start : start + CSV_CHUNK_ROWS]
-            if isinstance(chunk, np.ndarray):
-                chunk = chunk.tolist()
+        columns = isinstance(rows, tuple)
+        for start in range(0, len(rows[0]) if columns else len(rows), CSV_CHUNK_ROWS):
+            if columns:
+                chunk = np.column_stack([c[start : start + CSV_CHUNK_ROWS] for c in rows]).tolist()
+            else:
+                chunk = rows[start : start + CSV_CHUNK_ROWS]
             try:
                 text = "".join([line % tuple(row) for row in chunk])
             except TypeError:
@@ -258,7 +262,7 @@ def _cmd_spectrum(cfg: dict) -> _Output:
         "kernel_dim": kernel_dim,
         "max_real_part": float(vals.real.max()),
     }
-    tables = {"spectrum.csv": (["re", "im"], np.column_stack([vals.real, vals.imag]))}
+    tables = {"spectrum.csv": (["re", "im"], (vals.real, vals.imag))}
     return summary, tables, f"wrote {vals.size} eigenvalues; gap = {gap:.6g}"
 
 
@@ -301,17 +305,17 @@ def _cmd_evolve(cfg: dict) -> _Output:
         # at an exceptional point of K_J: four stages of the generator's action
         traj = evolve_rk4(rho0, lambda rho: model.apply(rho, gamma), cfg["t_final"], dt,
                           sample_every=cfg["sample_every"])
-        observables = [
+        observables = np.array([
             [*spin_expectations(rho).as_array(), fidelity(rho, model.target),
              witness_expectation(rho, model.target, eta=cfg["eta"])]
             for rho in traj.states
-        ]
-    rows = np.column_stack([traj.times, observables])
+        ])
+    columns = (traj.times, *observables.T)
     header = ["t", "jx", "jy", "jz", "fidelity", "witness"]
-    final = dict(zip(header, rows[-1].tolist()))
-    summary = {"n_qubits": model.graph.n_qubits, "dt": dt, "n_samples": len(rows), "final": final}
+    final = {name: float(column[-1]) for name, column in zip(header, columns)}
+    summary = {"n_qubits": model.graph.n_qubits, "dt": dt, "n_samples": len(traj.times), "final": final}
     message = f"evolved to t = {final['t']:g}; final fidelity = {final['fidelity']:.6f}"
-    return summary, {"evolve.csv": (header, rows)}, message
+    return summary, {"evolve.csv": (header, columns)}, message
 
 
 def _cmd_meanfield(cfg: dict) -> _Output:
@@ -334,17 +338,16 @@ def _cmd_meanfield(cfg: dict) -> _Output:
         s0 = MeanFieldState.from_array(base.state.as_array() + rng.normal(0.0, 0.05, 3))
     dt = cfg["dt"] if cfg["dt"] is not None else mf_default_dt(params)
     traj = mean_field_evolve(s0, params, cfg["t_final"], dt, sample_every=cfg["sample_every"])
+    fixed = [
+        {"label": fp.label, "state": [fp.state.jx, fp.state.jy, fp.state.jz], "stable": fp.stable,
+         "classification": fp.classification}
+        for fp in points
+    ]
     tables = {
-        "meanfield.csv": (
-            ["t", "jx", "jy", "jz"],
-            np.column_stack([traj.times, traj.states]),
-        ),
+        "meanfield.csv": (["t", "jx", "jy", "jz"], (traj.times, *traj.states.T)),
         "meanfield_fixed_points.csv": (
             ["label", "jx", "jy", "jz", "stable", "classification"],
-            [
-                [fp.label, fp.state.jx, fp.state.jy, fp.state.jz, str(fp.stable), fp.classification]
-                for fp in points
-            ],
+            [[p["label"], *p["state"], str(p["stable"]), p["classification"]] for p in fixed],
         ),
     }
     final = traj.states[-1]
@@ -352,15 +355,7 @@ def _cmd_meanfield(cfg: dict) -> _Output:
         "dt": dt,
         "s0": [s0.jx, s0.jy, s0.jz],
         "final_state": [float(final[0]), float(final[1]), float(final[2])],
-        "fixed_points": [
-            {
-                "label": fp.label,
-                "state": [fp.state.jx, fp.state.jy, fp.state.jz],
-                "stable": fp.stable,
-                "classification": fp.classification,
-            }
-            for fp in points
-        ],
+        "fixed_points": fixed,
     }
     return summary, tables, f"final mean-field state: ({final[0]:.6f}, {final[1]:.6f}, {final[2]:.6f})"
 

@@ -661,9 +661,10 @@ class KernelStep:
     only the J x J block and the O diagonal of X, and a a^+ lives on J x J.
     X is Hermitian, so a state holds its upper triangle (the J x J triangle,
     the O diagonal, the JO block, the O x O strict triangle, in that order,
-    with a real diagonal) and, last, Tr rho: every state stands for an
-    exactly Hermitian X.  Each functional ``Tr(F X)`` of a Hermitian F is the
-    real dot product of the state's float view with fixed weights.
+    with a real diagonal) and, last, Tr rho, which the step carries for the
+    state check: every state stands for an exactly Hermitian X.  Each
+    functional ``Tr(F X)`` of a Hermitian F is the real dot product of the
+    state's float view with fixed weights (``functional``), Tr rho too.
 
     One step of length h is ``p(hL)`` with ``p(x) = sum_(k<=4) x^k / k!``,
     what the four stages compute for a linear generator.  As
@@ -775,9 +776,9 @@ class KernelStep:
         is one call of the ``advance`` that ``step`` returns for the tables of
         the run's step length, and ``rk4`` stores ``sample(x)`` of the state x
         at each sample time.  ``observables.kernel_readout`` reads the
-        ``evolve`` command's five functionals (``functional``,
-        ``overlap_weights``), so that run holds one state, in ``step``'s two
-        buffers, and its rows; the identity stores the states.
+        ``evolve`` command's five rows, each a ``functional``, so that run
+        holds one state, in ``step``'s two buffers, and its rows; the
+        identity stores the states.
 
         An h at which a pole on a pair that touches O leaves RK4's stability
         region is refused before the first step, with NumericalError
@@ -857,17 +858,6 @@ class KernelStep:
         trace = self.support_weights[1]
         x[-1] = x[: trace.size].view(float) @ trace.view(float)
         return x
-
-    def overlap_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Float weights, as ``functional``'s, of ``<C|rho|C> = Tr rho - Tr(Q rho)``
-        and of ``Tr rho``: the state carries Tr rho as its last entry, and
-        ``Tr(Q rho)`` is the q of ``support_weights``."""
-        q = self.support_weights[0].view(float)
-        trace = np.zeros(self.kappa.size * (self.kappa.size + 1) + 2)
-        trace[-2] = 1.0
-        overlap = trace.copy()
-        overlap[: q.size] = -q
-        return overlap, trace
 
     def functional(self, O: np.ndarray) -> np.ndarray:
         """Float weights w with ``x.view(float) @ w = Tr(rho O)`` for every state x,

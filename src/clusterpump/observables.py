@@ -134,30 +134,34 @@ def kernel_readout(step: KernelStep) -> Callable[[np.ndarray], np.ndarray]:
     sums of X, Y and Z, the overlap ``<C|rho|C>`` and ``Tr rho``, at one
     float weight row each.
 
-    Each spin sum is one ``step.functional``, built once from
-    ``_spin_operators`` of the step's basis, O(d^2) per sample; the overlap
-    and the trace are ``step.overlap_weights``.
+    Each row is one ``step.functional``, built once, of an operator in the
+    step's basis W: the spin sums from ``_spin_operators``, the target
+    projector, ``c_J c_J^T`` on the J block as ``W^T |C> = (c_J, 0)``, and
+    the identity; O(d^2) per sample.
     """
-    spins = [step.functional(O) for O in _spin_operators(step.W)]
+    m, d = step.c.size, step.kappa.size
+    rows = [step.functional(O) for O in _spin_operators(step.W)]
     # the weights are linear in O, and Sigma_y's operator is -i O
-    spins[1].view(complex)[...] *= -1j
-    weights = np.vstack([*spins, *step.overlap_weights()])
+    rows[1].view(complex)[...] *= -1j
+    rows += [step.functional(np.pad(np.outer(step.c, step.c), (0, d - m))), step.functional(np.eye(d))]
+    weights = np.vstack(rows)
     # einsum, not BLAS: past about 10^4 entries OpenBLAS hands even a dot
     # product to its thread pool, which would then wake at every sample
     return lambda x: np.einsum("kj,j->k", weights, x.view(float))
 
 
 def kernel_observables(readout: np.ndarray, n_qubits: int, eta: float = 0.5) -> np.ndarray:
-    """Rows ``(jx, jy, jz, fidelity, witness)`` of the rows of a
-    ``KernelStep.evolve`` run sampled by ``kernel_readout``; equal up to
-    round-off to ``spin_expectations``, ``fidelity`` and
-    ``witness_expectation`` of the density matrix each state stands for.
-    The spin sums are averaged over the ``n_qubits`` sites, and fidelity and
-    witness follow ``fidelity_from_overlap`` and ``witness_from_overlap``.
+    """The rows of a ``KernelStep.evolve`` run sampled by ``kernel_readout``,
+    overwritten in place, so that a run holds one table, with rows
+    ``(jx, jy, jz, fidelity, witness)``, and returned; equal up to round-off
+    to ``spin_expectations``, ``fidelity`` and ``witness_expectation`` of
+    the density matrix each state stands for.  The spin sums are averaged
+    over the ``n_qubits`` sites, and fidelity and witness follow
+    ``fidelity_from_overlap`` and ``witness_from_overlap``.
     """
     overlap, trace = readout[:, 3], readout[:, 4]
-    rows = np.empty(readout.shape)
-    rows[:, :3] = readout[:, :3] / n_qubits
-    rows[:, 3] = fidelity_from_overlap(overlap, trace)
-    rows[:, 4] = witness_from_overlap(overlap, trace, eta)
-    return rows
+    fid = fidelity_from_overlap(overlap, trace)
+    readout[:, 4] = witness_from_overlap(overlap, trace, eta)
+    readout[:, 3] = fid
+    readout[:, :3] /= n_qubits
+    return readout

@@ -4,6 +4,10 @@ from hypothesis import strategies as st
 
 from clusterpump.cluster import GraphSpec
 
+# arrays print with the digits that read back to the same floats, so that a
+# falsifying example hypothesis prints fails again when it is replayed
+np.set_printoptions(floatmode="unique")
+
 
 @pytest.fixture
 def rng():

@@ -961,11 +961,11 @@ def test_tables_write_each_number_as_its_17_digit_float(tmp_path):
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 def test_a_table_writes_the_same_bytes_in_chunks(tmp_path, monkeypatch, chunk):
-    # a float array, a list of numbers, and a list whose string cells fall
+    # float columns, a list of numbers, and a list whose string cells fall
     # in some chunks and not others give the bytes of the table written whole
     numbers = [[3.0, -7.0], [0.1, 1 / 3], [2.5, -0.0], [math.nan, math.inf], [-math.inf, 5e-324], [1e-30, 0.0]]
     tables = {
-        "array": np.array(numbers),
+        "columns": tuple(np.array(numbers).T),
         "list": numbers,
         "mixed": [[1.0, 2.5], [3, "x"], [math.nan, 1e-30], [-0.0, 'a,"b"'], [5e-324, np.float64(7)]],
     }
@@ -975,17 +975,17 @@ def test_a_table_writes_the_same_bytes_in_chunks(tmp_path, monkeypatch, chunk):
     for name, rows in tables.items():
         cli._write_csv(tmp_path / f"{name}-chunked.csv", ["a", "b"], rows)
         assert (tmp_path / f"{name}-chunked.csv").read_bytes() == (tmp_path / f"{name}.csv").read_bytes()
-    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
 
 
 def test_writing_a_table_takes_one_chunk_of_memory(tmp_path):
     # a table's Python floats and text exist one chunk at a time, so writing
     # five chunks of rows peaks about where writing one does
     def peak(n_rows):
-        rows = np.random.default_rng(0).standard_normal((n_rows, 6))
+        columns = tuple(np.random.default_rng(0).standard_normal((6, n_rows)))
         tracemalloc.start()
         try:
-            cli._write_csv(tmp_path / "table.csv", list("abcdef"), rows)
+            cli._write_csv(tmp_path / "table.csv", list("abcdef"), columns)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -639,13 +639,29 @@ def test_measure_fidelity_is_the_pole_integral_law(measure, gammas):
     # p = spread = 0 its gate is 1e-8 max(1, gamma), which no point fails
     energies, c = measure
     states = lindblad.measure_steady_states(energies, c, np.array(gammas), 0.0, 0.0)
+    # F reads E through its differences only: the reference's poles come from
+    # E less its mean, where an offset of up to 20 costs them no digits
+    centred = energies - energies.mean()
     for gamma, (rho, _, error) in zip(gammas, states):
         assert error is None
-        kappa, R = np.linalg.eig(np.diag(-1j * energies - 0.5 * gamma) + np.outer(0.5 * gamma * c, c))
+        d = -1j * centred - 0.5 * gamma
+        kappa, R = np.linalg.eig(np.diag(d) + np.outer(0.5 * gamma * c, c))
         singular = np.linalg.svd(R, compute_uv=False)
         if singular[0] > lindblad.EIGENVECTOR_COND_MAX * singular[-1]:
             continue  # near an exceptional point the poles' residues lose their digits
-        total = gamma * pole_integral(kappa, R, np.linalg.solve(R, c), c)
+        # the pole sum is c^T Y c for Y = lyapunov(c c^T), K_J Y + Y K_J^+ = -c c^T.
+        # eig's backward error, about 1e-16 ||K_J|| and not of K_J's form
+        # diag(d) + (gamma/2) c c^T, can move F by 1e-12 when a pole is near
+        # the axis; one correction by the residual of that form takes it out
+        R_inv = np.linalg.inv(R)
+
+        def lyapunov(B):
+            return R @ (R_inv @ B @ R_inv.conj().T / -np.add.outer(kappa, kappa.conj())) @ R.conj().T
+
+        Y = lyapunov(np.outer(c, c))
+        KY = d[:, None] * Y + np.outer(0.5 * gamma * c, c @ Y)
+        Y += lyapunov(KY + KY.conj().T + np.outer(c, c))
+        total = gamma * float((c @ Y @ c).real)
         assert abs(support_metrics(c, rho)[0] - total / (1.0 + total)) <= 1e-12
 
 

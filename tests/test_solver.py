@@ -562,6 +562,22 @@ def test_kernel_evolve_of_no_steps_is_its_start(rng):
     assert np.array_equal(traj.states, [kernel.start(rho0)])
 
 
+@pytest.mark.parametrize("gamma", [0.5, 5.0, 600.0])
+@pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
+def test_kernel_step_carries_the_trace_of_its_state(rng, graph, gamma):
+    # the trace a step writes as the state's last entry, which only the state
+    # check reads, is the trace functional of the state it writes
+    kernel = PumpModel(graph, 1.0, 0.9).kernel_step(gamma)
+    d = 2**graph.n_qubits
+    trace = kernel.functional(np.eye(d))
+    dt = cli._evolve_dt(graph, 0.9, gamma)
+    advance = kernel.step(kernel._tables(dt), lambda x: None)
+    x = kernel.start(random_density_matrix(rng, d))
+    for count in (1, 9, 90):
+        x = advance(x, dt, count)
+        assert abs(x[-1] - x.view(float) @ trace) <= 1e-13
+
+
 def test_kernel_evolve_reads_its_rows_past_the_state_budget(rng):
     # chain:9 with 401 samples: stored as states they would pass the sample
     # budget, but the evolve command's readout stores five floats a sample,
