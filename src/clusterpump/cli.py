@@ -7,7 +7,8 @@ Every command writes a JSON summary embedding the fully resolved
 configuration, so runs are reproducible from their outputs alone; identical
 configurations produce byte-identical files.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration error or an array too large to
+allocate, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -532,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         (out_dir / f"{args.command}.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(message)
         return 0
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -664,7 +664,9 @@ class KernelStep:
     with a real diagonal) and, last, Tr rho, which the step carries for the
     state check: every state stands for an exactly Hermitian X.  Each
     functional ``Tr(F X)`` of a Hermitian F is the real dot product of the
-    state's float view with fixed weights (``functional``), Tr rho too.
+    state's float view with fixed weights, and ``functional`` builds every
+    such row, from a d x d operator or from a J x J block: the step's q and
+    Tr rho (``support_weights``) as well as a caller's readout rows.
 
     One step of length h is ``p(hL)`` with ``p(x) = sum_(k<=4) x^k / k!``,
     what the four stages compute for a linear generator.  As
@@ -707,20 +709,14 @@ class KernelStep:
 
     @cached_property
     def support_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """q = Tr(Q rho) and Tr rho as the complex weights u of ``functional``,
-        on the J x J triangle and the O diagonal, the only entries where
-        ``R^+ Q R = R^+ R - (R^+ c_J)(R^+ c_J)^+`` and ``R^+ R`` are nonzero (on O
-        both are the identity)."""
+        """q = Tr(Q rho) and Tr rho as the complex weights ``w.view(complex)`` of
+        ``functional``, on the J x J triangle and the O diagonal, the only
+        entries where they are nonzero: the functionals of the J x J blocks
+        ``I - c_J c_J^T`` and ``I``, each with 1 on O's diagonal."""
         m, d = self.c.size, self.kappa.size
-        rows, cols = np.triu_indices(m)
-        scale = np.where(rows == cols, 1.0, 2.0)
-        gram = self.R.conj().T @ self.R
-        # R^+ c_J by R's columns, on the calling thread (see ``PumpModel.eigenvalues``)
-        rc = np.vecdot(self.R.T, self.c)
-        ones = np.ones(d - m)
-        q = np.concatenate([scale * (gram - np.outer(rc, rc.conj()))[rows, cols], ones])
-        trace = np.concatenate([scale * gram[rows, cols], ones])
-        return q, trace
+        n = m * (m + 1) // 2 + d - m
+        eye = np.eye(m)
+        return tuple(self.functional(O, 1.0).view(complex)[:n].copy() for O in (eye - np.outer(self.c, self.c), eye))
 
     def _tables(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(P4, weights, B)`` for steps of length h: the state's factor P4 (0 on
@@ -859,15 +855,20 @@ class KernelStep:
         x[-1] = x[: trace.size].view(float) @ trace.view(float)
         return x
 
-    def functional(self, O: np.ndarray) -> np.ndarray:
+    def functional(self, O: np.ndarray, t: float | None = None) -> np.ndarray:
         """Float weights w with ``x.view(float) @ w = Tr(rho O)`` for every state x,
-        for a Hermitian O given in the basis W (``W^T O W``): from the upper
-        blocks of ``F = R^+ O R``, ``Tr(F X) = sum_i F_ii X_ii
-        + 2 Re sum_(i<j) conj(F_ij) X_ij``; O(d^2 |J|) work, once.  The
-        weights are linear in O, as complex numbers ``w.view(complex)``."""
-        m = self.c.size
+        for a Hermitian O in the basis W, given either as ``W^T O W`` (d x d)
+        or, with a number t, as its J x J block alone, for an O that is 0 on
+        the JO block and t I on the O levels (the identity, Q, the target
+        projector).  One rule for both: the upper blocks of ``F = R^+ O R``
+        give ``Tr(F X) = sum_i F_ii X_ii + 2 Re sum_(i<j) conj(F_ij) X_ij``.
+        The work, once, is two |J| x |J| products, one more, |J| x |J| by
+        |J| x |O|, for a d x d O, and O(d^2) to pack.  The weights are linear
+        in O, as complex numbers ``w.view(complex)``."""
+        m, d = self.c.size, self.kappa.size
         R_h = self.R.conj().T
-        u = self._pack(R_h @ O[:m, :m] @ self.R, R_h @ O[:m, m:], O[m:, m:])
+        JO, OO = (R_h @ O[:m, m:], O[m:, m:]) if t is None else (np.zeros((m, d - m)), t * np.eye(d - m))
+        u = self._pack(R_h @ O[:m, :m] @ self.R, JO, OO)
         u *= 2.0
         u[self._diagonal()] *= 0.5
         return u.view(float)

@@ -135,15 +135,15 @@ def kernel_readout(step: KernelStep) -> Callable[[np.ndarray], np.ndarray]:
     float weight row each.
 
     Each row is one ``step.functional``, built once, of an operator in the
-    step's basis W: the spin sums from ``_spin_operators``, the target
-    projector, ``c_J c_J^T`` on the J block as ``W^T |C> = (c_J, 0)``, and
-    the identity; O(d^2) per sample.
+    step's basis W: the spin sums from ``_spin_operators``, d x d, and, as
+    their J x J blocks, the target projector, ``c_J c_J^T`` with 0 on O as
+    ``W^T |C> = (c_J, 0)``, and the identity, with 1 on O; O(d^2) per
+    sample.
     """
-    m, d = step.c.size, step.kappa.size
     rows = [step.functional(O) for O in _spin_operators(step.W)]
     # the weights are linear in O, and Sigma_y's operator is -i O
     rows[1].view(complex)[...] *= -1j
-    rows += [step.functional(np.pad(np.outer(step.c, step.c), (0, d - m))), step.functional(np.eye(d))]
+    rows += [step.functional(np.outer(step.c, step.c), 0.0), step.functional(np.eye(step.c.size), 1.0)]
     weights = np.vstack(rows)
     # einsum, not BLAS: past about 10^4 entries OpenBLAS hands even a dot
     # product to its thread pool, which would then wake at every sample

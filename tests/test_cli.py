@@ -389,8 +389,10 @@ def test_non_finite_flag_exits_one(tmp_path, capsys, args):
         (["steady", "--config", "{config}"], "config file is not valid JSON"),
         (["meanfield", "--s0", "1,2"], "bad s0 '1,2'; expected x,y,z"),
         (["scaling", "--n-values", "2,x"], "bad n_values '2,x'"),
+        # a 1 EiB state vector, past any address space: no allocation starts
+        (["cluster", "--graph", "chain:56"], "Unable to allocate 1.00 EiB"),
     ],
-    ids=["chain_0", "config_not_json", "s0_two_components", "n_values_not_integers"],
+    ids=["chain_0", "config_not_json", "s0_two_components", "n_values_not_integers", "chain_56_memory"],
 )
 def test_bad_inputs_exit_one_with_their_message(tmp_path, capsys, args, message):
     config = tmp_path / "run.json"

@@ -5,8 +5,9 @@ import pytest
 
 from clusterpump.cluster import GraphSpec, cluster_state, orthogonal_basis, plus_state, state_from_bits
 from clusterpump.errors import NumericalError
-from clusterpump.lindblad import PumpModel
+from clusterpump.lindblad import KernelStep, PumpModel
 from clusterpump.observables import (
+    _spin_operators,
     fidelity,
     kernel_observables,
     kernel_readout,
@@ -168,6 +169,31 @@ def test_kernel_observables_match_the_transformed_back_matrices(rng, graph, gamm
         for rho in rhos
     ]
     assert np.abs(rows - np.array(expected)).max() <= 1e-13
+
+
+def test_kernel_readout_builds_its_rows_from_three_dense_operators(monkeypatch):
+    # only the spin sums reach KernelStep.functional as d x d operators; the
+    # target projector and the identity go as their J x J blocks, with their
+    # constant on O's diagonal (chain:5 at h = 0.9: |J| = 20, |O| = 12)
+    kernel = PumpModel(GraphSpec.chain(5), 1.0, 0.9).kernel_step(5.0)
+    m, d = kernel.c.size, kernel.kappa.size
+    assert m < d
+    calls = []
+    functional = KernelStep.functional
+
+    def recording(self, O, *args):
+        calls.append((O.copy(), *args))
+        return functional(self, O, *args)
+
+    monkeypatch.setattr(KernelStep, "functional", recording)
+    kernel_readout(kernel)
+    dense = [O for O, *args in calls if O.shape == (d, d)]
+    assert len(dense) == 3
+    assert all(np.array_equal(O, S) for O, S in zip(dense, _spin_operators(kernel.W)))
+    blocks = [(O, *args) for O, *args in calls if O.shape != (d, d)]
+    assert len(blocks) == 2
+    for (O, *args), (expected, t) in zip(blocks, [(np.outer(kernel.c, kernel.c), 0.0), (np.eye(m), 1.0)]):
+        assert np.array_equal(O, expected) and args == [t]
 
 
 @pytest.mark.parametrize("graph", [GraphSpec.chain(5), GraphSpec.chain(7), GraphSpec.grid(2, 2)],

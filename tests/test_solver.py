@@ -578,6 +578,43 @@ def test_kernel_step_carries_the_trace_of_its_state(rng, graph, gamma):
         assert abs(x[-1] - x.view(float) @ trace) <= 1e-13
 
 
+@pytest.mark.parametrize("gamma", [0.5, 5.0, 600.0])
+@pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
+def test_kernel_functional_of_a_block_is_that_of_its_padded_operator(rng, graph, gamma):
+    # an operator given as its J x J block and its constant t on O's diagonal
+    # has the weights of the d x d operator it stands for: the block padded
+    # with zeros on JO, plus t I on O x O
+    kernel = PumpModel(graph, 1.0, 0.9).kernel_step(gamma)
+    m, d = kernel.c.size, kernel.kappa.size
+    eye, cc = np.eye(m), np.outer(kernel.c, kernel.c)
+    A = rng.standard_normal((m, m))
+    for block in (eye, cc, eye - cc, A + A.T):
+        for t in (0.0, 1.0, 0.37):
+            dense = np.pad(block, (0, d - m))
+            dense[m:, m:] += t * np.eye(d - m)
+            expected = kernel.functional(dense)
+            assert np.abs(kernel.functional(block, t) - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("gamma", [0.5, 5.0, 600.0])
+@pytest.mark.parametrize("graph", GRAPHS, ids=GRAPH_IDS)
+def test_kernel_support_weights_are_their_closed_form(graph, gamma):
+    # q and Tr rho, from the functionals of I - c c^T and I, against the
+    # closed form: scale (R^+ R - (R^+ c)(R^+ c)^+) and scale R^+ R on the
+    # J x J triangle, with scale 2 off its diagonal, and 1 on the O diagonal
+    kernel = PumpModel(graph, 1.0, 0.9).kernel_step(gamma)
+    R, c = kernel.R, kernel.c
+    rows, cols = np.triu_indices(c.size)
+    scale = np.where(rows == cols, 1.0, 2.0)
+    gram = R.conj().T @ R
+    rc = R.conj().T @ c
+    ones = np.ones(kernel.kappa.size - c.size)
+    expected = [np.concatenate([scale * F[rows, cols], ones]) for F in (gram - np.outer(rc, rc.conj()), gram)]
+    for weights, reference in zip(kernel.support_weights, expected):
+        assert weights.shape == reference.shape
+        assert np.abs(weights - reference).max() <= 1e-14
+
+
 def test_kernel_evolve_reads_its_rows_past_the_state_budget(rng):
     # chain:9 with 401 samples: stored as states they would pass the sample
     # budget, but the evolve command's readout stores five floats a sample,
